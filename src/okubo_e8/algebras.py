@@ -29,11 +29,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .claims import CONVENTION
 from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
 
 DIM = 8
-
-CONVENTION = "cd1946"
 
 #: Oriented Fano lines: e_a * e_b = e_c cyclically for each triple (a, b, c).
 FANO_TRIPLES = (

@@ -24,10 +24,9 @@ from .algebras import (
     oct_mul,
     tau_apply,
 )
+from .claims import CONVENTION
 from .exact import QuadExt, RingTag
 from .report import CheckReport, compare
-
-CONVENTION = claims.CONVENTION
 
 
 def _cmp(check, anchor, expected, tag, actual, details=None, record_only=False):

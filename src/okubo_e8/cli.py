@@ -33,9 +33,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         metavar="CONVENTION",
         help="basis convention id (only %(default)s is built in)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled identity checks"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="structure-constant dump to certify instead of the computed one "
         "(para-closure and okubo-obstruction suites)",
     )
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="seed for sampled identity checks"
+    )
     _common_flags(p_verify)
 
     p_lat = sub.add_parser("lattice", help="lattice-level checks")
@@ -73,19 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
         "what", choices=("invariants", "shells", "glue", "saturate", "trace16")
     )
     p_lat.add_argument("--max", type=int, default=4, dest="max_n",
-                       help="largest shell for `shells` (guarded at 6)")
+                       help="largest shell for `shells` (1 to 6)")
     p_lat.add_argument("--fixture", metavar="FILE", default=None,
                        help="lattice fixture to analyse with `invariants`")
     _common_flags(p_lat)
 
     p_stab = sub.add_parser("stabilizer", help="arithmetic stabilizer search")
     p_stab.add_argument("what", choices=("search",))
-    p_stab.add_argument(
-        "--blocks",
-        default="conductor",
-        help="reserved for larger search classes (only the conductor blocks "
-        "are implemented)",
-    )
     _common_flags(p_stab)
 
     p_cat = sub.add_parser("catalog", help="classical integral sets")

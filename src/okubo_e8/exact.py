@@ -8,6 +8,10 @@ Three layers of immutable, hashable values:
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
   the scalars of the Hermitian-matrix realization.
 
+:func:`eliminate` is the one Gaussian elimination of the package: every
+determinant, inverse, linear solve and LDL pivot, over Q or over K, runs
+through it.
+
 No floating point is used anywhere.  Sign questions in either real
 embedding of K are settled by exact case analysis on squares.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 Rational = Fraction
 
@@ -241,8 +245,59 @@ def two_adic_denominator(q: Fraction) -> int:
 
 def quad_denominator(x: QuadExt) -> int:
     """lcm of the denominators of the two rational coordinates."""
-    a, b = x.rat.denominator, x.irr.denominator
-    return a * b // gcd(a, b)
+    return lcm(x.rat.denominator, x.irr.denominator)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over a field (Cohen, GTM 138, section 2.2)
+# ---------------------------------------------------------------------------
+
+
+def eliminate(rows, *, swap=True, reduced=False):
+    """Gaussian elimination on the leading square block of ``rows``.
+
+    The entries may be ints, Fractions or QuadExt values; ints become
+    Fractions, and every other entry keeps its own type, so the routine
+    serves Q and K alike with one reciprocal per pivot.  Columns past the
+    square block (an augmented right-hand side) are carried along.
+
+    Returns ``(work, pivots, sign)``:
+
+    * ``work`` -- a reduced copy whose pivot rows are scaled to a leading
+      1.  With ``reduced`` the pivot columns are also cleared above the
+      pivots (Gauss-Jordan), so ``[A | B]`` ends as ``[I | A^-1 B]``.
+    * ``pivots`` -- the pivot of each column in turn, up to and including
+      the first zero one; the block is singular iff one of them is zero.
+    * ``sign`` -- the parity of the row exchanges, so the determinant is
+      ``sign * prod(pivots)``.
+
+    ``swap=False`` forbids row exchanges: the pivots are then those of the
+    LDL decomposition of a symmetric matrix, and the entries right of the
+    diagonal in pivot row c are its multipliers.
+    """
+    work = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
+    n = len(work)
+    pivots = []
+    sign = 1
+    for c in range(n):
+        piv = c
+        if swap and not work[c][c]:
+            piv = next((r for r in range(c + 1, n) if work[r][c]), c)
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            sign = -sign
+        d = work[c][c]
+        pivots.append(d)
+        if not d:
+            break
+        inv = 1 / d
+        prow = [v * inv for v in work[c][c:]]
+        work[c][c:] = prow
+        for r in range(0 if reduced else c + 1, n):
+            f = work[r][c]
+            if f and r != c:
+                work[r][c:] = [x - f * y for x, y in zip(work[r][c:], prow)]
+    return work, pivots, sign
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._kernels import (
     NotPositiveDefinite,
     enumerate_short_vectors,
     prepare_enumeration,
 )
-from .exact import QuadExt
+from .exact import QuadExt, eliminate
 
 
 class LatticeError(ValueError):
@@ -47,7 +48,8 @@ class GluingError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# exact dense matrix helpers (Fractions; sizes here are at most 16x16)
+# exact dense matrix helpers (sizes here are at most 16x16); determinants,
+# inverses, solves and LDL pivots all run through exact.eliminate
 # ---------------------------------------------------------------------------
 
 
@@ -76,66 +78,42 @@ def transpose(a):
 
 
 def mat_inv(a):
+    """Exact inverse over the field of the entries (Q or K)."""
     n = len(a)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise LatticeError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    work, pivots, _ = eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
+        reduced=True,
+    )
+    if not all(pivots):
+        raise LatticeError("singular matrix")
     return [row[n:] for row in work]
 
 
 def mat_det(a):
-    n = len(a)
-    work = [[Fraction(v) for v in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    _, pivots, det = eliminate(a)
+    for p in pivots:
+        det *= p
     return det
 
 
 def ldl_pivots(gram):
     """The exact pivots of the LDL decomposition; all positive iff the
     symmetric matrix is positive definite."""
-    n = len(gram)
-    a = [[Fraction(gram[r][c]) for c in range(n)] for r in range(n)]
-    pivots = []
-    for c in range(n):
-        d = a[c][c]
-        pivots.append(d)
-        if d == 0:
-            break
-        for r in range(c + 1, n):
-            f = a[r][c] / d
-            if f:
-                for s in range(c + 1, n):
-                    a[r][s] -= f * a[c][s]
-    return pivots
+    return eliminate(gram, swap=False)[1]
 
 
-def solve_right(a, rhs):
-    """Solve x * a = rhs for a row vector x (a square nonsingular)."""
-    inv = mat_inv(a)
-    return [sum(rhs[k] * inv[k][j] for k in range(len(rhs))) for j in range(len(rhs))]
+def _solve_rows(rows, basis):
+    """Rational X with rows = X * basis, for a square nonsingular basis."""
+    n = len(basis)
+    # X B = R  <=>  B^T X^T = R^T: reduce [B^T | R^T] to [I | X^T]
+    work, pivots, _ = eliminate(
+        [[basis[r][c] for r in range(n)] + [row[c] for row in rows]
+         for c in range(n)],
+        reduced=True,
+    )
+    if not all(pivots):
+        raise LatticeError("singular matrix")
+    return [[work[c][n + k] for c in range(n)] for k in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +384,7 @@ class LatticeZ:
 
 def coords_in_lattice(lat: LatticeZ, ambient_vector):
     """Exact rational coordinates of an ambient vector over the basis."""
-    b = [list(r) for r in lat.basis]
-    return solve_right(b, [Fraction(v) for v in ambient_vector])
+    return _solve_rows([ambient_vector], lat.basis)[0]
 
 
 def contains(outer: LatticeZ, inner: LatticeZ) -> bool:
@@ -421,8 +398,7 @@ def contains(outer: LatticeZ, inner: LatticeZ) -> bool:
 
 def change_of_basis(sub: LatticeZ, sup: LatticeZ):
     """Rational matrix X with sub.basis = X * sup.basis."""
-    supb = [list(r) for r in sup.basis]
-    return [solve_right(supb, list(row)) for row in sub.basis]
+    return _solve_rows(sub.basis, sup.basis)
 
 
 def lattices_equal(a: LatticeZ, b: LatticeZ) -> bool:
@@ -476,20 +452,9 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
 
 
 def _integer_gram_and_scale(gram):
-    den = 1
-    for row in gram:
-        for v in row:
-            d = Fraction(v).denominator
-            g = _gcd(den, d)
-            den = den * d // g
+    den = lcm(*(Fraction(v).denominator for row in gram for v in row))
     gi = [[int(Fraction(v) * den) for v in row] for row in gram]
     return gi, den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def short_vectors(lat: LatticeZ, bound):
@@ -550,8 +515,10 @@ def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
     compared against 240 * sigma_3(n).
 
     The bilinear Gram satisfies <x,x> = 2 n(x), so shell n is enumerated
-    at bilinear norm 2n.  Desk-scale guard: maxn <= 6.
+    at bilinear norm 2n.  Desk-scale guard: 1 <= maxn <= 6.
     """
+    if maxn < 1:
+        raise ValueError("shell counting needs maxn >= 1")
     if maxn > 6:
         raise ValueError("shell counting is desk-scale guarded at maxn <= 6")
     sv = short_vectors(lat, 2 * maxn)
@@ -705,11 +672,7 @@ def saturation(sub: LatticeZ, sup: LatticeZ, p: int) -> LatticeZ:
 def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
     """The lattice generated by ``base`` and the given ambient vectors."""
     rows = [list(r) for r in base.basis] + [[Fraction(v) for v in r] for r in lift_rows]
-    den = 1
-    for row in rows:
-        for v in row:
-            g = _gcd(den, v.denominator)
-            den = den * v.denominator // g
+    den = lcm(*(v.denominator for row in rows for v in row))
     int_rows = [[int(v * den) for v in row] for row in rows]
     h, _ = hnf_with_transform(int_rows)
     new_basis = [

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import DIM, basis_element, okubo_mul
-from .exact import ComplexQuad, QUAD_ZERO, QuadExt
+from .exact import ComplexQuad, QuadExt, eliminate
 
 MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
 MU_BAR = MU.conjugate()
@@ -241,21 +241,7 @@ def gram_pivots() -> list[QuadExt]:
     pivots live in K; the signature of the norm on the real span is read
     off from their signs in the standard real embedding.
     """
-    a = [row[:] for row in basis_gram()]
-    n = len(a)
-    pivots = []
-    for c in range(n):
-        d = a[c][c]
-        pivots.append(d)
-        if d.is_zero():
-            break
-        inv = d.inverse()
-        for r in range(c + 1, n):
-            f = a[r][c] * inv
-            if f:
-                for s in range(c + 1, n):
-                    a[r][s] = a[r][s] - f * a[c][s]
-    return pivots
+    return eliminate(basis_gram(), swap=False)[1]
 
 
 # -- Kaplansky's recovered unital product -------------------------------------
@@ -313,28 +299,6 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3):
 # -- cross-realization --------------------------------------------------------
 
 
-def _solve_k_linear(a, rhs):
-    """Solve x A = rhs over K for an invertible QuadExt matrix A."""
-    n = len(a)
-    work = [[a[r][c] for c in range(n)] + [QuadExt(int(r == c)) for c in range(n)]
-            for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular coordinate system")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    ainv = [row[n:] for row in work]
-    return [
-        sum((rhs[m] * ainv[m][k] for m in range(n)), QUAD_ZERO) for k in range(n)
-    ]
-
-
 def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
     """Exact coordinates of m over the basis (e, e1..e7)."""
     basis = build_basis()
@@ -349,9 +313,13 @@ def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
         lambda x: x.rows[1][2].re,
         lambda x: x.rows[1][2].im,
     ]
-    a = [[f(bm) for f in funcs] for bm in basis]
-    rhs = [f(m) for f in funcs]
-    coords = _solve_k_linear(a, rhs)
+    # coords solve sum_k coords[k] f(basis[k]) = f(m) for every functional f
+    work, pivots, _ = eliminate(
+        [[f(bm) for bm in basis] + [f(m)] for f in funcs], reduced=True
+    )
+    if not all(pivots):
+        raise ArithmeticError("singular coordinate system")
+    coords = [row[-1] for row in work]
     # exactness guard: reconstruct
     acc = basis[0].scale(coords[0])
     for cm, bm in zip(coords[1:], basis[1:]):

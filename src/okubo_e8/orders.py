@@ -30,11 +30,11 @@ from ._kernels import unit_closure_failures
 from .algebras import (
     DIM,
     OCT_TABLE,
+    PRODUCTS,
     AlgebraElem,
     basis_element,
     oct_mul,
     okubo_mul,
-    para_mul,
 )
 from .claims import SCALING_DIAGONAL
 from .exact import QUAD_ZERO, QuadExt, RingTag, quad_denominator, two_adic_denominator
@@ -267,13 +267,6 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
 
 # -- structure constants ------------------------------------------------------
 
-PRODUCT_FUNCTIONS = {
-    "octonion": oct_mul,
-    "para": para_mul,
-    "okubo": okubo_mul,
-}
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     product: str
@@ -325,7 +318,7 @@ def structure_constants(product: str, basis: OrderBasis | None = None) -> Struct
     """
     if basis is None:
         basis = cd_basis()
-    mul = PRODUCT_FUNCTIONS[product]
+    mul = PRODUCTS[product]
     binv = _basis_inverse(basis)
     rows = []
     for i in range(DIM):
@@ -369,7 +362,11 @@ def dump_structure_constants(constants: StructureConstants) -> str:
 
 def parse_structure_constants(text: str, product: str = "parsed",
                               basis_label: str = "parsed") -> StructureConstants:
-    """Exact inverse of :func:`dump_structure_constants`."""
+    """Exact inverse of :func:`dump_structure_constants`.
+
+    Every index triple in ``0..7`` must appear exactly once, with nonzero
+    denominators; anything else raises ValueError.
+    """
     c = [[[QUAD_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     seen = set()
     for line in text.splitlines():
@@ -379,11 +376,18 @@ def parse_structure_constants(text: str, product: str = "parsed",
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"bad structure-constant line: {line!r}")
-        i, j, k = (int(p) for p in parts[:3])
-        rat = Fraction(parts[3])
-        irr = Fraction(parts[4])
+        i, j, k = key = tuple(int(p) for p in parts[:3])
+        if not all(0 <= v < DIM for v in key):
+            raise ValueError(f"index out of range 0..{DIM - 1}: {line!r}")
+        if key in seen:
+            raise ValueError(f"duplicate entry {i} {j} {k}: {line!r}")
+        try:
+            rat = Fraction(parts[3])
+            irr = Fraction(parts[4])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {line!r}") from None
         c[i][j][k] = QuadExt(rat, irr)
-        seen.add((i, j, k))
+        seen.add(key)
     if len(seen) != DIM ** 3:
         raise ValueError(f"expected {DIM ** 3} entries, got {len(seen)}")
     return StructureConstants(

@@ -9,6 +9,7 @@ from math import isqrt
 import pytest
 
 from okubo_e8 import claims
+from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
     GluingError,
     InclusionError,
@@ -225,6 +226,9 @@ class TestShells:
     def test_guard(self):
         with pytest.raises(ValueError):
             shell_counts_vs_sigma3(cd_lattice(), 7)
+        for maxn in (0, -1):  # an empty shell range must not pass vacuously
+            with pytest.raises(ValueError):
+                shell_counts_vs_sigma3(cd_lattice(), maxn)
 
 
 class TestDiscriminantGroup:
@@ -337,6 +341,15 @@ class TestPivotsAndFixtures:
     def test_ldl_pivots(self):
         assert all(p > 0 for p in ldl_pivots(A2))
         assert any(p <= 0 for p in ldl_pivots([[1, 0], [0, -2]]))
+        # a row exchange would hide the zero leading pivot of this form
+        assert not all(p > 0 for p in ldl_pivots([[0, 1], [1, 0]]))
+
+    def test_mat_inv_over_k(self):
+        s3 = QuadExt(0, 1)
+        a = [[QuadExt(1), s3], [QuadExt(2), QuadExt(1, 1)]]
+        ident = [[QuadExt(int(i == j)) for j in range(2)] for i in range(2)]
+        assert mat_mul(mat_inv(a), a) == ident
+        assert mat_mul(a, mat_inv(a)) == ident
 
     def test_det_equals_smith_product(self):
         for lat_ in (cd_lattice(), conductor_lattice(), LatticeZ.from_gram(D4)):

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from okubo_e8 import claims
-from okubo_e8.algebras import DIM, AlgebraElem
+from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
 from okubo_e8.orders import (
-    PRODUCT_FUNCTIONS,
     cd_basis,
     cd_basis_and_gram,
     cd_gram,
@@ -105,7 +104,7 @@ class TestStructureConstants:
     def test_reconstruction(self, product):
         basis = cd_basis()
         constants = structure_constants(product)
-        mul = PRODUCT_FUNCTIONS[product]
+        mul = PRODUCTS[product]
         for i in range(DIM):
             for j in range(DIM):
                 assert reconstruct_product(constants, basis, i, j) == mul(
@@ -164,6 +163,29 @@ class TestDumpFormat:
     def test_parse_requires_all_entries(self):
         with pytest.raises(ValueError):
             parse_structure_constants("0 0 0 1/1 0/1\n")
+
+    @staticmethod
+    def _tampered(first_line):
+        lines = dump_structure_constants(structure_constants("para")).splitlines()
+        return "\n".join([first_line] + lines[1:]) + "\n"
+
+    def test_parse_rejects_negative_index(self):
+        # -8 would otherwise wrap around to c[0]
+        with pytest.raises(ValueError, match="out of range"):
+            parse_structure_constants(self._tampered("-8 0 0 1/1 0/1"))
+
+    def test_parse_rejects_index_past_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_structure_constants(self._tampered("9 0 0 1/1 0/1"))
+
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_structure_constants(self._tampered("0 0 0 1/0 0/1"))
+
+    def test_parse_rejects_duplicate_entry(self):
+        text = dump_structure_constants(structure_constants("para"))
+        with pytest.raises(ValueError, match="duplicate"):
+            parse_structure_constants(text + "0 0 0 1/1 0/1\n")
 
 
 class TestClosure:

@@ -169,6 +169,29 @@ class TestCli:
             "fixture-det-vs-smith", "fixture-discriminant-order",
         }
 
+    def test_malformed_constants_exit_2(self, tmp_path, capsys):
+        lines = dump_structure_constants(structure_constants("para")).splitlines()
+        bad = tmp_path / "constants.txt"
+        bad.write_text("\n".join(["9 0 0 1/1 0/1"] + lines[1:]) + "\n")
+        assert main(["verify", "para-closure", "--constants", str(bad)]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    def test_empty_shell_range_exit_2(self, capsys):
+        assert main(["lattice", "shells", "--max", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_blocks_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["stabilizer", "search", "--blocks", "bogus"])
+        assert err.value.code == 2
+
+    def test_seed_only_on_verify(self, capsys):
+        for argv in (["lattice", "trace16"], ["stabilizer", "search"],
+                     ["catalog", "verify", "gaussian"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--seed", "1"])
+            assert err.value.code == 2
+
     def test_stabilizer_search(self, capsys):
         rc = main(["stabilizer", "search", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
@@ -181,6 +204,18 @@ class TestCli:
 @pytest.fixture(scope="module")
 def all_reports():
     return checks.run_all(seed=0)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                      "verify_all.json")
+
+
+def test_golden_verify_all(all_reports):
+    """`okubo-e8 verify all --format json` must stay byte-identical: any
+    change to the golden file is a behaviour change."""
+    with open(GOLDEN, "rb") as fh:
+        golden = fh.read()
+    assert (serialize(all_reports, "json") + "\n").encode("utf-8") == golden
 
 
 class TestCoverage:
