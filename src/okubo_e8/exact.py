@@ -8,6 +8,16 @@ Three layers of immutable, hashable values:
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
   the scalars of the Hermitian-matrix realization.
 
+Both field types store integer numerators over one common denominator
+(Cohen, GTM 138, section 4.2).  A ``QuadExt`` is the triple ``(a, b, d)``
+meaning ``(a + b*sqrt(3))/d``, and a ``ComplexQuad`` is the quintuple
+``(a, b, c, e, d)`` meaning ``((a + b*sqrt(3)) + (c + e*sqrt(3))*i)/d``.
+Either is kept canonical: the integers have no common factor, ``d > 0``,
+and zero is stored with ``d = 1``.  So equality is a comparison of
+integers, and arithmetic is integer products plus one ``math.gcd`` per
+result.  ``QuadExt.rat``/``.irr`` and ``ComplexQuad.re``/``.im`` are
+computed from the integers on demand.
+
 :func:`eliminate` is the one Gaussian elimination of the package: every
 determinant, inverse, linear solve and LDL pivot, over Q or over K, runs
 through it.
@@ -21,30 +31,30 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_SQRT3_SQ = 3
 
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _num_den(value) -> tuple[int, int]:
+    """Numerator and denominator of an integer or Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
 class QuadExt:
-    """An element a + b*sqrt(3) of K = Q(sqrt 3), in canonical form."""
+    """An element (a + b*sqrt(3))/d of K = Q(sqrt 3), in canonical form:
+    gcd(a, b, d) = 1 and d > 0."""
 
-    __slots__ = ("rat", "irr")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, rat=0, irr=0):
-        object.__setattr__(self, "rat", _as_fraction(rat))
-        object.__setattr__(self, "irr", _as_fraction(irr))
+    def __new__(cls, rat=0, irr=0):
+        p, q = _num_den(rat)
+        r, s = _num_den(irr)
+        return _quad(p * s, r * q, q * s)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt values are immutable")
@@ -59,38 +69,67 @@ class QuadExt:
     def coerce(cls, value) -> "QuadExt":
         if isinstance(value, QuadExt):
             return value
-        return cls(_as_fraction(value))
+        return cls(value)
+
+    # -- coordinates ----------------------------------------------------
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a/d."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def irr(self) -> Fraction:
+        """The coefficient b/d of sqrt(3)."""
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """The canonical integers (a, b, d) of (a + b*sqrt(3))/d."""
+        return self._a, self._b, self._d
 
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
-        other = QuadExt.coerce(other)
-        return QuadExt(self.rat + other.rat, self.irr + other.irr)
+        if type(other) is not QuadExt:
+            other = QuadExt.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _quad(self._a + other._a, self._b + other._b, d)
+        return _quad(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QuadExt.coerce(other)
-        return QuadExt(self.rat - other.rat, self.irr - other.irr)
+        if type(other) is not QuadExt:
+            other = QuadExt.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _quad(self._a - other._a, self._b - other._b, d)
+        return _quad(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return QuadExt.coerce(other) - self
 
     def __neg__(self):
-        return QuadExt(-self.rat, -self.irr)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = QuadExt.coerce(other)
-        a, b, c, d = self.rat, self.irr, other.rat, other.irr
-        return QuadExt(a * c + _SQRT3_SQ * b * d, a * d + b * c)
+        if type(other) is not QuadExt:
+            other = QuadExt.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _quad(a * c + 3 * b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        nrm = self.field_norm()
+        a, b, d = self._a, self._b, self._d
+        nrm = a * a - 3 * b * b  # zero only for a = b = 0: sqrt(3) is irrational
         if nrm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 3)")
-        return QuadExt(self.rat / nrm, -self.irr / nrm)
+        if nrm < 0:
+            return _quad(-a * d, b * d, -nrm)
+        return _quad(a * d, -b * d, nrm)
 
     def __truediv__(self, other):
         return self * QuadExt.coerce(other).inverse()
@@ -103,7 +142,7 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = QuadExt(1)
+        out = QUAD_ONE
         base = self
         n = exponent
         while n:
@@ -117,24 +156,26 @@ class QuadExt:
 
     def galois_conjugate(self) -> "QuadExt":
         """The image under sqrt(3) -> -sqrt(3)."""
-        return QuadExt(self.rat, -self.irr)
+        return _make(self._a, -self._b, self._d)
 
     def field_trace(self) -> Fraction:
-        """Tr_{K/Q}(a + b*sqrt(3)) = 2a."""
-        return 2 * self.rat
+        """Tr_{K/Q}((a + b*sqrt(3))/d) = 2a/d."""
+        return Fraction(2 * self._a, self._d)
 
     def field_norm(self) -> Fraction:
-        """N_{K/Q}(a + b*sqrt(3)) = a^2 - 3 b^2."""
-        return self.rat * self.rat - _SQRT3_SQ * self.irr * self.irr
+        """N_{K/Q}((a + b*sqrt(3))/d) = (a^2 - 3 b^2)/d^2."""
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a - 3 * b * b, d * d)
 
     def sign_real(self, conjugate_embedding: bool = False) -> int:
         """Exact sign of the image under a real embedding of K.
 
         The default embedding sends sqrt(3) to the positive square root;
-        ``conjugate_embedding=True`` sends it to the negative one.
+        ``conjugate_embedding=True`` sends it to the negative one.  The
+        denominator is positive, so the sign is that of a + b*sqrt(3).
         """
-        a = self.rat
-        b = -self.irr if conjugate_embedding else self.irr
+        a = self._a
+        b = -self._b if conjugate_embedding else self._b
         if a == 0 and b == 0:
             return 0
         if a >= 0 and b >= 0:
@@ -142,8 +183,8 @@ class QuadExt:
         if a <= 0 and b <= 0:
             return -1
         # mixed signs: compare a^2 with 3 b^2 (equality impossible for a,b
-        # rational and not both zero, since sqrt(3) is irrational)
-        lhs, rhs = a * a, _SQRT3_SQ * b * b
+        # not both zero, since sqrt(3) is irrational)
+        lhs, rhs = a * a, 3 * b * b
         if a > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
@@ -151,26 +192,30 @@ class QuadExt:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
+        return not self._a and not self._b
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return not self._b
 
     # -- plumbing --------------------------------------------------------
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt.coerce(other)
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.rat == other.rat and self.irr == other.irr
+        if type(other) is QuadExt:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.irr == 0:
-            return hash(self.rat)
+        # a rational element hashes like the equal int or Fraction
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.rat, self.irr))
 
     def __repr__(self):
@@ -178,6 +223,36 @@ class QuadExt:
 
     def __str__(self):
         return render_quadext(self)
+
+
+_new = object.__new__
+_set_a = QuadExt._a.__set__
+_set_b = QuadExt._b.__set__
+_set_d = QuadExt._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> QuadExt:
+    """The QuadExt (a + b*sqrt(3))/d from integers already in canonical form."""
+    x = _new(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _quad(a: int, b: int, d: int) -> QuadExt:
+    """The QuadExt (a + b*sqrt(3))/d for integers with d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    # the body of _make, inlined: every arithmetic result passes here
+    x = _new(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 QUAD_ZERO = QuadExt(0)
@@ -201,11 +276,12 @@ class RingTag(enum.Enum):
     def contains(self, x: QuadExt) -> bool:
         x = QuadExt.coerce(x)
         if self is RingTag.Z:
-            return x.irr == 0 and x.rat.denominator == 1
+            return not x._b and x._d == 1
         if self is RingTag.ZSQRT3:
-            return x.rat.denominator == 1 and x.irr.denominator == 1
+            # gcd(a, b, d) = 1, so a/d and b/d are both integers iff d = 1
+            return x._d == 1
         if self is RingTag.Q:
-            return x.irr == 0
+            return not x._b
         return True
 
 
@@ -244,8 +320,9 @@ def two_adic_denominator(q: Fraction) -> int:
 
 
 def quad_denominator(x: QuadExt) -> int:
-    """lcm of the denominators of the two rational coordinates."""
-    return lcm(x.rat.denominator, x.irr.denominator)
+    """lcm of the denominators of the two rational coordinates, which is
+    the common denominator d of the canonical triple."""
+    return x._d
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +387,11 @@ _QUAD_RE = re.compile(
 
 
 def render_quadext(x: QuadExt) -> str:
-    """Canonical text rendering, e.g. ``-3/2 + 1/1*s3``."""
-    a, b = x.rat, x.irr
-    return f"{a.numerator}/{a.denominator} + {b.numerator}/{b.denominator}*s3"
+    """Canonical text rendering, e.g. ``-3/2 + 1/1*s3``: each coordinate
+    in lowest terms."""
+    a, b, d = x._a, x._b, x._d
+    ga, gb = gcd(a, d), gcd(b, d)
+    return f"{a // ga}/{d // ga} + {b // gb}/{d // gb}*s3"
 
 
 def parse_quadext(text: str) -> QuadExt:
@@ -332,13 +411,19 @@ def parse_quadext(text: str) -> QuadExt:
 
 
 class ComplexQuad:
-    """An element x + y*i with x, y in K; conjugation negates y."""
+    """An element x + y*i with x, y in K; conjugation negates y.
 
-    __slots__ = ("re", "im")
+    Stored as ((a + b*sqrt(3)) + (c + e*sqrt(3))*i)/d with
+    gcd(a, b, c, e, d) = 1 and d > 0.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", QuadExt.coerce(re))
-        object.__setattr__(self, "im", QuadExt.coerce(im))
+    __slots__ = ("_a", "_b", "_c", "_e", "_d")
+
+    def __new__(cls, re=0, im=0):
+        x = QuadExt.coerce(re)
+        y = QuadExt.coerce(im)
+        p, q = x._d, y._d
+        return _complex(x._a * q, x._b * q, y._a * p, y._b * p, p * q)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexQuad values are immutable")
@@ -347,55 +432,130 @@ class ComplexQuad:
     def coerce(cls, value) -> "ComplexQuad":
         if isinstance(value, ComplexQuad):
             return value
-        return cls(QuadExt.coerce(value))
+        return cls(value)
+
+    @property
+    def re(self) -> QuadExt:
+        return _quad(self._a, self._b, self._d)
+
+    @property
+    def im(self) -> QuadExt:
+        return _quad(self._c, self._e, self._d)
+
+    @property
+    def quintuple(self) -> tuple[int, int, int, int, int]:
+        """The canonical integers (a, b, c, e, d)."""
+        return self._a, self._b, self._c, self._e, self._d
 
     def __add__(self, other):
-        other = ComplexQuad.coerce(other)
-        return ComplexQuad(self.re + other.re, self.im + other.im)
+        if type(other) is not ComplexQuad:
+            other = ComplexQuad.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _complex(self._a + other._a, self._b + other._b,
+                            self._c + other._c, self._e + other._e, d)
+        return _complex(self._a * f + other._a * d, self._b * f + other._b * d,
+                        self._c * f + other._c * d, self._e * f + other._e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ComplexQuad.coerce(other)
-        return ComplexQuad(self.re - other.re, self.im - other.im)
+        if type(other) is not ComplexQuad:
+            other = ComplexQuad.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _complex(self._a - other._a, self._b - other._b,
+                            self._c - other._c, self._e - other._e, d)
+        return _complex(self._a * f - other._a * d, self._b * f - other._b * d,
+                        self._c * f - other._c * d, self._e * f - other._e * d, d * f)
 
     def __rsub__(self, other):
         return ComplexQuad.coerce(other) - self
 
     def __neg__(self):
-        return ComplexQuad(-self.re, -self.im)
+        return _cmake(-self._a, -self._b, -self._c, -self._e, self._d)
 
     def __mul__(self, other):
-        other = ComplexQuad.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexQuad(a * c - b * d, a * d + b * c)
+        if type(other) is not ComplexQuad:
+            other = ComplexQuad.coerce(other)
+        # (x + y i)(u + v i) = (xu - yv) + (xv + yu) i with x = a + b s3,
+        # y = c + e s3, u = p + q s3, v = r + s s3 and s3^2 = 3
+        a, b, c, e = self._a, self._b, self._c, self._e
+        p, q, r, s = other._a, other._b, other._c, other._e
+        return _complex(
+            a * p - c * r + 3 * (b * q - e * s),
+            a * q + b * p - c * s - e * r,
+            a * r + c * p + 3 * (b * s + e * q),
+            a * s + b * r + c * q + e * p,
+            self._d * other._d,
+        )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexQuad":
-        return ComplexQuad(self.re, -self.im)
+        return _cmake(self._a, self._b, -self._c, -self._e, self._d)
 
     def norm(self) -> QuadExt:
         """re^2 + im^2, nonnegative in both real embeddings of K."""
-        return self.re * self.re + self.im * self.im
+        a, b, c, e, d = self._a, self._b, self._c, self._e, self._d
+        return _quad(a * a + c * c + 3 * (b * b + e * e), 2 * (a * b + c * e), d * d)
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not (self._a or self._b or self._c or self._e)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            other = ComplexQuad.coerce(other)
-        if not isinstance(other, ComplexQuad):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not ComplexQuad:
+            if not isinstance(other, (int, Fraction, QuadExt)):
+                return NotImplemented
+            return not self._c and not self._e and self.re == other
+        return (self._a == other._a and self._b == other._b and self._c == other._c
+                and self._e == other._e and self._d == other._d)
 
     def __hash__(self):
-        if self.im.is_zero():
+        # a real element hashes like the equal QuadExt
+        if not self._c and not self._e:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
         return f"ComplexQuad({self.re!r}, {self.im!r})"
+
+
+_cset_a = ComplexQuad._a.__set__
+_cset_b = ComplexQuad._b.__set__
+_cset_c = ComplexQuad._c.__set__
+_cset_e = ComplexQuad._e.__set__
+_cset_d = ComplexQuad._d.__set__
+
+
+def _cmake(a: int, b: int, c: int, e: int, d: int) -> ComplexQuad:
+    """The ComplexQuad from integers already in canonical form."""
+    z = _new(ComplexQuad)
+    _cset_a(z, a)
+    _cset_b(z, b)
+    _cset_c(z, c)
+    _cset_e(z, e)
+    _cset_d(z, d)
+    return z
+
+
+def _complex(a: int, b: int, c: int, e: int, d: int) -> ComplexQuad:
+    """The ComplexQuad ((a + b s3) + (c + e s3) i)/d for integers, d > 0."""
+    g = gcd(a, b, c, e, d)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        e //= g
+        d //= g
+    # the body of _cmake, inlined: every arithmetic result passes here
+    z = _new(ComplexQuad)
+    _cset_a(z, a)
+    _cset_b(z, b)
+    _cset_c(z, c)
+    _cset_e(z, e)
+    _cset_d(z, d)
+    return z

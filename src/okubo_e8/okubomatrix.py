@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebras import DIM, basis_element, okubo_mul
 from .exact import ComplexQuad, QuadExt, eliminate
@@ -24,7 +25,10 @@ MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
 MU_BAR = MU.conjugate()
 
 _C0 = ComplexQuad(0)
-_C1 = ComplexQuad(1)
+_C_HALF = ComplexQuad(Fraction(1, 2))
+_C_THIRD = ComplexQuad(Fraction(1, 3))
+_THIRD = QuadExt(Fraction(1, 3))
+_SIXTH = QuadExt(Fraction(1, 6))
 
 
 class HermTraceless3:
@@ -107,14 +111,13 @@ def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     xy = mat_product(x, y)
     yx = mat_product(y, x)
     tr = _trace_of(xy)
-    third = QuadExt(Fraction(1, 3))
     rows = []
     for i in range(3):
         row = []
         for j in range(3):
             val = MU * xy[i][j] + MU_BAR * yx[i][j]
             if i == j:
-                val = val - ComplexQuad(third) * tr
+                val = val - _C_THIRD * tr
             row.append(val)
         rows.append(row)
     return HermTraceless3(rows)  # validation certifies type closure
@@ -126,7 +129,7 @@ def norm(x: HermTraceless3) -> QuadExt:
     tr = _trace_of(sq)
     if not tr.im.is_zero():
         raise ArithmeticError("trace of a Hermitian square must be real")
-    return tr.re * QuadExt(Fraction(1, 6))
+    return tr.re * _SIXTH
 
 
 def inner(x: HermTraceless3, y: HermTraceless3) -> QuadExt:
@@ -134,12 +137,13 @@ def inner(x: HermTraceless3, y: HermTraceless3) -> QuadExt:
     tr = _trace_of(mat_product(x, y))
     if not tr.im.is_zero():
         raise ArithmeticError("polarized trace must be real")
-    return tr.re * QuadExt(Fraction(1, 3))
+    return tr.re * _THIRD
 
 
+@lru_cache(maxsize=None)
 def build_basis() -> tuple[HermTraceless3, ...]:
     """The reference idempotent e = diag(2,-1,-1) and the seven sqrt(3)
-    generators; returned as (e, e1, ..., e7)."""
+    generators; returned as (e, e1, ..., e7), built and validated once."""
     s3 = QuadExt(0, 1)
     i_pos = ComplexQuad(0, s3)  # sqrt(3) * i
     i_neg = ComplexQuad(0, -s3)
@@ -292,8 +296,7 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3):
     3x3 matrix since Hermitian traceless matrices are not closed under it."""
     xy = mat_product(x, y)
     yx = mat_product(y, x)
-    half = ComplexQuad(QuadExt(Fraction(1, 2)))
-    return [[half * (a + b) for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
+    return [[_C_HALF * (a + b) for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
 
 
 # -- cross-realization --------------------------------------------------------

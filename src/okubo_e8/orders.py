@@ -287,10 +287,11 @@ class SingularBasisError(ValueError):
     pass
 
 
-def _basis_inverse(basis: OrderBasis):
+@lru_cache(maxsize=None)
+def _basis_inverse(basis: OrderBasis) -> tuple[tuple[Fraction, ...], ...]:
     rows = basis.coordinate_matrix()
     try:
-        return lat.mat_inv(rows)
+        return tuple(tuple(row) for row in lat.mat_inv(rows))
     except lat.LatticeError as exc:
         raise SingularBasisError("order basis is singular") from exc
 

@@ -1,6 +1,7 @@
 """Field arithmetic over Q(sqrt 3): exactness, canonical forms, membership."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,3 +158,139 @@ class TestComplexQuad:
         x = ComplexQuad(q(1, 1), q(2))
         y = ComplexQuad(q(0, 2), q(-1, 1))
         assert (x * y).norm() == x.norm() * y.norm()
+
+
+# -- the integer representation against an oracle on Fraction pairs --------
+#
+# A pair (a, b) stands for a + b*sqrt(3); the oracle below never touches
+# okubo_e8.exact.
+
+pairs = st.tuples(rationals, rationals)
+
+
+def o_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def o_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def o_mul(x, y):
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def o_norm(x):
+    return x[0] * x[0] - 3 * x[1] * x[1]
+
+
+def o_inverse(x):
+    n = o_norm(x)
+    return (x[0] / n, -x[1] / n)
+
+
+def o_sign(x):
+    """Sign of a + b*sqrt(3) by bracketing sqrt(3) between ever closer
+    decimal bounds lo <= sqrt(3) <= hi."""
+    a, b = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    k = 1
+    while True:
+        lo = Fraction(isqrt(3 * 100 ** k), 10 ** k)
+        hi = lo + Fraction(1, 10 ** k)
+        ends = [a + b * lo, a + b * hi]
+        if all(v > 0 for v in ends):
+            return 1
+        if all(v < 0 for v in ends):
+            return -1
+        k += 1
+
+
+def as_pair(x):
+    a, b, d = x.triple
+    return (Fraction(a, d), Fraction(b, d))
+
+
+def assert_canonical(x):
+    a, b, d = x.triple
+    assert d > 0
+    assert gcd(a, b, d) == 1
+    if a == 0 and b == 0:
+        assert d == 1
+    assert (x.rat, x.irr) == as_pair(x)
+    assert parse_quadext(render_quadext(x)) == x
+
+
+class TestIntegerRepresentation:
+    @settings(derandomize=True, max_examples=150)
+    @given(pairs, pairs)
+    def test_ring_ops_match_oracle(self, xp, yp):
+        x, y = QuadExt(*xp), QuadExt(*yp)
+        assert as_pair(x) == xp
+        for got, want in ((x + y, o_add(xp, yp)), (x - y, o_sub(xp, yp)),
+                          (x * y, o_mul(xp, yp)), (-x, o_sub((0, 0), xp))):
+            assert as_pair(got) == want
+            assert_canonical(got)
+        if yp != (0, 0):
+            for got, want in ((y.inverse(), o_inverse(yp)),
+                              (x / y, o_mul(xp, o_inverse(yp)))):
+                assert as_pair(got) == want
+                assert_canonical(got)
+
+    @settings(derandomize=True, max_examples=150)
+    @given(pairs)
+    def test_galois_norm_trace_sign_match_oracle(self, xp):
+        x = QuadExt(*xp)
+        conj = (xp[0], -xp[1])
+        assert as_pair(x.galois_conjugate()) == conj
+        assert_canonical(x.galois_conjugate())
+        assert x.field_norm() == o_norm(xp)
+        assert x.field_trace() == 2 * xp[0]
+        assert x.sign_real() == o_sign(xp)
+        assert x.sign_real(conjugate_embedding=True) == o_sign(conj)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals))
+    def test_rational_values_equal_and_hash_alike(self, value):
+        x = QuadExt(value)
+        assert x == value and value == x
+        assert hash(x) == hash(value)
+        assert hash(ComplexQuad(x)) == hash(x)
+        assert_canonical(x)
+
+    @settings(derandomize=True, max_examples=60)
+    @given(quads, quads)
+    def test_complex_hash_and_canonical(self, x, y):
+        z = ComplexQuad(x)
+        assert hash(z) == hash(x) and z == x
+        w = ComplexQuad(x, y)
+        assert (w.re, w.im) == (x, y)
+        a, b, c, e, d = (w * w.conjugate()).quintuple
+        assert d > 0 and gcd(a, b, c, e, d) == 1
+        assert (c, e) == (0, 0)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(pairs, pairs, pairs, pairs)
+    def test_complex_ops_match_oracle(self, xp, yp, up, vp):
+        w, z = ComplexQuad(QuadExt(*xp), QuadExt(*yp)), ComplexQuad(QuadExt(*up), QuadExt(*vp))
+        prod = w * z
+        assert as_pair(prod.re) == o_sub(o_mul(xp, up), o_mul(yp, vp))
+        assert as_pair(prod.im) == o_add(o_mul(xp, vp), o_mul(yp, up))
+        assert as_pair((w + z).im) == o_add(yp, vp)
+        assert as_pair((w - z).re) == o_sub(xp, up)
+        assert as_pair(w.norm()) == o_add(o_mul(xp, xp), o_mul(yp, yp))
+
+    def test_zero_is_canonical(self):
+        assert QuadExt(0).triple == (0, 0, 1)
+        assert (q(Fraction(1, 3), 2) - q(Fraction(1, 3), 2)).triple == (0, 0, 1)
+        assert ComplexQuad(0).quintuple == (0, 0, 0, 0, 1)
+
+    def test_immutable(self):
+        x = q(1, 2)
+        z = ComplexQuad(x, x)
+        for obj, names in ((x, ("rat", "irr", "_a", "_d", "other")),
+                           (z, ("re", "im", "_a", "_d", "other"))):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 1)

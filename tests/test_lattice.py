@@ -7,10 +7,12 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from okubo_e8 import claims
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
+    _snf_reduce,
     GluingError,
     InclusionError,
     LatticeZ,
@@ -45,7 +47,13 @@ D4 = [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]  # det 4
 
 
 def box_search(gram, bound):
-    """Independent brute-force enumeration from dual diagonal bounds."""
+    """Independent brute-force enumeration from dual diagonal bounds.
+
+    Every integer vector of the box is visited.  The norm of a symmetric
+    Gram is built up one coordinate at a time,
+    x^T G x = sum_i x_i (x_i g_ii + 2 sum_{j<i} g_ij x_j),
+    so each level adds its own term to the partial norm handed down.
+    """
     n = len(gram)
     ginv = mat_inv([[Fraction(v) for v in row] for row in gram])
     limits = []
@@ -54,18 +62,20 @@ def box_search(gram, bound):
         val = Fraction(bound) * ginv[i][i]
         limits.append(isqrt(val.numerator // val.denominator) + 1)
     out = []
-    def norm_of(vec):
-        return sum(
-            vec[i] * gram[i][j] * vec[j] for i in range(n) for j in range(n)
-        )
-    def rec(i, vec):
-        if i == n:
-            if any(vec) and norm_of(vec) <= bound:
-                out.append((tuple(vec), Fraction(norm_of(vec))))
+    def rec(i, vec, partial, nonzero):
+        row = gram[i]
+        gii = row[i]
+        cross = 2 * sum(row[j] * vec[j] for j in range(i))
+        values = range(-limits[i], limits[i] + 1)
+        if i < n - 1:
+            for v in values:
+                rec(i + 1, vec + [v], partial + v * (v * gii + cross), nonzero or v != 0)
             return
-        for v in range(-limits[i], limits[i] + 1):
-            rec(i + 1, vec + [v])
-    rec(0, [])
+        for v in values:
+            nrm = partial + v * (v * gii + cross)
+            if (nonzero or v != 0) and nrm <= bound:
+                out.append((tuple(vec) + (v,), Fraction(nrm)))
+    rec(0, [], 0, False)
     return sorted(out)
 
 
@@ -117,6 +127,91 @@ class TestNormalForms:
             ref = sorted(abs(theirs[i, i]) for i in range(min(theirs.shape))
                          if theirs[i, i] != 0)
             assert sorted(ours) == ref
+
+
+def _int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _det(m):
+    """Laplace expansion along the first row (tiny matrices only)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _rows(nr, nc):
+    return st.lists(
+        st.lists(st.integers(-6, 6), min_size=nc, max_size=nc), min_size=nr, max_size=nr
+    )
+
+
+@st.composite
+def _any_shape(draw):
+    return draw(_rows(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+
+
+@st.composite
+def _square(draw):
+    n = draw(st.integers(1, 4))
+    return draw(_rows(n, n))
+
+
+@st.composite
+def _singular(draw):
+    """A square matrix with one row an integer combination of the others."""
+    n = draw(st.integers(2, 4))
+    rows = draw(_rows(n - 1, n))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    dependent = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    rows.insert(draw(st.integers(0, n - 1)), dependent)
+    return rows
+
+
+int_matrices = st.one_of(_square(), _any_shape(), _singular())
+
+
+class TestSmithProperties:
+    """Random square, non-square and singular integer matrices."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(int_matrices)
+    def test_transforms(self, m):
+        s, p, q = _snf_reduce(m)
+        assert _int_mul(_int_mul(p, m), q) == s
+        assert abs(_det(p)) == 1 and abs(_det(q)) == 1
+        assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(int_matrices)
+    def test_divisibility_chain(self, m):
+        inv = smith_invariants(m)
+        assert all(v >= 0 for v in inv)
+        for a, b in zip(inv, inv[1:]):
+            assert b == 0 if a == 0 else b % a == 0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(int_matrices)
+    def test_sympy_invariants(self, m):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        theirs = smith_normal_form(sympy.Matrix(m))
+        ref = tuple(abs(int(theirs[i, i])) for i in range(min(theirs.shape)))
+        assert smith_invariants(m) == ref
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(int_matrices)
+    def test_hermite_transform(self, m):
+        h, t = hnf_with_transform(m)
+        assert _int_mul(t, m) == h
+        assert abs(_det(t)) == 1
+        nf = hnf_snf(m)
+        diag = [[nf.smith[i] if i == j else 0 for j in range(len(m[0]))]
+                for i in range(len(m))]
+        assert _int_mul(_int_mul([list(r) for r in nf.left], diag),
+                        [list(r) for r in nf.right]) == m
 
 
 class TestSublattice:
