@@ -8,16 +8,22 @@ stable ordering, byte-identical output for identical invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import checks, claims, orders
 from . import lattice as lat
-from .report import exit_code, serialize
+from .report import compare, exit_code, serialize
 
 ENV_FORMAT = "OKUBO_E8_FORMAT"
 
 KNOWN_CONVENTIONS = (claims.CONVENTION,)
+
+#: the verify suites whose check group takes a ``constants`` dump
+CONSTANTS_SUITES = tuple(
+    name for name, group in checks.REGISTRY.items() if "constants" in group.params
+)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -44,24 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a certification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=(
-            "all",
-            "para-closure",
-            "okubo-obstruction",
-            "scaled-order",
-            "scaling-search",
-            "bridges",
-            "matrix-laws",
-        ),
-    )
+    p_verify.add_argument("suite", choices=("all", *checks.REGISTRY))
     p_verify.add_argument(
         "--constants",
         metavar="FILE",
         default=None,
         help="structure-constant dump to certify instead of the computed one "
-        "(para-closure and okubo-obstruction suites)",
+        f"({' and '.join(CONSTANTS_SUITES)} suites)",
     )
     p_verify.add_argument(
         "--seed", type=int, default=0, help="seed for sampled identity checks"
@@ -72,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument(
         "what", choices=("invariants", "shells", "glue", "saturate", "trace16")
     )
-    p_lat.add_argument("--max", type=int, default=4, dest="max_n",
-                       help="largest shell for `shells` (1 to 6)")
+    p_lat.add_argument("--max", type=int, default=None, dest="max_n",
+                       help="largest shell for `shells` (1 to 6, default 4)")
     p_lat.add_argument("--fixture", metavar="FILE", default=None,
                        help="lattice fixture to analyse with `invariants`")
     _common_flags(p_lat)
@@ -91,58 +86,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fixture_reports(path: str):
-    from .report import compare
-
+    """Determinant against the Smith factors, and |det| against the order of
+    the discriminant group (the product of the Smith factors > 1), from one
+    Gram matrix and one Smith normal form; the parser has checked that the
+    Gram is integral."""
     with open(path, "r", encoding="utf-8") as fh:
         lattice = lat.lattice_from_fixture(fh.read())
-    det = lattice.det()
-    smith = lat.smith_invariants(
-        [[int(v) for v in row] for row in lattice.gram()]
-    )
-    prod = 1
-    for s in smith:
-        prod *= s
-    group = lat.discriminant_group(lattice)
+    gram = lattice.gram()
+    det = int(lat.mat_det(gram))
+    if det == 0:
+        raise lat.LatticeError("fixture Gram is singular")
+    smith = lat.smith_invariants([[int(v) for v in row] for row in gram])
     return [
         compare("fixture-det-vs-smith", "fixture-analysis", claims.CONVENTION,
-                int(det), "derived", prod,
+                det, "derived", math.prod(smith),
                 details=f"label={lattice.label!r} smith={list(smith)}"),
         compare("fixture-discriminant-order", "fixture-analysis",
-                claims.CONVENTION, int(abs(det)), "derived", group.order),
+                claims.CONVENTION, abs(det), "derived",
+                math.prod(s for s in smith if s > 1)),
     ]
 
 
 def _verify_reports(args) -> list:
-    override = None
-    if args.constants:
+    run = checks.run_all if args.suite == "all" else checks.REGISTRY[args.suite]
+    kwargs = {"seed": args.seed}
+    if args.constants is not None:
+        if args.suite not in CONSTANTS_SUITES:
+            raise ValueError("--constants applies only to the "
+                             f"{' and '.join(CONSTANTS_SUITES)} suites")
         with open(args.constants, "r", encoding="utf-8") as fh:
-            override = orders.parse_structure_constants(fh.read())
-    if args.suite == "all":
-        if override is not None:
-            raise SystemExit("--constants applies only to single closure suites")
-        return checks.run_all(seed=args.seed)
-    if args.suite == "para-closure":
-        return checks.check_para_closure(override)
-    if args.suite == "okubo-obstruction":
-        reports = checks.check_okubo_obstruction(override)
-        if override is None:
-            reports += checks.check_denominators()
-        return reports
-    if args.suite == "scaled-order":
-        return checks.check_scaled_order()
-    if args.suite == "scaling-search":
-        return checks.check_scaling_search()
-    if args.suite == "bridges":
-        return checks.check_bridges(seed=args.seed)
-    return checks.check_matrix_laws(seed=args.seed)
+            kwargs["constants"] = orders.parse_structure_constants(fh.read())
+    reports = run(**kwargs)
+    if args.suite == "okubo-obstruction" and args.constants is None:
+        reports += checks.REGISTRY["denominators"]()
+    return reports
 
 
 def _lattice_reports(args) -> list:
+    if args.fixture is not None and args.what != "invariants":
+        raise ValueError("--fixture applies only to `lattice invariants`")
+    if args.max_n is not None and args.what != "shells":
+        raise ValueError("--max applies only to `lattice shells`")
     if args.what == "invariants":
-        if args.fixture:
+        if args.fixture is not None:
             return _fixture_reports(args.fixture)
         return checks.check_conductor() + checks.check_discriminant()
     if args.what == "shells":
+        if args.max_n is None:
+            return checks.check_shells()
         return checks.check_shells(args.max_n)
     if args.what in ("glue", "saturate"):
         reports = checks.check_saturation_gluing()
@@ -156,23 +147,13 @@ def _lattice_reports(args) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.fano not in KNOWN_CONVENTIONS:
-        parser.print_usage(sys.stderr)
-        print(
-            f"okubo-e8: unknown convention {args.fano!r}; "
-            f"known: {', '.join(KNOWN_CONVENTIONS)}",
-            file=sys.stderr,
-        )
-        return 2
-
     fmt = args.format or os.environ.get(ENV_FORMAT) or "text"
-    if fmt not in ("json", "text"):
-        parser.print_usage(sys.stderr)
-        print(f"okubo-e8: bad {ENV_FORMAT} value {fmt!r}", file=sys.stderr)
-        return 2
-
     try:
+        if args.fano not in KNOWN_CONVENTIONS:
+            raise ValueError(f"unknown convention {args.fano!r}; "
+                             f"known: {', '.join(KNOWN_CONVENTIONS)}")
+        if fmt not in ("json", "text"):
+            raise ValueError(f"bad {ENV_FORMAT} value {fmt!r}")
         if args.command == "verify":
             reports = _verify_reports(args)
         elif args.command == "lattice":
@@ -181,14 +162,8 @@ def main(argv=None) -> int:
             reports = checks.check_stabilizer()
         else:
             if args.name != "all" and args.name not in claims.CLASSICAL_TABLE:
-                parser.print_usage(sys.stderr)
-                known = ", ".join(claims.CLASSICAL_TABLE)
-                print(
-                    f"okubo-e8: unknown catalog name {args.name!r}; "
-                    f"known: {known} (or 'all')",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ValueError(f"unknown catalog name {args.name!r}; known: "
+                                 f"{', '.join(claims.CLASSICAL_TABLE)} (or 'all')")
             reports = checks.check_catalog(args.name)
     except (OSError, ValueError) as exc:
         parser.print_usage(sys.stderr)

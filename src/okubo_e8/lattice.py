@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import lcm
 
 from ._kernels import (
@@ -341,9 +343,14 @@ class LatticeZ:
         return len(self.basis)
 
     def gram(self):
+        """B A B^T as fresh lists; the product is computed once per lattice."""
+        return [list(r) for r in self._gram]
+
+    @cached_property
+    def _gram(self):
         b = [list(r) for r in self.basis]
         g = [list(r) for r in self.ambient_gram]
-        return mat_mul(mat_mul(b, g), transpose(b))
+        return tuple(map(tuple, mat_mul(mat_mul(b, g), transpose(b))))
 
     def det(self) -> Fraction:
         return mat_det(self.gram())
@@ -714,38 +721,22 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
     if quot.order > 1 << 16:
         raise LatticeError("quotient group exceeds the desk-scale guard")
 
-    # q(h) = <v, v> mod 2 for any lift v in sup of h.
-    sup_gram = sup.gram()
-    all_zero = True
-    witness = None
-    ranges = [range(t) for t in quot.invariants]
+    # q(h) = <v, v> mod 2 for any lift v in sup of h.  For h = sum c_g h_g,
+    # <v, v> = c G_H c^T with G_H the Gram of the generators' lifts; scaled
+    # by its common denominator den, q(h) = (c M c^T mod 2 den) / den.
     gens = quot.generators_sup_coords
-    n = sup.rank
-
-    def norm_of_comb(coeffs):
-        vec = [0] * n
-        for g, c in enumerate(coeffs):
-            if c:
-                row = gens[g]
-                for j in range(n):
-                    vec[j] += c * row[j]
-        val = Fraction(0)
-        for i in range(n):
-            if vec[i]:
-                row = sup_gram[i]
-                for j in range(n):
-                    if vec[j]:
-                        val += vec[i] * row[j] * vec[j]
-        return val
-
-    from itertools import product as _product
-
-    for coeffs in _product(*ranges):
-        qv = norm_of_comb(coeffs) % 2
-        if qv != 0:
-            all_zero = False
-            witness = (coeffs, qv)
+    gram_h = [[sum(a * b for a, b in zip(row, h)) for h in gens]
+              for row in mat_mul(gens, sup.gram())]
+    den = lcm(*(v.denominator for row in gram_h for v in row))
+    m = [[int(v * den) for v in row] for row in gram_h]
+    witness = None
+    for coeffs in product(*(range(t) for t in quot.invariants)):
+        nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
+        val = sum(ci * cj * m[i][j] for i, ci in nonzero for j, cj in nonzero)
+        if val % (2 * den):
+            witness = (coeffs, Fraction(val % (2 * den), den))
             break
+    all_zero = witness is None
 
     disc = discriminant_group(sub)
     maximal = quot.order * quot.order == disc.order
@@ -856,13 +847,48 @@ def lattice_to_fixture(lat: LatticeZ) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+def _fixture_number(v) -> Fraction:
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise LatticeError(f"fixture entry {v!r} is not an integer or a fraction string")
+
+
+def _fixture_matrix(payload, key):
+    rows = payload[key]
+    if (not isinstance(rows, list) or not rows
+            or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
+        raise LatticeError(f"fixture {key} is not a square matrix of size >= 1")
+    return tuple(tuple(_fixture_number(v) for v in row) for row in rows)
+
+
 def lattice_from_fixture(text: str) -> LatticeZ:
-    payload = json.loads(text)
-    basis = [[Fraction(v) for v in row] for row in payload["basis"]]
-    ambient = [[Fraction(v) for v in row] for row in payload["ambient_gram"]]
-    lat = LatticeZ(_frac_rows(basis), _frac_rows(ambient), payload.get("label", ""))
-    gram = [[int(v) for v in row] for row in payload["gram"]]
-    if [[int(x) for x in row] for row in lat.gram()] != gram:
+    """Parse a fixture as written by :func:`lattice_to_fixture`: an object
+    whose ``gram``, ``basis`` and ``ambient_gram`` are n x n matrices
+    (n >= 1) of integers or fraction strings, ``ambient_gram`` symmetric,
+    ``gram`` integral and exactly equal to the Gram of the basis, and an
+    optional string ``label``.  Any other input raises LatticeError."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise LatticeError(f"fixture is not JSON: {exc}") from None
+    keys = ("gram", "basis", "ambient_gram")
+    if not isinstance(payload, dict) or not set(keys) <= set(payload):
+        raise LatticeError("fixture is not an object with gram, basis and ambient_gram")
+    label = payload.get("label", "")
+    if not isinstance(label, str):
+        raise LatticeError("fixture label is not a string")
+    gram, basis, ambient = (_fixture_matrix(payload, key) for key in keys)
+    if not len(gram) == len(basis) == len(ambient):
+        raise LatticeError("fixture matrices differ in size")
+    if any(row[j] != ambient[j][i] for i, row in enumerate(ambient) for j in range(i)):
+        raise LatticeError("fixture ambient_gram is not symmetric")
+    if any(v.denominator != 1 for row in gram for v in row):
+        raise LatticeError("fixture gram is not integral")
+    lat = LatticeZ(basis, ambient, label)
+    if lat._gram != gram:
         raise LatticeError("fixture gram does not match basis and ambient gram")
     return lat
 

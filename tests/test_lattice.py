@@ -2,6 +2,8 @@
 groups, gluing, saturation.  Independent oracles: naive box-search
 enumeration, sympy normal forms, determinant/gcd identities."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -15,6 +17,7 @@ from okubo_e8.lattice import (
     _snf_reduce,
     GluingError,
     InclusionError,
+    LatticeError,
     LatticeZ,
     NotPositiveDefinite,
     contains,
@@ -386,6 +389,35 @@ class TestGlueSaturate:
         assert rep.glued_even and rep.glued_unimodular
         assert rep.glued_equals_sup
 
+    @pytest.mark.parametrize("sub_rows, sup_gram, isotropic", [
+        ([[2]], [[1]], False),  # 2Z in Z: q(1) = 1
+        ([[2]], [[Fraction(1, 2)]], False),
+        ([[2, 0], [0, 2]], [[2, 1], [1, 4]], True),
+        ([[2, 0], [0, 2]], [[1, 0], [0, 2]], False),
+        ([[2, 0], [0, 2]], [[2, Fraction(1, 2)], [Fraction(1, 2), 2]], False),
+        ([[2, 0, 0], [0, 4, 0], [1, 1, 2]], [[2, 1, 0], [1, 3, 1], [0, 1, 6]],
+         False),
+    ])
+    def test_isotropy_witness(self, sub_rows, sup_gram, isotropic):
+        """The witness is the first class, in itertools.product order, whose
+        lift v has <v, v> outside 2Z, with q(v) = <v, v> mod 2."""
+        sup = LatticeZ.from_gram(sup_gram)
+        sub = LatticeZ.from_rows(sub_rows, sup_gram)
+        quot = quotient_group(sub, sup)
+        g, n = sup.gram(), sup.rank
+        expected = None
+        for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
+            v = [sum(c * row[j] for c, row in zip(coeffs, quot.generators_sup_coords))
+                 for j in range(n)]
+            q = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) % 2
+            if q:
+                expected = (coeffs, q)
+                break
+        rep = glue_and_saturate(sub, sup, 2)
+        assert rep.q_values_all_zero is isotropic
+        assert rep.isotropy_witness == expected
+        assert (expected is None) is isotropic
+
     def test_quotient_group(self):
         q = quotient_group(conductor_lattice(), cd_lattice())
         assert q.invariants == claims.QUOTIENT_INVARIANTS
@@ -462,9 +494,41 @@ class TestPivotsAndFixtures:
         assert back.gram() == cond.gram()
 
     def test_fixture_tamper_detected(self):
-        import json
-
         payload = json.loads(lattice_to_fixture(cd_lattice()))
         payload["gram"][0][0] = "4"
-        with pytest.raises(Exception):
-            lattice_from_fixture(json.dumps(payload))
+
+        def one(gram, basis, ambient="1", **extra):
+            return json.dumps({"gram": [[gram]], "basis": [[basis]],
+                               "ambient_gram": [[ambient]], **extra})
+
+        bad = [
+            json.dumps(payload),
+            "not json",
+            "[" * 100000 + "]" * 100000,  # nested past the recursion limit
+            "{}",
+            "[1, 2]",
+            '{"gram": [], "basis": [], "ambient_gram": []}',
+            '{"gram": [[]], "basis": [[]], "ambient_gram": [[]]}',
+            json.dumps({"basis": [["1"]], "ambient_gram": [["1"]]}),
+            # non-square, and sizes that disagree
+            json.dumps({"gram": [["1", "0"]], "basis": [["1", "0"]],
+                        "ambient_gram": [["1", "0"]]}),
+            json.dumps({"gram": [["1"]], "basis": [["1", "0"], ["0", "1"]],
+                        "ambient_gram": [["1", "0"], ["0", "1"]]}),
+            json.dumps({"gram": [["1", "1"], ["0", "1"]],  # not symmetric
+                        "basis": [["1", "0"], ["0", "1"]],
+                        "ambient_gram": [["1", "1"], ["0", "1"]]}),
+            # the Gram of basis 1/2 is 1/4: wrong when declared as the
+            # truncation 0, and non-integral when declared exactly
+            one("0", "1/2"),
+            one("1/4", "1/2"),
+            one("1", "1/0"),
+            one("1", "one"),
+            one("1", 1.0),
+            one("1", True),
+            one("1", "1", label=["x"]),
+        ]
+        for text in bad:
+            with pytest.raises(LatticeError):
+                lattice_from_fixture(text)
+        assert lattice_from_fixture(one("4", "1/2", "16", label="x")).label == "x"

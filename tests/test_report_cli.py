@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from okubo_e8 import checks
-from okubo_e8.cli import main
+from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
 from okubo_e8.orders import dump_structure_constants, structure_constants
 from okubo_e8.report import (
@@ -121,8 +121,51 @@ class TestCli:
     def test_constants_with_all_rejected(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text(dump_structure_constants(structure_constants("para")))
-        with pytest.raises(SystemExit):
-            main(["verify", "all", "--constants", str(f)])
+        for suite in ("all", "scaled-order", "scaling-search", "bridges",
+                      "matrix-laws"):
+            assert main(["verify", suite, "--constants", str(f)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "para-closure and okubo-obstruction" in captured.err
+
+    def test_verify_suites_come_from_registry(self, capsys):
+        parser = build_parser()
+        assert len(checks.REGISTRY) == 19
+        for suite in ("all", *checks.REGISTRY):
+            assert parser.parse_args(["verify", suite]).suite == suite
+        for suite in ("check-para-closure", "para_closure", "shell-formula"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["verify", suite])
+
+    def test_single_group_suite(self, capsys):
+        rc = main(["verify", "trace16", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert [d["check"] for d in data] == sorted(checks.CHECK_MAP[
+            "trace-lattice-remark"])
+
+    def test_okubo_obstruction_suite(self, tmp_path, capsys):
+        assert main(["verify", "okubo-obstruction", "--format", "json"]) == 0
+        plain = {d["check"] for d in json.loads(capsys.readouterr().out)}
+        assert plain == {*checks.CHECK_MAP["okubo-obstruction-theorem"],
+                         "okubo-denominators"}
+        f = tmp_path / "c.txt"
+        f.write_text(dump_structure_constants(structure_constants("okubo")))
+        rc = main(["verify", "okubo-obstruction", "--constants", str(f),
+                   "--format", "json"])
+        dumped = {d["check"] for d in json.loads(capsys.readouterr().out)}
+        assert rc == 0
+        assert dumped == set(checks.CHECK_MAP["okubo-obstruction-theorem"])
+
+    def test_lattice_flags_only_where_used(self, capsys):
+        for argv in (["lattice", "trace16", "--fixture", "/nonexistent"],
+                     ["lattice", "shells", "--fixture", "/nonexistent"],
+                     ["lattice", "glue", "--max", "3"],
+                     ["lattice", "invariants", "--max", "3"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "applies only to" in captured.err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -230,14 +273,19 @@ class TestCoverage:
             for cid in ids:
                 assert by_id[cid] == anchor
 
-    def test_docs_table_lists_every_anchor_and_id(self):
+    def test_docs_table_is_rendered_registry(self):
+        """docs/checks.md is exactly the rendering of the registry;
+        regenerate it with `python -m okubo_e8.checks > docs/checks.md`."""
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(here, "docs", "checks.md"), encoding="utf-8") as fh:
-            text = fh.read()
-        for anchor, ids in checks.CHECK_MAP.items():
-            assert f"`{anchor}`" in text
-            for cid in ids:
-                assert f"`{cid}`" in text
+            assert fh.read() == checks.docs_markdown()
+
+    def test_undeclared_id_rejected(self):
+        with pytest.raises(KeyError):
+            checks._cmp("no-such-check", 0, "trivial", 0)
+        assert checks._cmp("shell-n6", 1, "claimed", 1).anchor == "shell-formula"
+        with pytest.raises(ValueError):
+            checks.check("shell-formula", "again", ["shell-n9"])(lambda: [])
 
     def test_every_report_carries_convention_and_tag(self, all_reports):
         for r in all_reports:
