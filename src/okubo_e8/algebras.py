@@ -300,14 +300,6 @@ def _tau_matrix() -> tuple[tuple[QuadExt, ...], ...]:
 TAU = AutMatrix(_tau_matrix(), 3)
 TAU2 = TAU.compose(TAU, 3)
 
-_IDENTITY = AutMatrix(
-    tuple(
-        tuple(QUAD_ONE if r == c else QUAD_ZERO for c in range(DIM))
-        for r in range(DIM)
-    ),
-    1,
-)
-
 
 def tau_apply(x: AlgebraElem, power: int = 1) -> AlgebraElem:
     """Apply the rotation automorphism (or its square) to ``x``."""

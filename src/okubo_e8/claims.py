@@ -40,7 +40,6 @@ NORM_CROSS_TERMS = {
 # -- unit loop and shells -----------------------------------------------------
 
 UNIT_COUNT = 240
-SHELL_BASE = 240
 #: frozen 240 * sigma_3(n) for n = 1..6
 SHELL_VALUES = (240, 2160, 6720, 17520, 30240, 60480)
 
@@ -88,7 +87,6 @@ TRACE16_MIN = 16
 
 STABILIZER_CANDIDATES = 147456  # (4! * 2^4)^2
 METRIC_PRESERVING_COUNT = 4
-PRODUCT_PRESERVING_COUNT = 1
 
 # -- classical catalog (Gram convention: <x,x> = 2 n(x)) ----------------------
 

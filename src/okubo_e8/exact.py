@@ -1,9 +1,7 @@
 """Exact scalar arithmetic for the real quadratic field K = Q(sqrt 3).
 
-Three layers of immutable, hashable values:
+Two layers of immutable, hashable values over :class:`fractions.Fraction`:
 
-* ``Rational`` -- alias of :class:`fractions.Fraction`: lowest terms,
-  positive denominator, so equality and ring membership are syntactic.
 * ``QuadExt`` -- elements ``a + b*sqrt(3)`` with rational ``a``, ``b``.
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
   the scalars of the Hermitian-matrix realization.
@@ -32,8 +30,6 @@ import enum
 import re
 from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 
 def _num_den(value) -> tuple[int, int]:
@@ -194,9 +190,6 @@ class QuadExt:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def is_rational(self) -> bool:
-        return not self._b
-
     # -- plumbing --------------------------------------------------------
 
     def __bool__(self):
@@ -260,11 +253,6 @@ QUAD_ONE = QuadExt(1)
 SQRT3 = QuadExt.sqrt3()
 
 
-def galois_and_trace(x: QuadExt) -> tuple[QuadExt, Fraction]:
-    """Return (conjugate, field trace) for an element of K."""
-    return x.galois_conjugate(), x.field_trace()
-
-
 class RingTag(enum.Enum):
     """Decidable coefficient rings used by the integrality tests."""
 
@@ -285,28 +273,9 @@ class RingTag(enum.Enum):
         return True
 
 
-def ring_membership(x: QuadExt, tag: RingTag) -> bool:
-    return tag.contains(x)
-
-
 # ---------------------------------------------------------------------------
 # denominator bookkeeping (2-adic profile of exact results)
 # ---------------------------------------------------------------------------
-
-
-def denominator_factorization(q: Fraction) -> dict[int, int]:
-    """Prime factorization of the (positive) denominator of ``q``."""
-    d = q.denominator
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= d:
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return out
 
 
 def two_adic_denominator(q: Fraction) -> int:

@@ -40,15 +40,6 @@ class InclusionError(LatticeError):
         self.witness = witness
 
 
-class GluingError(LatticeError):
-    """Raised when a gluing subgroup is not isotropic."""
-
-    def __init__(self, message, witness=None, q_value=None):
-        super().__init__(message)
-        self.witness = witness
-        self.q_value = q_value
-
-
 # ---------------------------------------------------------------------------
 # exact dense matrix helpers (sizes here are at most 16x16); determinants,
 # inverses, solves and LDL pivots all run through exact.eliminate
@@ -162,105 +153,51 @@ def hnf_with_transform(m):
 
 
 def _snf_reduce(m):
-    """Return (S, P, Q) with P*M*Q = S diagonal, divisibility chain."""
+    """Return (S, P, Q) with P*M*Q = S diagonal, S_ii >= 0 and each S_ii
+    dividing the next (Cohen, GTM 138, section 2.4).
+
+    Step k moves the smallest nonzero entry of the trailing block to (k, k),
+    the first in row-major order on ties, and clears column k and row k by
+    floor division; a remainder is smaller than the pivot and becomes the
+    next one.  A trailing entry the pivot does not divide is added into
+    row k and cleared the same way, so the chain holds when step k ends.
+    """
     s = [[int(v) for v in row] for row in m]
     nr, nc = len(s), len(s[0])
     p = [[int(i == j) for j in range(nr)] for i in range(nr)]
     q = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        s[dst] = [a + f * b for a, b in zip(s[dst], s[src])]
-        p[dst] = [a + f * b for a, b in zip(p[dst], p[src])]
-
-    def add_col(dst, src, f):
-        for row in s:
-            row[dst] += f * row[src]
-        for row in q:
-            row[dst] += f * row[src]
-
-    k = 0
-    size = min(nr, nc)
-    while k < size:
-        # find a nonzero pivot in the trailing block
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if s[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
+    for k in range(min(nr, nc)):
         while True:
-            # clear column k
+            trailing = [(abs(s[i][j]), i, j) for i in range(k, nr)
+                        for j in range(k, nc) if s[i][j]]
+            if not trailing:
+                return s, p, q
+            _, i, j = min(trailing)
+            s[k], s[i], p[k], p[i] = s[i], s[k], p[i], p[k]
+            for row in s + q:
+                row[k], row[j] = row[j], row[k]
+            pivot = s[k][k]
             for i in range(k + 1, nr):
-                if s[i][k]:
-                    f = -(s[i][k] // s[k][k])
-                    add_row(i, k, f)
-                    if s[i][k]:
-                        swap_rows(i, k)
-            if any(s[i][k] for i in range(k + 1, nr)):
-                continue
-            # clear row k
+                f = s[i][k] // pivot
+                if f:
+                    s[i] = [a - f * b for a, b in zip(s[i], s[k])]
+                    p[i] = [a - f * b for a, b in zip(p[i], p[k])]
             for j in range(k + 1, nc):
-                if s[k][j]:
-                    f = -(s[k][j] // s[k][k])
-                    add_col(j, k, f)
-                    if s[k][j]:
-                        swap_cols(j, k)
-            if any(s[i][k] for i in range(k + 1, nr)):
+                f = s[k][j] // pivot
+                if f:
+                    for row in s + q:
+                        row[j] -= f * row[k]
+            if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
                 continue
-            if any(s[k][j] for j in range(k + 1, nc)):
-                continue
-            break
+            bad = next((i for i in range(k + 1, nr)
+                        if any(v % pivot for v in s[i][k + 1:])), None)
+            if bad is None:
+                break
+            s[k] = [a + b for a, b in zip(s[k], s[bad])]
+            p[k] = [a + b for a, b in zip(p[k], p[bad])]
         if s[k][k] < 0:
             s[k] = [-a for a in s[k]]
             p[k] = [-a for a in p[k]]
-        k += 1
-
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if a and b % a != 0:
-                # fold b into position (i, i) via one column add then re-clear
-                add_col(i, i + 1, 1)
-                while True:
-                    if s[i + 1][i]:
-                        f = -(s[i + 1][i] // s[i][i])
-                        add_row(i + 1, i, f)
-                        if s[i + 1][i]:
-                            swap_rows(i + 1, i)
-                            continue
-                    if s[i][i + 1]:
-                        f = -(s[i][i + 1] // s[i][i])
-                        add_col(i + 1, i, f)
-                        if s[i][i + 1]:
-                            swap_cols(i + 1, i)
-                            continue
-                    break
-                if s[i][i] < 0:
-                    s[i] = [-a2 for a2 in s[i]]
-                    p[i] = [-a2 for a2 in p[i]]
-                if s[i + 1][i + 1] < 0:
-                    s[i + 1] = [-a2 for a2 in s[i + 1]]
-                    p[i + 1] = [-a2 for a2 in p[i + 1]]
-                changed = True
     return s, p, q
 
 
@@ -380,32 +317,45 @@ class LatticeZ:
                     out[j] += c * row[j]
         return tuple(out)
 
-    def norm_of(self, coords) -> Fraction:
-        g = self.gram()
-        return sum(
-            coords[i] * g[i][j] * coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+
+def change_of_basis(sub: LatticeZ, sup: LatticeZ):
+    """Rational matrix X with sub.basis = X * sup.basis."""
+    return _solve_rows(sub.basis, sup.basis)
 
 
-def coords_in_lattice(lat: LatticeZ, ambient_vector):
-    """Exact rational coordinates of an ambient vector over the basis."""
-    return _solve_rows([ambient_vector], lat.basis)[0]
+def _inclusion_matrix(sub: LatticeZ, sup: LatticeZ):
+    """Integer matrix X with sub.basis = X * sup.basis; raises
+    InclusionError, with the first basis vector of ``sub`` outside ``sup``
+    as its witness, if there is none."""
+    x = change_of_basis(sub, sup)
+    for r, row in enumerate(x):
+        if any(v.denominator != 1 for v in row):
+            raise InclusionError(
+                f"basis vector {r} of {sub.label or 'sub'} is not in "
+                f"{sup.label or 'sup'}",
+                witness=sub.basis[r],
+            )
+    return [[int(v) for v in row] for row in x]
+
+
+def _smith_rows(m):
+    """Pairs (d_i, r_i) for a square integer matrix M of full rank, with
+    P*M*Q = S its Smith form, d_i = S_ii and r_i row i of Q^-1.  Since
+    M*Q = P^-1*S, the rows of M span the same lattice as the d_i * r_i, so
+    Z^n / rowspan(M) is the sum of the cyclic groups Z/d_i generated by r_i."""
+    s, _, q = _snf_reduce(m)
+    if not all(s[i][i] for i in range(len(s))):
+        raise LatticeError("matrix is not of full rank")
+    return [(s[i][i], row) for i, row in enumerate(_int_inverse(q))]
 
 
 def contains(outer: LatticeZ, inner: LatticeZ) -> bool:
     """Whether every basis vector of ``inner`` lies in ``outer``."""
     try:
-        x = change_of_basis(inner, outer)
+        _inclusion_matrix(inner, outer)
     except LatticeError:
         return False
-    return all(v.denominator == 1 for row in x for v in row)
-
-
-def change_of_basis(sub: LatticeZ, sup: LatticeZ):
-    """Rational matrix X with sub.basis = X * sup.basis."""
-    return _solve_rows(sub.basis, sup.basis)
+    return True
 
 
 def lattices_equal(a: LatticeZ, b: LatticeZ) -> bool:
@@ -424,18 +374,10 @@ class SublatticeInvariants:
 def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
     """Index, determinants and Smith invariants of an inclusion of
     full-rank lattices; raises InclusionError with a witness otherwise."""
-    x = change_of_basis(sub, sup)
-    for r, row in enumerate(x):
-        if any(v.denominator != 1 for v in row):
-            raise InclusionError(
-                f"basis vector {r} of {sub.label or 'sub'} is not in "
-                f"{sup.label or 'sup'}",
-                witness=sub.basis[r],
-            )
-    xi = [[int(v) for v in row] for row in x]
-    index = abs(mat_det(x))
-    if index.denominator != 1:
-        raise InclusionError("inclusion matrix has non-integer determinant")
+    xi = _inclusion_matrix(sub, sup)
+    index = abs(mat_det(xi))
+    if not index:
+        raise LatticeError("sublattice is not of full rank")
     det_sub, det_sup = sub.det(), sup.det()
     if det_sub != index * index * det_sup:
         raise LatticeError("index-squared determinant law failed")
@@ -604,23 +546,13 @@ def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     gram = lat.gram()
     if any(v.denominator != 1 for row in gram for v in row):
         raise LatticeError("discriminant group needs an integral Gram")
-    gi = [[int(v) for v in row] for row in gram]
-    s, p, q = _snf_reduce(gi)
-    n = lat.rank
-    # row convention: L = rowspan(F) inside Z^n = L* (dual-basis coords);
-    # classes map y -> y V with V = q; generators are rows of V^{-1}.
-    v_inv = _int_inverse(q)
-    gens, invs = [], []
-    for i in range(n):
-        d = s[i][i]
-        if d > 1:
-            invs.append(d)
-            gens.append(tuple(v_inv[i]))
-    dual = mat_inv(gram)
+    # in dual-basis coordinates L* = Z^n and L is the row span of the Gram
+    factors = [(d, r) for d, r in _smith_rows([[int(v) for v in row] for row in gram])
+               if d > 1]
     return DiscriminantGroup(
-        invariants=tuple(invs),
-        generators_dual=tuple(gens),
-        dual_gram=tuple(tuple(row) for row in dual),
+        invariants=tuple(d for d, _ in factors),
+        generators_dual=tuple(r for _, r in factors),
+        dual_gram=tuple(tuple(row) for row in mat_inv(gram)),
     )
 
 
@@ -640,36 +572,20 @@ class QuotientGroup:
 
 
 def quotient_group(sub: LatticeZ, sup: LatticeZ) -> QuotientGroup:
-    x = change_of_basis(sub, sup)
-    xi = [[int(v) for v in row] for row in x]
-    if any(Fraction(v).denominator != 1 for row in x for v in row):
-        raise InclusionError("not a sublattice")
-    s, p, q = _snf_reduce(xi)
-    v_inv = _int_inverse(q)
-    invs, gens = [], []
-    for i in range(len(xi)):
-        d = s[i][i]
-        if d > 1:
-            invs.append(d)
-            gens.append(tuple(v_inv[i]))
-    return QuotientGroup(invariants=tuple(invs), generators_sup_coords=tuple(gens))
+    factors = [(d, r) for d, r in _smith_rows(_inclusion_matrix(sub, sup)) if d > 1]
+    return QuotientGroup(invariants=tuple(d for d, _ in factors),
+                         generators_sup_coords=tuple(r for _, r in factors))
 
 
 def saturation(sub: LatticeZ, sup: LatticeZ, p: int) -> LatticeZ:
-    """Sat_p(sub in sup) = {x in sup : p^k x in sub for some k}."""
-    x = change_of_basis(sub, sup)
-    xi = [[int(v) for v in row] for row in x]
-    if any(Fraction(v).denominator != 1 for row in x for v in row):
-        raise InclusionError("not a sublattice")
-    s, _, q = _snf_reduce(xi)
-    v_inv = _int_inverse(q)
-    n = len(xi)
+    """Sat_p(sub in sup) = {x in sup : p^k x in sub for some k}, for p >= 2."""
+    if p < 2:
+        raise LatticeError(f"saturation needs p >= 2, not {p}")
     rows = []
-    for i in range(n):
-        d = s[i][i]
+    for d, r in _smith_rows(_inclusion_matrix(sub, sup)):
         while d % p == 0:
             d //= p
-        rows.append([d * v for v in v_inv[i]])
+        rows.append([d * v for v in r])
     basis = mat_mul([[Fraction(v) for v in r] for r in rows],
                     [list(r) for r in sup.basis])
     return LatticeZ(_frac_rows(basis), sup.ambient_gram,
@@ -710,9 +626,10 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
     """Run the saturation and gluing recovery for sub inside sup.
 
     The gluing subgroup is H = sup/sub viewed inside A_sub.  Isotropy of H
-    is checked exhaustively (|H| is guarded at 2^16); the witness of any
-    q(h) != 0 is reported and also raised by :func:`glue_overlattice`
-    users that require isotropy.
+    is checked exhaustively (|H| is guarded at 2^16), and the first class
+    with q(h) != 0 is reported as the witness.  The lattice is glued along
+    H either way; the report says whether the result is even and
+    unimodular.
     """
     sat = saturation(sub, sup, p)
     sat_eq = lattices_equal(sat, sup)
@@ -760,25 +677,6 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
         glued_unimodular=glued_unimodular,
         glued_equals_sup=glued_eq,
     )
-
-
-def glue_isotropic(base: LatticeZ, lift_rows) -> LatticeZ:
-    """Glue along lifts, but first verify each lift is isotropic in A_base;
-    raises GluingError with the witness otherwise."""
-    gram = base.gram()
-    for row in lift_rows:
-        coords = coords_in_lattice(base, row)
-        val = Fraction(0)
-        for i, vi in enumerate(coords):
-            if vi:
-                for j, vj in enumerate(coords):
-                    if vj:
-                        val += vi * gram[i][j] * vj
-        if val % 2 != 0:
-            raise GluingError(
-                "gluing vector is not isotropic", witness=tuple(row), q_value=val % 2
-            )
-    return glue_overlattice(base, lift_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +794,6 @@ def lattice_from_fixture(text: str) -> LatticeZ:
 __all__ = [
     "DiscriminantGroup",
     "GlueSaturateReport",
-    "GluingError",
     "InclusionError",
     "LatticeError",
     "LatticeZ",
@@ -908,10 +805,8 @@ __all__ = [
     "Trace16Report",
     "change_of_basis",
     "contains",
-    "coords_in_lattice",
     "discriminant_group",
     "glue_and_saturate",
-    "glue_isotropic",
     "glue_overlattice",
     "hnf_snf",
     "hnf_with_transform",

@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from okubo_e8 import claims
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
     _snf_reduce,
-    GluingError,
     InclusionError,
     LatticeError,
     LatticeZ,
@@ -23,7 +22,6 @@ from okubo_e8.lattice import (
     contains,
     discriminant_group,
     glue_and_saturate,
-    glue_isotropic,
     hnf_snf,
     hnf_with_transform,
     lattice_from_fixture,
@@ -80,6 +78,24 @@ def box_search(gram, bound):
                 out.append((tuple(vec) + (v,), Fraction(nrm)))
     rec(0, [], 0, False)
     return sorted(out)
+
+
+def fixture_grams(seeds=range(4), ops=40):
+    """(Gram, Smith invariants) pairs in the shape of lattice fixtures: the
+    conductor lattice D*E8 (det 2^24 = 8^8) and E8 after ``ops`` random
+    unimodular row operations each."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for base, smith in ((conductor_lattice(), (8,) * 8), (cd_lattice(), (1,) * 8)):
+            rows = [list(r) for r in base.basis]
+            for _ in range(ops):
+                i, j = rng.sample(range(8), 2)
+                c = rng.choice((-1, 1))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            gram = LatticeZ.from_rows(rows, base.ambient_gram).gram()
+            out.append(([[int(v) for v in row] for row in gram], smith))
+    return out
 
 
 class TestNormalForms:
@@ -216,6 +232,18 @@ class TestSmithProperties:
         assert _int_mul(_int_mul([list(r) for r in nf.left], diag),
                         [list(r) for r in nf.right]) == m
 
+    def test_fixture_grams(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        for gram, smith in fixture_grams():
+            s, p, q = _snf_reduce(gram)
+            assert _int_mul(_int_mul(p, gram), q) == s
+            assert abs(mat_det(p)) == 1 and abs(mat_det(q)) == 1
+            theirs = smith_normal_form(sympy.Matrix(gram))
+            assert smith_invariants(gram) == smith == tuple(
+                abs(int(theirs[i, i])) for i in range(8))
+
 
 class TestSublattice:
     def test_conductor_in_e8(self):
@@ -244,9 +272,11 @@ class TestSublattice:
     def test_non_inclusion_witness(self):
         cd = cd_lattice()
         half = cd.scaled(Fraction(1, 2))
-        with pytest.raises(InclusionError) as err:
-            sublattice_invariants(half, cd)
-        assert err.value.witness is not None
+        for run in (sublattice_invariants, quotient_group,
+                    lambda sub, sup: saturation(sub, sup, 2)):
+            with pytest.raises(InclusionError) as err:
+                run(half, cd)
+            assert err.value.witness == half.basis[0]
 
     def test_index_squared_law_random(self):
         rng = random.Random(12)
@@ -434,19 +464,21 @@ class TestGlueSaturate:
         cond, cd = conductor_lattice(), cd_lattice()
         assert lattices_equal(saturation(cond, cd, 3), cond)
 
-    def test_glue_isotropic_error(self):
-        # odd rank-1 lattice: q of the glue class is 1, not 0
-        amb = [[Fraction(1)]]
-        sub = LatticeZ.from_rows([[2]], amb, "2Z-odd")
-        with pytest.raises(GluingError) as err:
-            glue_isotropic(sub, [[Fraction(1)]])
-        assert err.value.q_value == 1
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    @pytest.mark.parametrize("run", [saturation, glue_and_saturate])
+    def test_saturation_needs_p_at_least_two(self, run, p):
+        # p = 1 divides every Smith factor forever, p = 0 divides by zero
+        with pytest.raises(LatticeError):
+            run(conductor_lattice(), cd_lattice(), p)
 
-    def test_glue_isotropic_even_case(self):
-        amb = [[Fraction(2)]]
-        sub = LatticeZ.from_rows([[2]], amb, "2Z-even")
-        glued = glue_isotropic(sub, [[Fraction(1)]])
-        assert lattices_equal(glued, LatticeZ.from_rows([[1]], amb))
+    @pytest.mark.parametrize("run", [sublattice_invariants, quotient_group,
+                                     lambda sub, sup: saturation(sub, sup, 2)])
+    def test_rank_deficient_sub_rejected(self, run):
+        # a rank-1 sublattice has an infinite quotient and a zero Smith factor
+        sup = LatticeZ.from_gram([[2, 1], [1, 2]])
+        sub = LatticeZ.from_rows([[2, 0], [4, 0]], sup.ambient_gram)
+        with pytest.raises(LatticeError):
+            run(sub, sup)
 
 
 class TestTrace16:
@@ -479,12 +511,10 @@ class TestPivotsAndFixtures:
         assert mat_mul(a, mat_inv(a)) == ident
 
     def test_det_equals_smith_product(self):
-        for lat_ in (cd_lattice(), conductor_lattice(), LatticeZ.from_gram(D4)):
-            gram = [[int(v) for v in row] for row in lat_.gram()]
-            prod = 1
-            for s in smith_invariants(gram):
-                prod *= s
-            assert lat_.det() == prod
+        lats = (cd_lattice(), conductor_lattice(), LatticeZ.from_gram(D4))
+        grams = [[[int(v) for v in row] for row in lat_.gram()] for lat_ in lats]
+        for gram in grams + [g for g, _ in fixture_grams()]:
+            assert mat_det(gram) == prod(smith_invariants(gram))
 
     def test_fixture_round_trip(self):
         cond = conductor_lattice()
