@@ -285,9 +285,16 @@ class LatticeZ:
 
     @cached_property
     def _gram(self):
-        b = [list(r) for r in self.basis]
-        g = [list(r) for r in self.ambient_gram]
-        return tuple(map(tuple, mat_mul(mat_mul(b, g), transpose(b))))
+        # with B = Bi/db and A = Ai/da for integer Bi and Ai, B A B^T is
+        # Bi Ai Bi^T / (db^2 da): integer sums, then one division per entry
+        bi, db = _integer_rows_and_scale(self.basis)
+        ai, da = _integer_rows_and_scale(self.ambient_gram)
+        ba = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ai)] for row in bi]
+        den = db * db * da
+        return tuple(
+            tuple(Fraction(sum(x * y for x, y in zip(u, v)), den) for v in bi)
+            for u in ba
+        )
 
     def det(self) -> Fraction:
         return mat_det(self.gram())
@@ -400,10 +407,11 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
 # ---------------------------------------------------------------------------
 
 
-def _integer_gram_and_scale(gram):
-    den = lcm(*(Fraction(v).denominator for row in gram for v in row))
-    gi = [[int(Fraction(v) * den) for v in row] for row in gram]
-    return gi, den
+def _integer_rows_and_scale(m):
+    """Integer rows Mi and the least den > 0 with M = Mi/den, for a matrix
+    M of ints and Fractions."""
+    den = lcm(*(v.denominator for row in m for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in m], den
 
 
 def short_vectors(lat: LatticeZ, bound):
@@ -413,7 +421,7 @@ def short_vectors(lat: LatticeZ, bound):
     Raises NotPositiveDefinite for an indefinite Gram.
     """
     gram = lat.gram()
-    gi, den = _integer_gram_and_scale(gram)
+    gi, den = _integer_rows_and_scale(gram)
     plan = prepare_enumeration(gi, Fraction(bound) * den)
     found = enumerate_short_vectors(plan)
     n = len(gi)

@@ -9,6 +9,18 @@ The product is
 with mu = 1/2 + (sqrt(3)/6) i, juxtaposition being the ordinary matrix
 product; the norm is n(x) = Tr(x^2)/6.  All scalars are exact elements of
 K(i), so every law below is certified with zero tolerance.
+
+Every product runs through one integer kernel.  A matrix is read as its
+nine entries ((a + b sqrt3) + (c + e sqrt3) i)/D, integer quadruples
+(a, b, c, e) over one common denominator D, the lcm of the entries'
+canonical denominators; an entry of the associative product xy is then a
+sum of integer products over Dx*Dy.  Six times the Okubo product is
+3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I, so each of its entries is
+one integer quadruple over 6*Dx*Dy, normalised once.  ``xy`` and ``yx``
+are both computed: the result is checked Hermitian and traceless on those
+integers, with the errors the HermTraceless3 constructor raises, and not
+assumed.  ``norm`` and ``inner`` compute only the three diagonal entries
+their trace needs, and still reject a trace that is not real.
 """
 
 from __future__ import annotations
@@ -17,18 +29,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm
 
 from .algebras import DIM, basis_element, okubo_mul
-from .exact import ComplexQuad, QuadExt, eliminate
+from .exact import ComplexQuad, QuadExt, _complex, _quad, eliminate
 
+#: mu = (3 + sqrt(3) i)/6; the kernel works with the integers of 6 mu
 MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
-MU_BAR = MU.conjugate()
 
 _C0 = ComplexQuad(0)
-_C_HALF = ComplexQuad(Fraction(1, 2))
-_C_THIRD = ComplexQuad(Fraction(1, 3))
-_THIRD = QuadExt(Fraction(1, 3))
-_SIXTH = QuadExt(Fraction(1, 6))
 
 
 class HermTraceless3:
@@ -46,6 +56,14 @@ class HermTraceless3:
                 raise ValueError("matrix is not Hermitian")
             if self.trace() != ComplexQuad(0):
                 raise ValueError("matrix is not traceless")
+
+    @classmethod
+    def _of(cls, rows) -> "HermTraceless3":
+        """The matrix with ``rows``, a 3x3 tuple of ComplexQuad tuples,
+        taken as given: no coercion and no validation."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("HermTraceless3 values are immutable")
@@ -88,56 +106,104 @@ class HermTraceless3:
         return f"HermTraceless3({self.rows!r})"
 
 
-def mat_product(x: HermTraceless3, y: HermTraceless3):
-    """Ordinary associative 3x3 matrix product (not Hermitian in general)."""
+_CELLS = tuple((i, j) for i in range(3) for j in range(3))
+_DIAGONAL = ((0, 0), (1, 1), (2, 2))
+
+
+def _integers(m: HermTraceless3):
+    """The entries of m in row-major order as integer quadruples
+    (a, b, c, e) over one common denominator D, and D."""
+    quints = [v.quintuple for row in m.rows for v in row]
+    den = lcm(*[q[4] for q in quints])
     out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = _C0
-            for m in range(3):
-                acc = acc + x.rows[i][m] * y.rows[m][j]
-            row.append(acc)
-        out.append(row)
+    for a, b, c, e, d in quints:
+        f = den // d
+        out.append((a * f, b * f, c * f, e * f) if f != 1 else (a, b, c, e))
+    return out, den
+
+
+def _product(xs, ys, cells=_CELLS):
+    """The entries ``cells`` of the associative product of two matrices in
+    the form of :func:`_integers`, as integer quadruples over the product
+    of their denominators.  With s3 = sqrt(3), one term
+    ((a + b s3) + (c + e s3) i)((p + q s3) + (r + s s3) i) has the
+    quadruple (ap - cr + 3(bq - es), aq + bp - cs - er,
+    ar + cp + 3(bs + eq), as + br + cq + ep); entry (i, j) is the sum of
+    the three terms x_im y_mj, written out."""
+    out = []
+    for i, j in cells:
+        (a, b, c, e), (f, g, h, k), (l, m, n, o) = xs[3 * i:3 * i + 3]
+        (p, q, r, s), (t, u, v, w), (P, Q, R, S) = ys[j], ys[j + 3], ys[j + 6]
+        out.append((
+            a * p - c * r + f * t - h * v + l * P - n * R
+            + 3 * (b * q - e * s + g * u - k * w + m * Q - o * S),
+            a * q + b * p - c * s - e * r + f * u + g * t - h * w - k * v
+            + l * Q + m * P - n * S - o * R,
+            a * r + c * p + f * v + h * t + l * R + n * P
+            + 3 * (b * s + e * q + g * w + k * u + m * S + o * Q),
+            a * s + b * r + c * q + e * p + f * w + g * v + h * u + k * t
+            + l * S + m * R + n * Q + o * P,
+        ))
     return out
 
 
-def _trace_of(rows) -> ComplexQuad:
-    return rows[0][0] + rows[1][1] + rows[2][2]
+def _real_trace(xs, ys, message):
+    """The integers (a, b) of Tr(xy) = (a + b s3)/(Dx*Dy); ArithmeticError
+    with ``message`` if the trace is not real."""
+    a, b, c, e = (sum(t) for t in zip(*_product(xs, ys, _DIAGONAL)))
+    if c or e:
+        raise ArithmeticError(message)
+    return a, b
+
+
+def mat_product(x: HermTraceless3, y: HermTraceless3):
+    """Ordinary associative 3x3 matrix product (not Hermitian in general)."""
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    xy = _product(xs, ys)
+    den = dx * dy
+    return [[_complex(*v, den) for v in xy[3 * i:3 * i + 3]] for i in range(3)]
 
 
 def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     """The Okubo product; the result is validated Hermitian traceless."""
-    xy = mat_product(x, y)
-    yx = mat_product(y, x)
-    tr = _trace_of(xy)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            val = MU * xy[i][j] + MU_BAR * yx[i][j]
-            if i == j:
-                val = val - _C_THIRD * tr
-            row.append(val)
-        rows.append(row)
-    return HermTraceless3(rows)  # validation certifies type closure
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    xy = _product(xs, ys)
+    yx = _product(ys, xs)
+    tr = [2 * (u + v + w) for u, v, w in zip(xy[0], xy[4], xy[8])]
+    out = []
+    for k, ((a, b, c, e), (p, q, r, s)) in enumerate(zip(xy, yx)):
+        # 3(u + w) + s3 i (u - w) for u = (a, b, c, e) and w = (p, q, r, s)
+        n = (3 * (a + p - e + s), 3 * (b + q) - c + r,
+             3 * (c + r + b - q), 3 * (e + s) + a - p)
+        if k % 4 == 0:  # a diagonal entry: subtract 2 Tr(xy)
+            n = tuple(v - t for v, t in zip(n, tr))
+        out.append(n)
+    # validation certifies type closure: all entries share one denominator,
+    # so the conditions on the values are conditions on these integers
+    for i, j in _CELLS:
+        a, b, c, e = out[3 * j + i]
+        if out[3 * i + j] != (a, b, -c, -e):
+            raise ValueError("matrix is not Hermitian")
+    if any(u + v + w for u, v, w in zip(out[0], out[4], out[8])):
+        raise ValueError("matrix is not traceless")
+    den = 6 * dx * dy
+    return HermTraceless3._of(
+        tuple(tuple(_complex(*n, den) for n in out[3 * i:3 * i + 3]) for i in range(3))
+    )
 
 
 def norm(x: HermTraceless3) -> QuadExt:
     """n(x) = Tr(x^2)/6; exact and real for Hermitian x."""
-    sq = mat_product(x, x)
-    tr = _trace_of(sq)
-    if not tr.im.is_zero():
-        raise ArithmeticError("trace of a Hermitian square must be real")
-    return tr.re * _SIXTH
+    xs, dx = _integers(x)
+    a, b = _real_trace(xs, xs, "trace of a Hermitian square must be real")
+    return _quad(a, b, 6 * dx * dx)
 
 
 def inner(x: HermTraceless3, y: HermTraceless3) -> QuadExt:
     """<x,y> = Tr(xy)/3, the polarization of n with <x,x> = 2 n(x)."""
-    tr = _trace_of(mat_product(x, y))
-    if not tr.im.is_zero():
-        raise ArithmeticError("polarized trace must be real")
-    return tr.re * _THIRD
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    a, b = _real_trace(xs, ys, "polarized trace must be real")
+    return _quad(a, b, 3 * dx * dy)
 
 
 @lru_cache(maxsize=None)
@@ -276,11 +342,12 @@ def kaplansky_report(samples: int = 100, seed: int = 0) -> KaplanskyReport:
     pool = [random_matrix(rng) for _ in range(samples)]
     for idx, x in enumerate(pool):
         y = pool[(idx + 1) % samples]
-        if kaplansky(x, kaplansky(x, y)) != kaplansky(kaplansky(x, x), y):
+        xx, xy = kaplansky(x, x), kaplansky(x, y)
+        if kaplansky(x, xy) != kaplansky(xx, y):
             alt += 1
-        if kaplansky(kaplansky(y, x), x) != kaplansky(y, kaplansky(x, x)):
+        if kaplansky(kaplansky(y, x), x) != kaplansky(y, xx):
             alt += 1
-        if norm(kaplansky(x, y)) != norm(x) * norm(y):
+        if norm(xy) != norm(x) * norm(y):
             comp += 1
     return KaplanskyReport(
         samples=samples,
@@ -294,9 +361,11 @@ def kaplansky_report(samples: int = 100, seed: int = 0) -> KaplanskyReport:
 def jordan_product(x: HermTraceless3, y: HermTraceless3):
     """The commutative symmetrized product (1/2)(xy + yx); kept as a raw
     3x3 matrix since Hermitian traceless matrices are not closed under it."""
-    xy = mat_product(x, y)
-    yx = mat_product(y, x)
-    return [[_C_HALF * (a + b) for a, b in zip(ra, rb)] for ra, rb in zip(xy, yx)]
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    sym = [tuple(u + v for u, v in zip(a, b))
+           for a, b in zip(_product(xs, ys), _product(ys, xs))]
+    den = 2 * dx * dy
+    return [[_complex(*v, den) for v in sym[3 * i:3 * i + 3]] for i in range(3)]
 
 
 # -- cross-realization --------------------------------------------------------
@@ -349,25 +418,33 @@ def cross_realization_report() -> CrossRealizationReport:
              for a in range(DIM)]
     alg_c = [[okubo_mul(basis_element(a), basis_element(b)).coords for b in range(DIM)]
              for a in range(DIM)]
+    return _sign_search(mat_c, alg_c)
+
+
+def _sign_search(mat_c, alg_c) -> CrossRealizationReport:
+    """Mismatches of mat_c[a][b][k] against alg_c[a][b][k] * s_a s_b s_k,
+    under the identity pattern and under every pattern with s_0 = 1; the
+    first pattern with the fewest mismatches is the best."""
+    # every sign is +-1, so under a pattern the entry (a, b, k) matches
+    # exactly when lhs equals rhs (sign product +1) or -rhs (sign product -1);
+    # both equalities are decided once per entry
+    cells = list(product(range(DIM), repeat=3))
+    same, opposite = [], []
+    for a, b, k in cells:
+        lhs, rhs = mat_c[a][b][k], alg_c[a][b][k]
+        same.append(lhs == rhs)
+        opposite.append(lhs == -rhs)
 
     def mismatches(signs) -> int:
-        bad = 0
-        for a in range(DIM):
-            for b in range(DIM):
-                for k in range(DIM):
-                    lhs = mat_c[a][b][k]
-                    rhs = alg_c[a][b][k] * (signs[a] * signs[b] * signs[k])
-                    if lhs != rhs:
-                        bad += 1
-        return bad
+        return sum(
+            not (eq if signs[a] * signs[b] * signs[k] > 0 else neg)
+            for (a, b, k), eq, neg in zip(cells, same, opposite)
+        )
 
-    total = DIM ** 3
     ident = mismatches((1,) * DIM)
     best_signs = (1,) * DIM
     best = ident
-    from itertools import product as iter_product
-
-    for tail in iter_product((1, -1), repeat=DIM - 1):
+    for tail in product((1, -1), repeat=DIM - 1):
         signs = (1,) + tail
         bad = mismatches(signs)
         if bad < best:
@@ -376,5 +453,5 @@ def cross_realization_report() -> CrossRealizationReport:
         identity_mismatches=ident,
         best_signs=best_signs,
         best_mismatches=best,
-        total=total,
+        total=len(cells),
     )

@@ -3,13 +3,16 @@ and the cross-realization diff."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from okubo_e8.algebras import DIM, basis_element, okubo_mul
 from okubo_e8.exact import ComplexQuad, QuadExt
 from okubo_e8.okubomatrix import (
     MU,
     HermTraceless3,
+    _sign_search,
     build_basis,
     cross_realization_report,
     gram_pivots,
@@ -17,12 +20,132 @@ from okubo_e8.okubomatrix import (
     jordan_product,
     kaplansky,
     kaplansky_report,
+    mat_product,
     matrix_coordinates,
     matrix_mul,
     norm,
     random_matrix,
     verify_laws,
 )
+
+# -- a naive ComplexQuad reference for the integer kernel ---------------------
+
+
+def ref_mat_product(x, y):
+    return [[sum((x.rows[i][m] * y.rows[m][j] for m in range(3)), ComplexQuad(0))
+             for j in range(3)] for i in range(3)]
+
+
+def ref_trace(rows):
+    return rows[0][0] + rows[1][1] + rows[2][2]
+
+
+def ref_matrix_mul(x, y):
+    """MU xy + conj(MU) yx - Tr(xy)/3 I, validated by the constructor."""
+    xy, yx = ref_mat_product(x, y), ref_mat_product(y, x)
+    third = ComplexQuad(Fraction(1, 3)) * ref_trace(xy)
+    return HermTraceless3(
+        [[MU * xy[i][j] + MU.conjugate() * yx[i][j] - (third if i == j else 0)
+          for j in range(3)] for i in range(3)]
+    )
+
+
+def ref_real_trace(x, y, message):
+    tr = ref_trace(ref_mat_product(x, y))
+    if not tr.im.is_zero():
+        raise ArithmeticError(message)
+    return tr.re
+
+
+def ref_norm(x):
+    return ref_real_trace(x, x, "trace of a Hermitian square must be real") / 6
+
+
+def ref_inner(x, y):
+    return ref_real_trace(x, y, "polarized trace must be real") / 3
+
+
+def ref_jordan(x, y):
+    half = ComplexQuad(Fraction(1, 2))
+    return [[half * (a + b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(ref_mat_product(x, y), ref_mat_product(y, x))]
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def kernel_inputs():
+    """Pairs (x, y): all basis pairs, seeded samples, and products of
+    products, scaled so that the denominators differ."""
+    basis = build_basis()
+    pairs = [(x, y) for x in basis for y in basis]
+    rng = random.Random(11)
+    samples = [random_matrix(rng, span=3) for _ in range(12)]
+    pairs += list(zip(samples, samples[1:]))
+    for x, y in list(zip(samples, samples[1:]))[:6]:
+        xy = matrix_mul(x, y)
+        big = matrix_mul(matrix_mul(xy, x), y.scale(QuadExt(Fraction(2, 5), Fraction(1, 7))))
+        pairs += [(xy, big), (big, x.scale(Fraction(3, 11))), (big, big)]
+    return pairs
+
+
+KERNEL_INPUTS = kernel_inputs()
+
+
+class TestKernelOracle:
+    def test_inputs_have_mixed_denominators(self):
+        dens = {v.quintuple[4] for x, _ in KERNEL_INPUTS for row in x.rows for v in row}
+        assert len(dens) > 5 and max(dens) > 100
+
+    def test_matrix_mul(self):
+        for x, y in KERNEL_INPUTS:
+            assert matrix_mul(x, y) == ref_matrix_mul(x, y)
+
+    def test_norm_and_inner(self):
+        for x, y in KERNEL_INPUTS:
+            assert norm(x) == ref_norm(x)
+            assert inner(x, y) == ref_inner(x, y)
+
+    def test_associative_and_jordan_products(self):
+        for x, y in KERNEL_INPUTS:
+            assert mat_product(x, y) == ref_mat_product(x, y)
+            assert jordan_product(x, y) == ref_jordan(x, y)
+
+    def test_invalid_inputs_rejected_like_reference(self):
+        # 3x3 matrices that need be neither Hermitian nor traceless
+        rng = random.Random(4)
+
+        def entry():
+            return ComplexQuad(QuadExt(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                       rng.randint(-1, 1)),
+                               QuadExt(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 2)))
+
+        basis = build_basis()
+        raised = 0
+        for n in range(40):
+            rows = [[entry() for _ in range(3)] for _ in range(3)]
+            if n % 2 == 0:  # a real diagonal, so that Tr(xy) can be real
+                for i in range(3):
+                    rows[i][i] = ComplexQuad(rows[i][i].re)
+            if n % 4 == 0:  # Hermitian, but not traceless
+                rows = [[rows[i][j] if i <= j else rows[j][i].conjugate()
+                         for j in range(3)] for i in range(3)]
+            x = HermTraceless3(rows, validate=False)
+            for y in (basis[0], basis[n % 8], x):
+                for a, b in ((x, y), (y, x)):
+                    got = outcome(matrix_mul, a, b)
+                    assert got == outcome(ref_matrix_mul, a, b)
+                    raised += got == (ValueError, "matrix is not Hermitian")
+                    assert outcome(inner, a, b) == outcome(ref_inner, a, b)
+            assert outcome(norm, x) == outcome(ref_norm, x)
+        assert raised > 20
+
+
 
 
 class TestBasis:
@@ -141,3 +264,28 @@ class TestCrossRealization:
         # identification is not an isomorphism, and no sign flip fixes it
         assert rep.identity_mismatches == 180
         assert rep.best_mismatches == 180
+
+    def test_sign_search_against_naive_loop(self):
+        # the rotation-side table under a sign pattern that is not the
+        # identity, with a few entries perturbed
+        alg_c = [[okubo_mul(basis_element(a), basis_element(b)).coords
+                  for b in range(DIM)] for a in range(DIM)]
+        target = (1, -1, 1, 1, -1, 1, -1, 1)
+        mat_c = [[[alg_c[a][b][k] * (target[a] * target[b] * target[k])
+                   for k in range(DIM)] for b in range(DIM)] for a in range(DIM)]
+        for a, b, k in ((0, 1, 2), (3, 3, 0), (5, 2, 7), (7, 7, 7)):
+            mat_c[a][b][k] = mat_c[a][b][k] + QuadExt(0, 7)
+
+        def naive(signs):
+            return sum(mat_c[a][b][k] != alg_c[a][b][k] * (signs[a] * signs[b] * signs[k])
+                       for a, b, k in product(range(DIM), repeat=3))
+
+        best_signs = (1,) * DIM
+        best = ident = naive(best_signs)
+        for tail in product((1, -1), repeat=DIM - 1):
+            if naive((1,) + tail) < best:
+                best, best_signs = naive((1,) + tail), (1,) + tail
+        rep = _sign_search(mat_c, alg_c)
+        assert (rep.identity_mismatches, rep.best_signs, rep.best_mismatches, rep.total) \
+            == (ident, best_signs, best, 512)
+        assert rep.best_signs == target and rep.best_mismatches == 4

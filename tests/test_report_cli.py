@@ -1,6 +1,7 @@
 """Report schema, serialization determinism, CLI exit codes, and the
 claim-to-check coverage of the full suite."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from okubo_e8 import checks
+from okubo_e8 import lattice as lat
 from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
 from okubo_e8.orders import dump_structure_constants, structure_constants
@@ -259,6 +261,37 @@ def test_golden_verify_all(all_reports):
     with open(GOLDEN, "rb") as fh:
         golden = fh.read()
     assert (serialize(all_reports, "json") + "\n").encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_seeded_groups_match_golden(seed):
+    """The two groups that take a seed give the golden reports at seeds
+    other than 0 as well."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = {d["check"]: d for d in json.load(fh)}
+    reports = checks.check_matrix_laws(seed=seed) + checks.check_bridges(seed=seed)
+    ids = checks.REGISTRY["matrix-laws"].ids + checks.REGISTRY["bridges"].ids
+    assert sorted(r.check for r in reports) == sorted(ids)
+    for r in reports:
+        assert json.loads(json.dumps(r.to_dict())) == golden[r.check]
+
+
+def test_discriminant_routes_must_agree(monkeypatch):
+    """A Hermite diagonal whose product is not the Smith order fails both
+    discriminant checks."""
+    real = lat.hnf_snf
+
+    def perturbed(m):
+        nf = real(m)
+        hermite = [list(row) for row in nf.hermite]
+        hermite[-1][-1] *= 2
+        return dataclasses.replace(nf, hermite=tuple(map(tuple, hermite)))
+
+    assert [r.status for r in checks.check_discriminant()] == ["pass", "pass"]
+    monkeypatch.setattr(lat, "hnf_snf", perturbed)
+    reports = checks.check_discriminant()
+    assert [r.status for r in reports] == ["fail", "fail"]
+    assert reports[0].actual == {"smith_order": 16777216, "hermite_order": 33554432}
 
 
 class TestCoverage:
