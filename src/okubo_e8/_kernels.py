@@ -2,9 +2,15 @@
 
 The three hot loops of the package:
 
-* branch-and-bound enumeration of short lattice vectors,
-* the signed block-permutation metric filter,
-* the pairwise closure check for unit loops.
+* branch-and-bound enumeration of short lattice vectors, with one walk
+  and two modes: the vectors themselves (:func:`enumerate_short_vectors`)
+  or only the number of vectors of each norm (:func:`shell_histogram`,
+  which builds no vector);
+* the signed block-permutation metric filter, which compares the
+  magnitudes of the Gram entries before it tries any sign vector;
+* the pairwise closure check for unit loops, which packs the coordinates
+  of a product into signed digit fields of one integer, so that each
+  product is one dot product and each membership test one dict lookup.
 
 All kernel arithmetic is arbitrary-precision integer arithmetic; the exact
 rational preprocessing (LDL data and denominator clearing) happens in
@@ -13,10 +19,12 @@ rational preprocessing (LDL data and denominator clearing) happens in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt, lcm
+from operator import mul
 
 from .exact import eliminate
 
@@ -76,63 +84,102 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
     )
 
 
-def enumerate_short_vectors(plan: EnumPlan) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with scaled norm <= plan.bound_scaled,
-    both signs included, sorted lexicographically.
+def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
+    """The walk shared by both enumeration modes.
 
     Branch and bound over the integer completed squares: the last
-    coordinate is fixed first, and each t_c^2 is charged against what is
-    left of the bound.
+    coordinate is fixed first, and each W_c t_c^2 is charged against what
+    is left of the bound.  With x[n-1], ..., x[1] fixed, every admissible
+    range of x[0] goes to ``leaf_row(lo, hi, off, rem)``: x[0] runs over
+    lo..hi, t_0 = B_0 x[0] + off, and ``rem`` is what is left of the bound
+    before W_0 t_0^2 is charged.
     """
     n, weights, pivots, offsets = plan.n, plan.weights, plan.pivots, plan.offsets
-    out = []
-    if plan.bound_scaled < 0:
-        return out
-    x = [0] * n
 
     def descend(c, rem):
-        if c < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        off = 0
-        orow = offsets[c]
-        for t in range(n - 1 - c):
-            xv = x[c + 1 + t]
-            if xv:
-                off += orow[t] * xv
+        off = sum(map(mul, offsets[c], x[c + 1:]))
         w = weights[c]
         m = isqrt(rem // w)
         b = pivots[c]
-        lo = -(m + off)
-        hi = m - off
-        xc = -((-lo) // b)  # ceil(lo / b)
-        top = hi // b
-        while xc <= top:
+        lo = -((m + off) // b)  # ceil((-m - off) / b)
+        hi = (m - off) // b
+        if not c:
+            leaf_row(lo, hi, off, rem)
+            return
+        for xc in range(lo, hi + 1):
             t = b * xc + off
             x[c] = xc
             descend(c - 1, rem - w * t * t)
-            xc += 1
         x[c] = 0
 
-    descend(n - 1, plan.bound_scaled)
-    out.sort()
+    if plan.bound_scaled >= 0:
+        descend(n - 1, plan.bound_scaled)
+
+
+def enumerate_short_vectors(plan: EnumPlan) -> list[tuple[int, ...]]:
+    """All nonzero integer vectors with scaled norm <= plan.bound_scaled,
+    both signs included, sorted lexicographically."""
+    x = [0] * plan.n
+    out = []
+    append = out.append
+
+    def leaf_row(lo, hi, off, rem):
+        for v in range(lo, hi + 1):
+            x[0] = v
+            append(tuple(x))
+
+    _branch_and_bound(plan, x, leaf_row)
+    if out:  # every walk that runs reaches the zero vector
+        out.sort()
+        del out[bisect_left(out, (0,) * plan.n)]
     return out
+
+
+def shell_histogram(plan: EnumPlan) -> dict[int, int]:
+    """Counting mode of the enumeration: scaled norm -> number of nonzero
+    vectors of that norm, over the vectors :func:`enumerate_short_vectors`
+    returns, in increasing order of the norm.
+
+    A leaf's scaled norm is ``bound_scaled - rem`` after its last square
+    is charged; by the completed-squares identity it is exactly
+    ``plan.scale * x^T G x``.  No vector is built.
+    """
+    w, b, top = plan.weights[0], plan.pivots[0], plan.bound_scaled
+    hist = {}
+    get = hist.get
+
+    def leaf_row(lo, hi, off, rem):
+        base = top - rem
+        for v in range(lo, hi + 1):
+            t = b * v + off
+            k = base + w * t * t
+            hist[k] = get(k, 0) + 1
+
+    _branch_and_bound(plan, [0] * plan.n, leaf_row)
+    if hist:  # drop the zero vector, the only one of norm 0
+        hist[0] -= 1
+    return {k: hist[k] for k in sorted(hist) if hist[k]}
 
 
 def metric_stabilizers(gram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Signed block permutations (blocks {0..3}, {4..7}) preserving ``gram``.
 
     Returns (perm, signs) pairs, deterministically ordered; the candidate
-    count is always 147456.
+    count is always 147456.  A block permutation that moves some |G[i][j]|
+    to a different magnitude is preserved by no sign vector, so its 256
+    sign vectors are skipped.
     """
     gram = [[int(v) for v in row] for row in gram]
+    mags = [[abs(v) for v in row] for row in gram]
+    pairs = [(i, j) for i in range(8) for j in range(i, 8)]
     perms4 = list(permutations(range(4)))
     signs4 = list(product((1, -1), repeat=4))
     survivors = []
     for p1 in perms4:
         for p2 in perms4:
             perm = tuple(p1) + tuple(4 + t for t in p2)
+            if any(mags[perm[i]][perm[j]] != mags[i][j] for i, j in pairs):
+                continue
             pg = [[gram[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
             for s1 in signs4:
                 for s2 in signs4:
@@ -157,24 +204,55 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
     ``vecs2``: doubled integer coordinate vectors of the unit set.  A
     product of two units must again be a unit (doubled coordinates in the
     set) of norm one (sum of squares of the 4x coordinates equal to 16).
+
+    The product acc = x*y of doubled vectors sums sgn[i][j] x_i y_j into
+    acc[idx[i][j]], so |acc_k| <= reach_k m^2, where reach_k counts the
+    table entries landing on k (8 for an octonion table) and m is the
+    largest |coordinate| of the data.  Each acc_k gets a signed digit
+    field of one integer, wide enough for that bound; packing is then
+    injective, and linear.  The columns of the left multiplication by x
+    are packed once per x, and each product is the dot product of y
+    with them.  acc is a doubled member exactly when its packed value is a
+    key of the packed doubled members, which also hold their norms; only a
+    non-member is unpacked to get its norm.
     """
     vecs2 = sorted(tuple(int(v) for v in vec) for vec in vecs2)
-    vset = set(vecs2)
+    n = len(idx)
+    m = max((abs(v) for vec in vecs2 for v in vec), default=0)
+    reach = [0] * n
+    for row_i, row_s in zip(idx, sgn):
+        for k, s in zip(row_i, row_s):
+            reach[k] += abs(s)
+    width = max(max(reach) * m * m, 2 * m).bit_length() + 1
+    shifts = [width * k for k in range(n)]
+
+    def pack(acc):
+        return sum(v << s for v, s in zip(acc, shifts))
+
+    members = {}
+    for vec in vecs2:
+        acc = [2 * v for v in vec]
+        members[pack(acc)] = sum(v * v for v in acc)
+    full, half = 1 << width, 1 << (width - 1)
     bad_member = 0
     bad_norm = 0
     for xa in vecs2:
-        nz_x = [(i, xa[i]) for i in range(8) if xa[i]]
-        for yb in vecs2:
-            acc = [0] * 8
-            for i, xi in nz_x:
-                row_i = idx[i]
-                row_s = sgn[i]
-                for j in range(8):
-                    yj = yb[j]
-                    if yj:
-                        acc[row_i[j]] += row_s[j] * xi * yj
-            if sum(v * v for v in acc) != 16:
-                bad_norm += 1
-            if any(v & 1 for v in acc) or tuple(v >> 1 for v in acc) not in vset:
+        cols = [
+            sum(row_s[j] * xi << shifts[row_i[j]]
+                for xi, row_i, row_s in zip(xa, idx, sgn) if xi)
+            for j in range(n)
+        ]
+        for packed in [sum(map(mul, yb, cols)) for yb in vecs2]:
+            norm = members.get(packed)
+            if norm is None:
                 bad_member += 1
+                norm = 0
+                for _ in range(n):
+                    v = packed & (full - 1)
+                    if v >= half:
+                        v -= full
+                    norm += v * v
+                    packed = (packed - v) >> width
+            if norm != 16:
+                bad_norm += 1
     return bad_member, bad_norm

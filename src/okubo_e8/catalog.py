@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import lattice as lat
 from .algebras import AlgebraElem, basis_element, oct_mul
@@ -96,11 +97,15 @@ def order_lattice(spec: ClassicalOrderSpec) -> lat.LatticeZ:
     return lat.LatticeZ.from_gram(order_gram(spec), label=spec.name)
 
 
+@lru_cache(maxsize=None)
+def _gram_inverse(spec: ClassicalOrderSpec):
+    return tuple(map(tuple, lat.mat_inv(order_gram(spec))))
+
+
 def coords_in_span(x: AlgebraElem, spec: ClassicalOrderSpec):
     """K-coordinates of x over the possibly lower-rank basis, or None when
     x is outside the span (decided by exact reconstruction)."""
-    gram = order_gram(spec)
-    ginv = lat.mat_inv(gram)
+    ginv = _gram_inverse(spec)
     inners = [x.inner(b) for b in spec.basis]
     coords = []
     for k in range(len(spec.basis)):

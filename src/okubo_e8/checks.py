@@ -301,7 +301,7 @@ def check_discriminant() -> list[CheckReport]:
     # the second route: |L*/L| = |det G| is also the product of the Hermite
     # diagonal of the Gram; if the routes disagree, neither value is reported
     # as the result and both checks fail
-    hermite = lat.hnf_snf([[int(v) for v in row] for row in cond.gram()]).hermite
+    hermite, _ = lat.hnf_with_transform([[int(v) for v in row] for row in cond.gram()])
     hermite_order = prod(hermite[i][i] for i in range(len(hermite)))
     order, invariants = group.order, list(group.invariants)
     if hermite_order != order:

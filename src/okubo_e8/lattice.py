@@ -24,6 +24,7 @@ from ._kernels import (
     NotPositiveDefinite,
     enumerate_short_vectors,
     prepare_enumeration,
+    shell_histogram,
 )
 from .exact import QuadExt, eliminate
 
@@ -444,6 +445,16 @@ def short_vectors(lat: LatticeZ, bound):
     return out
 
 
+def norm_counts(lat: LatticeZ, bound) -> dict[Fraction, int]:
+    """Number of nonzero lattice vectors of each norm <= bound, by norm in
+    increasing order, from the counting mode of the enumeration: the same
+    walk as :func:`short_vectors`, but no vector is built."""
+    gi, den = _integer_rows_and_scale(lat.gram())
+    plan = prepare_enumeration(gi, Fraction(bound) * den)
+    scale = plan.scale * den
+    return {Fraction(k, scale): c for k, c in shell_histogram(plan).items()}
+
+
 def minimum_and_kissing(lat: LatticeZ, search_bound):
     """(minimum norm, number of minimal vectors) via enumeration up to
     ``search_bound``; raises if no nonzero vector is found below it."""
@@ -478,13 +489,10 @@ def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
         raise ValueError("shell counting needs maxn >= 1")
     if maxn > 6:
         raise ValueError("shell counting is desk-scale guarded at maxn <= 6")
-    sv = short_vectors(lat, 2 * maxn)
-    counts = {}
-    for _, nrm in sv:
-        counts[nrm] = counts.get(nrm, 0) + 1
+    counts = norm_counts(lat, 2 * maxn)
     out = []
     for n in range(1, maxn + 1):
-        have = counts.get(Fraction(2 * n), counts.get(2 * n, 0))
+        have = counts.get(2 * n, 0)
         want = 240 * sigma3(n)
         out.append(ShellCount(n=n, count=have, formula=want, match=have == want))
     return out
@@ -826,6 +834,7 @@ __all__ = [
     "mat_inv",
     "mat_mul",
     "minimum_and_kissing",
+    "norm_counts",
     "quotient_group",
     "saturation",
     "shell_counts_vs_sigma3",

@@ -1,6 +1,9 @@
-"""The integer kernels: enumeration plans, short vectors, big integers."""
+"""The integer kernels: enumeration plans, short vectors and shell
+histograms, the metric filter and the unit-loop closure, each against a
+plain reference loop."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -8,8 +11,14 @@ from okubo_e8._kernels import (
     BACKEND,
     NotPositiveDefinite,
     enumerate_short_vectors,
+    metric_stabilizers,
     prepare_enumeration,
+    shell_histogram,
+    unit_closure_failures,
 )
+from okubo_e8.algebras import OCT_TABLE
+from okubo_e8.orders import cd_gram, units240
+from okubo_e8.stabilizer import conductor_gram
 
 
 class TestPrepare:
@@ -44,3 +53,217 @@ class TestFallback:
 
     def test_backend_name(self):
         assert BACKEND == "python"
+
+
+# ---------------------------------------------------------------------------
+# the packed unit-loop closure against the nested loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_unit_closure(vecs2, idx, sgn):
+    """Reference: every product coordinate by the table, one pair at a time."""
+    vecs2 = sorted(tuple(int(v) for v in vec) for vec in vecs2)
+    vset = set(vecs2)
+    bad_member = bad_norm = 0
+    for xa in vecs2:
+        nz_x = [(i, xa[i]) for i in range(8) if xa[i]]
+        for yb in vecs2:
+            acc = [0] * 8
+            for i, xi in nz_x:
+                row_i = idx[i]
+                row_s = sgn[i]
+                for j in range(8):
+                    yj = yb[j]
+                    if yj:
+                        acc[row_i[j]] += row_s[j] * xi * yj
+            if sum(v * v for v in acc) != 16:
+                bad_norm += 1
+            if any(v & 1 for v in acc) or tuple(v >> 1 for v in acc) not in vset:
+                bad_member += 1
+    return bad_member, bad_norm
+
+
+@pytest.fixture(scope="module")
+def units2():
+    units, _ = units240()
+    return sorted(tuple(int(2 * c.rat) for c in u.coords) for u in units)
+
+
+def _table():
+    return [list(r) for r in OCT_TABLE.idx], [list(r) for r in OCT_TABLE.sgn]
+
+
+class TestUnitClosure:
+    def test_units_close(self, units2):
+        idx, sgn = _table()
+        assert unit_closure_failures(units2, idx, sgn) == (0, 0)
+        assert naive_unit_closure(units2, idx, sgn) == (0, 0)
+
+    def test_one_sign_flipped(self, units2):
+        idx, sgn = _table()
+        sgn[1][2] = -sgn[1][2]
+        got = unit_closure_failures(units2, idx, sgn)
+        assert got == naive_unit_closure(units2, idx, sgn) == (12544, 12544)
+
+    def test_two_indices_swapped(self, units2):
+        idx, sgn = _table()
+        idx[1][2], idx[1][3] = idx[1][3], idx[1][2]
+        got = unit_closure_failures(units2, idx, sgn)
+        assert got == naive_unit_closure(units2, idx, sgn) == (17728, 15680)
+
+    @pytest.mark.parametrize("pos, vec, want", [
+        (0, (2, 2, 0, 0, 0, 0, 0, 0), (715, 479)),  # norm 2
+        (239, (1, 1, 1, 1, 0, 0, 0, 0), (718, 0)),  # norm 1, not in the order
+        (120, (0,) * 8, (238, 479)),
+    ])
+    def test_one_unit_replaced(self, units2, pos, vec, want):
+        idx, sgn = _table()
+        vecs = list(units2)
+        vecs[pos] = vec
+        got = unit_closure_failures(vecs, idx, sgn)
+        assert got == naive_unit_closure(vecs, idx, sgn) == want
+
+    @pytest.mark.parametrize("factor", [3, 17, 1 << 40])
+    def test_scaled_coordinates(self, units2, factor):
+        # products of scaled units have coordinates far outside the
+        # unit set's range; the digit fields must widen with the data
+        idx, sgn = _table()
+        vecs = [tuple(factor * v for v in vec) for vec in units2[::8]]
+        mixed = units2[::8] + vecs
+        for data in (vecs, mixed):
+            assert unit_closure_failures(data, idx, sgn) == naive_unit_closure(
+                data, idx, sgn)
+
+    @pytest.mark.parametrize("j", [1, 3, 6])
+    def test_widest_product_needs_full_field(self, j):
+        # x*y = 8 m^2 e0 with m = 2^j, the largest coordinate the data
+        # allow.  In a signed field of any width w from j + 2 to 2j + 2 it
+        # would carry into e1 and read as 2 * (s e1) with s = 2^(2j+2-w) <= m,
+        # a doubled member, so a field too narrow for the data shows as a
+        # membership count off the reference.
+        idx, sgn = _table()
+        m = 1 << j
+        x = tuple(m * sgn[i][idx[i].index(0)] for i in range(8))
+        y = (m,) * 8
+        members = [(0, 1 << i, 0, 0, 0, 0, 0, 0) for i in range(j + 1)]
+        data = [x, y] + members
+        got = unit_closure_failures(data, idx, sgn)
+        assert got == naive_unit_closure(data, idx, sgn)
+
+    @pytest.mark.parametrize("x, y, c", [
+        ((1, -1, -1, -1, -1, 0, -1, -1), (1, 1, 0, 1, 1, 1, 1, 1),
+         (-1, 0, 0, 0, 1, 1, 0, -1)),
+        ((2, -2, -2, -2, -2, -1, -2, -2), (2, 2, 1, 2, 2, 2, 2, 2),
+         (-2, -1, 0, 0, 2, 2, 0, -2)),
+        ((3, -3, -3, -3, -2, -3, -3, -3), (3, 3, 3, 3, 3, 3, 2, 3),
+         (1, -2, 0, 0, 3, -3, 0, 3)),
+        ((4, -4, -4, -4, -4, -4, -3, -4), (4, 4, 4, 4, 3, 4, 4, 4),
+         (-4, 4, 0, 0, -4, 4, 0, -4)),
+    ])
+    def test_near_widest_product(self, x, y, c):
+        # x*y has e0 coordinate just below 8 m^2; in a field two bits
+        # narrower than 8 m^2 needs it carries into e1, and the product
+        # reads as 2c, a doubled member, although it is not one
+        idx, sgn = _table()
+        data = [x, y, c]
+        got = unit_closure_failures(data, idx, sgn)
+        assert got == naive_unit_closure(data, idx, sgn)
+
+    def test_duplicates_counted(self, units2):
+        idx, sgn = _table()
+        vecs = units2[:10] + units2[:10]
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
+            vecs, idx, sgn)
+
+
+# ---------------------------------------------------------------------------
+# the metric filter against the full candidate loop
+# ---------------------------------------------------------------------------
+
+
+def naive_metric_stabilizers(gram):
+    """Reference: all 147456 signed block permutations, each checked on
+    every entry of the upper triangle."""
+    perms4 = list(permutations(range(4)))
+    signs4 = list(product((1, -1), repeat=4))
+    out = []
+    for p1 in perms4:
+        for p2 in perms4:
+            perm = tuple(p1) + tuple(4 + t for t in p2)
+            for s1 in signs4:
+                for s2 in signs4:
+                    eps = s1 + s2
+                    if all(eps[i] * eps[j] * gram[perm[i]][perm[j]] == gram[i][j]
+                           for i in range(8) for j in range(i, 8)):
+                        out.append((perm, eps))
+    return out
+
+
+def _block_diag(a, b):
+    return [row + [0] * 4 for row in a] + [[0] * 4 + row for row in b]
+
+
+class TestMetricFilter:
+    def test_conductor(self):
+        gram = [list(r) for r in conductor_gram()]
+        got = metric_stabilizers(gram)
+        assert got == naive_metric_stabilizers(gram)
+        assert len(got) == 48
+
+    def test_scalar_gram_rejects_nothing(self):
+        gram = [[2 * (i == j) for j in range(8)] for i in range(8)]
+        got = metric_stabilizers(gram)
+        assert got == naive_metric_stabilizers(gram)
+        assert len(got) == 147456
+
+    def test_magnitudes_match_signs_do_not(self):
+        # K4 with one negative edge {0, 1}: every block permutation keeps
+        # the magnitudes, but one that moves the edge sends a triangle of
+        # sign product -1 to one of product +1, which no signs repair
+        k4 = [[4 if i == j else 1 for j in range(4)] for i in range(4)]
+        k4[0][1] = k4[1][0] = -1
+        gram = _block_diag(k4, [[4 * (i == j) for j in range(4)] for i in range(4)])
+        got = metric_stabilizers(gram)
+        assert got == naive_metric_stabilizers(gram)
+        perms = {perm for perm, _ in got}
+        assert len(perms) == 4 * 24  # of the 576 that pass the magnitudes
+        assert all(set(perm[:2]) == {0, 1} for perm in perms)
+
+
+# ---------------------------------------------------------------------------
+# the counting mode against the vectors of the same walk
+# ---------------------------------------------------------------------------
+
+
+def _scaled_norm_counts(gram, plan):
+    counts = {}
+    for vec in enumerate_short_vectors(plan):
+        nrm = sum(vec[i] * gram[i][j] * vec[j] for i in range(len(vec))
+                  for j in range(len(vec)))
+        key = nrm * plan.scale
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+class TestShellHistogram:
+    @pytest.mark.parametrize("gram, bound", [
+        ([[3]], 12),
+        ([[2]], Fraction(7, 2)),
+        ([[2, -1], [-1, 2]], 8),
+        ([[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]], 6),
+        ([[4, 1, 0], [1, 3, 1], [0, 1, 5]], 20),
+    ])
+    def test_against_vectors(self, gram, bound):
+        plan = prepare_enumeration(gram, bound)
+        assert shell_histogram(plan) == _scaled_norm_counts(gram, plan)
+
+    def test_e8(self):
+        gram = [list(r) for r in cd_gram()]
+        plan = prepare_enumeration(gram, 6)
+        hist = shell_histogram(plan)
+        assert hist == _scaled_norm_counts(gram, plan)
+        assert list(hist.values()) == [240, 2160, 6720]
+
+    def test_empty(self):
+        assert shell_histogram(prepare_enumeration([[2]], -1)) == {}
+        assert shell_histogram(prepare_enumeration([[2]], 1)) == {}

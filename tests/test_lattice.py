@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from okubo_e8 import claims
+from okubo_e8.catalog import build_classical, order_lattice
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
     _snf_reduce,
@@ -32,6 +33,7 @@ from okubo_e8.lattice import (
     mat_inv,
     mat_mul,
     minimum_and_kissing,
+    norm_counts,
     quotient_group,
     saturation,
     shell_counts_vs_sigma3,
@@ -357,6 +359,48 @@ class TestShells:
         for maxn in (0, -1):  # an empty shell range must not pass vacuously
             with pytest.raises(ValueError):
                 shell_counts_vs_sigma3(cd_lattice(), maxn)
+
+
+def _counts_of(vectors):
+    counts = {}
+    for _, nrm in vectors:
+        counts[nrm] = counts.get(nrm, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+class TestNormCounts:
+    """The counting mode of the enumeration against the vectors that
+    short_vectors returns (norms recomputed from the Gram) and against the
+    brute-force box."""
+
+    @pytest.mark.parametrize("lattice, bound", [
+        (cd_lattice, 8),
+        (conductor_lattice, 16),
+        (lambda: LatticeZ.from_gram(A2), 8),
+        (lambda: LatticeZ.from_gram(D4), 6),
+        (lambda: LatticeZ.from_gram([[Fraction(1, 2), 0], [0, Fraction(3, 2)]]), 5),
+    ])
+    def test_against_short_vectors(self, lattice, bound):
+        lat = lattice()
+        assert norm_counts(lat, bound) == _counts_of(short_vectors(lat, bound))
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in claims.CLASSICAL_TABLE if n not in claims.UNSPECIFIED_CLASSICAL))
+    def test_catalog_lattices(self, name):
+        lat = order_lattice(build_classical(name))
+        for bound in (2, 4):
+            assert norm_counts(lat, bound) == _counts_of(short_vectors(lat, bound))
+
+    def test_against_box(self):
+        for gram, bound in ((A2, 8), (D4, 4)):
+            assert norm_counts(LatticeZ.from_gram(gram), bound) == _counts_of(
+                box_search(gram, bound))
+
+    def test_norm_keys(self):
+        counts = norm_counts(cd_lattice(), 6)
+        assert counts == {2: 240, 4: 2160, 6: 6720}
+        assert all(type(k) is Fraction for k in counts)
+        assert norm_counts(cd_lattice(), 1) == {}
 
 
 class TestDiscriminantGroup:

@@ -1,7 +1,6 @@
 """Report schema, serialization determinism, CLI exit codes, and the
 claim-to-check coverage of the full suite."""
 
-import dataclasses
 import json
 import os
 import re
@@ -225,6 +224,19 @@ class TestCli:
         assert main(["lattice", "shells", "--max", "0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_six_shells(self, capsys):
+        assert main(["lattice", "shells", "--max", "6"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 6
+        assert re.search(r"shell-n5 pass .*n=5 count=30240 formula=30240", out)
+        assert re.search(r"shell-n6 pass .*n=6 count=60480 formula=60480", out)
+
+    def test_shell_range_above_guard_exit_2(self, capsys):
+        assert main(["lattice", "shells", "--max", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "maxn <= 6" in captured.err
+
     def test_blocks_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["stabilizer", "search", "--blocks", "bogus"])
@@ -279,16 +291,15 @@ def test_seeded_groups_match_golden(seed):
 def test_discriminant_routes_must_agree(monkeypatch):
     """A Hermite diagonal whose product is not the Smith order fails both
     discriminant checks."""
-    real = lat.hnf_snf
+    real = lat.hnf_with_transform
 
     def perturbed(m):
-        nf = real(m)
-        hermite = [list(row) for row in nf.hermite]
+        hermite, transform = real(m)
         hermite[-1][-1] *= 2
-        return dataclasses.replace(nf, hermite=tuple(map(tuple, hermite)))
+        return hermite, transform
 
     assert [r.status for r in checks.check_discriminant()] == ["pass", "pass"]
-    monkeypatch.setattr(lat, "hnf_snf", perturbed)
+    monkeypatch.setattr(lat, "hnf_with_transform", perturbed)
     reports = checks.check_discriminant()
     assert [r.status for r in reports] == ["fail", "fail"]
     assert reports[0].actual == {"smith_order": 16777216, "hermite_order": 33554432}
