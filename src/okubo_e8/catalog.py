@@ -2,22 +2,22 @@
 scale: unit counts, closure, trace/norm integrality, lattice invariants.
 
 Each order is realized inside the octonion coordinate space (the complex
-and quaternion cases live on subalgebras), their Gram matrices are exact,
-and lattice identification is by the invariant triple (det, min, kissing)
-in the doubled-form normalization <x,x> = 2 n(x).
+and quaternion cases live on subalgebras) as an :class:`OrderBasis`, which
+owns the exact Gram and the map between order vectors and algebra
+elements.  Lattice identification is by the invariant triple (det, min,
+kissing) in the doubled-form normalization <x,x> = 2 n(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import lattice as lat
 from .algebras import AlgebraElem, basis_element, oct_mul
 from .claims import CLASSICAL_TABLE, UNSPECIFIED_CLASSICAL
 from .exact import QUAD_ZERO, QuadExt, RingTag
-from .orders import cd_basis, letters, units240
+from .orders import OrderBasis, cd_basis, coords_in_order_basis, letters, units240
 
 
 class UnspecifiedConstructionError(ValueError):
@@ -27,7 +27,7 @@ class UnspecifiedConstructionError(ValueError):
 @dataclass(frozen=True)
 class ClassicalOrderSpec:
     name: str
-    basis: tuple[AlgebraElem, ...]
+    basis: OrderBasis
     expected_units: int
     lattice_label: str
     expected_det: int
@@ -55,22 +55,22 @@ def build_classical(name: str) -> ClassicalOrderSpec:
     one = AlgebraElem.one()
     half = Fraction(1, 2)
     if name == "gaussian":
-        basis = (one, basis_element(1))
+        elements = (one, basis_element(1))
     elif name == "eisenstein":
-        basis = (one, _eisenstein_omega())
+        elements = (one, _eisenstein_omega())
     elif name == "hamilton":
-        basis = (one, lt["i"], lt["j"], lt["k"])
+        elements = (one, lt["i"], lt["j"], lt["k"])
     elif name == "hurwitz":
         hq = (one + lt["i"] + lt["j"] + lt["k"]).scale(half)
-        basis = (one, lt["i"], lt["j"], hq)
+        elements = (one, lt["i"], lt["j"], hq)
     elif name == "cayley-graves":
-        basis = tuple(lt[n] for n in ("1", "i", "j", "k", "l", "il", "jl", "kl"))
-    else:  # coxeter-dickson
-        basis = cd_basis().elements
+        elements = tuple(lt[n] for n in ("1", "i", "j", "k", "l", "il", "jl", "kl"))
+    else:  # coxeter-dickson: the order basis itself, with its cached solve
+        elements = None
     units, label, det, mn, kiss = CLASSICAL_TABLE[name]
     return ClassicalOrderSpec(
         name=name,
-        basis=basis,
+        basis=OrderBasis(elements, name) if elements else cd_basis(),
         expected_units=units,
         lattice_label=label,
         expected_det=det,
@@ -79,48 +79,15 @@ def build_classical(name: str) -> ClassicalOrderSpec:
     )
 
 
-def order_gram(spec: ClassicalOrderSpec):
-    n = len(spec.basis)
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = spec.basis[i].inner(spec.basis[j])
-            if v.irr != 0 or v.rat.denominator != 1:
-                raise ArithmeticError("catalog Gram must be integral")
-            row.append(int(v.rat))
-        gram.append(row)
-    return gram
-
-
 def order_lattice(spec: ClassicalOrderSpec) -> lat.LatticeZ:
-    return lat.LatticeZ.from_gram(order_gram(spec), label=spec.name)
-
-
-@lru_cache(maxsize=None)
-def _gram_inverse(spec: ClassicalOrderSpec):
-    return tuple(map(tuple, lat.mat_inv(order_gram(spec))))
+    return lat.LatticeZ.from_gram(spec.basis.gram(), label=spec.name)
 
 
 def coords_in_span(x: AlgebraElem, spec: ClassicalOrderSpec):
     """K-coordinates of x over the possibly lower-rank basis, or None when
     x is outside the span (decided by exact reconstruction)."""
-    ginv = _gram_inverse(spec)
-    inners = [x.inner(b) for b in spec.basis]
-    coords = []
-    for k in range(len(spec.basis)):
-        acc = QUAD_ZERO
-        for m, iv in enumerate(inners):
-            if iv:
-                acc = acc + iv * ginv[m][k]
-        coords.append(acc)
-    acc = AlgebraElem.zero()
-    for c, b in zip(coords, spec.basis):
-        if c:
-            acc = acc + b.scale(c)
-    if acc != x:
-        return None
-    return tuple(coords)
+    coords = coords_in_order_basis(x, spec.basis)
+    return coords if spec.basis.element(coords) == x else None
 
 
 @dataclass(frozen=True)
@@ -153,20 +120,19 @@ class CatalogReport:
 def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
     """Enumerate the unit loop and certify the catalog row."""
     lattice = order_lattice(spec)
+    found = lat.short_vectors(lattice, 2)  # the units, and the minimal vectors
+    if not found:
+        raise lat.LatticeError("no nonzero vectors of norm <= 2")
+    norms = [nrm for _, nrm in found]
+    mn = min(norms)
+    kiss = norms.count(mn)
     if spec.name == "coxeter-dickson":
-        elements, rep = units240()
+        _, rep = units240()
         unit_count = rep.count
         closed = rep.closure_failures == 0 and rep.norm_failures == 0
         inverses = rep.inverses_present
     else:
-        found = lat.short_vectors(lattice, 2)
-        elements = []
-        for coords, _ in found:
-            acc = AlgebraElem.zero()
-            for c, b in zip(coords, spec.basis):
-                if c:
-                    acc = acc + b.scale(c)
-            elements.append(acc)
+        elements = [spec.basis.element(coords) for coords, _ in found]
         unit_count = len(elements)
         unit_set = set(elements)
         closed = all(
@@ -187,7 +153,6 @@ def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
     )
 
     det = lattice.det()
-    mn, kiss = lat.minimum_and_kissing(lattice, 2)
     triple = (
         det == spec.expected_det
         and mn == spec.expected_min

@@ -28,7 +28,6 @@ from .algebras import (
     DIM,
     TAU,
     TAU2,
-    AlgebraElem,
     basis_element,
     bridge_identities,
     oct_mul,
@@ -267,9 +266,9 @@ def check_conductor() -> list[CheckReport]:
     cd = orders.cd_lattice()
     cond = orders.conductor_lattice()
     inv = lat.sublattice_invariants(cond, cd)
-    no_roots = lat.short_vectors(cond, 7)
     at8 = lat.short_vectors(cond, 8)
     mins = [nrm for _, nrm in at8]
+    no_roots = [nrm for nrm in mins if nrm <= 7]
     witness = tuple([1] + [0] * 7)  # u0 = 2 b0 in conductor coordinates
     witness_found = any(coords == witness for coords, _ in at8)
     return [
@@ -340,15 +339,9 @@ def check_saturation_gluing() -> list[CheckReport]:
     rep = lat.glue_and_saturate(cond, cd, 2)
 
     # re-run the closure test over the saturated (recovered) basis
-    sat_basis_elems = []
     basis = orders.cd_basis()
-    for row in rep.saturation.basis:
-        acc = AlgebraElem.zero()
-        for c, b in zip(row, basis):
-            if c:
-                acc = acc + b.scale(c)
-        sat_basis_elems.append(acc)
-    sat_basis = orders.OrderBasis(tuple(sat_basis_elems), "saturated")
+    sat_basis = orders.OrderBasis(
+        tuple(basis.element(row) for row in rep.saturation.basis), "saturated")
     sat_const = orders.structure_constants("okubo", sat_basis)
     sat_closure = orders.closure_test(sat_const, RingTag.ZSQRT3, sat_basis)
 

@@ -21,7 +21,6 @@ from itertools import product
 from math import lcm
 
 from ._kernels import (
-    NotPositiveDefinite,
     enumerate_short_vectors,
     prepare_enumeration,
     shell_histogram,
@@ -67,10 +66,6 @@ def mat_mul(a, b):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_inv(a):
     """Exact inverse over the field of the entries (Q or K)."""
     n = len(a)
@@ -94,20 +89,6 @@ def ldl_pivots(gram):
     """The exact pivots of the LDL decomposition; all positive iff the
     symmetric matrix is positive definite."""
     return eliminate(gram, swap=False)[1]
-
-
-def _solve_rows(rows, basis):
-    """Rational X with rows = X * basis, for a square nonsingular basis."""
-    n = len(basis)
-    # X B = R  <=>  B^T X^T = R^T: reduce [B^T | R^T] to [I | X^T]
-    work, pivots, _ = eliminate(
-        [[basis[r][c] for r in range(n)] + [row[c] for row in rows]
-         for c in range(n)],
-        reduced=True,
-    )
-    if not all(pivots):
-        raise LatticeError("singular matrix")
-    return [[work[c][n + k] for c in range(n)] for k in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +308,19 @@ class LatticeZ:
 
 
 def change_of_basis(sub: LatticeZ, sup: LatticeZ):
-    """Rational matrix X with sub.basis = X * sup.basis."""
-    return _solve_rows(sub.basis, sup.basis)
+    """Rational matrix X with sub.basis = X * sup.basis, for a square
+    nonsingular sup.basis."""
+    rows, basis = sub.basis, sup.basis
+    n = len(basis)
+    # X B = R  <=>  B^T X^T = R^T: reduce [B^T | R^T] to [I | X^T]
+    work, pivots, _ = eliminate(
+        [[basis[r][c] for r in range(n)] + [row[c] for row in rows]
+         for c in range(n)],
+        reduced=True,
+    )
+    if not all(pivots):
+        raise LatticeError("singular matrix")
+    return [[work[c][n + k] for c in range(n)] for k in range(len(rows))]
 
 
 def _inclusion_matrix(sub: LatticeZ, sup: LatticeZ):
@@ -805,43 +797,3 @@ def lattice_from_fixture(text: str) -> LatticeZ:
     if lat._gram != gram:
         raise LatticeError("fixture gram does not match basis and ambient gram")
     return lat
-
-
-__all__ = [
-    "DiscriminantGroup",
-    "GlueSaturateReport",
-    "InclusionError",
-    "LatticeError",
-    "LatticeZ",
-    "NormalForms",
-    "NotPositiveDefinite",
-    "QuotientGroup",
-    "ShellCount",
-    "SublatticeInvariants",
-    "Trace16Report",
-    "change_of_basis",
-    "contains",
-    "discriminant_group",
-    "glue_and_saturate",
-    "glue_overlattice",
-    "hnf_snf",
-    "hnf_with_transform",
-    "lattice_from_fixture",
-    "lattice_to_fixture",
-    "lattices_equal",
-    "ldl_pivots",
-    "mat_det",
-    "mat_inv",
-    "mat_mul",
-    "minimum_and_kissing",
-    "norm_counts",
-    "quotient_group",
-    "saturation",
-    "shell_counts_vs_sigma3",
-    "short_vectors",
-    "sigma3",
-    "smith_invariants",
-    "sublattice_invariants",
-    "trace_lattice_16",
-    "transpose",
-]

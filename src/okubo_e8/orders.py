@@ -16,13 +16,18 @@ is
     b0 = 1, b1 = i, b2 = j, b3 = k, b4 = h, b5 = ih, b6 = jh, b7 = kh
 
 with h = (i + j + k + l)/2.
+
+Every order vector goes through :class:`OrderBasis`: ``element`` maps
+coordinates to an algebra element, ``gram`` gives the integral Gram, and
+:func:`coords_in_order_basis` is the one coordinate solve, for this basis,
+its saturated and scaled variants and the catalog orders alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 from . import lattice as lat
@@ -66,8 +71,15 @@ def letters() -> dict[str, AlgebraElem]:
     return out
 
 
+class SingularBasisError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class OrderBasis:
+    """An order basis b_0..b_{n-1} in the e-coordinates, and the one map
+    between order vectors and algebra elements."""
+
     elements: tuple[AlgebraElem, ...]
     label: str
 
@@ -76,6 +88,9 @@ class OrderBasis:
 
     def __getitem__(self, k):
         return self.elements[k]
+
+    def __len__(self):
+        return len(self.elements)
 
     def coordinate_matrix(self):
         """Rational e-coordinates of the basis (rows)."""
@@ -88,6 +103,46 @@ class OrderBasis:
                 row.append(c.rat)
             rows.append(row)
         return rows
+
+    def element(self, coords) -> AlgebraElem:
+        """sum_k c_k b_k."""
+        return sum((b.scale(c) for c, b in zip(coords, self.elements) if c),
+                   AlgebraElem.zero())
+
+    def inner_products(self) -> tuple[tuple[QuadExt, ...], ...]:
+        """The K-valued Gram <b_i, b_j>."""
+        return tuple(tuple(bi.inner(bj) for bj in self.elements) for bi in self.elements)
+
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integral Gram <b_i, b_j>; ArithmeticError if it is not."""
+        rows = []
+        for row in self.inner_products():
+            if any(v.irr != 0 or v.rat.denominator != 1 for v in row):
+                raise ArithmeticError("order Gram must be integral")
+            rows.append(tuple(int(v.rat) for v in row))
+        return tuple(rows)
+
+    @cached_property
+    def solve_matrix(self) -> tuple[tuple[QuadExt, ...], ...]:
+        """P = 2 B^T G^-1, with B the e-coordinate rows and G the Gram.
+
+        x P are the coordinates of x over the basis when x lies in its
+        K-span, and of the orthogonal projection of x onto that span
+        otherwise; for a full-rank basis P is B^-1.
+        """
+        try:
+            ginv = lat.mat_inv(self.inner_products())
+        except lat.LatticeError as exc:
+            raise SingularBasisError("order basis is singular") from exc
+        n = len(self.elements)
+        return tuple(
+            tuple(
+                2 * sum((b.coords[m] * ginv[j][k]
+                         for j, b in enumerate(self.elements) if b.coords[m]), QUAD_ZERO)
+                for k in range(n)
+            )
+            for m in range(DIM)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -111,17 +166,7 @@ def cd_basis() -> OrderBasis:
 @lru_cache(maxsize=None)
 def cd_gram() -> tuple[tuple[int, ...], ...]:
     """The integral Gram <b_i, b_j> (an even unimodular E8 Gram)."""
-    b = cd_basis()
-    rows = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            v = b[i].inner(b[j])
-            if v.irr != 0 or v.rat.denominator != 1:
-                raise ArithmeticError("order Gram must be integral")
-            row.append(int(v.rat))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return cd_basis().gram()
 
 
 def cd_lattice() -> lat.LatticeZ:
@@ -217,51 +262,50 @@ class Units240Report:
     inverses_present: bool
 
 
+def _doubled(x: AlgebraElem) -> tuple[int, ...]:
+    """The integer e-coordinates of 2x, for x with half-integral rational
+    coordinates."""
+    out = []
+    for c in x.coords:
+        v = 2 * c.rat
+        if c.irr != 0 or v.denominator != 1:
+            raise ArithmeticError("element has a non half-integral coordinate")
+        out.append(int(v))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
     """Enumerate the norm-one elements of the order and certify the loop.
 
     Asserting machinery lives in the reports: the enumeration count, the
     presence of every catalogued shape, closure of all 240^2 products, and
-    the presence of the inverse conj(x)/n(x) of every unit.
+    the presence of the inverse conj(x)/n(x) of every unit.  All of it runs
+    on the doubled e-coordinates 2x = v (2B), integers for an order vector
+    v; the algebra elements are built once, at the end.
     """
-    basis = cd_basis()
+    twice_b = [_doubled(b) for b in cd_basis()]
     found = lat.short_vectors(cd_lattice(), 2)  # <x,x> = 2 <=> n(x) = 1
-    elements = []
-    for coords, _ in found:
-        acc = AlgebraElem.zero()
-        for c, b in zip(coords, basis):
-            if c:
-                acc = acc + b.scale(c)
-        elements.append(acc)
-    elements = tuple(sorted(elements, key=lambda e: tuple(
-        (c.rat, c.irr) for c in e.coords)))
-
+    vecs2 = sorted(
+        tuple(sum(c * row[m] for c, row in zip(coords, twice_b) if c)
+              for m in range(DIM))
+        for coords, _ in found
+    )
+    vec_set = set(vecs2)
     shapes = unit_shapes()
-    elem_set = set(elements)
-    shapes_present = all(s in elem_set for s in shapes)
-
-    vecs2 = []
-    for el in elements:
-        row = []
-        for c in el.coords:
-            v = 2 * c.rat
-            if c.irr != 0 or v.denominator != 1:
-                raise ArithmeticError("unit has a non half-integral coordinate")
-            row.append(int(v))
-        vecs2.append(tuple(row))
+    shapes_present = all(_doubled(s) in vec_set for s in shapes)
     bad_member, bad_norm = unit_closure_failures(vecs2, OCT_TABLE.idx, OCT_TABLE.sgn)
-
-    inverses = all(el.conjugate() in elem_set for el in elements)
+    inverses = all((v[0],) + tuple(-c for c in v[1:]) in vec_set for v in vecs2)
 
     report = Units240Report(
-        count=len(elements),
+        count=len(vecs2),
         shape_count=len(shapes),
         shapes_all_present=shapes_present,
         closure_failures=bad_member,
         norm_failures=bad_norm,
         inverses_present=inverses,
     )
+    elements = tuple(AlgebraElem(Fraction(c, 2) for c in v) for v in vecs2)
     return elements, report
 
 
@@ -283,31 +327,14 @@ class StructureConstants:
                     yield i, j, k, self.c[i][j][k]
 
 
-class SingularBasisError(ValueError):
-    pass
-
-
-@lru_cache(maxsize=None)
-def _basis_inverse(basis: OrderBasis) -> tuple[tuple[Fraction, ...], ...]:
-    rows = basis.coordinate_matrix()
-    try:
-        return tuple(tuple(row) for row in lat.mat_inv(rows))
-    except lat.LatticeError as exc:
-        raise SingularBasisError("order basis is singular") from exc
-
-
 def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, ...]:
-    """Exact K-coordinates of x over the given order basis."""
-    binv = _basis_inverse(basis)
-    out = []
-    for k in range(DIM):
-        acc = QUAD_ZERO
-        for m in range(DIM):
-            cm = x.coords[m]
-            if cm:
-                acc = acc + cm * binv[m][k]
-        out.append(acc)
-    return tuple(out)
+    """Exact K-coordinates of x over the given order basis: x P with P the
+    basis's solve matrix (see :attr:`OrderBasis.solve_matrix`)."""
+    p = basis.solve_matrix
+    return tuple(
+        sum((cm * row[k] for cm, row in zip(x.coords, p) if cm), QUAD_ZERO)
+        for k in range(len(basis))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -320,32 +347,15 @@ def structure_constants(product: str, basis: OrderBasis | None = None) -> Struct
     if basis is None:
         basis = cd_basis()
     mul = PRODUCTS[product]
-    binv = _basis_inverse(basis)
-    rows = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            prod = mul(basis[i], basis[j])
-            coeffs = []
-            for k in range(DIM):
-                acc = QUAD_ZERO
-                for m in range(DIM):
-                    cm = prod.coords[m]
-                    if cm:
-                        acc = acc + cm * binv[m][k]
-                coeffs.append(acc)
-            row.append(tuple(coeffs))
-        rows.append(tuple(row))
-    return StructureConstants(product=product, basis_label=basis.label, c=tuple(rows))
+    c = tuple(
+        tuple(coords_in_order_basis(mul(bi, bj), basis) for bj in basis)
+        for bi in basis
+    )
+    return StructureConstants(product=product, basis_label=basis.label, c=c)
 
 
 def reconstruct_product(constants: StructureConstants, basis: OrderBasis, i: int, j: int) -> AlgebraElem:
-    acc = AlgebraElem.zero()
-    for k in range(DIM):
-        coeff = constants.c[i][j][k]
-        if coeff:
-            acc = acc + basis[k].scale(coeff)
-    return acc
+    return basis.element(constants.c[i][j])
 
 
 def dump_structure_constants(constants: StructureConstants) -> str:
@@ -532,10 +542,10 @@ def scaling_search(constants: StructureConstants, max_exp: int) -> ScalingSearch
 
 
 @lru_cache(maxsize=None)
-def scaled_basis() -> tuple[AlgebraElem, ...]:
+def scaled_basis() -> OrderBasis:
     """u_i = D_i b_i with D = diag(2,2,2,2,4,4,4,4)."""
-    basis = cd_basis()
-    return tuple(b.scale(d) for b, d in zip(basis.elements, SCALING_DIAGONAL))
+    return OrderBasis(
+        tuple(b.scale(d) for b, d in zip(cd_basis(), SCALING_DIAGONAL)), "scaled")
 
 
 def scaled_constants(constants: StructureConstants, diagonal=SCALING_DIAGONAL):
@@ -619,8 +629,7 @@ def conductor_lattice() -> lat.LatticeZ:
 def u_gram_quadext() -> tuple[tuple[QuadExt, ...], ...]:
     """K-valued Gram <u_i, u_j> of the scaled basis (used by the rank-16
     restriction-of-scalars lattice)."""
-    u = scaled_basis()
-    return tuple(tuple(u[i].inner(u[j]) for j in range(DIM)) for i in range(DIM))
+    return scaled_basis().inner_products()
 
 
 def denominator_profile(constants: StructureConstants) -> dict[int, int]:

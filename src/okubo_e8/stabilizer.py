@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 from ._kernels import metric_stabilizers
 from .algebras import DIM, basis_element, okubo_mul, tau_apply
-from .claims import SCALING_DIAGONAL
 from .exact import QuadExt, RingTag
 from .orders import (
-    cd_basis,
-    cd_gram,
     coords_in_order_basis,
     scaled_basis,
     scaled_constants,
@@ -60,11 +57,8 @@ class SignedBlockPerm:
 
 
 def conductor_gram() -> tuple[tuple[int, ...], ...]:
-    g = cd_gram()
-    d = SCALING_DIAGONAL
-    return tuple(
-        tuple(d[i] * d[j] * g[i][j] for j in range(DIM)) for i in range(DIM)
-    )
+    """The Gram <u_i, u_j> of the scaled basis."""
+    return scaled_basis().gram()
 
 
 def preserves_product(cand: SignedBlockPerm, m_constants) -> bool:
@@ -136,12 +130,7 @@ class TauMembershipReport:
 
 def u_coordinates(x) -> tuple[QuadExt, ...]:
     """Exact coordinates of an algebra element over the scaled basis."""
-    basis = cd_basis()
-    b_coords = coords_in_order_basis(x, basis)
-    return tuple(
-        c * QuadExt(1) / SCALING_DIAGONAL[k] if c else c
-        for k, c in enumerate(b_coords)
-    )
+    return coords_in_order_basis(x, scaled_basis())
 
 
 def tau_membership() -> TauMembershipReport:

@@ -94,3 +94,23 @@ def test_out_of_scope_rows():
 def test_unknown_name():
     with pytest.raises(ValueError, match="unknown classical order"):
         build_classical("lorentzian")
+
+
+def test_no_minimal_vectors_raises():
+    # the doubled Gaussian basis has Gram 8 I: no vector of norm <= 2
+    from dataclasses import replace
+
+    from okubo_e8.lattice import LatticeError
+    from okubo_e8.orders import OrderBasis
+
+    spec = build_classical("gaussian")
+    doubled = OrderBasis(tuple(b.scale(2) for b in spec.basis), "doubled-gaussian")
+    with pytest.raises(LatticeError, match="no nonzero vectors of norm <= 2"):
+        verify_classical(replace(spec, basis=doubled))
+
+
+def test_catalog_basis_is_an_order_basis():
+    from okubo_e8.orders import OrderBasis, cd_basis
+
+    assert all(isinstance(build_classical(n).basis, OrderBasis) for n in catalog_names())
+    assert build_classical("coxeter-dickson").basis is cd_basis()

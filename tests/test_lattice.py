@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from okubo_e8 import claims
+from okubo_e8._kernels import NotPositiveDefinite
 from okubo_e8.catalog import build_classical, order_lattice
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
@@ -19,7 +20,6 @@ from okubo_e8.lattice import (
     InclusionError,
     LatticeError,
     LatticeZ,
-    NotPositiveDefinite,
     contains,
     discriminant_group,
     glue_and_saturate,

@@ -287,3 +287,128 @@ class TestLatticeHooks:
         prod = okubo_mul(basis[0], basis[2])
         coords = coords_in_order_basis(prod, basis)
         assert any(not RingTag.ZSQRT3.contains(c) for c in coords)
+
+
+# -- oracles for the one coordinate map -----------------------------------------
+
+
+def _units240_reference():
+    """The unit enumeration as it stood before the integer path: algebra
+    element sums of the enumerated order vectors, sorted by (rat, irr)."""
+    from okubo_e8._kernels import unit_closure_failures
+    from okubo_e8.algebras import OCT_TABLE
+    from okubo_e8.lattice import short_vectors
+
+    basis = cd_basis()
+    elements = []
+    for coords, _ in short_vectors(cd_lattice(), 2):
+        acc = AlgebraElem.zero()
+        for c, b in zip(coords, basis):
+            if c:
+                acc = acc + b.scale(c)
+        elements.append(acc)
+    elements = tuple(sorted(elements, key=lambda e: tuple(
+        (c.rat, c.irr) for c in e.coords)))
+    elem_set = set(elements)
+    shapes = unit_shapes()
+    vecs2 = [tuple(int(2 * c.rat) for c in el.coords) for el in elements]
+    bad_member, bad_norm = unit_closure_failures(vecs2, OCT_TABLE.idx, OCT_TABLE.sgn)
+    report = dict(
+        count=len(elements),
+        shape_count=len(shapes),
+        shapes_all_present=all(s in elem_set for s in shapes),
+        closure_failures=bad_member,
+        norm_failures=bad_norm,
+        inverses_present=all(el.conjugate() in elem_set for el in elements),
+    )
+    return elements, report
+
+
+def _gram_solve(x, basis):
+    """Coordinates of x by the Gram formula G^-1 (<x, b_m>)_m."""
+    from okubo_e8.lattice import mat_inv
+
+    elems = list(basis)
+    ginv = mat_inv([[bi.inner(bj) for bj in elems] for bi in elems])
+    inners = [x.inner(b) for b in elems]
+    return tuple(
+        sum((inners[m] * ginv[m][k] for m in range(len(elems))), QuadExt(0))
+        for k in range(len(elems))
+    )
+
+
+class TestCoordinateMap:
+    def test_units240_matches_element_path(self):
+        from dataclasses import asdict
+
+        ref_elements, ref_report = _units240_reference()
+        elements, report = units240()
+        assert len(elements) == len(ref_elements) == 240
+        for got, want in zip(elements, ref_elements):
+            assert got == want
+        assert asdict(report) == ref_report
+
+    def test_solve_matches_gram_formula_on_catalog_rows(self):
+        from okubo_e8.algebras import oct_mul
+        from okubo_e8.catalog import build_classical, catalog_names
+
+        for name in catalog_names():
+            basis = build_classical(name).basis
+            for bi in basis:
+                for bj in basis:
+                    x = oct_mul(bi, bj)
+                    assert coords_in_order_basis(x, basis) == _gram_solve(x, basis), name
+
+    @pytest.mark.parametrize("product", ["octonion", "para", "okubo"])
+    def test_solve_matches_gram_formula_on_products(self, product):
+        basis = cd_basis()
+        mul = PRODUCTS[product]
+        for bi in basis:
+            for bj in basis:
+                x = mul(bi, bj)
+                assert coords_in_order_basis(x, basis) == _gram_solve(x, basis)
+
+    def test_solve_matches_gram_formula_on_saturated_and_scaled(self):
+        from okubo_e8.algebras import okubo_mul, tau_apply
+        from okubo_e8.lattice import glue_and_saturate
+        from okubo_e8.orders import OrderBasis, conductor_lattice, scaled_basis
+
+        cd = cd_basis()
+        sat = glue_and_saturate(conductor_lattice(), cd_lattice(), 2).saturation
+        saturated = OrderBasis(tuple(cd.element(r) for r in sat.basis), "saturated")
+        for basis in (saturated, scaled_basis()):
+            xs = [okubo_mul(bi, bj) for bi in basis for bj in basis]
+            xs += [tau_apply(b, 1) for b in basis] + [tau_apply(b, 2) for b in basis]
+            for x in xs:
+                assert coords_in_order_basis(x, basis) == _gram_solve(x, basis), basis.label
+
+    def test_full_rank_solve_matrix_is_the_inverse(self):
+        from okubo_e8.lattice import mat_inv
+
+        basis = cd_basis()
+        inverse = mat_inv(basis.coordinate_matrix())
+        assert basis.solve_matrix == tuple(
+            tuple(QuadExt(v) for v in row) for row in inverse)
+        assert all(type(v) is QuadExt for row in basis.solve_matrix for v in row)
+
+    def test_outside_span_is_none(self):
+        from okubo_e8.algebras import basis_element
+        from okubo_e8.catalog import build_classical, coords_in_span
+
+        assert coords_in_span(basis_element(7), build_classical("gaussian")) is None
+
+    def test_element_inverts_the_solve(self):
+        basis = cd_basis()
+        rng = random.Random(11)
+        for _ in range(10):
+            coords = tuple(QuadExt(rng.randint(-3, 3), rng.randint(-3, 3))
+                           for _ in range(DIM))
+            assert coords_in_order_basis(basis.element(coords), basis) == coords
+
+    def test_gram(self):
+        from okubo_e8.orders import OrderBasis
+
+        assert cd_basis().gram() == cd_gram()
+        half = OrderBasis((AlgebraElem.one().scale(HALF),), "half")
+        with pytest.raises(ArithmeticError):
+            half.gram()
