@@ -1,6 +1,6 @@
 """Integer work-horse kernels.
 
-The three hot loops of the package:
+The four hot loops of the package:
 
 * branch-and-bound enumeration of short lattice vectors, with one walk
   and two modes: the vectors themselves (:func:`enumerate_short_vectors`)
@@ -10,7 +10,9 @@ The three hot loops of the package:
   magnitudes of the Gram entries before it tries any sign vector;
 * the pairwise closure check for unit loops, which packs the coordinates
   of a product into signed digit fields of one integer, so that each
-  product is one dot product and each membership test one dict lookup.
+  product is one dot product and each membership test one dict lookup;
+* the walk over diagonal 2-adic scaling exponents, which decides each
+  valuation constraint once per prefix of the exponent vector.
 
 All kernel arithmetic is arbitrary-precision integer arithmetic; the exact
 rational preprocessing (LDL data and denominator clearing) happens in
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt, lcm
-from operator import mul
+from operator import le, mul
 
 from .exact import eliminate
 
@@ -256,3 +258,48 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
             if norm != 16:
                 bad_norm += 1
     return bad_member, bad_norm
+
+
+def scaling_walk(constraints, n: int, max_exp: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(feasible count, componentwise-minimal feasible vectors) over all
+    exponent vectors a in {0..max_exp}^n with a_i + a_j - a_k >= v for
+    every (i, j, k, v) in ``constraints``.
+
+    A depth-first walk fixes a_0, a_1, ... in turn, and checks each
+    constraint at depth max(i, j, k), the first where all three of its
+    exponents are known, so a failing prefix cuts off its whole subtree.
+    Past the last index any constraint touches, every tail is feasible:
+    the subtree adds (max_exp+1)^(n-d) to the count and offers one
+    candidate, the prefix padded with zeros, which every other vector of
+    the subtree dominates.  Candidates come in lexicographic order, and
+    any vector below a feasible one comes before it, so a candidate is
+    minimal exactly when no minimum kept so far is <= it; the minima are
+    returned in lexicographic order.
+    """
+    by_depth = [[] for _ in range(n)]
+    for i, j, k, v in constraints:
+        by_depth[max(i, j, k)].append((i, j, k, v))
+    free = max((d + 1 for d in range(n) if by_depth[d]), default=0)
+    tail = (max_exp + 1) ** (n - free)
+    pad = (0,) * (n - free)
+    span = range(max_exp + 1)
+    a = [0] * n
+    minimal = []
+    count = 0
+
+    def descend(d):
+        nonlocal count
+        if d == free:
+            count += tail
+            vec = tuple(a[:d]) + pad
+            if not any(all(map(le, m, vec)) for m in minimal):
+                minimal.append(vec)
+            return
+        checks = by_depth[d]
+        for x in span:
+            a[d] = x
+            if all(a[i] + a[j] - a[k] >= v for i, j, k, v in checks):
+                descend(d + 1)
+
+    descend(0)
+    return count, minimal

@@ -374,6 +374,25 @@ def parse_quadext(text: str) -> QuadExt:
     return QuadExt(Fraction(an, ad), Fraction(bn, bd))
 
 
+#: the rational numbers of fixtures and constant dumps: an integer or a/b
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or a fraction ``a/b``, written ``[+-]digits(/digits)``,
+    the form the fixture and dump writers produce.
+
+    Anything else (decimals, exponents, underscores, whitespace) raises
+    ValueError, a zero denominator ZeroDivisionError.  Unlike
+    ``Fraction(text)`` this never expands an exponent, so a short entry
+    cannot cost a huge power of ten.
+    """
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer or a fraction a/b: {text!r}")
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
 # ---------------------------------------------------------------------------
 # the imaginary quadratic extension K(i)
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ._kernels import (
     prepare_enumeration,
     shell_histogram,
 )
-from .exact import QuadExt, eliminate
+from .exact import QuadExt, eliminate, parse_rational
 
 
 class LatticeError(ValueError):
@@ -754,9 +754,11 @@ def lattice_to_fixture(lat: LatticeZ) -> str:
 
 
 def _fixture_number(v) -> Fraction:
-    if isinstance(v, (int, str)) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str):
         try:
-            return Fraction(v)
+            return parse_rational(v)
         except (ValueError, ZeroDivisionError):
             pass
     raise LatticeError(f"fixture entry {v!r} is not an integer or a fraction string")

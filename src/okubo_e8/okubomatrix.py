@@ -371,34 +371,82 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3):
 # -- cross-realization --------------------------------------------------------
 
 
-def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
-    """Exact coordinates of m over the basis (e, e1..e7)."""
-    basis = build_basis()
-    # use 8 independent functionals: Re m00, Re m11, Re/Im of m01, m02, m12
-    funcs = [
-        lambda x: x.rows[0][0].re,
-        lambda x: x.rows[1][1].re,
-        lambda x: x.rows[0][1].re,
-        lambda x: x.rows[0][1].im,
-        lambda x: x.rows[0][2].re,
-        lambda x: x.rows[0][2].im,
-        lambda x: x.rows[1][2].re,
-        lambda x: x.rows[1][2].im,
-    ]
-    # coords solve sum_k coords[k] f(basis[k]) = f(m) for every functional f
+#: eight real functionals that determine a matrix of the span: the real
+#: parts of m00 and m11, and both parts of m01, m02 and m12, as (cell, 0)
+#: for a real part and (cell, 2) for an imaginary part of a row-major cell
+_FUNCTIONALS = ((0, 0), (4, 0), (1, 0), (1, 2), (2, 0), (2, 2), (5, 0), (5, 2))
+
+
+def _functionals(quads):
+    """The eight functionals of a matrix in the form of :func:`_integers`,
+    as integer pairs (a, b) for (a + b sqrt3) over its denominator."""
+    return [quads[cell][part:part + 2] for cell, part in _FUNCTIONALS]
+
+
+@lru_cache(maxsize=None)
+def _basis_integers():
+    """The basis matrices as :func:`_integers` quadruples over one common
+    denominator D, and D."""
+    ints = [_integers(bm) for bm in build_basis()]
+    den = lcm(*(d for _, d in ints))
+    return tuple(
+        tuple(tuple(v * (den // d) for v in q) for q in quads) for quads, d in ints
+    ), den
+
+
+@lru_cache(maxsize=None)
+def _coordinate_inverse():
+    """F^-1 for the functional matrix F[f][k] = f(basis[k]), so that the
+    coordinates of m are F^-1 f(m); as integer pairs (p, q) for the entries
+    (p + q sqrt3)/E over one common denominator E, and E."""
+    quads, den = _basis_integers()
+    cols = [[_quad(a, b, den) for a, b in _functionals(q)] for q in quads]
+    n = len(cols)
     work, pivots, _ = eliminate(
-        [[f(bm) for bm in basis] + [f(m)] for f in funcs], reduced=True
+        [[col[f] for col in cols] + [int(f == g) for g in range(n)] for f in range(n)],
+        reduced=True,
     )
     if not all(pivots):
         raise ArithmeticError("singular coordinate system")
-    coords = [row[-1] for row in work]
-    # exactness guard: reconstruct
-    acc = basis[0].scale(coords[0])
-    for cm, bm in zip(coords[1:], basis[1:]):
-        acc = acc + bm.scale(cm)
-    if acc != m:
-        raise ArithmeticError("coordinate solve failed to reconstruct")
-    return tuple(coords)
+    inv = [[QuadExt.coerce(v).triple for v in row[n:]] for row in work]
+    common = lcm(*(d for row in inv for _, _, d in row))
+    return tuple(
+        tuple((a * (common // d), b * (common // d)) for a, b, d in row) for row in inv
+    ), common
+
+
+def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
+    """Exact coordinates of m over the basis (e, e1..e7).
+
+    The coordinates are F^-1 f(m) (see :func:`_coordinate_inverse`), as
+    (P_k + Q_k sqrt3)/(E D) with D the denominator of m.  An exactness guard
+    reconstructs sum_k (P_k + Q_k sqrt3) basis[k] on the integers and
+    compares it with m, so no wrong coordinate vector is ever returned.
+    """
+    inv, e_den = _coordinate_inverse()
+    quads, d = _integers(m)
+    rhs = _functionals(quads)
+    coords = []
+    for row in inv:
+        p_k = q_k = 0
+        for (p, q), (a, b) in zip(row, rhs):
+            p_k += p * a + 3 * q * b
+            q_k += p * b + q * a
+        coords.append((p_k, q_k))
+    basis, b_den = _basis_integers()
+    scale = e_den * b_den
+    for cell, target in enumerate(quads):
+        acc = [0, 0, 0, 0]
+        for (p, q), bq in zip(coords, basis):
+            a, b, c, e = bq[cell]
+            if a or b or c or e:
+                acc[0] += p * a + 3 * q * b
+                acc[1] += p * b + q * a
+                acc[2] += p * c + 3 * q * e
+                acc[3] += p * e + q * c
+        if acc != [scale * v for v in target]:
+            raise ArithmeticError("coordinate solve failed to reconstruct")
+    return tuple(_quad(p, q, e_den * d) for p, q in coords)
 
 
 @dataclass(frozen=True)

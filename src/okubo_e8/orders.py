@@ -25,13 +25,14 @@ its saturated and scaled variants and the catalog orders alike.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 from . import lattice as lat
-from ._kernels import unit_closure_failures
+from ._kernels import scaling_walk, unit_closure_failures
 from .algebras import (
     DIM,
     OCT_TABLE,
@@ -42,7 +43,14 @@ from .algebras import (
     okubo_mul,
 )
 from .claims import SCALING_DIAGONAL
-from .exact import QUAD_ZERO, QuadExt, RingTag, quad_denominator, two_adic_denominator
+from .exact import (
+    QUAD_ZERO,
+    QuadExt,
+    RingTag,
+    parse_rational,
+    quad_denominator,
+    two_adic_denominator,
+)
 
 # -- pinned Dickson letters ---------------------------------------------------
 
@@ -326,6 +334,28 @@ class StructureConstants:
                 for k in range(DIM):
                     yield i, j, k, self.c[i][j][k]
 
+    @cached_property
+    def valuation_constraints(self) -> tuple[tuple[int, int, int, int], ...] | None:
+        """(i, j, k, v) with a_i + a_j - a_k >= v needed for R-integrality
+        of the constants scaled by u_i = 2^{a_i} b_i, largest v first;
+        derived once per object.
+
+        None when some constant has an odd denominator factor, which no
+        2-adic scaling can clear.
+        """
+        cons = []
+        for i, j, k, v in self.all_entries():
+            if not v:
+                continue
+            val = max(two_adic_denominator(v.rat), two_adic_denominator(v.irr))
+            if (v.rat.denominator >> two_adic_denominator(v.rat) != 1
+                    or v.irr.denominator >> two_adic_denominator(v.irr) != 1):
+                return None
+            if val > 0:
+                cons.append((i, j, k, val))
+        cons.sort(key=lambda t: -t[3])
+        return tuple(cons)
+
 
 def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, ...]:
     """Exact K-coordinates of x over the given order basis: x P with P the
@@ -371,12 +401,18 @@ def dump_structure_constants(constants: StructureConstants) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: one dump line: three indices and two numbers, single-space separated
+_DUMP_LINE = re.compile(r"([+-]?[0-9]+) ([+-]?[0-9]+) ([+-]?[0-9]+) (\S+) (\S+)")
+
+
 def parse_structure_constants(text: str, product: str = "parsed",
                               basis_label: str = "parsed") -> StructureConstants:
     """Exact inverse of :func:`dump_structure_constants`.
 
-    Every index triple in ``0..7`` must appear exactly once, with nonzero
-    denominators; anything else raises ValueError.
+    Each line is ``i j k x y`` with single spaces, the numbers integers or
+    ``a/b`` (see :func:`exact.parse_rational`).  Every index triple in
+    ``0..7`` must appear exactly once, with nonzero denominators; anything
+    else raises ValueError.
     """
     c = [[[QUAD_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     seen = set()
@@ -384,19 +420,21 @@ def parse_structure_constants(text: str, product: str = "parsed",
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 5:
+        m = _DUMP_LINE.fullmatch(line)
+        if m is None:
             raise ValueError(f"bad structure-constant line: {line!r}")
-        i, j, k = key = tuple(int(p) for p in parts[:3])
+        i, j, k = key = tuple(int(p) for p in m.groups()[:3])
         if not all(0 <= v < DIM for v in key):
             raise ValueError(f"index out of range 0..{DIM - 1}: {line!r}")
         if key in seen:
             raise ValueError(f"duplicate entry {i} {j} {k}: {line!r}")
         try:
-            rat = Fraction(parts[3])
-            irr = Fraction(parts[4])
+            rat = parse_rational(m[4])
+            irr = parse_rational(m[5])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {line!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {line!r}") from None
         c[i][j][k] = QuadExt(rat, irr)
         seen.add(key)
     if len(seen) != DIM ** 3:
@@ -473,71 +511,31 @@ class ScalingSearchResult:
     minimal: tuple[ScalingVector, ...]
 
 
-def _valuation_constraints(constants: StructureConstants):
-    """(i, j, k, v) lists with a_i + a_j - a_k >= v needed for R-integrality.
-
-    Requires all denominators to be 2-powers; a constant with an odd
-    denominator factor can never be fixed by a 2-adic scaling and is
-    reported as an unsatisfiable constraint.
-    """
-    cons = []
-    for i, j, k, v in constants.all_entries():
-        if not v:
-            continue
-        val = max(two_adic_denominator(v.rat), two_adic_denominator(v.irr))
-        odd_rat = v.rat.denominator >> two_adic_denominator(v.rat)
-        odd_irr = v.irr.denominator >> two_adic_denominator(v.irr)
-        if odd_rat != 1 or odd_irr != 1:
-            cons.append((i, j, k, None))  # unsatisfiable
-        elif val > 0:
-            cons.append((i, j, k, val))
-    cons.sort(key=lambda t: -(t[3] or 10 ** 9))
-    return cons
-
-
 def scaling_feasible(constants: StructureConstants, exponents) -> bool:
     """Whether u_i = 2^{a_i} b_i yields Z[sqrt3]-integral scaled constants."""
-    for i, j, k, v in _valuation_constraints(constants):
-        if v is None:
-            return False
-        if exponents[i] + exponents[j] - exponents[k] < v:
-            return False
-    return True
+    cons = constants.valuation_constraints
+    return cons is not None and all(
+        exponents[i] + exponents[j] - exponents[k] >= v for i, j, k, v in cons)
 
 
 def scaling_search(constants: StructureConstants, max_exp: int) -> ScalingSearchResult:
-    """Exhaust exponent vectors in {0..max_exp}^8 and return the
-    componentwise-minimal feasible ones."""
+    """Decide every exponent vector in {0..max_exp}^8 and return the
+    feasible count and the componentwise-minimal feasible vectors.
+
+    The search is exhaustive: :func:`_kernels.scaling_walk` checks each
+    valuation constraint once per exponent prefix, and counts a subtree
+    that no constraint reaches without walking it.
+    """
     if max_exp < 2:
         raise ValueError("max_exp must be at least 2")
-    cons = _valuation_constraints(constants)
-    if any(v is None for *_ijk, v in cons):
+    cons = constants.valuation_constraints
+    if cons is None:
         return ScalingSearchResult(max_exp=max_exp, feasible_count=0, minimal=())
-    minimal: list[tuple[int, ...]] = []
-    feasible_count = 0
-    for vec in iter_product(range(max_exp + 1), repeat=DIM):
-        ok = True
-        for i, j, k, v in cons:
-            if vec[i] + vec[j] - vec[k] < v:
-                ok = False
-                break
-        if not ok:
-            continue
-        feasible_count += 1
-        dominated = False
-        keep = []
-        for m in minimal:
-            if all(mv <= vv for mv, vv in zip(m, vec)):
-                dominated = True
-            if not all(vv <= mv for mv, vv in zip(m, vec)):
-                keep.append(m)
-        if not dominated:
-            keep.append(vec)
-            minimal = keep
+    feasible_count, minimal = scaling_walk(cons, DIM, max_exp)
     return ScalingSearchResult(
         max_exp=max_exp,
         feasible_count=feasible_count,
-        minimal=tuple(ScalingVector(m) for m in sorted(minimal)),
+        minimal=tuple(ScalingVector(m) for m in minimal),
     )
 
 

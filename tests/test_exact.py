@@ -11,6 +11,7 @@ from okubo_e8.exact import (
     QuadExt,
     RingTag,
     parse_quadext,
+    parse_rational,
     quad_denominator,
     render_quadext,
     two_adic_denominator,
@@ -129,6 +130,34 @@ class TestTextForm:
             parse_quadext("1 + 2*s3")
         with pytest.raises(ValueError):
             parse_quadext("1/0 + 2/1*s3")
+
+
+#: strings outside the fixture and dump grammar; ``Fraction`` accepts most
+NOT_RATIONAL = ["1e5", "1.5", "1_000", " 3/4", "3/4 ", "3/4\n", "1/2e3", "", "/2",
+                "1/-2", "1/+2", "inf", "nan", "\u0663"]
+
+
+class TestRationalGrammar:
+    @settings(derandomize=True, max_examples=100)
+    @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), rationals))
+    def test_round_trip(self, value):
+        v = Fraction(value)
+        assert parse_rational(str(v)) == v
+        assert parse_rational(f"{v.numerator}/{v.denominator}") == v
+
+    def test_accepts(self):
+        assert parse_rational("+7") == 7
+        assert parse_rational("-6/4") == Fraction(-3, 2)
+        assert parse_rational("007/010") == Fraction(7, 10)
+
+    @pytest.mark.parametrize("text", NOT_RATIONAL)
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1/0")
 
 
 class TestComplexQuad:

@@ -1,11 +1,12 @@
 """The integer kernels: enumeration plans, short vectors and shell
-histograms, the metric filter and the unit-loop closure, each against a
-plain reference loop."""
+histograms, the metric filter, the unit-loop closure and the scaling
+walk, each against a plain reference loop."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from okubo_e8._kernels import (
     BACKEND,
@@ -13,11 +14,20 @@ from okubo_e8._kernels import (
     enumerate_short_vectors,
     metric_stabilizers,
     prepare_enumeration,
+    scaling_walk,
     shell_histogram,
     unit_closure_failures,
 )
-from okubo_e8.algebras import OCT_TABLE
-from okubo_e8.orders import cd_gram, units240
+from okubo_e8.algebras import DIM, OCT_TABLE
+from okubo_e8.exact import QuadExt
+from okubo_e8.orders import (
+    StructureConstants,
+    cd_gram,
+    scaling_feasible,
+    scaling_search,
+    structure_constants,
+    units240,
+)
 from okubo_e8.stabilizer import conductor_gram
 
 
@@ -267,3 +277,86 @@ class TestShellHistogram:
     def test_empty(self):
         assert shell_histogram(prepare_enumeration([[2]], -1)) == {}
         assert shell_histogram(prepare_enumeration([[2]], 1)) == {}
+
+
+# ---------------------------------------------------------------------------
+# the pruned scaling walk against the nested loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_scaling_search(cons, n, max_exp):
+    """Reference: every vector of {0..max_exp}^n in turn, each constraint
+    checked on each vector, and the minima kept by two domination scans."""
+    minimal = []
+    feasible_count = 0
+    for vec in product(range(max_exp + 1), repeat=n):
+        if any(vec[i] + vec[j] - vec[k] < v for i, j, k, v in cons):
+            continue
+        feasible_count += 1
+        dominated = False
+        keep = []
+        for m in minimal:
+            if all(mv <= vv for mv, vv in zip(m, vec)):
+                dominated = True
+            if not all(vv <= mv for mv, vv in zip(m, vec)):
+                keep.append(m)
+        if not dominated:
+            keep.append(vec)
+            minimal = keep
+    return feasible_count, sorted(minimal)
+
+
+@st.composite
+def _constraint_sets(draw):
+    n = draw(st.integers(1, 6))
+    max_exp = draw(st.integers(0, 3))
+    idx = st.integers(0, n - 1)
+    cons = draw(st.lists(
+        st.tuples(idx, idx, idx, st.integers(-1, 2 * max_exp + 1)), max_size=6))
+    return cons, n, max_exp
+
+
+class TestScalingWalk:
+    @pytest.mark.parametrize("name", ["okubo", "para", "octonion"])
+    @pytest.mark.parametrize("max_exp", [2, 3, 4])
+    def test_products(self, name, max_exp):
+        cons = structure_constants(name).valuation_constraints
+        want = naive_scaling_search(cons, DIM, max_exp)
+        assert scaling_walk(cons, DIM, max_exp) == want
+        res = scaling_search(structure_constants(name), max_exp)
+        assert (res.feasible_count, [m.exponents for m in res.minimal]) == want
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_constraint_sets())
+    @example(([], 3, 2))
+    @example(([(0, 0, 1, 1)], 3, 2))  # i == j
+    @example(([(1, 0, 1, 1)], 3, 2))  # i == k
+    @example(([(0, 1, 1, 2)], 3, 2))  # j == k
+    @example(([(1, 1, 1, 1)], 3, 2))  # a_1 >= 1: a free tail after a nonzero prefix
+    @example(([(0, 1, 2, 1)], 3, 2))  # two incomparable minima
+    @example(([(0, 1, 2, 1), (2, 3, 0, 2)], 4, 3))
+    @example(([(0, 0, 0, 5)], 2, 2))  # unsatisfiable
+    def test_against_nested_loop(self, case):
+        cons, n, max_exp = case
+        assert scaling_walk(cons, n, max_exp) == naive_scaling_search(cons, n, max_exp)
+
+    def test_incomparable_minima(self):
+        assert scaling_walk([(0, 1, 2, 1)], 3, 2) == (
+            naive_scaling_search([(0, 1, 2, 1)], 3, 2)[0],
+            [(0, 1, 0), (1, 0, 0)],
+        )
+
+    def test_free_tail_is_counted(self):
+        # a_0 >= 1 leaves a_1 and a_2 free: 2 * 9 vectors, one minimum
+        assert scaling_walk([(0, 0, 0, 1)], 3, 2) == (18, [(1, 0, 0)])
+
+    def test_odd_denominator_is_infeasible(self):
+        okubo = structure_constants("okubo")
+        c = [[list(row) for row in plane] for plane in okubo.c]
+        c[0][2][0] = QuadExt(0, Fraction(1, 6))
+        tampered = StructureConstants(
+            "okubo", okubo.basis_label, tuple(tuple(map(tuple, p)) for p in c))
+        assert tampered.valuation_constraints is None
+        res = scaling_search(tampered, 3)
+        assert (res.feasible_count, res.minimal) == (0, ())
+        assert not scaling_feasible(tampered, (4,) * DIM)

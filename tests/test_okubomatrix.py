@@ -8,7 +8,8 @@ from itertools import product
 import pytest
 
 from okubo_e8.algebras import DIM, basis_element, okubo_mul
-from okubo_e8.exact import ComplexQuad, QuadExt
+from okubo_e8 import okubomatrix
+from okubo_e8.exact import ComplexQuad, QuadExt, eliminate
 from okubo_e8.okubomatrix import (
     MU,
     HermTraceless3,
@@ -243,7 +244,54 @@ class TestJordanFixture:
         assert rows[0][0] + rows[1][1] + rows[2][2] != ComplexQuad(0)
 
 
+def naive_matrix_coordinates(m):
+    """Reference: one elimination of the 8x9 system of eight functionals
+    per call, the solve that the cached inverse replaced."""
+    funcs = [
+        lambda x: x.rows[0][0].re,
+        lambda x: x.rows[1][1].re,
+        lambda x: x.rows[0][1].re,
+        lambda x: x.rows[0][1].im,
+        lambda x: x.rows[0][2].re,
+        lambda x: x.rows[0][2].im,
+        lambda x: x.rows[1][2].re,
+        lambda x: x.rows[1][2].im,
+    ]
+    work, pivots, _ = eliminate(
+        [[f(bm) for bm in build_basis()] + [f(m)] for f in funcs], reduced=True)
+    assert all(pivots)
+    return tuple(QuadExt.coerce(row[-1]) for row in work)
+
+
 class TestCoordinates:
+    def test_basis_products_against_elimination(self):
+        basis = build_basis()
+        for a, b in product(range(DIM), repeat=2):
+            m = matrix_mul(basis[a], basis[b])
+            assert matrix_coordinates(m) == naive_matrix_coordinates(m)
+
+    def test_random_against_elimination(self):
+        rng = random.Random(12)
+        for span in (1, 2, 5):
+            for _ in range(10):
+                m = random_matrix(rng, span)
+                assert matrix_coordinates(m) == naive_matrix_coordinates(m)
+
+    def test_basis_coordinates_are_unit_vectors(self):
+        for k, bm in enumerate(build_basis()):
+            assert matrix_coordinates(bm) == tuple(QuadExt(int(j == k)) for j in range(DIM))
+
+    def test_corrupted_inverse_is_caught(self, monkeypatch):
+        inv, den = okubomatrix._coordinate_inverse()
+        rows = [list(row) for row in inv]
+        p, q = rows[3][0]
+        rows[3][0] = (p + 1, q)
+        monkeypatch.setattr(okubomatrix, "_coordinate_inverse",
+                            lambda: (tuple(map(tuple, rows)), den))
+        e = build_basis()[0]  # Re e00 = 2, so coordinate 3 turns nonzero
+        with pytest.raises(ArithmeticError, match="reconstruct"):
+            matrix_coordinates(e)
+
     def test_round_trip(self):
         rng = random.Random(8)
         basis = build_basis()

@@ -220,6 +220,33 @@ class TestCli:
         assert main(["verify", "para-closure", "--constants", str(bad)]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["1e5", "1.5", "1_000", " 3/4"])
+    @pytest.mark.parametrize("field", [3, 4])
+    def test_non_grammar_constant_exit_2(self, tmp_path, capsys, entry, field):
+        lines = dump_structure_constants(structure_constants("para")).splitlines()
+        parts = lines[0].split(" ")
+        parts[field] = entry
+        bad = tmp_path / "constants.txt"
+        bad.write_text("\n".join([" ".join(parts)] + lines[1:]) + "\n")
+        assert main(["verify", "para-closure", "--constants", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # a leading space is a second separator, which the line grammar rejects
+        want = "bad structure-constant line" if entry[0] == " " else "not an integer"
+        assert want in captured.err
+
+    @pytest.mark.parametrize("entry", ["1e5", "1.5", "1_000", " 3/4"])
+    @pytest.mark.parametrize("key", ["gram", "basis", "ambient_gram"])
+    def test_non_grammar_fixture_exit_2(self, tmp_path, capsys, entry, key):
+        payload = {"gram": [["1"]], "basis": [["1"]], "ambient_gram": [["1"]]}
+        payload[key] = [[entry]]
+        f = tmp_path / "lat.json"
+        f.write_text(json.dumps(payload))
+        assert main(["lattice", "invariants", "--fixture", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an integer or a fraction string" in captured.err
+
     def test_empty_shell_range_exit_2(self, capsys):
         assert main(["lattice", "shells", "--max", "0"]) == 2
         assert capsys.readouterr().out == ""
