@@ -21,6 +21,18 @@ product the module provides
 * the Okubo product  ``x . y = tau(conj(x)) * tau2(conj(y))`` (okubo_mul),
 
 both composition products for the same Euclidean norm.
+
+The three products share one integer pass over the multiplication
+table.  An element's coordinates are read as integer pairs (a, b) for
+(a + b sqrt(3))/D over one common denominator D, the lcm of their
+canonical denominators (Cohen, GTM 138, section 4.2); the pass adds
+integer products over Dx*Dy, and each of the eight result coordinates
+becomes one canonical QuadExt.  Conjugation is a sign on those integers,
+so the para product negates the imaginary pairs of both factors.  The
+rotation matrices are integers over the denominator 2 (``AutMatrix.columns``),
+and the Okubo product applies the integer matrices of tau o conj and
+tau^2 o conj, derived once from TAU and TAU2, before its one table pass,
+with no intermediate element.
 """
 
 from __future__ import annotations
@@ -28,9 +40,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .claims import CONVENTION
-from .exact import QUAD_ONE, QUAD_ZERO, QuadExt
+from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, _quad
 
 DIM = 8
 
@@ -203,6 +217,26 @@ class AlgebraElem:
         return " + ".join(terms) if terms else "0"
 
 
+_set_coords = AlgebraElem.coords.__set__
+
+
+def _integers(x: AlgebraElem) -> tuple[list[tuple[int, int]], int]:
+    """The coordinates of x as integer pairs (a, b) for (a + b sqrt3)/D
+    over one common denominator D, and D."""
+    triples = [v.triple for v in x.coords]
+    den = lcm(*[t[2] for t in triples])
+    return [(a, b) if d == den else (a * (den // d), b * (den // d))
+            for a, b, d in triples], den
+
+
+def _elem(pairs, den: int) -> AlgebraElem:
+    """The element with the coordinates (a + b sqrt3)/den for the integer
+    pairs ``pairs``: one canonical QuadExt per coordinate."""
+    x = object.__new__(AlgebraElem)
+    _set_coords(x, tuple(_quad(a, b, den) for a, b in pairs))
+    return x
+
+
 _BASIS = tuple(
     AlgebraElem([QUAD_ONE if i == k else QUAD_ZERO for i in range(DIM)])
     for k in range(DIM)
@@ -213,26 +247,44 @@ def basis_element(k: int) -> AlgebraElem:
     return _BASIS[k]
 
 
+#: per row i of the table, the pairs (k, s) with e_i e_j = s e_k, j = 0..7
+_ROWS = tuple(tuple(zip(_IDX[i], _SGN[i])) for i in range(DIM))
+
+
+def _oct(xs, ys) -> list[list[int]]:
+    """The octonion product of two elements given as integer pairs over
+    Dx and Dy, as integer pairs over Dx*Dy."""
+    out = [[0, 0] for _ in range(DIM)]
+    for (a, b), row in zip(xs, _ROWS):
+        if not (a or b):
+            continue
+        for (c, e), (k, s) in zip(ys, row):
+            if c or e:
+                acc = out[k]
+                if s > 0:
+                    acc[0] += a * c + 3 * b * e
+                    acc[1] += a * e + b * c
+                else:
+                    acc[0] -= a * c + 3 * b * e
+                    acc[1] -= a * e + b * c
+    return out
+
+
+def _conj(xs):
+    """conj(x) on the integer pairs: the seven imaginary pairs negated."""
+    return [xs[0]] + [(-a, -b) for a, b in xs[1:]]
+
+
 def oct_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The unital (octonion) product of convention ``cd1946``."""
-    acc = [QUAD_ZERO] * DIM
-    idx, sgn = OCT_TABLE.idx, OCT_TABLE.sgn
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        row_i, row_s = idx[i], sgn[i]
-        for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            k = row_i[j]
-            term = xi * yj
-            acc[k] = acc[k] + term if row_s[j] == 1 else acc[k] - term
-    return AlgebraElem(acc)
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    return _elem(_oct(xs, ys), dx * dy)
 
 
 def para_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The para product conj(x) * conj(y)."""
-    return oct_mul(x.conjugate(), y.conjugate())
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    return _elem(_oct(_conj(xs), _conj(ys)), dx * dy)
 
 
 def inner_via_products(x: AlgebraElem, y: AlgebraElem) -> QuadExt:
@@ -256,18 +308,22 @@ class AutMatrix:
     order: int
 
     def apply(self, x: AlgebraElem) -> AlgebraElem:
-        out = [QUAD_ZERO] * DIM
-        for c, xc in enumerate(x.coords):
-            if not xc:
-                continue
-            col = self.matrix_col(c)
-            for r in range(DIM):
-                if col[r]:
-                    out[r] = out[r] + col[r] * xc
-        return AlgebraElem(out)
+        cols, den = self.columns
+        xs, dx = _integers(x)
+        return _elem(_apply(cols, xs), den * dx)
 
-    def matrix_col(self, c: int) -> tuple[QuadExt, ...]:
-        return tuple(self.matrix[r][c] for r in range(DIM))
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
+        """The matrix as integers over one denominator M: per column c the
+        triples (r, p, q) of its nonzero entries (p + q sqrt3)/M in rows r;
+        and M."""
+        triples = [[v.triple for v in row] for row in self.matrix]
+        den = lcm(*(d for row in triples for _, _, d in row))
+        return tuple(
+            tuple((r, p * (den // d), q * (den // d))
+                  for r, (p, q, d) in enumerate(row[c] for row in triples) if p or q)
+            for c in range(DIM)
+        ), den
 
     def compose(self, other: "AutMatrix", order: int) -> "AutMatrix":
         rows = []
@@ -301,6 +357,34 @@ TAU = AutMatrix(_tau_matrix(), 3)
 TAU2 = TAU.compose(TAU, 3)
 
 
+def _apply(cols, xs) -> list[list[int]]:
+    """M x on integers: ``cols`` the columns of M over its denominator (as
+    :attr:`AutMatrix.columns` gives them) and ``xs`` the pairs of x over
+    Dx; the pairs of M x over the product of the two denominators."""
+    out = [[0, 0] for _ in range(DIM)]
+    for (a, b), col in zip(xs, cols):
+        if a or b:
+            for r, p, q in col:
+                acc = out[r]
+                acc[0] += p * a + 3 * q * b
+                acc[1] += p * b + q * a
+    return out
+
+
+def _conj_columns(aut: AutMatrix):
+    """The columns of aut o conj: conjugation negates the input
+    coordinates 1..7, so it negates those columns of the matrix."""
+    cols, den = aut.columns
+    return (cols[0],) + tuple(
+        tuple((r, -p, -q) for r, p, q in col) for col in cols[1:]
+    ), den
+
+
+#: the integer matrices of tau o conj and tau^2 o conj
+_TAU_CONJ = _conj_columns(TAU)
+_TAU2_CONJ = _conj_columns(TAU2)
+
+
 def tau_apply(x: AlgebraElem, power: int = 1) -> AlgebraElem:
     """Apply the rotation automorphism (or its square) to ``x``."""
     if power == 1:
@@ -312,7 +396,9 @@ def tau_apply(x: AlgebraElem, power: int = 1) -> AlgebraElem:
 
 def okubo_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The Okubo product tau(conj(x)) * tau^2(conj(y))."""
-    return oct_mul(TAU.apply(x.conjugate()), TAU2.apply(y.conjugate()))
+    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    (tx, mx), (ty, my) = _TAU_CONJ, _TAU2_CONJ
+    return _elem(_oct(_apply(tx, xs), _apply(ty, ys)), mx * dx * my * dy)
 
 
 PRODUCTS = {

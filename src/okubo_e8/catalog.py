@@ -17,7 +17,14 @@ from . import lattice as lat
 from .algebras import AlgebraElem, basis_element, oct_mul
 from .claims import CLASSICAL_TABLE, UNSPECIFIED_CLASSICAL
 from .exact import QUAD_ZERO, QuadExt, RingTag
-from .orders import OrderBasis, cd_basis, coords_in_order_basis, letters, units240
+from .orders import (
+    OrderBasis,
+    cd_basis,
+    cd_short_vectors,
+    coords_in_order_basis,
+    letters,
+    units240,
+)
 
 
 class UnspecifiedConstructionError(ValueError):
@@ -120,7 +127,10 @@ class CatalogReport:
 def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
     """Enumerate the unit loop and certify the catalog row."""
     lattice = order_lattice(spec)
-    found = lat.short_vectors(lattice, 2)  # the units, and the minimal vectors
+    if spec.name == "coxeter-dickson":  # the enumeration units240 reads
+        found = cd_short_vectors()
+    else:  # the units, and the minimal vectors
+        found = lat.short_vectors(lattice, 2)
     if not found:
         raise lat.LatticeError("no nonzero vectors of norm <= 2")
     norms = [nrm for _, nrm in found]

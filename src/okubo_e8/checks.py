@@ -15,6 +15,7 @@ a declaration, regenerate that file with
 from __future__ import annotations
 
 import inspect
+import random
 from dataclasses import dataclass
 from math import prod
 
@@ -505,8 +506,6 @@ def check_matrix_laws(seed: int = 0, samples: int = 100) -> list[CheckReport]:
     rep = om.verify_laws(samples=samples, seed=seed)
     krep = om.kaplansky_report(samples=samples, seed=seed)
     xrep = om.cross_realization_report()
-
-    import random
 
     rng = random.Random(seed)
     x, y = om.random_matrix(rng), om.random_matrix(rng)

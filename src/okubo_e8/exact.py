@@ -350,9 +350,8 @@ def eliminate(rows, *, swap=True, reduced=False):
 # canonical text form: "a/b + c/d*s3"
 # ---------------------------------------------------------------------------
 
-_QUAD_RE = re.compile(
-    r"^\s*(-?\d+)/(\d+)\s*\+\s*(-?\d+)/(\d+)\*s3\s*$"
-)
+#: exactly the form render_quadext writes, with ASCII digits only
+_QUAD_RE = re.compile(r"(-?[0-9]+)/([0-9]+) \+ (-?[0-9]+)/([0-9]+)\*s3")
 
 
 def render_quadext(x: QuadExt) -> str:
@@ -364,8 +363,10 @@ def render_quadext(x: QuadExt) -> str:
 
 
 def parse_quadext(text: str) -> QuadExt:
-    """Inverse of :func:`render_quadext` (exact round trip)."""
-    m = _QUAD_RE.match(text)
+    """Inverse of :func:`render_quadext` (exact round trip).  Only that
+    form parses, as a full match: no other spacing, no non-ASCII digit,
+    no trailing newline."""
+    m = _QUAD_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a canonical Q(sqrt3) literal: {text!r}")
     an, ad, bn, bd = (int(g) for g in m.groups())

@@ -10,14 +10,18 @@ with mu = 1/2 + (sqrt(3)/6) i, juxtaposition being the ordinary matrix
 product; the norm is n(x) = Tr(x^2)/6.  All scalars are exact elements of
 K(i), so every law below is certified with zero tolerance.
 
-Every product runs through one integer kernel.  A matrix is read as its
-nine entries ((a + b sqrt3) + (c + e sqrt3) i)/D, integer quadruples
-(a, b, c, e) over one common denominator D, the lcm of the entries'
-canonical denominators; an entry of the associative product xy is then a
-sum of integer products over Dx*Dy.  Six times the Okubo product is
-3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I, so each of its entries is
-one integer quadruple over 6*Dx*Dy, normalised once.  ``xy`` and ``yx``
-are both computed: the result is checked Hermitian and traceless on those
+A matrix holds canonical integers, not scalar objects: its nine entries
+((a + b sqrt3) + (c + e sqrt3) i)/D as integer quadruples (a, b, c, e)
+over one denominator D > 0, laid out in row-major order as one tuple of
+36 integers, with no prime dividing D and all 36 of them.  That form is
+unique, so equality and hashing compare integers, and ``rows`` builds
+the ComplexQuad entries only when asked.
+Every product runs through one integer kernel: an entry of the
+associative product xy is a sum of integer products over Dx*Dy, and six
+times the Okubo product is 3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I,
+so each of its entries is one integer quadruple over 6*Dx*Dy, and the
+result is made canonical with one gcd per matrix.  ``xy`` and ``yx`` are
+both computed: the result is checked Hermitian and traceless on those
 integers, with the errors the HermTraceless3 constructor raises, and not
 assumed.  ``norm`` and ``inner`` compute only the three diagonal entries
 their trace needs, and still reject a trace that is not real.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .algebras import DIM, basis_element, okubo_mul
 from .exact import ComplexQuad, QuadExt, _complex, _quad, eliminate
@@ -42,99 +46,154 @@ _C0 = ComplexQuad(0)
 
 
 class HermTraceless3:
-    """A Hermitian traceless 3x3 matrix over K(i)."""
+    """A Hermitian traceless 3x3 matrix over K(i).
 
-    __slots__ = ("rows",)
+    Stored as ``_q``, the 36 integers of the nine entries: entry (i, j)
+    is ((a + b sqrt3) + (c + e sqrt3) i)/D for (a, b, c, e) =
+    ``_q[4k:4k + 4]``, k = 3i + j; and ``_d`` = D > 0, in the canonical
+    form of the module docstring.
+    """
+
+    __slots__ = ("_q", "_d")
 
     def __init__(self, rows, validate: bool = True):
         rows = tuple(tuple(ComplexQuad.coerce(v) for v in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 matrix")
-        object.__setattr__(self, "rows", rows)
+        # each entry is in lowest terms, so over the lcm of their
+        # denominators the integers are already canonical
+        quints = [v.quintuple for r in rows for v in r]
+        den = lcm(*[q[4] for q in quints])
+        ints = tuple(v * (den // q[4]) for q in quints for v in q[:4])
         if validate:
-            if not self.is_hermitian():
-                raise ValueError("matrix is not Hermitian")
-            if self.trace() != ComplexQuad(0):
-                raise ValueError("matrix is not traceless")
-
-    @classmethod
-    def _of(cls, rows) -> "HermTraceless3":
-        """The matrix with ``rows``, a 3x3 tuple of ComplexQuad tuples,
-        taken as given: no coercion and no validation."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
+            _check_type(ints)
+        _set_q(self, ints)
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermTraceless3 values are immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[ComplexQuad, ...], ...]:
+        """The entries as ComplexQuad values, built on each call."""
+        return _rows(self._q, self._d)
+
     def is_hermitian(self) -> bool:
-        r = self.rows
-        return all(r[i][j] == r[j][i].conjugate() for i in range(3) for j in range(3))
+        return _hermitian(self._q)
 
     def trace(self) -> ComplexQuad:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
+        return _complex(*_trace(self._q), self._d)
 
     def __add__(self, other):
-        return HermTraceless3(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            validate=False,
-        )
+        return _linear(self, other, 1)
 
     def __sub__(self, other):
-        return HermTraceless3(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            validate=False,
-        )
+        return _linear(self, other, -1)
 
     def __neg__(self):
-        return HermTraceless3([[-v for v in r] for r in self.rows], validate=False)
+        return _matrix(tuple(-v for v in self._q), self._d)
 
     def scale(self, factor) -> "HermTraceless3":
         f = factor if isinstance(factor, ComplexQuad) else ComplexQuad.coerce(factor)
-        return HermTraceless3([[f * v for v in r] for r in self.rows], validate=False)
+        p, q, r, s, d = f.quintuple
+        # the ComplexQuad product of each entry with f, on the integers
+        out = []
+        for a, b, c, e in _quadruples(self._q):
+            out += (a * p - c * r + 3 * (b * q - e * s), a * q + b * p - c * s - e * r,
+                    a * r + c * p + 3 * (b * s + e * q), a * s + b * r + c * q + e * p)
+        return _matrix(out, self._d * d)
 
     def __eq__(self, other):
         if not isinstance(other, HermTraceless3):
             return NotImplemented
-        return self.rows == other.rows
+        return self._d == other._d and self._q == other._q
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._d, self._q))
 
     def __repr__(self):
         return f"HermTraceless3({self.rows!r})"
 
 
+_set_q = HermTraceless3._q.__set__
+_set_d = HermTraceless3._d.__set__
+_new = object.__new__
+
 _CELLS = tuple((i, j) for i in range(3) for j in range(3))
 _DIAGONAL = ((0, 0), (1, 1), (2, 2))
 
 
-def _integers(m: HermTraceless3):
-    """The entries of m in row-major order as integer quadruples
-    (a, b, c, e) over one common denominator D, and D."""
-    quints = [v.quintuple for row in m.rows for v in row]
-    den = lcm(*[q[4] for q in quints])
-    out = []
-    for a, b, c, e, d in quints:
-        f = den // d
-        out.append((a * f, b * f, c * f, e * f) if f != 1 else (a, b, c, e))
-    return out, den
+def _matrix(ints, den: int) -> HermTraceless3:
+    """The matrix with the 36 integers ``ints`` (in the layout of ``_q``)
+    over ``den`` > 0, made canonical by one gcd; not validated."""
+    g = gcd(den, *ints)
+    if g != 1:
+        ints = [v // g for v in ints]
+        den //= g
+    m = _new(HermTraceless3)
+    _set_q(m, tuple(ints))
+    _set_d(m, den)
+    return m
+
+
+def _rows(ints, den: int):
+    """The 3x3 rows of ComplexQuad entries for ``ints`` over ``den``."""
+    return tuple(tuple(_complex(*ints[k:k + 4], den) for k in range(12 * i, 12 * i + 12, 4))
+                 for i in range(3))
+
+
+def _quadruples(ints):
+    """The entries of ``ints`` as consecutive quadruples, in order."""
+    it = iter(ints)
+    return zip(it, it, it, it)
+
+
+def _trace(ints):
+    """The integers (a, b, c, e) of the trace: the sum of entries 0, 4, 8."""
+    return (ints[0] + ints[16] + ints[32], ints[1] + ints[17] + ints[33],
+            ints[2] + ints[18] + ints[34], ints[3] + ints[19] + ints[35])
+
+
+def _linear(x: HermTraceless3, y: HermTraceless3, sign: int) -> HermTraceless3:
+    """x + sign*y, summed over Dx*Dy."""
+    dx, dy = x._d, y._d
+    return _matrix([u * dy + sign * v * dx for u, v in zip(x._q, y._q)], dx * dy)
+
+
+def _hermitian(ints) -> bool:
+    """Whether entry (i, j) is the conjugate of entry (j, i) throughout."""
+    for i, j in _CELLS:
+        k, t = 4 * (3 * i + j), 4 * (3 * j + i)
+        if (ints[k] != ints[t] or ints[k + 1] != ints[t + 1]
+                or ints[k + 2] != -ints[t + 2] or ints[k + 3] != -ints[t + 3]):
+            return False
+    return True
+
+
+def _check_type(ints) -> None:
+    """ValueError unless the 36 integers over a positive denominator are
+    Hermitian and traceless; the denominator does not matter."""
+    if not _hermitian(ints):
+        raise ValueError("matrix is not Hermitian")
+    if any(_trace(ints)):
+        raise ValueError("matrix is not traceless")
 
 
 def _product(xs, ys, cells=_CELLS):
-    """The entries ``cells`` of the associative product of two matrices in
-    the form of :func:`_integers`, as integer quadruples over the product
-    of their denominators.  With s3 = sqrt(3), one term
-    ((a + b s3) + (c + e s3) i)((p + q s3) + (r + s s3) i) has the
-    quadruple (ap - cr + 3(bq - es), aq + bp - cs - er,
+    """The entries ``cells`` of the associative product of two matrices
+    given by their integers, as integer quadruples over the product of
+    their denominators, one after another in one list.  With
+    s3 = sqrt(3), one term ((a + b s3) + (c + e s3) i)((p + q s3) +
+    (r + s s3) i) has the quadruple (ap - cr + 3(bq - es), aq + bp - cs - er,
     ar + cp + 3(bs + eq), as + br + cq + ep); entry (i, j) is the sum of
     the three terms x_im y_mj, written out."""
+    rows = xs[:12], xs[12:24], xs[24:]
+    cols = [ys[j:j + 4] + ys[j + 12:j + 16] + ys[j + 24:j + 28] for j in (0, 4, 8)]
     out = []
     for i, j in cells:
-        (a, b, c, e), (f, g, h, k), (l, m, n, o) = xs[3 * i:3 * i + 3]
-        (p, q, r, s), (t, u, v, w), (P, Q, R, S) = ys[j], ys[j + 3], ys[j + 6]
-        out.append((
+        a, b, c, e, f, g, h, k, l, m, n, o = rows[i]
+        p, q, r, s, t, u, v, w, P, Q, R, S = cols[j]
+        out += (
             a * p - c * r + f * t - h * v + l * P - n * R
             + 3 * (b * q - e * s + g * u - k * w + m * Q - o * S),
             a * q + b * p - c * s - e * r + f * u + g * t - h * w - k * v
@@ -143,14 +202,15 @@ def _product(xs, ys, cells=_CELLS):
             + 3 * (b * s + e * q + g * w + k * u + m * S + o * Q),
             a * s + b * r + c * q + e * p + f * w + g * v + h * u + k * t
             + l * S + m * R + n * Q + o * P,
-        ))
+        )
     return out
 
 
 def _real_trace(xs, ys, message):
     """The integers (a, b) of Tr(xy) = (a + b s3)/(Dx*Dy); ArithmeticError
     with ``message`` if the trace is not real."""
-    a, b, c, e = (sum(t) for t in zip(*_product(xs, ys, _DIAGONAL)))
+    d = _product(xs, ys, _DIAGONAL)
+    a, b, c, e = (d[t] + d[4 + t] + d[8 + t] for t in range(4))
     if c or e:
         raise ArithmeticError(message)
     return a, b
@@ -158,52 +218,39 @@ def _real_trace(xs, ys, message):
 
 def mat_product(x: HermTraceless3, y: HermTraceless3):
     """Ordinary associative 3x3 matrix product (not Hermitian in general)."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
-    xy = _product(xs, ys)
-    den = dx * dy
-    return [[_complex(*v, den) for v in xy[3 * i:3 * i + 3]] for i in range(3)]
+    return [list(r) for r in _rows(_product(x._q, y._q), x._d * y._d)]
 
 
 def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     """The Okubo product; the result is validated Hermitian traceless."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
+    xs, ys = x._q, y._q
     xy = _product(xs, ys)
     yx = _product(ys, xs)
-    tr = [2 * (u + v + w) for u, v, w in zip(xy[0], xy[4], xy[8])]
+    tr = [2 * v for v in _trace(xy)]
     out = []
-    for k, ((a, b, c, e), (p, q, r, s)) in enumerate(zip(xy, yx)):
+    for k, (a, b, c, e), (p, q, r, s) in zip(range(9), _quadruples(xy), _quadruples(yx)):
         # 3(u + w) + s3 i (u - w) for u = (a, b, c, e) and w = (p, q, r, s)
-        n = (3 * (a + p - e + s), 3 * (b + q) - c + r,
-             3 * (c + r + b - q), 3 * (e + s) + a - p)
+        n = [3 * (a + p - e + s), 3 * (b + q) - c + r,
+             3 * (c + r + b - q), 3 * (e + s) + a - p]
         if k % 4 == 0:  # a diagonal entry: subtract 2 Tr(xy)
-            n = tuple(v - t for v, t in zip(n, tr))
-        out.append(n)
+            n = [v - t for v, t in zip(n, tr)]
+        out += n
     # validation certifies type closure: all entries share one denominator,
     # so the conditions on the values are conditions on these integers
-    for i, j in _CELLS:
-        a, b, c, e = out[3 * j + i]
-        if out[3 * i + j] != (a, b, -c, -e):
-            raise ValueError("matrix is not Hermitian")
-    if any(u + v + w for u, v, w in zip(out[0], out[4], out[8])):
-        raise ValueError("matrix is not traceless")
-    den = 6 * dx * dy
-    return HermTraceless3._of(
-        tuple(tuple(_complex(*n, den) for n in out[3 * i:3 * i + 3]) for i in range(3))
-    )
+    _check_type(out)
+    return _matrix(out, 6 * x._d * y._d)
 
 
 def norm(x: HermTraceless3) -> QuadExt:
     """n(x) = Tr(x^2)/6; exact and real for Hermitian x."""
-    xs, dx = _integers(x)
-    a, b = _real_trace(xs, xs, "trace of a Hermitian square must be real")
-    return _quad(a, b, 6 * dx * dx)
+    a, b = _real_trace(x._q, x._q, "trace of a Hermitian square must be real")
+    return _quad(a, b, 6 * x._d * x._d)
 
 
 def inner(x: HermTraceless3, y: HermTraceless3) -> QuadExt:
     """<x,y> = Tr(xy)/3, the polarization of n with <x,x> = 2 n(x)."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
-    a, b = _real_trace(xs, ys, "polarized trace must be real")
-    return _quad(a, b, 3 * dx * dy)
+    a, b = _real_trace(x._q, y._q, "polarized trace must be real")
+    return _quad(a, b, 3 * x._d * y._d)
 
 
 @lru_cache(maxsize=None)
@@ -231,13 +278,18 @@ def basis_gram() -> list[list[QuadExt]]:
 
 
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
-    """A random real linear combination of the eight basis matrices with
-    small half-integer coefficients."""
-    basis = build_basis()
-    acc = basis[0].scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
-    for m in basis[1:]:
-        acc = acc + m.scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
-    return acc
+    """A random real linear combination sum_k (c_k/2) basis[k] of the eight
+    basis matrices with small half-integer coefficients, summed on the
+    basis integers of :func:`_basis_integers`."""
+    ints, den = _basis_integers()
+    coeffs = [rng.randint(-span, span) for _ in ints]
+    acc = [0] * 36
+    for c, b in zip(coeffs, ints):
+        if c:
+            for t, v in enumerate(b):
+                if v:
+                    acc[t] += c * v
+    return _matrix(acc, 2 * den)
 
 
 # -- laws --------------------------------------------------------------------
@@ -340,13 +392,26 @@ def kaplansky_report(samples: int = 100, seed: int = 0) -> KaplanskyReport:
     right = all(kaplansky(b, e) == b for b in basis)
     alt = comp = 0
     pool = [random_matrix(rng) for _ in range(samples)]
+
+    def halves(m):
+        return matrix_mul(e, m), matrix_mul(m, e)
+
+    # kaplansky(u, v) = (e*u)*(v*e): the two halves of each pool matrix are
+    # computed once, and kept only while a sample uses them
+    first = x_halves = halves(pool[0])
     for idx, x in enumerate(pool):
-        y = pool[(idx + 1) % samples]
-        xx, xy = kaplansky(x, x), kaplansky(x, y)
-        if kaplansky(x, xy) != kaplansky(xx, y):
+        nxt = (idx + 1) % samples
+        y = pool[nxt]
+        (ex, xe), (ey, ye) = x_halves, first if nxt == 0 else halves(y)
+        xx, xy = matrix_mul(ex, xe), matrix_mul(ex, ye)
+        # x.(x.y) against (x.x).y
+        if matrix_mul(ex, matrix_mul(xy, e)) != matrix_mul(matrix_mul(e, xx), ye):
             alt += 1
-        if kaplansky(kaplansky(y, x), x) != kaplansky(y, xx):
+        # (y.x).x against y.(x.x)
+        yx = matrix_mul(ey, xe)
+        if matrix_mul(matrix_mul(e, yx), xe) != matrix_mul(ey, matrix_mul(xx, e)):
             alt += 1
+        x_halves = ey, ye
         if norm(xy) != norm(x) * norm(y):
             comp += 1
     return KaplanskyReport(
@@ -361,11 +426,8 @@ def kaplansky_report(samples: int = 100, seed: int = 0) -> KaplanskyReport:
 def jordan_product(x: HermTraceless3, y: HermTraceless3):
     """The commutative symmetrized product (1/2)(xy + yx); kept as a raw
     3x3 matrix since Hermitian traceless matrices are not closed under it."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
-    sym = [tuple(u + v for u, v in zip(a, b))
-           for a, b in zip(_product(xs, ys), _product(ys, xs))]
-    den = 2 * dx * dy
-    return [[_complex(*v, den) for v in sym[3 * i:3 * i + 3]] for i in range(3)]
+    sym = [u + v for u, v in zip(_product(x._q, y._q), _product(y._q, x._q))]
+    return [list(r) for r in _rows(sym, 2 * x._d * y._d)]
 
 
 # -- cross-realization --------------------------------------------------------
@@ -377,21 +439,19 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3):
 _FUNCTIONALS = ((0, 0), (4, 0), (1, 0), (1, 2), (2, 0), (2, 2), (5, 0), (5, 2))
 
 
-def _functionals(quads):
-    """The eight functionals of a matrix in the form of :func:`_integers`,
-    as integer pairs (a, b) for (a + b sqrt3) over its denominator."""
-    return [quads[cell][part:part + 2] for cell, part in _FUNCTIONALS]
+def _functionals(ints):
+    """The eight functionals of a matrix given by its integers, as integer
+    pairs (a, b) for (a + b sqrt3) over its denominator."""
+    return [ints[4 * cell + part:4 * cell + part + 2] for cell, part in _FUNCTIONALS]
 
 
 @lru_cache(maxsize=None)
 def _basis_integers():
-    """The basis matrices as :func:`_integers` quadruples over one common
-    denominator D, and D."""
-    ints = [_integers(bm) for bm in build_basis()]
-    den = lcm(*(d for _, d in ints))
-    return tuple(
-        tuple(tuple(v * (den // d) for v in q) for q in quads) for quads, d in ints
-    ), den
+    """The integers of the basis matrices over one common denominator D,
+    and D."""
+    basis = build_basis()
+    den = lcm(*(m._d for m in basis))
+    return tuple(tuple(v * (den // m._d) for v in m._q) for m in basis), den
 
 
 @lru_cache(maxsize=None)
@@ -399,8 +459,8 @@ def _coordinate_inverse():
     """F^-1 for the functional matrix F[f][k] = f(basis[k]), so that the
     coordinates of m are F^-1 f(m); as integer pairs (p, q) for the entries
     (p + q sqrt3)/E over one common denominator E, and E."""
-    quads, den = _basis_integers()
-    cols = [[_quad(a, b, den) for a, b in _functionals(q)] for q in quads]
+    ints, den = _basis_integers()
+    cols = [[_quad(a, b, den) for a, b in _functionals(m)] for m in ints]
     n = len(cols)
     work, pivots, _ = eliminate(
         [[col[f] for col in cols] + [int(f == g) for g in range(n)] for f in range(n)],
@@ -424,8 +484,8 @@ def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
     compares it with m, so no wrong coordinate vector is ever returned.
     """
     inv, e_den = _coordinate_inverse()
-    quads, d = _integers(m)
-    rhs = _functionals(quads)
+    ints, d = m._q, m._d
+    rhs = _functionals(ints)
     coords = []
     for row in inv:
         p_k = q_k = 0
@@ -435,16 +495,16 @@ def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
         coords.append((p_k, q_k))
     basis, b_den = _basis_integers()
     scale = e_den * b_den
-    for cell, target in enumerate(quads):
+    for k in range(0, 36, 4):
         acc = [0, 0, 0, 0]
-        for (p, q), bq in zip(coords, basis):
-            a, b, c, e = bq[cell]
+        for (p, q), bm in zip(coords, basis):
+            a, b, c, e = bm[k:k + 4]
             if a or b or c or e:
                 acc[0] += p * a + 3 * q * b
                 acc[1] += p * b + q * a
                 acc[2] += p * c + 3 * q * e
                 acc[3] += p * e + q * c
-        if acc != [scale * v for v in target]:
+        if acc != [scale * v for v in ints[k:k + 4]]:
             raise ArithmeticError("coordinate solve failed to reconstruct")
     return tuple(_quad(p, q, e_den * d) for p, q in coords)
 

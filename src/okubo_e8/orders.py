@@ -283,6 +283,15 @@ def _doubled(x: AlgebraElem) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def cd_short_vectors() -> tuple:
+    """The nonzero vectors of the order with <x,x> <= 2, as
+    ``lat.short_vectors`` gives them, enumerated once: units240 takes the
+    units from them, and the catalog's Coxeter-Dickson row its minimum and
+    kissing number."""
+    return tuple(lat.short_vectors(cd_lattice(), 2))
+
+
+@lru_cache(maxsize=None)
 def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
     """Enumerate the norm-one elements of the order and certify the loop.
 
@@ -293,7 +302,7 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
     v; the algebra elements are built once, at the end.
     """
     twice_b = [_doubled(b) for b in cd_basis()]
-    found = lat.short_vectors(cd_lattice(), 2)  # <x,x> = 2 <=> n(x) = 1
+    found = cd_short_vectors()  # <x,x> = 2 <=> n(x) = 1
     vecs2 = sorted(
         tuple(sum(c * row[m] for c, row in zip(coords, twice_b) if c)
               for m in range(DIM))

@@ -24,7 +24,7 @@ from okubo_e8.algebras import (
     random_nonzero,
     tau_apply,
 )
-from okubo_e8.exact import QuadExt
+from okubo_e8.exact import QUAD_ZERO, QuadExt
 
 HALF = Fraction(1, 2)
 
@@ -32,6 +32,109 @@ HALF = Fraction(1, 2)
 def seeded(n=30, seed=11):
     rng = random.Random(seed)
     return [random_element(rng) for _ in range(n)]
+
+
+# -- naive QuadExt-object references for the integer kernels -----------------
+
+
+def ref_oct_mul(x, y):
+    """The octonion product as one QuadExt multiply and add per table entry."""
+    acc = [QUAD_ZERO] * DIM
+    for i, xi in enumerate(x.coords):
+        for j, yj in enumerate(y.coords):
+            if xi and yj:
+                k, s = OCT_TABLE.mul_basis(i, j)
+                acc[k] = acc[k] + xi * yj if s == 1 else acc[k] - xi * yj
+    return AlgebraElem(acc)
+
+
+def ref_apply(aut, x):
+    """The matrix of ``aut`` times the coordinate column of x."""
+    return AlgebraElem(
+        sum((aut.matrix[r][c] * x.coords[c] for c in range(DIM)), QUAD_ZERO)
+        for r in range(DIM)
+    )
+
+
+def ref_para_mul(x, y):
+    return ref_oct_mul(x.conjugate(), y.conjugate())
+
+
+def ref_okubo_mul(x, y):
+    return ref_oct_mul(ref_apply(TAU, x.conjugate()), ref_apply(TAU2, y.conjugate()))
+
+
+REF_PRODUCTS = {"octonion": ref_oct_mul, "para": ref_para_mul, "okubo": ref_okubo_mul}
+
+
+def oracle_inputs():
+    """Elements with mixed denominators, within an element and between
+    elements: seeded samples at several denominators, scaled samples, a
+    hand-made element, and products of products."""
+    rng = random.Random(31)
+    pool = [random_element(rng, span=3, denominator=d, with_irrational=d % 2 == 0)
+            for d in (1, 2, 3, 4, 5, 6, 7, 12)]
+    pool += [x.scale(QuadExt(Fraction(2, 5), Fraction(1, 7))) for x in pool[:3]]
+    pool.append(AlgebraElem([Fraction(1, 3), QuadExt(0, Fraction(1, 5)), 7,
+                             QuadExt(Fraction(-5, 4), 2), 0, Fraction(9, 8), -1,
+                             QuadExt(Fraction(1, 6), Fraction(1, 10))]))
+    for x, y in list(zip(pool, pool[1:]))[:5]:
+        pool.append(ref_okubo_mul(ref_oct_mul(x, y), ref_para_mul(y, x)))
+    return pool
+
+
+ORACLE_INPUTS = oracle_inputs()
+
+
+class TestKernelOracle:
+    def test_inputs_have_mixed_denominators(self):
+        dens = {c.triple[2] for x in ORACLE_INPUTS for c in x.coords}
+        assert len(dens) > 10 and max(dens) > 100
+        assert any(len({c.triple[2] for c in x.coords}) > 3 for x in ORACLE_INPUTS)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_basis_pairs(self, name):
+        mul, ref = PRODUCTS[name], REF_PRODUCTS[name]
+        for i in range(DIM):
+            for j in range(DIM):
+                x, y = basis_element(i), basis_element(j)
+                assert mul(x, y) == ref(x, y), (name, i, j)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_mixed_denominators(self, name):
+        mul, ref = PRODUCTS[name], REF_PRODUCTS[name]
+        for x in ORACLE_INPUTS:
+            for y in ORACLE_INPUTS[::3]:
+                assert mul(x, y) == ref(x, y), name
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products_of_products(self, name):
+        mul, ref = PRODUCTS[name], REF_PRODUCTS[name]
+        for x, y in zip(ORACLE_INPUTS, ORACLE_INPUTS[1:]):
+            xy, yx = ref(x, y), ref(y, x)
+            assert mul(mul(x, y), mul(y, x)) == ref(xy, yx), name
+            assert mul(mul(xy, x), yx) == ref(ref(xy, x), yx), name
+
+    def test_rotation(self):
+        for x in [basis_element(k) for k in range(DIM)] + ORACLE_INPUTS:
+            assert TAU.apply(x) == tau_apply(x) == ref_apply(TAU, x)
+            assert TAU2.apply(x) == tau_apply(x, 2) == ref_apply(TAU2, x)
+
+    def test_integer_columns_rebuild_the_matrix(self):
+        for aut in (TAU, TAU2):
+            cols, den = aut.columns
+            rebuilt = [[QUAD_ZERO] * DIM for _ in range(DIM)]
+            for c, col in enumerate(cols):
+                for r, p, q in col:
+                    rebuilt[r][c] = QuadExt(Fraction(p, den), Fraction(q, den))
+            assert [list(row) for row in aut.matrix] == rebuilt
+
+    def test_results_are_fresh_canonical_values(self):
+        x, y = ORACLE_INPUTS[3], ORACLE_INPUTS[-1]
+        for mul in PRODUCTS.values():
+            z = mul(x, y)
+            assert all(type(c) is QuadExt for c in z.coords) and len(z.coords) == DIM
+            assert z == AlgebraElem(z.coords) and hash(z) == hash(AlgebraElem(z.coords))
 
 
 class TestMultTable:

@@ -114,3 +114,29 @@ def test_catalog_basis_is_an_order_basis():
 
     assert all(isinstance(build_classical(n).basis, OrderBasis) for n in catalog_names())
     assert build_classical("coxeter-dickson").basis is cd_basis()
+
+
+def test_coxeter_dickson_enumerated_once(monkeypatch):
+    # units240 and the catalog's coxeter-dickson row need the same
+    # enumeration of the E8 Gram at bound 2; one verify all makes it once
+    from okubo_e8 import checks, lattice, orders
+
+    cd_gram = orders.cd_lattice().gram()
+    real = lattice.short_vectors
+    calls = []
+
+    def counting(lat, bound):
+        if bound == 2 and lat.gram() == cd_gram:
+            calls.append(bound)
+        return real(lat, bound)
+
+    monkeypatch.setattr(lattice, "short_vectors", counting)
+    caches = (orders.cd_short_vectors, orders.units240)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        checks.run_all()
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert len(calls) == 1

@@ -131,6 +131,12 @@ class TestTextForm:
         with pytest.raises(ValueError):
             parse_quadext("1/0 + 2/1*s3")
 
+    @pytest.mark.parametrize("text", ["٣/2 + 1/1*s3", "1/2 + 1/1*s3\n"])
+    def test_rejects_what_render_never_writes(self, text):
+        # a non-ASCII digit (Arabic-Indic three) and a trailing newline
+        with pytest.raises(ValueError):
+            parse_quadext(text)
+
 
 #: strings outside the fixture and dump grammar; ``Fraction`` accepts most
 NOT_RATIONAL = ["1e5", "1.5", "1_000", " 3/4", "3/4 ", "3/4\n", "1/2e3", "", "/2",

@@ -147,6 +147,128 @@ class TestKernelOracle:
         assert raised > 20
 
 
+# -- the stored integers against the ComplexQuad entries ----------------------
+
+
+def ref_validated(rows):
+    """The rows as ComplexQuad values, validated as the constructor once did
+    on the entries: the shape, then Hermitian, then traceless."""
+    rows = tuple(tuple(ComplexQuad.coerce(v) for v in r) for r in rows)
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError("need a 3x3 matrix")
+    if not all(rows[i][j] == rows[j][i].conjugate() for i in range(3) for j in range(3)):
+        raise ValueError("matrix is not Hermitian")
+    if ref_trace(rows) != ComplexQuad(0):
+        raise ValueError("matrix is not traceless")
+    return rows
+
+
+def ref_random_matrix(rng, span):
+    """sum_k (c_k/2) basis[k] with one draw per basis matrix in order, on
+    ComplexQuad entries."""
+    acc = [[ComplexQuad(0)] * 3 for _ in range(3)]
+    for m in build_basis():
+        c = ComplexQuad(Fraction(rng.randint(-span, span), 2))
+        acc = [[u + c * v for u, v in zip(ra, rb)] for ra, rb in zip(acc, m.rows)]
+    return HermTraceless3(acc)
+
+
+def old_random_matrix(rng, span):
+    """The scale/add construction random_matrix used before."""
+    basis = build_basis()
+    acc = basis[0].scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
+    for m in basis[1:]:
+        acc = acc + m.scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
+    return acc
+
+
+def matrix_pool():
+    """Matrices with mixed denominators, with equal values built in
+    different ways among them."""
+    pool = [x for x, _ in KERNEL_INPUTS[::7]] + [y for _, y in KERNEL_INPUTS[-12:]]
+    x = pool[-1]
+    pool += [x.scale(3).scale(Fraction(1, 3)), x + x - x, -(-x), x - x,
+             build_basis()[0].scale(QuadExt(1))]
+    return pool
+
+
+class TestStoredIntegers:
+    def test_equality_and_hash_follow_the_entries(self):
+        pool = matrix_pool()
+        equal_pairs = 0
+        for a in pool:
+            for b in pool:
+                same = a.rows == b.rows
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal_pairs += a is not b
+        assert equal_pairs >= 6
+        assert len(set(pool)) == len({m.rows for m in pool})
+
+    def test_rows_round_trip(self):
+        for m in matrix_pool():
+            assert HermTraceless3(m.rows) == m
+            assert HermTraceless3(m.rows).rows == m.rows
+
+    def test_linear_structure_against_entries(self):
+        pool = matrix_pool()
+        factor = ComplexQuad(QuadExt(Fraction(2, 3), Fraction(-1, 5)), QuadExt(0, 3))
+        for a, b in zip(pool, pool[1:]):
+            for got, op in ((a + b, lambda u, v: u + v), (a - b, lambda u, v: u - v)):
+                want = [[op(u, v) for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+                assert [list(r) for r in got.rows] == want
+            assert [list(r) for r in (-a).rows] == [[-v for v in r] for r in a.rows]
+            scaled = a.scale(factor)  # a scale never validates
+            assert [list(r) for r in scaled.rows] == [[factor * v for v in r] for r in a.rows]
+            # a non-real multiple of a Hermitian matrix is Hermitian only at 0
+            assert scaled.is_hermitian() == (a == a - a)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_matrix_against_old_constructions(self, seed):
+        for span in (1, 2, 3):
+            got = random_matrix(random.Random(seed), span)
+            assert got == ref_random_matrix(random.Random(seed), span)
+            assert got == old_random_matrix(random.Random(seed), span)
+            assert got.rows == old_random_matrix(random.Random(seed), span).rows
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # the draws stay in step
+            assert random_matrix(rng) == old_random_matrix(ref, 2)
+
+    def test_invalid_matrices_raise_as_before(self):
+        rng = random.Random(6)
+
+        def entry():
+            return ComplexQuad(QuadExt(Fraction(rng.randint(-2, 2), rng.randint(1, 4)),
+                                       rng.randint(-1, 1)),
+                               QuadExt(rng.randint(-1, 1), Fraction(rng.randint(-1, 1), 3)))
+
+        seen = set()
+        for n in range(120):
+            rows = [[entry() for _ in range(3)] for _ in range(3)]
+            if n % 3:  # Hermitian, traceless only when the diagonal is fixed up
+                rows = [[rows[i][j] if i < j else rows[j][i].conjugate() if i > j
+                         else ComplexQuad(rows[i][i].re) for j in range(3)] for i in range(3)]
+            if n % 3 == 2:
+                rows[2][2] = -(rows[0][0] + rows[1][1])
+            if n % 10 == 9:
+                rows = rows[:2] if n % 20 == 9 else [r[:2] for r in rows]
+            got = outcome(HermTraceless3, rows)
+            want = outcome(ref_validated, rows)
+            if isinstance(want[0], type):
+                assert got == want
+                seen.add(want[1])
+            else:
+                assert got.rows == want
+                seen.add("valid")
+            if len(rows) == 3 and all(len(r) == 3 for r in rows):
+                raw = HermTraceless3(rows, validate=False)
+                assert raw.is_hermitian() == all(
+                    raw.rows[i][j] == raw.rows[j][i].conjugate()
+                    for i in range(3) for j in range(3))
+                assert raw.trace() == ref_trace(raw.rows)
+        assert seen == {"valid", "need a 3x3 matrix", "matrix is not Hermitian",
+                        "matrix is not traceless"}
 
 
 class TestBasis:
