@@ -83,37 +83,6 @@ class MultTable:
     sgn: tuple[tuple[int, ...], ...]
     convention: str
 
-    def mul_basis(self, i: int, j: int) -> tuple[int, int]:
-        """Return (k, s) with e_i * e_j = s * e_k."""
-        return self.idx[i][j], self.sgn[i][j]
-
-    def verify(self) -> list[str]:
-        """Check unit law, imaginary squares, anticommutativity and
-        alternativity; return a list of violation descriptions (empty when
-        the table is a valid alternative composition table)."""
-        bad = []
-        for j in range(DIM):
-            if self.mul_basis(0, j) != (j, 1) or self.mul_basis(j, 0) != (j, 1):
-                bad.append(f"unit law fails at {j}")
-        for i in range(1, DIM):
-            if self.mul_basis(i, i) != (0, -1):
-                bad.append(f"square law fails at {i}")
-            for j in range(1, DIM):
-                if i == j:
-                    continue
-                k, s = self.mul_basis(i, j)
-                k2, s2 = self.mul_basis(j, i)
-                if k2 != k or s2 != -s:
-                    bad.append(f"anticommutativity fails at ({i},{j})")
-        for i in range(DIM):
-            for j in range(DIM):
-                x, y = basis_element(i), basis_element(j)
-                if oct_mul(x, oct_mul(x, y)) != oct_mul(oct_mul(x, x), y):
-                    bad.append(f"left alternativity fails at ({i},{j})")
-                if oct_mul(oct_mul(y, x), x) != oct_mul(y, oct_mul(x, x)):
-                    bad.append(f"right alternativity fails at ({i},{j})")
-        return bad
-
 
 _IDX, _SGN = _build_tables()
 OCT_TABLE = MultTable(_IDX, _SGN, CONVENTION)
@@ -143,18 +112,10 @@ class AlgebraElem:
     def one(cls) -> "AlgebraElem":
         return basis_element(0)
 
-    @classmethod
-    def scalar(cls, value) -> "AlgebraElem":
-        coords = [QuadExt.coerce(value)] + [QUAD_ZERO] * (DIM - 1)
-        return cls(coords)
-
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
         return AlgebraElem(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return AlgebraElem(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self):
         return AlgebraElem(-a for a in self.coords)
@@ -162,14 +123,6 @@ class AlgebraElem:
     def scale(self, factor) -> "AlgebraElem":
         factor = QuadExt.coerce(factor)
         return AlgebraElem(factor * a for a in self.coords)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElem):
-            return oct_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     # -- involution, norm, trace -----------------------------------------
 
@@ -198,9 +151,6 @@ class AlgebraElem:
             if a and b:
                 out = out + a * b
         return 2 * out
-
-    def is_zero(self) -> bool:
-        return all(not v for v in self.coords)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -285,14 +235,6 @@ def para_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The para product conj(x) * conj(y)."""
     (xs, dx), (ys, dy) = _integers(x), _integers(y)
     return _elem(_oct(_conj(xs), _conj(ys)), dx * dy)
-
-
-def inner_via_products(x: AlgebraElem, y: AlgebraElem) -> QuadExt:
-    """<x,y> computed from x*conj(y) + y*conj(x); raises if not scalar."""
-    z = oct_mul(x, y.conjugate()) + oct_mul(y, x.conjugate())
-    if any(z.coords[k] for k in range(1, DIM)):
-        raise ArithmeticError("polarization did not produce a scalar")
-    return z.coords[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +350,6 @@ PRODUCTS = {
 }
 
 
-def para_idempotent_check(v: AlgebraElem) -> bool:
-    """Whether -1/2 + v is idempotent for the para product.
-
-    ``v`` must be imaginary; the check is exact and returns True exactly
-    when n(v) = 3/4.
-    """
-    if v.coords[0]:
-        raise ValueError("v must be imaginary (zero coordinate on e0)")
-    x = AlgebraElem.scalar(Fraction(-1, 2)) + v
-    return para_mul(x, x) == x
-
-
 # ---------------------------------------------------------------------------
 # deterministic sample elements for the exact identity checks
 # ---------------------------------------------------------------------------
@@ -438,13 +368,6 @@ def random_element(
         irr = Fraction(rng.randint(-span, span), denominator) if with_irrational else 0
         coords.append(QuadExt(rat, irr))
     return AlgebraElem(coords)
-
-
-def random_nonzero(rng: random.Random, **kw) -> AlgebraElem:
-    while True:
-        x = random_element(rng, **kw)
-        if not x.is_zero():
-            return x
 
 
 # ---------------------------------------------------------------------------

@@ -112,17 +112,6 @@ class CatalogReport:
     kissing: int
     triple_match: bool
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.units_match
-            and self.units_closed
-            and self.inverses_present
-            and self.constants_integral
-            and self.trace_norm_integral
-            and self.triple_match
-        )
-
 
 def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
     """Enumerate the unit loop and certify the catalog row."""

@@ -4,9 +4,9 @@ Each ``check_*`` group certifies one claim anchor and is declared once,
 with ``@check(anchor, claim, ids)``; it returns CheckReports whose ids
 come from its declaration (``_cmp`` looks the anchor up from the id).
 Everything else is derived from the declarations in ``REGISTRY``:
-``run_all`` runs the groups in declaration order, ``CHECK_MAP`` maps each
-anchor to its ids, the CLI offers one ``verify`` suite per group, and
-``docs/checks.md`` is the output of :func:`docs_markdown`.  After changing
+``run_all`` runs the groups in declaration order, the CLI offers one
+``verify`` suite per group, and ``docs/checks.md``, the map from each
+anchor to its ids, is the output of :func:`docs_markdown`.  After changing
 a declaration, regenerate that file with
 
     PYTHONPATH=src python -m okubo_e8.checks > docs/checks.md
@@ -586,21 +586,13 @@ def run_all(seed: int = 0) -> list[CheckReport]:
     return sorted(reports, key=lambda r: r.check)
 
 
-#: claim anchor -> check ids certifying it (documented in docs/checks.md)
-CHECK_MAP = {g.anchor: g.ids for g in REGISTRY.values()}
-
-
-def mapped_check_ids() -> set[str]:
-    return set().union(*CHECK_MAP.values())
-
-
 _DOCS_HEADER = """\
 # Claim-to-check mapping
 
 Every certified claim (anchor) maps to the check ids that certify it.
 Each row is one `@check` group of `src/okubo_e8/checks.py`, and this file
 is rendered from them (`python -m okubo_e8.checks > docs/checks.md`).
-The map is exported as `okubo_e8.checks.CHECK_MAP`; the test suite
+The map is read from `okubo_e8.checks.REGISTRY`; the test suite
 verifies that this file is current and that `verify all` emits exactly
 these checks.  `lattice shells --max 6` adds `shell-n5` and `shell-n6`.
 

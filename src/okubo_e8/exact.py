@@ -1,10 +1,13 @@
 """Exact scalar arithmetic for the real quadratic field K = Q(sqrt 3).
 
-Two layers of immutable, hashable values over :class:`fractions.Fraction`:
+Two layers of immutable, hashable values:
 
-* ``QuadExt`` -- elements ``a + b*sqrt(3)`` with rational ``a``, ``b``.
+* ``QuadExt`` -- elements ``a + b*sqrt(3)`` with rational ``a``, ``b``:
+  the ring operations, the inverse (also as ``1 / x``), the trace to Q
+  and the exact sign in either real embedding.
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
-  the scalars of the Hermitian-matrix realization.
+  the entries of the Hermitian-matrix realization, whose kernel works on
+  their integers.
 
 Both field types store integer numerators over one common denominator
 (Cohen, GTM 138, section 4.2).  A ``QuadExt`` is the triple ``(a, b, d)``
@@ -56,10 +59,6 @@ class QuadExt:
         raise AttributeError("QuadExt values are immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def sqrt3(cls) -> "QuadExt":
-        return cls(0, 1)
 
     @classmethod
     def coerce(cls, value) -> "QuadExt":
@@ -127,41 +126,14 @@ class QuadExt:
             return _quad(-a * d, b * d, -nrm)
         return _quad(a * d, -b * d, nrm)
 
-    def __truediv__(self, other):
-        return self * QuadExt.coerce(other).inverse()
-
     def __rtruediv__(self, other):
         return QuadExt.coerce(other) * self.inverse()
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = QUAD_ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- Galois structure ----------------------------------------------
-
-    def galois_conjugate(self) -> "QuadExt":
-        """The image under sqrt(3) -> -sqrt(3)."""
-        return _make(self._a, -self._b, self._d)
 
     def field_trace(self) -> Fraction:
         """Tr_{K/Q}((a + b*sqrt(3))/d) = 2a/d."""
         return Fraction(2 * self._a, self._d)
-
-    def field_norm(self) -> Fraction:
-        """N_{K/Q}((a + b*sqrt(3))/d) = (a^2 - 3 b^2)/d^2."""
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a - 3 * b * b, d * d)
 
     def sign_real(self, conjugate_embedding: bool = False) -> int:
         """Exact sign of the image under a real embedding of K.
@@ -184,11 +156,6 @@ class QuadExt:
         if a > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
-
-    # -- predicates -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._a and not self._b
 
     # -- plumbing --------------------------------------------------------
 
@@ -250,7 +217,6 @@ def _quad(a: int, b: int, d: int) -> QuadExt:
 
 QUAD_ZERO = QuadExt(0)
 QUAD_ONE = QuadExt(1)
-SQRT3 = QuadExt.sqrt3()
 
 
 class RingTag(enum.Enum):
@@ -350,29 +316,12 @@ def eliminate(rows, *, swap=True, reduced=False):
 # canonical text form: "a/b + c/d*s3"
 # ---------------------------------------------------------------------------
 
-#: exactly the form render_quadext writes, with ASCII digits only
-_QUAD_RE = re.compile(r"(-?[0-9]+)/([0-9]+) \+ (-?[0-9]+)/([0-9]+)\*s3")
-
-
 def render_quadext(x: QuadExt) -> str:
     """Canonical text rendering, e.g. ``-3/2 + 1/1*s3``: each coordinate
     in lowest terms."""
     a, b, d = x._a, x._b, x._d
     ga, gb = gcd(a, d), gcd(b, d)
     return f"{a // ga}/{d // ga} + {b // gb}/{d // gb}*s3"
-
-
-def parse_quadext(text: str) -> QuadExt:
-    """Inverse of :func:`render_quadext` (exact round trip).  Only that
-    form parses, as a full match: no other spacing, no non-ASCII digit,
-    no trailing newline."""
-    m = _QUAD_RE.fullmatch(text)
-    if m is None:
-        raise ValueError(f"not a canonical Q(sqrt3) literal: {text!r}")
-    an, ad, bn, bd = (int(g) for g in m.groups())
-    if ad == 0 or bd == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return QuadExt(Fraction(an, ad), Fraction(bn, bd))
 
 
 #: the rational numbers of fixtures and constant dumps: an integer or a/b

@@ -497,15 +497,10 @@ def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """A_L = L*/L with its quadratic form q: A_L -> Q/2Z.
-
-    Generators are stored as integer rows in dual-basis coordinates; the
-    character of the group is ``invariants`` (the Smith factors > 1).
-    """
+    """The structure of A_L = L*/L: its invariants, the Smith factors > 1
+    of the Gram matrix."""
 
     invariants: tuple[int, ...]
-    generators_dual: tuple[tuple[int, ...], ...]
-    dual_gram: tuple[tuple[Fraction, ...], ...]
 
     @property
     def order(self) -> int:
@@ -514,40 +509,6 @@ class DiscriminantGroup:
             out *= v
         return out
 
-    def q_value(self, coeffs) -> Fraction:
-        """q of the class sum_i coeffs[i] * generator_i, in [0, 2)."""
-        vec = [
-            sum(coeffs[g] * self.generators_dual[g][j] for g in range(len(coeffs)))
-            for j in range(len(self.dual_gram))
-        ]
-        val = Fraction(0)
-        for i, vi in enumerate(vec):
-            if not vi:
-                continue
-            row = self.dual_gram[i]
-            for j, vj in enumerate(vec):
-                if vj:
-                    val += vi * row[j] * vj
-        return val % 2
-
-    def pairing(self, coeffs_a, coeffs_b) -> Fraction:
-        """The bilinear pairing b(x, y) mod 1 induced by q."""
-        vec_a = [
-            sum(coeffs_a[g] * self.generators_dual[g][j] for g in range(len(coeffs_a)))
-            for j in range(len(self.dual_gram))
-        ]
-        vec_b = [
-            sum(coeffs_b[g] * self.generators_dual[g][j] for g in range(len(coeffs_b)))
-            for j in range(len(self.dual_gram))
-        ]
-        val = Fraction(0)
-        for i, vi in enumerate(vec_a):
-            if vi:
-                for j, vj in enumerate(vec_b):
-                    if vj:
-                        val += vi * self.dual_gram[i][j] * vj
-        return val % 1
-
 
 def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     """Structure of L*/L from the Smith decomposition of the Gram matrix."""
@@ -555,13 +516,8 @@ def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     if any(v.denominator != 1 for row in gram for v in row):
         raise LatticeError("discriminant group needs an integral Gram")
     # in dual-basis coordinates L* = Z^n and L is the row span of the Gram
-    factors = [(d, r) for d, r in _smith_rows([[int(v) for v in row] for row in gram])
-               if d > 1]
-    return DiscriminantGroup(
-        invariants=tuple(d for d, _ in factors),
-        generators_dual=tuple(r for _, r in factors),
-        dual_gram=tuple(tuple(row) for row in mat_inv(gram)),
-    )
+    return DiscriminantGroup(invariants=tuple(
+        d for d, _ in _smith_rows([[int(v) for v in row] for row in gram]) if d > 1))
 
 
 @dataclass(frozen=True)

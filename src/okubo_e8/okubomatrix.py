@@ -8,7 +8,9 @@ The product is
 
 with mu = 1/2 + (sqrt(3)/6) i, juxtaposition being the ordinary matrix
 product; the norm is n(x) = Tr(x^2)/6.  All scalars are exact elements of
-K(i), so every law below is certified with zero tolerance.
+K(i), so every law below is certified with zero tolerance.  Every matrix
+the module hands out is Hermitian and traceless: the constructor checks
+its entries, and the product checks its result.
 
 A matrix holds canonical integers, not scalar objects: its nine entries
 ((a + b sqrt3) + (c + e sqrt3) i)/D as integer quadruples (a, b, c, e)
@@ -18,7 +20,8 @@ unique, so equality and hashing compare integers, and ``rows`` builds
 the ComplexQuad entries only when asked.
 Every product runs through one integer kernel: an entry of the
 associative product xy is a sum of integer products over Dx*Dy, and six
-times the Okubo product is 3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I,
+times the Okubo product, with the integers of 6 mu = 3 + sqrt(3) i, is
+3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I,
 so each of its entries is one integer quadruple over 6*Dx*Dy, and the
 result is made canonical with one gcd per matrix.  ``xy`` and ``yx`` are
 both computed: the result is checked Hermitian and traceless on those
@@ -31,16 +34,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
 from .algebras import DIM, basis_element, okubo_mul
 from .exact import ComplexQuad, QuadExt, _complex, _quad, eliminate
-
-#: mu = (3 + sqrt(3) i)/6; the kernel works with the integers of 6 mu
-MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
 
 _C0 = ComplexQuad(0)
 
@@ -56,7 +55,7 @@ class HermTraceless3:
 
     __slots__ = ("_q", "_d")
 
-    def __init__(self, rows, validate: bool = True):
+    def __init__(self, rows):
         rows = tuple(tuple(ComplexQuad.coerce(v) for v in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 matrix")
@@ -65,8 +64,7 @@ class HermTraceless3:
         quints = [v.quintuple for r in rows for v in r]
         den = lcm(*[q[4] for q in quints])
         ints = tuple(v * (den // q[4]) for q in quints for v in q[:4])
-        if validate:
-            _check_type(ints)
+        _check_type(ints)
         _set_q(self, ints)
         _set_d(self, den)
 
@@ -78,30 +76,8 @@ class HermTraceless3:
         """The entries as ComplexQuad values, built on each call."""
         return _rows(self._q, self._d)
 
-    def is_hermitian(self) -> bool:
-        return _hermitian(self._q)
-
-    def trace(self) -> ComplexQuad:
-        return _complex(*_trace(self._q), self._d)
-
-    def __add__(self, other):
-        return _linear(self, other, 1)
-
-    def __sub__(self, other):
-        return _linear(self, other, -1)
-
     def __neg__(self):
         return _matrix(tuple(-v for v in self._q), self._d)
-
-    def scale(self, factor) -> "HermTraceless3":
-        f = factor if isinstance(factor, ComplexQuad) else ComplexQuad.coerce(factor)
-        p, q, r, s, d = f.quintuple
-        # the ComplexQuad product of each entry with f, on the integers
-        out = []
-        for a, b, c, e in _quadruples(self._q):
-            out += (a * p - c * r + 3 * (b * q - e * s), a * q + b * p - c * s - e * r,
-                    a * r + c * p + 3 * (b * s + e * q), a * s + b * r + c * q + e * p)
-        return _matrix(out, self._d * d)
 
     def __eq__(self, other):
         if not isinstance(other, HermTraceless3):
@@ -152,12 +128,6 @@ def _trace(ints):
     """The integers (a, b, c, e) of the trace: the sum of entries 0, 4, 8."""
     return (ints[0] + ints[16] + ints[32], ints[1] + ints[17] + ints[33],
             ints[2] + ints[18] + ints[34], ints[3] + ints[19] + ints[35])
-
-
-def _linear(x: HermTraceless3, y: HermTraceless3, sign: int) -> HermTraceless3:
-    """x + sign*y, summed over Dx*Dy."""
-    dx, dy = x._d, y._d
-    return _matrix([u * dy + sign * v * dx for u, v in zip(x._q, y._q)], dx * dy)
 
 
 def _hermitian(ints) -> bool:
@@ -214,11 +184,6 @@ def _real_trace(xs, ys, message):
     if c or e:
         raise ArithmeticError(message)
     return a, b
-
-
-def mat_product(x: HermTraceless3, y: HermTraceless3):
-    """Ordinary associative 3x3 matrix product (not Hermitian in general)."""
-    return [list(r) for r in _rows(_product(x._q, y._q), x._d * y._d)]
 
 
 def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:

@@ -100,18 +100,6 @@ class OrderBasis:
     def __len__(self):
         return len(self.elements)
 
-    def coordinate_matrix(self):
-        """Rational e-coordinates of the basis (rows)."""
-        rows = []
-        for el in self.elements:
-            row = []
-            for c in el.coords:
-                if c.irr != 0:
-                    raise ValueError("order basis must have rational coordinates")
-                row.append(c.rat)
-            rows.append(row)
-        return rows
-
     def element(self, coords) -> AlgebraElem:
         """sum_k c_k b_k."""
         return sum((b.scale(c) for c, b in zip(coords, self.elements) if c),
@@ -334,9 +322,6 @@ class StructureConstants:
     basis_label: str
     c: tuple  # c[i][j][k] QuadExt with b_i o b_j = sum_k c[i][j][k] b_k
 
-    def coefficient(self, i: int, j: int, k: int) -> QuadExt:
-        return self.c[i][j][k]
-
     def all_entries(self):
         for i in range(DIM):
             for j in range(DIM):
@@ -391,10 +376,6 @@ def structure_constants(product: str, basis: OrderBasis | None = None) -> Struct
         for bi in basis
     )
     return StructureConstants(product=product, basis_label=basis.label, c=c)
-
-
-def reconstruct_product(constants: StructureConstants, basis: OrderBasis, i: int, j: int) -> AlgebraElem:
-    return basis.element(constants.c[i][j])
 
 
 def dump_structure_constants(constants: StructureConstants) -> str:
@@ -469,10 +450,6 @@ class IntegralSystemReport:
     norm_values: tuple
     trace_norm_ok: bool
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations and self.trace_norm_ok
-
 
 def closure_test(constants: StructureConstants, ring: RingTag,
                  basis: OrderBasis | None = None) -> IntegralSystemReport:
@@ -507,10 +484,6 @@ def closure_test(constants: StructureConstants, ring: RingTag,
 @dataclass(frozen=True)
 class ScalingVector:
     exponents: tuple[int, ...]
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(2 ** a for a in self.exponents)
 
 
 @dataclass(frozen=True)
@@ -578,10 +551,6 @@ class ScaledOrderReport:
     inner_values: tuple
     product_traces: tuple
     all_integral: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations and self.all_integral
 
 
 def scaled_order_verify(exponents=(1, 1, 1, 1, 2, 2, 2, 2)) -> ScaledOrderReport:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ComplexQuad, QuadExt
+from .exact import QuadExt
 
 PASS = "pass"
 FAIL = "fail"
@@ -69,8 +69,6 @@ def jsonable(value):
         return str(value)
     if isinstance(value, QuadExt):
         return str(value)
-    if isinstance(value, ComplexQuad):
-        return f"({value.re}) + ({value.im})*i"
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda t: str(t[0]))}
     if isinstance(value, (list, tuple)):

@@ -32,9 +32,6 @@ class SignedBlockPerm:
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(DIM)) and all(s == 1 for s in self.signs)
-
     def compose(self, other: "SignedBlockPerm") -> "SignedBlockPerm":
         """self after other: (self o other)(u_i)."""
         perm = tuple(self.perm[other.perm[i]] for i in range(DIM))
@@ -48,12 +45,6 @@ class SignedBlockPerm:
             inv[self.perm[i]] = i
             sgn[self.perm[i]] = self.signs[i]
         return SignedBlockPerm(tuple(inv), tuple(sgn))
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        m = [[0] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            m[self.perm[i]][i] = self.signs[i]
-        return tuple(tuple(r) for r in m)
 
 
 def conductor_gram() -> tuple[tuple[int, ...], ...]:

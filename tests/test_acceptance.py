@@ -52,7 +52,7 @@ def test_01_para_closure():
     budget = Budget(1.0)
     rep = closure_test(structure_constants("para"), RingTag.Z)
     budget.check()
-    announce(1, "para closure over Z", rep.passed and rep.violations == ())
+    announce(1, "para closure over Z", rep.violations == () and rep.trace_norm_ok)
 
 
 def test_02_okubo_obstruction():
@@ -66,8 +66,8 @@ def test_02_okubo_obstruction():
     reports = checks.check_okubo_obstruction()
     by_id = {r.check: r for r in reports}
     ok = (
-        not over_z.passed
-        and not over_r.passed
+        bool(over_z.violations)
+        and bool(over_r.violations)
         and bool(witness)
         and by_id["okubo-counterexample-diff"].status in (PASS, DIFF)
         and by_id["okubo-not-closed-z"].status == PASS
@@ -92,7 +92,7 @@ def test_04_minimal_scaling():
 
 def test_05_scaled_order():
     rep = scaled_order_verify(claims.SCALING_EXPONENTS)
-    ok = rep.passed and len(rep.inner_values) == 64 and rep.all_integral
+    ok = rep.violations == () and len(rep.inner_values) == 64 and rep.all_integral
     announce(5, "scaled order closes over Z[sqrt3] with integral values", ok)
 
 

@@ -30,7 +30,9 @@ def test_catalog_row(name):
     spec = build_classical(name)
     rep = verify_classical(spec)
     assert rep.unit_count == EXPECTED_UNITS[name]
-    assert rep.passed, rep
+    assert (rep.units_match and rep.units_closed and rep.inverses_present
+            and rep.constants_integral and rep.trace_norm_integral
+            and rep.triple_match), rep
 
 
 def test_all_names_covered():

@@ -1,16 +1,23 @@
-"""Every module-level import of the package is used in its module.
+"""Every module-level import of the package is used in its module, and
+every module-level name it assigns is read by one of its modules.
 
-No linter ships with the project, so this is the one dead-import check:
-a deletion that leaves an import behind fails here.  It reads the
-sources with the standard-library ``ast`` and imports nothing."""
+No linter ships with the project, so this is the one dead-name check: a
+deletion that leaves an import or a constant behind fails here.  It
+reads the sources with the standard-library ``ast`` and imports nothing.
+``tests/test_reachability.py`` is its companion for functions."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "okubo_e8"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "okubo_e8"
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+#: the paper's numbers of record: kept whether or not a check reads them
+RECORD_MODULE = "claims.py"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -58,3 +65,65 @@ def test_checker_sees_an_unused_import():
                      "x = lcm(2, 3)\n__all__ = ['pi']\n")
     used = _referenced_names(tree)
     assert sorted(n for n in _imported_names(tree) if n not in used) == ["gcd", "json"]
+
+
+def _assigned_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module-level assignments, with their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    names[name.id] = node.lineno
+    return names
+
+
+def _read_names(trees) -> set[str]:
+    """Names the modules read: loaded names, attributes, and the names
+    imported from another module."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread(sources: dict[str, str], exempt_text: str) -> list[str]:
+    """``file:line name`` for each module-level assignment of ``sources``
+    (file name -> text) that no source reads, leaving out the record
+    module and the names that appear as words in ``exempt_text``."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    read = _read_names(trees.values())
+    return sorted(
+        f"{file}:{line} {name}"
+        for file, tree in trees.items() if file != RECORD_MODULE
+        for name, line in _assigned_names(tree).items()
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", exempt_text)
+    )
+
+
+def test_every_assignment_is_read():
+    perfbench = "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    unread = _unread({p.name: p.read_text() for p in MODULES}, perfbench)
+    assert not unread, f"assigned and never read: {', '.join(unread)}"
+
+
+def test_checker_sees_an_unread_assignment():
+    sources = {
+        "a.py": "X, Y = 1, 2\nZ: int = 3\nKEPT = 4\nDEAD = X\n",
+        "b.py": "from .a import Y\nprint(Y, a.Z)\n",
+        RECORD_MODULE: "NUMBER = 5\n",
+    }
+    assert _unread(sources, "names KEPT, not KEPTX") == ["a.py:4 DEAD"]
+    assert _unread(sources, "") == ["a.py:3 KEPT", "a.py:4 DEAD"]

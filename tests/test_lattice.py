@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,33 +422,79 @@ class TestDiscriminantGroup:
         assert tuple(d for d in diag if d > 1) == claims.DISCRIMINANT_INVARIANTS
 
     def test_q_well_defined(self):
-        group = discriminant_group(conductor_lattice())
-        gram = conductor_lattice().gram()
-        # two lifts of the same class differ by a lattice vector; q agrees
-        coeffs = [1] + [0] * (len(group.invariants) - 1)
-        base = group.q_value(coeffs)
-        shifted = list(group.generators_dual[0])
-        # add a lattice row (in dual coordinates the lattice is spanned by
-        # the Gram rows)
-        for j in range(len(shifted)):
-            shifted[j] += int(gram[0][j])
-        val = Fraction(0)
-        dual = group.dual_gram
-        for i, vi in enumerate(shifted):
-            for j, vj in enumerate(shifted):
-                if vi and vj:
-                    val += vi * dual[i][j] * vj
-        assert val % 2 == base
+        # q read from the dual Gram of the conductor lattice vanishes on
+        # every class of H and on a second lift of each, as glue-isotropy says
+        sub, sup = conductor_lattice(), cd_lattice()
+        values, shifted = dual_form_values(sub, sup, shift=0)
+        assert len(values) == claims.CONDUCTOR_INDEX
+        assert values == shifted
+        assert glue_and_saturate(sub, sup, 2).q_values_all_zero
+        assert all(q == 0 for q, _ in values.values())
 
     def test_q_polarization(self):
-        group = discriminant_group(conductor_lattice())
-        n = len(group.invariants)
-        a = [1] + [0] * (n - 1)
-        b = [0, 1] + [0] * (n - 2)
-        ab = [x + y for x, y in zip(a, b)]
-        lhs = (group.q_value(ab) - group.q_value(a) - group.q_value(b)) % 2
-        rhs = (2 * group.pairing(a, b)) % 2
-        assert lhs == rhs
+        # q(a + b) - q(a) - q(b) = 2 b(a, b) mod 2 on the dual-Gram values,
+        # and they vanish exactly when glue_and_saturate finds H isotropic
+        found = set()
+        for sub_rows, sup_gram in (
+            ([[2]], [[1]]),
+            ([[2, 0], [0, 2]], [[2, 1], [1, 4]]),
+            ([[2, 0], [0, 2]], [[1, 0], [0, 2]]),
+            ([[2, 0, 0], [0, 4, 0], [1, 1, 2]], [[2, 1, 0], [1, 3, 1], [0, 1, 6]]),
+        ):
+            sub = LatticeZ.from_rows(sub_rows, sup_gram)
+            sup = LatticeZ.from_gram(sup_gram)
+            values, _ = dual_form_values(sub, sup)
+            ginv = mat_inv(sub.gram())
+            orders = quotient_group(sub, sup).invariants
+            for a, (qa, ya) in values.items():
+                for b, (qb, yb) in values.items():
+                    ab = tuple((x + y) % t for x, y, t in zip(a, b, orders))
+                    pair = sum(u * ginv[i][j] * v for i, u in enumerate(ya)
+                               for j, v in enumerate(yb))
+                    assert (values[ab][0] - qa - qb - 2 * pair) % 2 == 0
+            isotropic = all(q == 0 for q, _ in values.values())
+            assert glue_and_saturate(sub, sup, 2).q_values_all_zero is isotropic
+            found.add(isotropic)
+        assert found == {True, False}
+
+
+def dual_form_values(sub, sup, shift=None):
+    """q(h) = <v, v> mod 2 on every class h of H = sup/sub inside
+    A_sub = sub*/sub, read from the dual Gram of sub alone: a lift v in sup
+    has the dual coordinates y_j = <v, b_j> over the basis b of sub, and
+    <v, v> = y G^-1 y^T for G the Gram of sub.
+
+    Returns {coefficients of h: (q(h), y)} and, with ``shift`` = j, the
+    values of q on the lifts moved by b_j (whose dual coordinates are row
+    j of G), else None.
+    """
+    quot = quotient_group(sub, sup)
+    g, amb = sub.gram(), sub.ambient_gram
+    ginv = mat_inv(g)
+    den = lcm(*(v.denominator for row in ginv for v in row))
+    dual_int = [[int(v * den) for v in row] for row in ginv]
+    n = len(g)
+    g = [[int(v) for v in row] for row in g]
+
+    def dual(v):
+        return [sum(v[r] * amb[r][c] * b[c] for r in range(n) for c in range(n))
+                for b in sub.basis]
+
+    def q(y):
+        val = sum(u * dual_int[i][j] * w for i, u in enumerate(y) if u
+                  for j, w in enumerate(y) if w)
+        return Fraction(val % (2 * den), den)
+
+    gens = [dual(sup.vector(h)) for h in quot.generators_sup_coords]
+    assert all(v.denominator == 1 for row in gens for v in row), "sup is not in sub*"
+    gens = [[int(v) for v in row] for row in gens]
+    values, shifted = {}, None if shift is None else {}
+    for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
+        y = [sum(c * row[j] for c, row in zip(coeffs, gens)) for j in range(n)]
+        values[coeffs] = (q(y), y)
+        if shift is not None:
+            shifted[coeffs] = (q([u + v for u, v in zip(y, g[shift])]), y)
+    return values, shifted
 
 
 class TestGlueSaturate:

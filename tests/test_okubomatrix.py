@@ -4,6 +4,7 @@ and the cross-realization diff."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,6 @@ from okubo_e8.algebras import DIM, basis_element, okubo_mul
 from okubo_e8 import okubomatrix
 from okubo_e8.exact import ComplexQuad, QuadExt, eliminate
 from okubo_e8.okubomatrix import (
-    MU,
     HermTraceless3,
     _sign_search,
     build_basis,
@@ -21,7 +21,6 @@ from okubo_e8.okubomatrix import (
     jordan_product,
     kaplansky,
     kaplansky_report,
-    mat_product,
     matrix_coordinates,
     matrix_mul,
     norm,
@@ -30,6 +29,9 @@ from okubo_e8.okubomatrix import (
 )
 
 # -- a naive ComplexQuad reference for the integer kernel ---------------------
+
+#: mu = 1/2 + (sqrt(3)/6) i of the product formula
+MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
 
 
 def ref_mat_product(x, y):
@@ -53,23 +55,41 @@ def ref_matrix_mul(x, y):
 
 def ref_real_trace(x, y, message):
     tr = ref_trace(ref_mat_product(x, y))
-    if not tr.im.is_zero():
+    if tr.im:
         raise ArithmeticError(message)
     return tr.re
 
 
 def ref_norm(x):
-    return ref_real_trace(x, x, "trace of a Hermitian square must be real") / 6
+    return ref_real_trace(x, x, "trace of a Hermitian square must be real") * Fraction(1, 6)
 
 
 def ref_inner(x, y):
-    return ref_real_trace(x, y, "polarized trace must be real") / 3
+    return ref_real_trace(x, y, "polarized trace must be real") * Fraction(1, 3)
 
 
 def ref_jordan(x, y):
     half = ComplexQuad(Fraction(1, 2))
     return [[half * (a + b) for a, b in zip(ra, rb)]
             for ra, rb in zip(ref_mat_product(x, y), ref_mat_product(y, x))]
+
+
+def combine(coeffs, mats):
+    """sum_k coeffs[k] mats[k] on the ComplexQuad entries, validated by the
+    constructor: the coefficients must be real."""
+    acc = [[ComplexQuad(0)] * 3 for _ in range(3)]
+    for c, m in zip(coeffs, mats):
+        c = ComplexQuad.coerce(c)
+        acc = [[u + c * v for u, v in zip(ra, rb)] for ra, rb in zip(acc, m.rows)]
+    return HermTraceless3(acc)
+
+
+def unchecked(rows):
+    """A 3x3 matrix of any entries, through the integer layout without the
+    constructor's check."""
+    quints = [ComplexQuad.coerce(v).quintuple for r in rows for v in r]
+    den = lcm(*[q[4] for q in quints])
+    return okubomatrix._matrix([v * (den // q[4]) for q in quints for v in q[:4]], den)
 
 
 def outcome(fn, *args):
@@ -90,8 +110,8 @@ def kernel_inputs():
     pairs += list(zip(samples, samples[1:]))
     for x, y in list(zip(samples, samples[1:]))[:6]:
         xy = matrix_mul(x, y)
-        big = matrix_mul(matrix_mul(xy, x), y.scale(QuadExt(Fraction(2, 5), Fraction(1, 7))))
-        pairs += [(xy, big), (big, x.scale(Fraction(3, 11))), (big, big)]
+        big = matrix_mul(matrix_mul(xy, x), combine([QuadExt(Fraction(2, 5), Fraction(1, 7))], [y]))
+        pairs += [(xy, big), (big, combine([Fraction(3, 11)], [x])), (big, big)]
     return pairs
 
 
@@ -114,7 +134,8 @@ class TestKernelOracle:
 
     def test_associative_and_jordan_products(self):
         for x, y in KERNEL_INPUTS:
-            assert mat_product(x, y) == ref_mat_product(x, y)
+            rows = okubomatrix._rows(okubomatrix._product(x._q, y._q), x._d * y._d)
+            assert [list(r) for r in rows] == ref_mat_product(x, y)
             assert jordan_product(x, y) == ref_jordan(x, y)
 
     def test_invalid_inputs_rejected_like_reference(self):
@@ -136,7 +157,7 @@ class TestKernelOracle:
             if n % 4 == 0:  # Hermitian, but not traceless
                 rows = [[rows[i][j] if i <= j else rows[j][i].conjugate()
                          for j in range(3)] for i in range(3)]
-            x = HermTraceless3(rows, validate=False)
+            x = unchecked(rows)
             for y in (basis[0], basis[n % 8], x):
                 for a, b in ((x, y), (y, x)):
                     got = outcome(matrix_mul, a, b)
@@ -166,29 +187,17 @@ def ref_validated(rows):
 def ref_random_matrix(rng, span):
     """sum_k (c_k/2) basis[k] with one draw per basis matrix in order, on
     ComplexQuad entries."""
-    acc = [[ComplexQuad(0)] * 3 for _ in range(3)]
-    for m in build_basis():
-        c = ComplexQuad(Fraction(rng.randint(-span, span), 2))
-        acc = [[u + c * v for u, v in zip(ra, rb)] for ra, rb in zip(acc, m.rows)]
-    return HermTraceless3(acc)
-
-
-def old_random_matrix(rng, span):
-    """The scale/add construction random_matrix used before."""
     basis = build_basis()
-    acc = basis[0].scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
-    for m in basis[1:]:
-        acc = acc + m.scale(QuadExt(Fraction(rng.randint(-span, span), 2)))
-    return acc
+    return combine([Fraction(rng.randint(-span, span), 2) for _ in basis], basis)
 
 
 def matrix_pool():
     """Matrices with mixed denominators, with equal values built in
     different ways among them."""
     pool = [x for x, _ in KERNEL_INPUTS[::7]] + [y for _, y in KERNEL_INPUTS[-12:]]
-    x = pool[-1]
-    pool += [x.scale(3).scale(Fraction(1, 3)), x + x - x, -(-x), x - x,
-             build_basis()[0].scale(QuadExt(1))]
+    x, e = pool[-1], build_basis()[0]
+    pool += [combine([Fraction(1, 3)], [combine([3], [x])]), combine([2, -1], [x, x]),
+             -(-x), combine([1, -1], [x, x]), -combine([0], [x]), combine([QuadExt(1)], [e])]
     return pool
 
 
@@ -212,28 +221,19 @@ class TestStoredIntegers:
             assert HermTraceless3(m.rows).rows == m.rows
 
     def test_linear_structure_against_entries(self):
-        pool = matrix_pool()
-        factor = ComplexQuad(QuadExt(Fraction(2, 3), Fraction(-1, 5)), QuadExt(0, 3))
-        for a, b in zip(pool, pool[1:]):
-            for got, op in ((a + b, lambda u, v: u + v), (a - b, lambda u, v: u - v)):
-                want = [[op(u, v) for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-                assert [list(r) for r in got.rows] == want
+        for a in matrix_pool():
             assert [list(r) for r in (-a).rows] == [[-v for v in r] for r in a.rows]
-            scaled = a.scale(factor)  # a scale never validates
-            assert [list(r) for r in scaled.rows] == [[factor * v for v in r] for r in a.rows]
-            # a non-real multiple of a Hermitian matrix is Hermitian only at 0
-            assert scaled.is_hermitian() == (a == a - a)
+            assert -(-a) == a and (-a == a) == (a == combine([0], [a]))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_matrix_against_old_constructions(self, seed):
         for span in (1, 2, 3):
             got = random_matrix(random.Random(seed), span)
             assert got == ref_random_matrix(random.Random(seed), span)
-            assert got == old_random_matrix(random.Random(seed), span)
-            assert got.rows == old_random_matrix(random.Random(seed), span).rows
+            assert got.rows == ref_random_matrix(random.Random(seed), span).rows
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):  # the draws stay in step
-            assert random_matrix(rng) == old_random_matrix(ref, 2)
+            assert random_matrix(rng) == ref_random_matrix(ref, 2)
 
     def test_invalid_matrices_raise_as_before(self):
         rng = random.Random(6)
@@ -261,27 +261,21 @@ class TestStoredIntegers:
             else:
                 assert got.rows == want
                 seen.add("valid")
-            if len(rows) == 3 and all(len(r) == 3 for r in rows):
-                raw = HermTraceless3(rows, validate=False)
-                assert raw.is_hermitian() == all(
-                    raw.rows[i][j] == raw.rows[j][i].conjugate()
-                    for i in range(3) for j in range(3))
-                assert raw.trace() == ref_trace(raw.rows)
         assert seen == {"valid", "need a 3x3 matrix", "matrix is not Hermitian",
                         "matrix is not traceless"}
 
 
 class TestBasis:
     def test_mu(self):
-        assert MU == ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
+        # the reference product's mu: mu + conj(mu) = 1 and |mu|^2 = 1/3
+        assert MU + MU.conjugate() == ComplexQuad(1)
         assert MU * MU.conjugate() == ComplexQuad(QuadExt(Fraction(1, 3)))
 
     def test_types(self):
         basis = build_basis()
         assert len(basis) == 8
         for m in basis:
-            assert m.is_hermitian()
-            assert m.trace() == ComplexQuad(0)
+            assert ref_validated(m.rows) == m.rows
 
     def test_idempotent(self):
         e = build_basis()[0]
@@ -309,13 +303,14 @@ class TestProduct:
         rng = random.Random(2)
         for _ in range(20):
             x, y = random_matrix(rng), random_matrix(rng)
-            z = matrix_mul(x, y)  # constructor validates
-            assert z.is_hermitian()
-            assert z.trace() == ComplexQuad(0)
+            z = matrix_mul(x, y)  # the product validates
+            assert ref_validated(z.rows) == z.rows
 
     def test_e1_e2_hermitian(self):
         basis = build_basis()
-        assert matrix_mul(basis[1], basis[2]).is_hermitian()
+        z = matrix_mul(basis[1], basis[2])
+        assert all(z.rows[i][j] == z.rows[j][i].conjugate()
+                   for i in range(3) for j in range(3))
 
     def test_laws(self):
         rep = verify_laws(samples=100, seed=0)
@@ -419,11 +414,7 @@ class TestCoordinates:
         basis = build_basis()
         for _ in range(5):
             m = random_matrix(rng)
-            coords = matrix_coordinates(m)
-            acc = basis[0].scale(coords[0])
-            for c, b in zip(coords[1:], basis[1:]):
-                acc = acc + b.scale(c)
-            assert acc == m
+            assert combine(matrix_coordinates(m), basis) == m
 
 
 class TestCrossRealization:

@@ -142,13 +142,12 @@ class TestCli:
         rc = main(["verify", "trace16", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert [d["check"] for d in data] == sorted(checks.CHECK_MAP[
-            "trace-lattice-remark"])
+        assert [d["check"] for d in data] == sorted(checks.REGISTRY["trace16"].ids)
 
     def test_okubo_obstruction_suite(self, tmp_path, capsys):
         assert main(["verify", "okubo-obstruction", "--format", "json"]) == 0
         plain = {d["check"] for d in json.loads(capsys.readouterr().out)}
-        assert plain == {*checks.CHECK_MAP["okubo-obstruction-theorem"],
+        assert plain == {*checks.REGISTRY["okubo-obstruction"].ids,
                          "okubo-denominators"}
         f = tmp_path / "c.txt"
         f.write_text(dump_structure_constants(structure_constants("okubo")))
@@ -156,7 +155,7 @@ class TestCli:
                    "--format", "json"])
         dumped = {d["check"] for d in json.loads(capsys.readouterr().out)}
         assert rc == 0
-        assert dumped == set(checks.CHECK_MAP["okubo-obstruction-theorem"])
+        assert dumped == set(checks.REGISTRY["okubo-obstruction"].ids)
 
     def test_lattice_flags_only_where_used(self, capsys):
         for argv in (["lattice", "trace16", "--fixture", "/nonexistent"],
@@ -335,14 +334,14 @@ def test_discriminant_routes_must_agree(monkeypatch):
 class TestCoverage:
     def test_run_all_matches_check_map(self, all_reports):
         emitted = {r.check for r in all_reports}
-        assert emitted == checks.mapped_check_ids()
+        assert emitted == {cid for g in checks.REGISTRY.values() for cid in g.ids}
         assert len(all_reports) == len(emitted)  # ids unique
 
     def test_anchor_consistency(self, all_reports):
         by_id = {r.check: r.anchor for r in all_reports}
-        for anchor, ids in checks.CHECK_MAP.items():
-            for cid in ids:
-                assert by_id[cid] == anchor
+        for group in checks.REGISTRY.values():
+            for cid in group.ids:
+                assert by_id[cid] == group.anchor
 
     def test_docs_table_is_rendered_registry(self):
         """docs/checks.md is exactly the rendering of the registry;

@@ -17,6 +17,14 @@ from okubo_e8.stabilizer import (
 IDENTITY = SignedBlockPerm(tuple(range(8)), (1,) * 8)
 
 
+def perm_matrix(g):
+    """The matrix of g: column i holds signs[i] in row perm[i]."""
+    m = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        m[g.perm[i]][i] = g.signs[i]
+    return m
+
+
 class TestSignedBlockPerm:
     def test_compose_inverse(self):
         g = SignedBlockPerm((1, 0, 2, 3, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
@@ -25,8 +33,12 @@ class TestSignedBlockPerm:
 
     def test_matrix_action(self):
         g = SignedBlockPerm((1, 0, 2, 3, 4, 5, 6, 7), (1, 1, 1, 1, 1, 1, 1, 1))
-        m = g.matrix()
+        h = SignedBlockPerm((0, 1, 3, 2, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
+        m, n = perm_matrix(g), perm_matrix(h)
         assert m[1][0] == 1 and m[0][1] == 1 and m[2][2] == 1
+        # composition is the matrix product
+        assert perm_matrix(g.compose(h)) == [
+            [sum(m[r][k] * n[k][c] for k in range(8)) for c in range(8)] for r in range(8)]
 
 
 class TestSearch:
@@ -54,7 +66,7 @@ class TestSearch:
         rep = search()
         gram = conductor_gram()
         for cand in rep.metric[:6]:
-            m = cand.matrix()
+            m = perm_matrix(cand)
             left = [
                 [
                     sum(m[r][i] * gram[r][s] * m[s][j] for r in range(8) for s in range(8))
