@@ -22,15 +22,16 @@ product the module provides
 
 both composition products for the same Euclidean norm.
 
-The three products share one integer pass over the multiplication
-table.  An element's coordinates are read as integer pairs (a, b) for
-(a + b sqrt(3))/D over one common denominator D, the lcm of their
-canonical denominators (Cohen, GTM 138, section 4.2); the pass adds
-integer products over Dx*Dy, and each of the eight result coordinates
-becomes one canonical QuadExt.  Conjugation is a sign on those integers,
-so the para product negates the imaginary pairs of both factors.  The
-rotation matrices are integers over the denominator 2 (``AutMatrix.columns``),
-and the Okubo product applies the integer matrices of tau o conj and
+An element stores its coordinates as integer pairs (a, b) for
+(a + b sqrt(3))/D over one denominator D, canonical by one gcd (Cohen,
+GTM 138, section 4.2), as the Hermitian matrices of ``okubomatrix`` do;
+``coords`` builds QuadExt values only when a report, a solve or a test
+asks for them.  The three products share one integer pass over the
+multiplication table, which adds integer products over Dx*Dy.
+Conjugation is a sign on those integers, so the para product negates
+the imaginary pairs of both factors.  The rotation is stored as the
+images of e0..e7 (``AutMatrix.images``), integers over the denominator
+2, and the Okubo product applies the integer matrices of tau o conj and
 tau^2 o conj, derived once from TAU and TAU2, before its one table pass,
 with no intermediate element.
 """
@@ -41,10 +42,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .claims import CONVENTION
-from .exact import QUAD_ONE, QUAD_ZERO, QuadExt, _quad
+from .exact import QuadExt, _quad
 
 DIM = 8
 
@@ -89,24 +91,38 @@ OCT_TABLE = MultTable(_IDX, _SGN, CONVENTION)
 
 
 class AlgebraElem:
-    """A vector over the basis e0..e7 with exact Q(sqrt 3) coordinates."""
+    """A vector over the basis e0..e7 with exact Q(sqrt 3) coordinates.
 
-    __slots__ = ("coords",)
+    Stored as the integer pairs (a_k, b_k) of (a_k + b_k sqrt3)/D over one
+    denominator D > 0, canonical: the pairs and D have no common factor.
+    """
+
+    __slots__ = ("_p", "_d")
 
     def __init__(self, coords):
-        coords = tuple(QuadExt.coerce(c) for c in coords)
-        if len(coords) != DIM:
-            raise ValueError(f"need {DIM} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        triples = [QuadExt.coerce(c).triple for c in coords]
+        if len(triples) != DIM:
+            raise ValueError(f"need {DIM} coordinates, got {len(triples)}")
+        # the lcm of canonical denominators is canonical: a prime dividing
+        # it as often as it divides d_k cannot divide both a_k and b_k
+        den = lcm(*(d for _, _, d in triples))
+        _set_p(self, tuple((a * (den // d), b * (den // d)) for a, b, d in triples))
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElem values are immutable")
+
+    @property
+    def coords(self) -> tuple[QuadExt, ...]:
+        """The eight coordinates as QuadExt values, built on each call."""
+        d = self._d
+        return tuple(_quad(a, b, d) for a, b in self._p)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "AlgebraElem":
-        return cls((QUAD_ZERO,) * DIM)
+        return _elem(((0, 0),) * DIM, 1)
 
     @classmethod
     def one(cls) -> "AlgebraElem":
@@ -115,82 +131,72 @@ class AlgebraElem:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
-        return AlgebraElem(a + b for a, b in zip(self.coords, other.coords))
+        d, f = self._d, other._d
+        return _elem([(a * f + c * d, b * f + e * d)
+                      for (a, b), (c, e) in zip(self._p, other._p)], d * f)
 
     def __neg__(self):
-        return AlgebraElem(-a for a in self.coords)
+        return _elem([(-a, -b) for a, b in self._p], self._d)
 
     def scale(self, factor) -> "AlgebraElem":
-        factor = QuadExt.coerce(factor)
-        return AlgebraElem(factor * a for a in self.coords)
+        p, q, m = QuadExt.coerce(factor).triple
+        return _elem([(a * p + 3 * b * q, a * q + b * p) for a, b in self._p],
+                     self._d * m)
 
     # -- involution, norm, trace -----------------------------------------
 
     def conjugate(self) -> "AlgebraElem":
         """<x,1> 1 - x: negate the seven imaginary coordinates."""
-        c = self.coords
-        return AlgebraElem((c[0],) + tuple(-v for v in c[1:]))
+        return _elem(_conj(self._p), self._d)
 
     def norm(self) -> QuadExt:
         """Composition norm: the sum of coordinate squares."""
-        out = QUAD_ZERO
-        for v in self.coords:
-            if v:
-                out = out + v * v
-        return out
+        return _quad(sum(a * a + 3 * b * b for a, b in self._p),
+                     2 * sum(a * b for a, b in self._p), self._d * self._d)
 
     def trace(self) -> QuadExt:
         """<x,1> = 2 x0."""
-        return 2 * self.coords[0]
+        a, b = self._p[0]
+        return _quad(2 * a, 2 * b, self._d)
 
     def inner(self, other: "AlgebraElem") -> QuadExt:
         """Polarization <x,y> of the norm; equals the scalar part of
         x*conj(y) + y*conj(x) (asserted by the test suite)."""
-        out = QUAD_ZERO
-        for a, b in zip(self.coords, other.coords):
-            if a and b:
-                out = out + a * b
-        return 2 * out
+        pairs = list(zip(self._p, other._p))
+        return _quad(2 * sum(a * c + 3 * b * e for (a, b), (c, e) in pairs),
+                     2 * sum(a * e + b * c for (a, b), (c, e) in pairs),
+                     self._d * other._d)
 
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElem):
             return NotImplemented
-        return self.coords == other.coords
+        return self._d == other._d and self._p == other._p
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self._p, self._d))
 
     def __repr__(self):
         terms = [f"({c})*e{k}" for k, c in enumerate(self.coords) if c]
         return " + ".join(terms) if terms else "0"
 
 
-_set_coords = AlgebraElem.coords.__set__
-
-
-def _integers(x: AlgebraElem) -> tuple[list[tuple[int, int]], int]:
-    """The coordinates of x as integer pairs (a, b) for (a + b sqrt3)/D
-    over one common denominator D, and D."""
-    triples = [v.triple for v in x.coords]
-    den = lcm(*[t[2] for t in triples])
-    return [(a, b) if d == den else (a * (den // d), b * (den // d))
-            for a, b, d in triples], den
+_set_p = AlgebraElem._p.__set__
+_set_d = AlgebraElem._d.__set__
 
 
 def _elem(pairs, den: int) -> AlgebraElem:
     """The element with the coordinates (a + b sqrt3)/den for the integer
-    pairs ``pairs``: one canonical QuadExt per coordinate."""
+    pairs ``pairs`` and den > 0, made canonical by one gcd."""
+    g = gcd(den, *chain.from_iterable(pairs))
     x = object.__new__(AlgebraElem)
-    _set_coords(x, tuple(_quad(a, b, den) for a, b in pairs))
+    _set_p(x, tuple((a // g, b // g) for a, b in pairs))
+    _set_d(x, den // g)
     return x
 
 
-_BASIS = tuple(
-    AlgebraElem([QUAD_ONE if i == k else QUAD_ZERO for i in range(DIM)])
-    for k in range(DIM)
-)
+_BASIS = tuple(_elem([(int(i == k), 0) for i in range(DIM)], 1) for k in range(DIM))
 
 
 def basis_element(k: int) -> AlgebraElem:
@@ -227,76 +233,17 @@ def _conj(xs):
 
 def oct_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The unital (octonion) product of convention ``cd1946``."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
-    return _elem(_oct(xs, ys), dx * dy)
+    return _elem(_oct(x._p, y._p), x._d * y._d)
 
 
 def para_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The para product conj(x) * conj(y)."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
-    return _elem(_oct(_conj(xs), _conj(ys)), dx * dy)
+    return _elem(_oct(_conj(x._p), _conj(y._p)), x._d * y._d)
 
 
 # ---------------------------------------------------------------------------
 # the order-three rotation automorphism
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AutMatrix:
-    """A norm-preserving algebra automorphism given by its exact matrix."""
-
-    matrix: tuple[tuple[QuadExt, ...], ...]
-    order: int
-
-    def apply(self, x: AlgebraElem) -> AlgebraElem:
-        cols, den = self.columns
-        xs, dx = _integers(x)
-        return _elem(_apply(cols, xs), den * dx)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
-        """The matrix as integers over one denominator M: per column c the
-        triples (r, p, q) of its nonzero entries (p + q sqrt3)/M in rows r;
-        and M."""
-        triples = [[v.triple for v in row] for row in self.matrix]
-        den = lcm(*(d for row in triples for _, _, d in row))
-        return tuple(
-            tuple((r, p * (den // d), q * (den // d))
-                  for r, (p, q, d) in enumerate(row[c] for row in triples) if p or q)
-            for c in range(DIM)
-        ), den
-
-    def compose(self, other: "AutMatrix", order: int) -> "AutMatrix":
-        rows = []
-        for r in range(DIM):
-            row = []
-            for c in range(DIM):
-                acc = QUAD_ZERO
-                for m in range(DIM):
-                    if self.matrix[r][m] and other.matrix[m][c]:
-                        acc = acc + self.matrix[r][m] * other.matrix[m][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return AutMatrix(tuple(rows), order)
-
-
-def _tau_matrix() -> tuple[tuple[QuadExt, ...], ...]:
-    half = Fraction(1, 2)
-    m = [[QUAD_ZERO] * DIM for _ in range(DIM)]
-    for k in (0, 1, 3, 7):
-        m[k][k] = QUAD_ONE
-    for a, b in ((2, 5), (4, 6)):
-        # rotation by 2*pi/3 in the (e_a, e_b) plane
-        m[a][a] = QuadExt(-half)
-        m[b][a] = QuadExt(0, half)
-        m[a][b] = QuadExt(0, -half)
-        m[b][b] = QuadExt(-half)
-    return tuple(tuple(r) for r in m)
-
-
-TAU = AutMatrix(_tau_matrix(), 3)
-TAU2 = TAU.compose(TAU, 3)
 
 
 def _apply(cols, xs) -> list[list[int]]:
@@ -311,6 +258,49 @@ def _apply(cols, xs) -> list[list[int]]:
                 acc[0] += p * a + 3 * q * b
                 acc[1] += p * b + q * a
     return out
+
+
+@dataclass(frozen=True)
+class AutMatrix:
+    """A norm-preserving algebra automorphism given by the images of
+    e0..e7, the columns of its exact matrix."""
+
+    images: tuple[AlgebraElem, ...]
+
+    def apply(self, x: AlgebraElem) -> AlgebraElem:
+        cols, den = self.columns
+        return _elem(_apply(cols, x._p), den * x._d)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
+        """The matrix as integers over one denominator M: per column c the
+        triples (r, p, q) of its nonzero entries (p + q sqrt3)/M in rows r;
+        and M."""
+        den = lcm(*(x._d for x in self.images))
+        return tuple(
+            tuple((r, p * (den // x._d), q * (den // x._d))
+                  for r, (p, q) in enumerate(x._p) if p or q)
+            for x in self.images
+        ), den
+
+    def compose(self, other: "AutMatrix") -> "AutMatrix":
+        return AutMatrix(tuple(self.apply(x) for x in other.images))
+
+
+def _tau_images() -> tuple[AlgebraElem, ...]:
+    """tau(e_0), ..., tau(e_7) as integer pairs over 2."""
+    cols = [[(0, 0)] * DIM for _ in range(DIM)]
+    for k in (0, 1, 3, 7):
+        cols[k][k] = (2, 0)
+    for a, b in ((2, 5), (4, 6)):
+        # rotation by 2*pi/3 in the (e_a, e_b) plane
+        cols[a][a], cols[a][b] = (-1, 0), (0, 1)
+        cols[b][b], cols[b][a] = (-1, 0), (0, -1)
+    return tuple(_elem(col, 2) for col in cols)
+
+
+TAU = AutMatrix(_tau_images())
+TAU2 = TAU.compose(TAU)
 
 
 def _conj_columns(aut: AutMatrix):
@@ -338,9 +328,8 @@ def tau_apply(x: AlgebraElem, power: int = 1) -> AlgebraElem:
 
 def okubo_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The Okubo product tau(conj(x)) * tau^2(conj(y))."""
-    (xs, dx), (ys, dy) = _integers(x), _integers(y)
     (tx, mx), (ty, my) = _TAU_CONJ, _TAU2_CONJ
-    return _elem(_oct(_apply(tx, xs), _apply(ty, ys)), mx * dx * my * dy)
+    return _elem(_oct(_apply(tx, x._p), _apply(ty, y._p)), mx * x._d * my * y._d)
 
 
 PRODUCTS = {

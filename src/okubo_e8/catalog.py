@@ -36,7 +36,6 @@ class ClassicalOrderSpec:
     name: str
     basis: OrderBasis
     expected_units: int
-    lattice_label: str
     expected_det: int
     expected_min: int
     expected_kissing: int
@@ -74,12 +73,11 @@ def build_classical(name: str) -> ClassicalOrderSpec:
         elements = tuple(lt[n] for n in ("1", "i", "j", "k", "l", "il", "jl", "kl"))
     else:  # coxeter-dickson: the order basis itself, with its cached solve
         elements = None
-    units, label, det, mn, kiss = CLASSICAL_TABLE[name]
+    units, _, det, mn, kiss = CLASSICAL_TABLE[name]
     return ClassicalOrderSpec(
         name=name,
         basis=OrderBasis(elements, name) if elements else cd_basis(),
         expected_units=units,
-        lattice_label=label,
         expected_det=det,
         expected_min=mn,
         expected_kissing=kiss,

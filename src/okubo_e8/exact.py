@@ -6,8 +6,7 @@ Two layers of immutable, hashable values:
   the ring operations, the inverse (also as ``1 / x``), the trace to Q
   and the exact sign in either real embedding.
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
-  the entries of the Hermitian-matrix realization, whose kernel works on
-  their integers.
+  the entries of the Hermitian-matrix realization.
 
 Both field types store integer numerators over one common denominator
 (Cohen, GTM 138, section 4.2).  A ``QuadExt`` is the triple ``(a, b, d)``
@@ -18,6 +17,12 @@ and zero is stored with ``d = 1``.  So equality is a comparison of
 integers, and arithmetic is integer products plus one ``math.gcd`` per
 result.  ``QuadExt.rat``/``.irr`` and ``ComplexQuad.re``/``.im`` are
 computed from the integers on demand.
+
+The elements of both product realizations (``algebras.AlgebraElem`` and
+``okubomatrix.HermTraceless3``) hold the same canonical integers, for all
+their coordinates over one denominator, and compute on them: ``QuadExt``
+and ``ComplexQuad`` values are built from those integers at the report
+boundary, when a report, a solve or a test reads a coordinate.
 
 :func:`eliminate` is the one Gaussian elimination of the package: every
 determinant, inverse, linear solve and LDL pivot, over Q or over K, runs
@@ -216,7 +221,6 @@ def _quad(a: int, b: int, d: int) -> QuadExt:
 
 
 QUAD_ZERO = QuadExt(0)
-QUAD_ONE = QuadExt(1)
 
 
 class RingTag(enum.Enum):
@@ -237,27 +241,6 @@ class RingTag(enum.Enum):
         if self is RingTag.Q:
             return not x._b
         return True
-
-
-# ---------------------------------------------------------------------------
-# denominator bookkeeping (2-adic profile of exact results)
-# ---------------------------------------------------------------------------
-
-
-def two_adic_denominator(q: Fraction) -> int:
-    """Exponent of 2 in the denominator of ``q`` (0 if odd)."""
-    d = q.denominator
-    e = 0
-    while d % 2 == 0:
-        d //= 2
-        e += 1
-    return e
-
-
-def quad_denominator(x: QuadExt) -> int:
-    """lcm of the denominators of the two rational coordinates, which is
-    the common denominator d of the canonical triple."""
-    return x._d
 
 
 # ---------------------------------------------------------------------------

@@ -516,8 +516,10 @@ def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     if any(v.denominator != 1 for row in gram for v in row):
         raise LatticeError("discriminant group needs an integral Gram")
     # in dual-basis coordinates L* = Z^n and L is the row span of the Gram
-    return DiscriminantGroup(invariants=tuple(
-        d for d, _ in _smith_rows([[int(v) for v in row] for row in gram]) if d > 1))
+    invariants = smith_invariants([[int(v) for v in row] for row in gram])
+    if not all(invariants):
+        raise LatticeError("matrix is not of full rank")
+    return DiscriminantGroup(invariants=tuple(d for d in invariants if d > 1))
 
 
 @dataclass(frozen=True)
@@ -580,7 +582,6 @@ class GlueSaturateReport:
     q_values_all_zero: bool
     isotropy_witness: tuple | None
     maximal_isotropic: bool
-    glued: LatticeZ
     glued_even: bool
     glued_unimodular: bool
     glued_equals_sup: bool
@@ -636,7 +637,6 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
         q_values_all_zero=all_zero,
         isotropy_witness=witness,
         maximal_isotropic=maximal,
-        glued=glued,
         glued_even=glued_even,
         glued_unimodular=glued_unimodular,
         glued_equals_sup=glued_eq,

@@ -245,8 +245,8 @@ def basis_gram() -> list[list[QuadExt]]:
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
     """A random real linear combination sum_k (c_k/2) basis[k] of the eight
     basis matrices with small half-integer coefficients, summed on the
-    basis integers of :func:`_basis_integers`."""
-    ints, den = _basis_integers()
+    basis integers of :func:`_basis_ints`."""
+    ints, den = _basis_ints()
     coeffs = [rng.randint(-span, span) for _ in ints]
     acc = [0] * 36
     for c, b in zip(coeffs, ints):
@@ -411,7 +411,7 @@ def _functionals(ints):
 
 
 @lru_cache(maxsize=None)
-def _basis_integers():
+def _basis_ints():
     """The integers of the basis matrices over one common denominator D,
     and D."""
     basis = build_basis()
@@ -424,7 +424,7 @@ def _coordinate_inverse():
     """F^-1 for the functional matrix F[f][k] = f(basis[k]), so that the
     coordinates of m are F^-1 f(m); as integer pairs (p, q) for the entries
     (p + q sqrt3)/E over one common denominator E, and E."""
-    ints, den = _basis_integers()
+    ints, den = _basis_ints()
     cols = [[_quad(a, b, den) for a, b in _functionals(m)] for m in ints]
     n = len(cols)
     work, pivots, _ = eliminate(
@@ -458,7 +458,7 @@ def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
             p_k += p * a + 3 * q * b
             q_k += p * b + q * a
         coords.append((p_k, q_k))
-    basis, b_den = _basis_integers()
+    basis, b_den = _basis_ints()
     scale = e_den * b_den
     for k in range(0, 36, 4):
         acc = [0, 0, 0, 0]

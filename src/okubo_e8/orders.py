@@ -38,19 +38,13 @@ from .algebras import (
     OCT_TABLE,
     PRODUCTS,
     AlgebraElem,
+    _elem,
     basis_element,
     oct_mul,
     okubo_mul,
 )
 from .claims import SCALING_DIAGONAL
-from .exact import (
-    QUAD_ZERO,
-    QuadExt,
-    RingTag,
-    parse_rational,
-    quad_denominator,
-    two_adic_denominator,
-)
+from .exact import QUAD_ZERO, QuadExt, RingTag, parse_rational
 
 # -- pinned Dickson letters ---------------------------------------------------
 
@@ -113,9 +107,9 @@ class OrderBasis:
         """The integral Gram <b_i, b_j>; ArithmeticError if it is not."""
         rows = []
         for row in self.inner_products():
-            if any(v.irr != 0 or v.rat.denominator != 1 for v in row):
+            if not all(RingTag.Z.contains(v) for v in row):
                 raise ArithmeticError("order Gram must be integral")
-            rows.append(tuple(int(v.rat) for v in row))
+            rows.append(tuple(v.triple[0] for v in row))
         return tuple(rows)
 
     @cached_property
@@ -131,10 +125,11 @@ class OrderBasis:
         except lat.LatticeError as exc:
             raise SingularBasisError("order basis is singular") from exc
         n = len(self.elements)
+        coords = [b.coords for b in self.elements]
         return tuple(
             tuple(
-                2 * sum((b.coords[m] * ginv[j][k]
-                         for j, b in enumerate(self.elements) if b.coords[m]), QUAD_ZERO)
+                2 * sum((c[m] * ginv[j][k] for j, c in enumerate(coords) if c[m]),
+                        QUAD_ZERO)
                 for k in range(n)
             )
             for m in range(DIM)
@@ -175,7 +170,6 @@ class FormulaComparison:
 
     trace_computed: tuple
     trace_matches: bool
-    norm_cross_computed: dict
     norm_mismatches: tuple
 
 
@@ -192,18 +186,15 @@ def cd_basis_and_gram():
     gram = cd_gram()
     trace_computed = tuple(b.trace() for b in basis)
     trace_expected = tuple(QuadExt(v) for v in TRACE_PATTERN)
-    cross = {}
     mismatches = []
     for i in range(DIM):
         for j in range(i + 1, DIM):
             coeff = gram[i][j]  # coefficient of a_i a_j in n(x)
-            cross[(i, j)] = coeff
             if coeff != NORM_CROSS_TERMS.get((i, j), 0):
                 mismatches.append(((i, j), coeff, NORM_CROSS_TERMS.get((i, j), 0)))
     return basis, gram, FormulaComparison(
         trace_computed=trace_computed,
         trace_matches=trace_computed == trace_expected,
-        norm_cross_computed=cross,
         norm_mismatches=tuple(mismatches),
     )
 
@@ -261,13 +252,9 @@ class Units240Report:
 def _doubled(x: AlgebraElem) -> tuple[int, ...]:
     """The integer e-coordinates of 2x, for x with half-integral rational
     coordinates."""
-    out = []
-    for c in x.coords:
-        v = 2 * c.rat
-        if c.irr != 0 or v.denominator != 1:
-            raise ArithmeticError("element has a non half-integral coordinate")
-        out.append(int(v))
-    return tuple(out)
+    if x._d > 2 or any(b for _, b in x._p):
+        raise ArithmeticError("element has a non half-integral coordinate")
+    return tuple(a * (2 // x._d) for a, _ in x._p)
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +297,7 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
         norm_failures=bad_norm,
         inverses_present=inverses,
     )
-    elements = tuple(AlgebraElem(Fraction(c, 2) for c in v) for v in vecs2)
+    elements = tuple(_elem([(c, 0) for c in v], 2) for v in vecs2)
     return elements, report
 
 
@@ -341,12 +328,11 @@ class StructureConstants:
         for i, j, k, v in self.all_entries():
             if not v:
                 continue
-            val = max(two_adic_denominator(v.rat), two_adic_denominator(v.irr))
-            if (v.rat.denominator >> two_adic_denominator(v.rat) != 1
-                    or v.irr.denominator >> two_adic_denominator(v.irr) != 1):
+            d = v.triple[2]  # the lcm of the denominators of both parts
+            if d & (d - 1):
                 return None
-            if val > 0:
-                cons.append((i, j, k, val))
+            if d > 1:
+                cons.append((i, j, k, d.bit_length() - 1))
         cons.sort(key=lambda t: -t[3])
         return tuple(cons)
 
@@ -355,8 +341,9 @@ def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, .
     """Exact K-coordinates of x over the given order basis: x P with P the
     basis's solve matrix (see :attr:`OrderBasis.solve_matrix`)."""
     p = basis.solve_matrix
+    xc = x.coords
     return tuple(
-        sum((cm * row[k] for cm, row in zip(x.coords, p) if cm), QUAD_ZERO)
+        sum((cm * row[k] for cm, row in zip(xc, p) if cm), QUAD_ZERO)
         for k in range(len(basis))
     )
 
@@ -444,9 +431,7 @@ class IntegralSystemReport:
     """Closure and trace/norm integrality relative to a reference idempotent."""
 
     product: str
-    ring: RingTag
     violations: tuple  # (i, j, k, coefficient)
-    trace_values: tuple
     norm_values: tuple
     trace_norm_ok: bool
 
@@ -470,9 +455,7 @@ def closure_test(constants: StructureConstants, ring: RingTag,
     )
     return IntegralSystemReport(
         product=constants.product,
-        ring=ring,
         violations=violations,
-        trace_values=traces,
         norm_values=norms,
         trace_norm_ok=tn_ok,
     )
@@ -488,7 +471,6 @@ class ScalingVector:
 
 @dataclass(frozen=True)
 class ScalingSearchResult:
-    max_exp: int
     feasible_count: int
     minimal: tuple[ScalingVector, ...]
 
@@ -512,10 +494,9 @@ def scaling_search(constants: StructureConstants, max_exp: int) -> ScalingSearch
         raise ValueError("max_exp must be at least 2")
     cons = constants.valuation_constraints
     if cons is None:
-        return ScalingSearchResult(max_exp=max_exp, feasible_count=0, minimal=())
+        return ScalingSearchResult(feasible_count=0, minimal=())
     feasible_count, minimal = scaling_walk(cons, DIM, max_exp)
     return ScalingSearchResult(
-        max_exp=max_exp,
         feasible_count=feasible_count,
         minimal=tuple(ScalingVector(m) for m in minimal),
     )
@@ -546,10 +527,8 @@ def scaled_constants(constants: StructureConstants, diagonal=SCALING_DIAGONAL):
 @dataclass(frozen=True)
 class ScaledOrderReport:
     violations: tuple
-    trace_values: tuple
     norm_values: tuple
     inner_values: tuple
-    product_traces: tuple
     all_integral: bool
 
 
@@ -584,10 +563,8 @@ def scaled_order_verify(exponents=(1, 1, 1, 1, 2, 2, 2, 2)) -> ScaledOrderReport
     )
     return ScaledOrderReport(
         violations=violations,
-        trace_values=traces,
         norm_values=norms,
         inner_values=inners,
-        product_traces=prod_traces,
         all_integral=all_integral,
     )
 
@@ -613,6 +590,6 @@ def denominator_profile(constants: StructureConstants) -> dict[int, int]:
     and irrational coordinate denominators)."""
     hist: dict[int, int] = {}
     for _i, _j, _k, v in constants.all_entries():
-        d = quad_denominator(v)
+        d = v.triple[2]
         hist[d] = hist.get(d, 0) + 1
     return hist

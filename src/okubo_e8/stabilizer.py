@@ -110,7 +110,6 @@ def search() -> StabilizerReport:
 @dataclass(frozen=True)
 class TauMembershipReport:
     tau_u2_coords: tuple[QuadExt, ...]
-    tau2_u2_coords: tuple[QuadExt, ...]
     tau_u2_integral: bool
     tau2_u2_integral: bool
     tau_u2_u0_coefficient: QuadExt
@@ -142,7 +141,6 @@ def tau_membership() -> TauMembershipReport:
 
     return TauMembershipReport(
         tau_u2_coords=tau_u2,
-        tau2_u2_coords=tau2_u2,
         tau_u2_integral=all(ring.contains(c) for c in tau_u2),
         tau2_u2_integral=all(ring.contains(c) for c in tau2_u2),
         tau_u2_u0_coefficient=tau_u2[0],

@@ -3,6 +3,7 @@ conversion identities, all checked exactly."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -52,10 +53,32 @@ def ref_oct_mul(x, y):
     return AlgebraElem(acc)
 
 
-def ref_apply(aut, x):
-    """The matrix of ``aut`` times the coordinate column of x."""
+def ref_mat_mul(m, n):
+    return [[sum((m[r][k] * n[k][c] for k in range(DIM)), QUAD_ZERO)
+             for c in range(DIM)] for r in range(DIM)]
+
+
+def ref_tau_matrix():
+    """tau as a QuadExt matrix, column c the image of e_c, from the
+    formula of the algebras module docstring: e0, e1, e3, e7 fixed,
+    tau(e_a) = -(e_a - sqrt3 e_b)/2 and tau(e_b) = -(e_b + sqrt3 e_a)/2
+    on the planes (a, b) = (2, 5) and (4, 6)."""
+    m = [[QuadExt(int(r == c)) for c in range(DIM)] for r in range(DIM)]
+    for a, b in ((2, 5), (4, 6)):
+        m[a][a] = m[b][b] = QuadExt(-HALF)
+        m[b][a] = QuadExt(0, HALF)
+        m[a][b] = QuadExt(0, -HALF)
+    return m
+
+
+TAU_MATRIX = ref_tau_matrix()
+TAU2_MATRIX = ref_mat_mul(TAU_MATRIX, TAU_MATRIX)
+
+
+def ref_apply(matrix, x):
+    """The QuadExt matrix ``matrix`` times the coordinate column of x."""
     return AlgebraElem(
-        sum((aut.matrix[r][c] * x.coords[c] for c in range(DIM)), QUAD_ZERO)
+        sum((matrix[r][c] * x.coords[c] for c in range(DIM)), QUAD_ZERO)
         for r in range(DIM)
     )
 
@@ -65,7 +88,8 @@ def ref_para_mul(x, y):
 
 
 def ref_okubo_mul(x, y):
-    return ref_oct_mul(ref_apply(TAU, x.conjugate()), ref_apply(TAU2, y.conjugate()))
+    return ref_oct_mul(ref_apply(TAU_MATRIX, x.conjugate()),
+                       ref_apply(TAU2_MATRIX, y.conjugate()))
 
 
 REF_PRODUCTS = {"octonion": ref_oct_mul, "para": ref_para_mul, "okubo": ref_okubo_mul}
@@ -121,17 +145,18 @@ class TestKernelOracle:
 
     def test_rotation(self):
         for x in [basis_element(k) for k in range(DIM)] + ORACLE_INPUTS:
-            assert TAU.apply(x) == tau_apply(x) == ref_apply(TAU, x)
-            assert TAU2.apply(x) == tau_apply(x, 2) == ref_apply(TAU2, x)
+            assert TAU.apply(x) == tau_apply(x) == ref_apply(TAU_MATRIX, x)
+            assert TAU2.apply(x) == tau_apply(x, 2) == ref_apply(TAU2_MATRIX, x)
 
     def test_integer_columns_rebuild_the_matrix(self):
-        for aut in (TAU, TAU2):
+        for aut, matrix in ((TAU, TAU_MATRIX), (TAU2, TAU2_MATRIX)):
             cols, den = aut.columns
             rebuilt = [[QUAD_ZERO] * DIM for _ in range(DIM)]
             for c, col in enumerate(cols):
                 for r, p, q in col:
                     rebuilt[r][c] = QuadExt(Fraction(p, den), Fraction(q, den))
-            assert [list(row) for row in aut.matrix] == rebuilt
+            assert rebuilt == matrix
+            assert [list(x.coords) for x in aut.images] == [list(c) for c in zip(*matrix)]
 
     def test_results_are_fresh_canonical_values(self):
         x, y = ORACLE_INPUTS[3], ORACLE_INPUTS[-1]
@@ -139,6 +164,75 @@ class TestKernelOracle:
             z = mul(x, y)
             assert all(type(c) is QuadExt for c in z.coords) and len(z.coords) == DIM
             assert z == AlgebraElem(z.coords) and hash(z) == hash(AlgebraElem(z.coords))
+
+
+# -- QuadExt-object references for the element's own operations -------------
+
+SCALE_FACTORS = (3, Fraction(-3, 4), QuadExt(0, 1), QuadExt(Fraction(2, 5), Fraction(-1, 7)))
+
+
+def ref_scale(x, factor):
+    return AlgebraElem(QuadExt.coerce(factor) * c for c in x.coords)
+
+
+def ref_inner(x, y):
+    return 2 * sum((a * b for a, b in zip(x.coords, y.coords)), QUAD_ZERO)
+
+
+class TestStoredIntegers:
+    def test_operations_against_coordinates(self):
+        for x in ORACLE_INPUTS:
+            c = x.coords
+            assert (-x).coords == tuple(-v for v in c)
+            assert x.conjugate().coords == (c[0],) + tuple(-v for v in c[1:])
+            assert x.norm() == sum((v * v for v in c), QUAD_ZERO)
+            assert x.trace() == 2 * c[0]
+            for factor in SCALE_FACTORS:
+                assert x.scale(factor) == ref_scale(x, factor)
+            for y in ORACLE_INPUTS[::4]:
+                assert (x + y).coords == tuple(a + b for a, b in zip(c, y.coords))
+                assert x.inner(y) == ref_inner(x, y)
+
+    def test_results_are_canonical(self):
+        for x in ORACLE_INPUTS:
+            for y in (x + x, -x, x.conjugate(), x.scale(Fraction(2, 3)), x + -x,
+                      oct_mul(x, x), okubo_mul(x, x), tau_apply(x)):
+                ints = [v for pair in y._p for v in pair]
+                assert y._d > 0 and gcd(y._d, *ints) == 1
+                assert all(type(v) is int for v in ints) and len(y._p) == DIM
+        assert (ORACLE_INPUTS[0] + -ORACLE_INPUTS[0])._d == 1
+
+    def test_equal_values_built_different_ways(self):
+        x = ORACLE_INPUTS[-1]
+        ways = [
+            x,
+            AlgebraElem(x.coords),
+            AlgebraElem(QuadExt(v.rat, v.irr) for v in x.coords),
+            x.scale(6).scale(Fraction(1, 6)),
+            (x + x).scale(HALF),
+            -(-x),
+            x.conjugate().conjugate(),
+            x + AlgebraElem.zero(),
+            tau_apply(tau_apply(tau_apply(x))),
+        ]
+        for y in ways:
+            assert y == x and hash(y) == hash(x) and y.coords == x.coords
+        one = [AlgebraElem([1] + [0] * 7), AlgebraElem([Fraction(4, 4)] + [0] * 7),
+               AlgebraElem([QuadExt(1)] + [QuadExt(0)] * 7),
+               basis_element(3) + -basis_element(3) + basis_element(0)]
+        assert len(set(one)) == 1 and one[0] == AlgebraElem.one()
+        assert x != x.scale(2) and x != x.conjugate()
+
+    def test_immutable(self):
+        x = ORACLE_INPUTS[0]
+        for name in ("_p", "_d", "coords", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+
+    def test_wrong_length(self):
+        for n in (0, 7, 9):
+            with pytest.raises(ValueError, match="need 8 coordinates"):
+                AlgebraElem([1] * n)
 
 
 def table_violations(table):
@@ -278,10 +372,11 @@ class TestTau:
             assert tau_apply(x).norm() == x.norm()
 
     def test_aut_matrix_invariant(self):
-        cube = TAU2.compose(TAU, 1)
         ident = [[QuadExt(int(r == c)) for c in range(DIM)] for r in range(DIM)]
-        assert [list(r) for r in cube.matrix] == ident
-        assert TAU.order == 3
+        assert ref_mat_mul(TAU2_MATRIX, TAU_MATRIX) == ident
+        assert TAU2.compose(TAU).images == tuple(basis_element(k) for k in range(DIM))
+        assert TAU.compose(TAU) == TAU2
+        assert TAU.compose(TAU2.compose(TAU)) == TAU
 
 
 def para_idempotent(v):

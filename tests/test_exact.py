@@ -12,9 +12,7 @@ from okubo_e8.exact import (
     QuadExt,
     RingTag,
     parse_rational,
-    quad_denominator,
     render_quadext,
-    two_adic_denominator,
 )
 
 S3 = QuadExt(0, 1)
@@ -119,17 +117,6 @@ class TestRingMembership:
         assert RingTag.Q.contains(q(Fraction(1, 3)))
         assert not RingTag.Q.contains(q(0, 1))
         assert RingTag.K.contains(q(Fraction(1, 7), Fraction(2, 9)))
-
-
-class TestDenominators:
-    def test_two_adic(self):
-        assert two_adic_denominator(Fraction(1, 8)) == 3
-        assert two_adic_denominator(Fraction(1, 6)) == 1
-        assert two_adic_denominator(Fraction(7)) == 0
-
-    def test_quad_denominator(self):
-        assert quad_denominator(QuadExt(Fraction(1, 2), Fraction(1, 4))) == 4
-        assert quad_denominator(QuadExt(1, 1)) == 1
 
 
 class TestTextForm:

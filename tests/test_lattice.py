@@ -412,6 +412,30 @@ class TestDiscriminantGroup:
         assert group.invariants == claims.DISCRIMINANT_INVARIANTS
         assert group.order == claims.DISCRIMINANT_ORDER
 
+    def test_singular_and_non_integral_grams_rejected(self):
+        with pytest.raises(LatticeError):
+            discriminant_group(LatticeZ.from_gram([[2, 2], [2, 2]]))
+        with pytest.raises(LatticeError):
+            half = Fraction(1, 2)
+            discriminant_group(LatticeZ.from_gram([[2, half], [half, 2]]))
+
+    def test_one_smith_form_and_no_rational_inverse(self, monkeypatch):
+        import okubo_e8.lattice as lattice_module
+
+        lat = conductor_lattice()
+        lat.gram()  # the basis Gram is cached before counting
+        calls = {"_snf_reduce": 0, "mat_inv": 0}
+        for name in calls:
+            original = getattr(lattice_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lattice_module, name, counted)
+        assert discriminant_group(lat).invariants == claims.DISCRIMINANT_INVARIANTS
+        assert calls == {"_snf_reduce": 1, "mat_inv": 0}
+
     def test_conductor_group_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form

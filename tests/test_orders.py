@@ -267,6 +267,61 @@ class TestScaling:
         assert rep.violations or not rep.all_integral
 
 
+def _two_adic(q):
+    """Exponent of 2 in the denominator of the Fraction q."""
+    d, e = q.denominator, 0
+    while d % 2 == 0:
+        d //= 2
+        e += 1
+    return e
+
+
+def ref_valuation_constraints(constants):
+    """valuation_constraints from the Fraction parts: v is the larger
+    2-adic denominator exponent of the two, and an odd denominator factor
+    in either part gives None."""
+    cons = []
+    for i, j, k, v in constants.all_entries():
+        if not v:
+            continue
+        if any(f.denominator >> _two_adic(f) != 1 for f in (v.rat, v.irr)):
+            return None
+        val = max(_two_adic(v.rat), _two_adic(v.irr))
+        if val > 0:
+            cons.append((i, j, k, val))
+    cons.sort(key=lambda t: -t[3])
+    return tuple(cons)
+
+
+class TestValuationConstraints:
+    @pytest.mark.parametrize("product", ["octonion", "para", "okubo"])
+    def test_against_fraction_formula(self, product):
+        constants = structure_constants(product)
+        assert constants.valuation_constraints == ref_valuation_constraints(constants)
+
+    def test_okubo_has_constraints_of_both_sizes(self):
+        cons = structure_constants("okubo").valuation_constraints
+        assert {v for *_, v in cons} == {1, 2}
+
+    def test_saturated_basis_okubo_constants(self):
+        from okubo_e8.lattice import glue_and_saturate
+        from okubo_e8.orders import OrderBasis, conductor_lattice
+
+        cd = cd_basis()
+        sat = glue_and_saturate(conductor_lattice(), cd_lattice(), 2).saturation
+        saturated = OrderBasis(tuple(cd.element(r) for r in sat.basis), "saturated")
+        constants = structure_constants("okubo", saturated)
+        assert constants.valuation_constraints == ref_valuation_constraints(constants)
+
+    @pytest.mark.parametrize("entry", ["0/1 1/3", "1/12 0/1"])
+    def test_odd_denominator_is_none(self, entry):
+        lines = dump_structure_constants(structure_constants("okubo")).splitlines()
+        lines[5] = " ".join(lines[5].split()[:3]) + " " + entry
+        constants = parse_structure_constants("\n".join(lines) + "\n")
+        assert ref_valuation_constraints(constants) is None
+        assert constants.valuation_constraints is None
+
+
 class TestLatticeHooks:
     def test_cd_lattice_gram(self):
         assert cd_lattice().gram() == [

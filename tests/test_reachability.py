@@ -37,6 +37,7 @@ PERFBENCH_EXEMPT = {
         "perfbench/micro.py times its multiply, perfbench/tracer.py counts it",
     ("okubomatrix.py", "HermTraceless3.rows"):
         "perfbench/micro.py reads the ComplexQuad entries it multiplies",
+    ("exact.py", "QuadExt.rat"): "perfbench/micro.py reads the parts it checks",
     ("orders.py", "dump_structure_constants"): "perfbench/fixtures.py writes dumps",
     ("lattice.py", "lattice_to_fixture"): "perfbench/fixtures.py writes fixtures",
 }
