@@ -46,7 +46,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .claims import CONVENTION
-from .exact import QuadExt, _quad
+from .exact import QuadExt, _quad, apply_map, integer_map
 
 DIM = 8
 
@@ -246,20 +246,6 @@ def para_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
 # ---------------------------------------------------------------------------
 
 
-def _apply(cols, xs) -> list[list[int]]:
-    """M x on integers: ``cols`` the columns of M over its denominator (as
-    :attr:`AutMatrix.columns` gives them) and ``xs`` the pairs of x over
-    Dx; the pairs of M x over the product of the two denominators."""
-    out = [[0, 0] for _ in range(DIM)]
-    for (a, b), col in zip(xs, cols):
-        if a or b:
-            for r, p, q in col:
-                acc = out[r]
-                acc[0] += p * a + 3 * q * b
-                acc[1] += p * b + q * a
-    return out
-
-
 @dataclass(frozen=True)
 class AutMatrix:
     """A norm-preserving algebra automorphism given by the images of
@@ -269,19 +255,12 @@ class AutMatrix:
 
     def apply(self, x: AlgebraElem) -> AlgebraElem:
         cols, den = self.columns
-        return _elem(_apply(cols, x._p), den * x._d)
+        return _elem(apply_map(cols, x._p, DIM), den * x._d)
 
     @cached_property
-    def columns(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
-        """The matrix as integers over one denominator M: per column c the
-        triples (r, p, q) of its nonzero entries (p + q sqrt3)/M in rows r;
-        and M."""
-        den = lcm(*(x._d for x in self.images))
-        return tuple(
-            tuple((r, p * (den // x._d), q * (den // x._d))
-                  for r, (p, q) in enumerate(x._p) if p or q)
-            for x in self.images
-        ), den
+    def columns(self):
+        """The matrix in the integer form of :func:`exact.integer_map`."""
+        return integer_map(x.coords for x in self.images)
 
     def compose(self, other: "AutMatrix") -> "AutMatrix":
         return AutMatrix(tuple(self.apply(x) for x in other.images))
@@ -329,7 +308,8 @@ def tau_apply(x: AlgebraElem, power: int = 1) -> AlgebraElem:
 def okubo_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
     """The Okubo product tau(conj(x)) * tau^2(conj(y))."""
     (tx, mx), (ty, my) = _TAU_CONJ, _TAU2_CONJ
-    return _elem(_oct(_apply(tx, x._p), _apply(ty, y._p)), mx * x._d * my * y._d)
+    return _elem(_oct(apply_map(tx, x._p, DIM), apply_map(ty, y._p, DIM)),
+                 mx * x._d * my * y._d)
 
 
 PRODUCTS = {

@@ -26,7 +26,12 @@ boundary, when a report, a solve or a test reads a coordinate.
 
 :func:`eliminate` is the one Gaussian elimination of the package: every
 determinant, inverse, linear solve and LDL pivot, over Q or over K, runs
-through it.
+through it.  A K-linear map that is applied many times is kept in the one
+integer form of :func:`integer_map`, per input coordinate the nonzero
+entries of its column as integers over one denominator, and
+:func:`apply_map` is the one product of such a map with integer pairs.
+The rotation, the order-basis solve, and the matrix-coordinate solve with
+its reconstruction guard all run through those two.
 
 No floating point is used anywhere.  Sign questions in either real
 embedding of K are settled by exact case analysis on squares.
@@ -37,7 +42,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _num_den(value) -> tuple[int, int]:
@@ -293,6 +298,35 @@ def eliminate(rows, *, swap=True, reduced=False):
             if f and r != c:
                 work[r][c:] = [x - f * y for x, y in zip(work[r][c:], prow)]
     return work, pivots, sign
+
+
+def integer_map(columns):
+    """The integer form of a K-linear map given by its columns, one per
+    input coordinate, of values ``QuadExt.coerce`` accepts: per column the
+    triples (r, p, q) of its nonzero entries (p + q*sqrt(3))/M in rows r,
+    and the one denominator M > 0, the lcm of the entries' denominators."""
+    triples = [[QuadExt.coerce(v).triple for v in col] for col in columns]
+    den = lcm(*(d for col in triples for _, _, d in col))
+    return tuple(
+        tuple((r, a * (den // d), b * (den // d))
+              for r, (a, b, d) in enumerate(col) if a or b)
+        for col in triples
+    ), den
+
+
+def apply_map(cols, pairs, n_out: int) -> list[list[int]]:
+    """M x on integers: ``cols`` the columns of M over its denominator, as
+    :func:`integer_map` gives them, and ``pairs`` the integer pairs (a, b)
+    of x over Dx, one per input coordinate; the ``n_out`` pairs of M x over
+    the product of the two denominators."""
+    out = [[0, 0] for _ in range(n_out)]
+    for (a, b), col in zip(pairs, cols):
+        if a or b:
+            for r, p, q in col:
+                acc = out[r]
+                acc[0] += p * a + 3 * q * b
+                acc[1] += p * b + q * a
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from ._kernels import (
     enumerate_short_vectors,
@@ -504,10 +504,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for v in self.invariants:
-            out *= v
-        return out
+        return prod(self.invariants)
 
 
 def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
@@ -531,10 +528,7 @@ class QuotientGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for v in self.invariants:
-            out *= v
-        return out
+        return prod(self.invariants)
 
 
 def quotient_group(sub: LatticeZ, sup: LatticeZ) -> QuotientGroup:
@@ -561,8 +555,7 @@ def saturation(sub: LatticeZ, sup: LatticeZ, p: int) -> LatticeZ:
 def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
     """The lattice generated by ``base`` and the given ambient vectors."""
     rows = [list(r) for r in base.basis] + [[Fraction(v) for v in r] for r in lift_rows]
-    den = lcm(*(v.denominator for row in rows for v in row))
-    int_rows = [[int(v * den) for v in row] for row in rows]
+    int_rows, den = _integer_rows_and_scale(rows)
     h, _ = hnf_with_transform(int_rows)
     new_basis = [
         [Fraction(v, den) for v in row] for row in h if any(row)
@@ -609,15 +602,21 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
     gens = quot.generators_sup_coords
     gram_h = [[sum(a * b for a, b in zip(row, h)) for h in gens]
               for row in mat_mul(gens, sup.gram())]
-    den = lcm(*(v.denominator for row in gram_h for v in row))
-    m = [[int(v * den) for v in row] for row in gram_h]
+    m, den = _integer_rows_and_scale(gram_h)
+    # c M c^T = sum_i c_i^2 M_ii + 2 sum_{i<j} c_i c_j M_ij, so q vanishes
+    # on every class if M_ii = 0 mod 2 den and M_ij = 0 mod den; and only
+    # then, as every invariant is > 1 and the classes e_i and e_i + e_j lie
+    # in the box.  So the classes are walked, in order, for the first
+    # witness only when this test on the generators fails.
     witness = None
-    for coeffs in product(*(range(t) for t in quot.invariants)):
-        nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
-        val = sum(ci * cj * m[i][j] for i, ci in nonzero for j, cj in nonzero)
-        if val % (2 * den):
-            witness = (coeffs, Fraction(val % (2 * den), den))
-            break
+    if any(m[i][i] % (2 * den) or any(m[i][j] % den for j in range(i))
+           for i in range(len(m))):
+        for coeffs in product(*(range(t) for t in quot.invariants)):
+            nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
+            val = sum(ci * cj * m[i][j] for i, ci in nonzero for j, cj in nonzero)
+            if val % (2 * den):
+                witness = (coeffs, Fraction(val % (2 * den), den))
+                break
     all_zero = witness is None
 
     disc = discriminant_group(sub)

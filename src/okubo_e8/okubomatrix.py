@@ -39,7 +39,8 @@ from itertools import product
 from math import gcd, lcm
 
 from .algebras import DIM, basis_element, okubo_mul
-from .exact import ComplexQuad, QuadExt, _complex, _quad, eliminate
+from .exact import ComplexQuad, QuadExt, _complex, _quad, apply_map, eliminate, integer_map
+from .lattice import mat_inv
 
 _C0 = ComplexQuad(0)
 
@@ -244,17 +245,11 @@ def basis_gram() -> list[list[QuadExt]]:
 
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
     """A random real linear combination sum_k (c_k/2) basis[k] of the eight
-    basis matrices with small half-integer coefficients, summed on the
-    basis integers of :func:`_basis_ints`."""
-    ints, den = _basis_ints()
-    coeffs = [rng.randint(-span, span) for _ in ints]
-    acc = [0] * 36
-    for c, b in zip(coeffs, ints):
-        if c:
-            for t, v in enumerate(b):
-                if v:
-                    acc[t] += c * v
-    return _matrix(acc, 2 * den)
+    basis matrices with small half-integer coefficients, computed with the
+    basis map of :func:`_basis_map`."""
+    cols, den = _basis_map()
+    pairs = [(rng.randint(-span, span), 0) for _ in cols]
+    return _matrix([v for pair in apply_map(cols, pairs, 18) for v in pair], 2 * den)
 
 
 # -- laws --------------------------------------------------------------------
@@ -411,33 +406,24 @@ def _functionals(ints):
 
 
 @lru_cache(maxsize=None)
-def _basis_ints():
-    """The integers of the basis matrices over one common denominator D,
-    and D."""
-    basis = build_basis()
-    den = lcm(*(m._d for m in basis))
-    return tuple(tuple(v * (den // m._d) for v in m._q) for m in basis), den
+def _basis_map():
+    """The map sending coordinates over the basis (e, e1..e7) to the matrix
+    they combine, in the integer form of :func:`exact.integer_map`: its 18
+    rows are the (real, imaginary) pairs of the nine entries in row-major
+    order, so that the output pairs, flattened, are the integers ``_q`` of
+    the matrix."""
+    return integer_map([_quad(a, b, m._d) for a, b in zip(m._q[::2], m._q[1::2])]
+                       for m in build_basis())
 
 
 @lru_cache(maxsize=None)
 def _coordinate_inverse():
     """F^-1 for the functional matrix F[f][k] = f(basis[k]), so that the
-    coordinates of m are F^-1 f(m); as integer pairs (p, q) for the entries
-    (p + q sqrt3)/E over one common denominator E, and E."""
-    ints, den = _basis_ints()
-    cols = [[_quad(a, b, den) for a, b in _functionals(m)] for m in ints]
-    n = len(cols)
-    work, pivots, _ = eliminate(
-        [[col[f] for col in cols] + [int(f == g) for g in range(n)] for f in range(n)],
-        reduced=True,
-    )
-    if not all(pivots):
-        raise ArithmeticError("singular coordinate system")
-    inv = [[QuadExt.coerce(v).triple for v in row[n:]] for row in work]
-    common = lcm(*(d for row in inv for _, _, d in row))
-    return tuple(
-        tuple((a * (common // d), b * (common // d)) for a, b, d in row) for row in inv
-    ), common
+    coordinates of m are F^-1 f(m); in the integer form of
+    :func:`exact.integer_map`."""
+    basis = build_basis()
+    f = [[_quad(a, b, m._d) for a, b in _functionals(m._q)] for m in basis]
+    return integer_map(zip(*mat_inv(list(zip(*f)))))
 
 
 def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
@@ -445,32 +431,18 @@ def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
 
     The coordinates are F^-1 f(m) (see :func:`_coordinate_inverse`), as
     (P_k + Q_k sqrt3)/(E D) with D the denominator of m.  An exactness guard
-    reconstructs sum_k (P_k + Q_k sqrt3) basis[k] on the integers and
-    compares it with m, so no wrong coordinate vector is ever returned.
+    reconstructs sum_k (P_k + Q_k sqrt3) basis[k] on the integers, with the
+    basis map of :func:`_basis_map`, and compares it with m, so no wrong
+    coordinate vector is ever returned.
     """
     inv, e_den = _coordinate_inverse()
     ints, d = m._q, m._d
-    rhs = _functionals(ints)
-    coords = []
-    for row in inv:
-        p_k = q_k = 0
-        for (p, q), (a, b) in zip(row, rhs):
-            p_k += p * a + 3 * q * b
-            q_k += p * b + q * a
-        coords.append((p_k, q_k))
-    basis, b_den = _basis_ints()
+    coords = apply_map(inv, _functionals(ints), DIM)
+    cols, b_den = _basis_map()
     scale = e_den * b_den
-    for k in range(0, 36, 4):
-        acc = [0, 0, 0, 0]
-        for (p, q), bm in zip(coords, basis):
-            a, b, c, e = bm[k:k + 4]
-            if a or b or c or e:
-                acc[0] += p * a + 3 * q * b
-                acc[1] += p * b + q * a
-                acc[2] += p * c + 3 * q * e
-                acc[3] += p * e + q * c
-        if acc != [scale * v for v in ints[k:k + 4]]:
-            raise ArithmeticError("coordinate solve failed to reconstruct")
+    rebuilt = [v for pair in apply_map(cols, coords, 18) for v in pair]
+    if rebuilt != [scale * v for v in ints]:
+        raise ArithmeticError("coordinate solve failed to reconstruct")
     return tuple(_quad(p, q, e_den * d) for p, q in coords)
 
 

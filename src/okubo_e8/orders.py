@@ -44,7 +44,15 @@ from .algebras import (
     okubo_mul,
 )
 from .claims import SCALING_DIAGONAL
-from .exact import QUAD_ZERO, QuadExt, RingTag, parse_rational
+from .exact import (
+    QUAD_ZERO,
+    QuadExt,
+    RingTag,
+    _quad,
+    apply_map,
+    integer_map,
+    parse_rational,
+)
 
 # -- pinned Dickson letters ---------------------------------------------------
 
@@ -113,8 +121,10 @@ class OrderBasis:
         return tuple(rows)
 
     @cached_property
-    def solve_matrix(self) -> tuple[tuple[QuadExt, ...], ...]:
-        """P = 2 B^T G^-1, with B the e-coordinate rows and G the Gram.
+    def solve_matrix(self):
+        """P = 2 B^T G^-1, with B the e-coordinate rows and G the Gram, in
+        the integer form of :func:`exact.integer_map`: per e-coordinate m,
+        the entries of row m of P.
 
         x P are the coordinates of x over the basis when x lies in its
         K-span, and of the orthogonal projection of x onto that span
@@ -124,16 +134,8 @@ class OrderBasis:
             ginv = lat.mat_inv(self.inner_products())
         except lat.LatticeError as exc:
             raise SingularBasisError("order basis is singular") from exc
-        n = len(self.elements)
-        coords = [b.coords for b in self.elements]
-        return tuple(
-            tuple(
-                2 * sum((c[m] * ginv[j][k] for j, c in enumerate(coords) if c[m]),
-                        QUAD_ZERO)
-                for k in range(n)
-            )
-            for m in range(DIM)
-        )
+        bt = list(zip(*(b.coords for b in self.elements)))
+        return integer_map([2 * v for v in row] for row in lat.mat_mul(bt, ginv))
 
 
 @lru_cache(maxsize=None)
@@ -340,12 +342,9 @@ class StructureConstants:
 def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, ...]:
     """Exact K-coordinates of x over the given order basis: x P with P the
     basis's solve matrix (see :attr:`OrderBasis.solve_matrix`)."""
-    p = basis.solve_matrix
-    xc = x.coords
-    return tuple(
-        sum((cm * row[k] for cm, row in zip(xc, p) if cm), QUAD_ZERO)
-        for k in range(len(basis))
-    )
+    cols, den = basis.solve_matrix
+    d = den * x._d
+    return tuple(_quad(p, q, d) for p, q in apply_map(cols, x._p, len(basis)))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Field arithmetic over Q(sqrt 3): exactness, canonical forms, membership."""
 
+import random
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,9 @@ from okubo_e8.exact import (
     ComplexQuad,
     QuadExt,
     RingTag,
+    _quad,
+    apply_map,
+    integer_map,
     parse_rational,
     render_quadext,
 )
@@ -327,3 +331,62 @@ class TestIntegerRepresentation:
             for name in names:
                 with pytest.raises(AttributeError):
                     setattr(obj, name, 1)
+
+
+# -- the integer form of a K-linear map ----------------------------------------
+
+
+def map_matrix(cols, den, n_out):
+    """The QuadExt matrix, row by row, of a map in the integer form of
+    integer_map: column c of the map has the entries ``cols[c]``."""
+    m = [[QuadExt(0)] * len(cols) for _ in range(n_out)]
+    for c, col in enumerate(cols):
+        for r, p, s in col:
+            m[r][c] = q(Fraction(p, den), Fraction(s, den))
+    return m
+
+
+def random_quad(rng, span, rat_dens, irr_dens):
+    return q(Fraction(rng.randint(-span, span), rng.choice(rat_dens)),
+             Fraction(rng.randint(-span, span), rng.choice(irr_dens)))
+
+
+def random_map(rng, n_out, n_in):
+    """A seeded QuadExt matrix, row by row: sparse entries over several
+    denominators, and one column of zeros."""
+    zero = rng.randrange(n_in)
+    return [[random_quad(rng, 5, (1, 2, 3, 4, 6), (1, 2, 5))
+             if c != zero and rng.random() < 0.6 else QuadExt(0)
+             for c in range(n_in)] for _ in range(n_out)]
+
+
+class TestIntegerMap:
+    def test_form(self):
+        cols, den = integer_map([[1, 0, Fraction(1, 2)], [0, 0, 0],
+                                 [q(0, Fraction(1, 3)), 0, -2]])
+        assert den == 6
+        assert cols == (((0, 6, 0), (2, 3, 0)), (), ((0, 0, 2), (2, -12, 0)))
+        assert integer_map([[0, 0], [0]]) == (((), ()), 1)
+
+    @pytest.mark.parametrize("n_out, n_in", [(8, 8), (18, 8), (2, 8), (8, 2), (1, 1)])
+    def test_apply_matches_quadext_product(self, n_out, n_in):
+        """M x on integers against the QuadExt matrix-vector product, for
+        seeded maps and vectors whose coordinates have different
+        denominators; square and non-square."""
+        rng = random.Random(100 * n_out + n_in)
+        for _ in range(20):
+            matrix = random_map(rng, n_out, n_in)
+            cols, den = integer_map(zip(*matrix))
+            assert len(cols) == n_in and map_matrix(cols, den, n_out) == matrix
+            x = [random_quad(rng, 4, (1, 3, 4), (1, 2, 7)) for _ in range(n_in)]
+            dx = lcm(*(v.triple[2] for v in x))
+            pairs = [(a * (dx // d), b * (dx // d)) for a, b, d in (v.triple for v in x)]
+            got = [_quad(p, s, den * dx) for p, s in apply_map(cols, pairs, n_out)]
+            assert got == [sum((row[c] * x[c] for c in range(n_in)), QuadExt(0))
+                           for row in matrix]
+
+    def test_zero_columns_and_inputs(self):
+        cols, den = integer_map([[0, 0], [q(1, 1), 0], [0, 0]])
+        assert cols == ((), ((0, 1, 1),), ())
+        assert apply_map(cols, [(5, 7), (0, 0), (1, 1)], 2) == [[0, 0], [0, 0]]
+        assert apply_map(cols, [(0, 0), (2, 1), (0, 0)], 2) == [[5, 3], [0, 0]]

@@ -562,6 +562,20 @@ class TestGlueSaturate:
         assert rep.isotropy_witness == expected
         assert (expected is None) is isotropic
 
+    def test_conductor_walks_no_class(self, monkeypatch):
+        """On the conductor q vanishes on the generators and on their
+        pairwise sums, which decides isotropy without walking the 4096
+        classes."""
+        import okubo_e8.lattice as lattice_module
+
+        def walk(*ranges):
+            raise AssertionError("a class was walked")
+
+        monkeypatch.setattr(lattice_module, "product", walk)
+        rep = glue_and_saturate(conductor_lattice(), cd_lattice(), 2)
+        assert rep.q_values_all_zero and rep.isotropy_witness is None
+        assert rep.quotient_order == 4096
+
     def test_quotient_group(self):
         q = quotient_group(conductor_lattice(), cd_lattice())
         assert q.invariants == claims.QUOTIENT_INVARIANTS

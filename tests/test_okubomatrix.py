@@ -10,7 +10,7 @@ import pytest
 
 from okubo_e8.algebras import DIM, basis_element, okubo_mul
 from okubo_e8 import okubomatrix
-from okubo_e8.exact import ComplexQuad, QuadExt, eliminate
+from okubo_e8.exact import ComplexQuad, QuadExt, apply_map, eliminate
 from okubo_e8.okubomatrix import (
     HermTraceless3,
     _sign_search,
@@ -399,15 +399,31 @@ class TestCoordinates:
             assert matrix_coordinates(bm) == tuple(QuadExt(int(j == k)) for j in range(DIM))
 
     def test_corrupted_inverse_is_caught(self, monkeypatch):
-        inv, den = okubomatrix._coordinate_inverse()
-        rows = [list(row) for row in inv]
-        p, q = rows[3][0]
-        rows[3][0] = (p + 1, q)
-        monkeypatch.setattr(okubomatrix, "_coordinate_inverse",
-                            lambda: (tuple(map(tuple, rows)), den))
+        cols, den = okubomatrix._coordinate_inverse()
+        assert all(r != 3 for r, _, _ in cols[0])
+        corrupted = (cols[0] + ((3, 1, 0),),) + cols[1:]
+        monkeypatch.setattr(okubomatrix, "_coordinate_inverse", lambda: (corrupted, den))
         e = build_basis()[0]  # Re e00 = 2, so coordinate 3 turns nonzero
         with pytest.raises(ArithmeticError, match="reconstruct"):
             matrix_coordinates(e)
+
+    def test_basis_map_rebuilds_the_basis(self):
+        cols, den = okubomatrix._basis_map()
+        for k, bm in enumerate(build_basis()):
+            unit = [(int(j == k), 0) for j in range(DIM)]
+            ints = [v for pair in apply_map(cols, unit, 18) for v in pair]
+            entries = [ComplexQuad(QuadExt(Fraction(a, den), Fraction(b, den)),
+                                   QuadExt(Fraction(c, den), Fraction(e, den)))
+                       for a, b, c, e in zip(*[iter(ints)] * 4)]
+            assert HermTraceless3([entries[i:i + 3] for i in (0, 3, 6)]) == bm
+
+    def test_corrupted_basis_map_is_caught(self, monkeypatch):
+        cols, den = okubomatrix._basis_map()
+        (r, p, q), *rest = cols[1]
+        corrupted = (cols[0], ((r, -p, -q), *rest)) + cols[2:]
+        monkeypatch.setattr(okubomatrix, "_basis_map", lambda: (corrupted, den))
+        with pytest.raises(ArithmeticError, match="reconstruct"):
+            matrix_coordinates(build_basis()[1])
 
     def test_round_trip(self):
         rng = random.Random(8)

@@ -387,6 +387,17 @@ def _gram_solve(x, basis):
     )
 
 
+def solve_entries(basis):
+    """The solve map of ``basis`` as the QuadExt matrix P, row m for the
+    e-coordinate m."""
+    cols, den = basis.solve_matrix
+    p = [[QuadExt(0)] * len(basis) for _ in cols]
+    for m, col in enumerate(cols):
+        for k, a, b in col:
+            p[m][k] = QuadExt(Fraction(a, den), Fraction(b, den))
+    return p
+
+
 class TestCoordinateMap:
     def test_units240_matches_element_path(self):
         from dataclasses import asdict
@@ -438,9 +449,22 @@ class TestCoordinateMap:
         basis = cd_basis()
         assert all(not c.irr for b in basis for c in b.coords)
         inverse = mat_inv([[c.rat for c in b.coords] for b in basis])
-        assert basis.solve_matrix == tuple(
-            tuple(QuadExt(v) for v in row) for row in inverse)
-        assert all(type(v) is QuadExt for row in basis.solve_matrix for v in row)
+        assert solve_entries(basis) == [[QuadExt(v) for v in row] for row in inverse]
+
+    def test_rank_two_solve_map(self):
+        """The gaussian catalog row spans a plane: its solve map takes the
+        eight e-coordinates to two, and is P = 2 B^T G^-1."""
+        from okubo_e8.catalog import build_classical
+        from okubo_e8.lattice import mat_inv
+
+        basis = build_classical("gaussian").basis
+        ginv = mat_inv(basis.inner_products())
+        assert len(basis) == 2 and len(basis.solve_matrix[0]) == DIM
+        assert solve_entries(basis) == [
+            [2 * sum((b.coords[m] * ginv[j][k] for j, b in enumerate(basis)), QuadExt(0))
+             for k in range(2)]
+            for m in range(DIM)
+        ]
 
     def test_outside_span_is_none(self):
         from okubo_e8.algebras import basis_element

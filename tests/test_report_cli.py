@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from okubo_e8 import checks
+from okubo_e8 import checks, claims
 from okubo_e8 import lattice as lat
 from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
@@ -312,6 +312,28 @@ def test_seeded_groups_match_golden(seed):
     assert sorted(r.check for r in reports) == sorted(ids)
     for r in reports:
         assert json.loads(json.dumps(r.to_dict())) == golden[r.check]
+
+
+#: every command that reports checks of `verify all`, with its default options
+GOLDEN_COMMANDS = (
+    [["verify", suite] for suite in checks.REGISTRY]
+    + [["lattice", what] for what in ("invariants", "glue", "saturate", "trace16", "shells")]
+    + [["stabilizer", "search"], ["catalog", "verify", "all"]]
+    + [["catalog", "verify", name] for name in claims.CLASSICAL_TABLE]
+)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+def test_every_command_matches_golden(argv, capsys):
+    """Each command exits 0, and each entry it emits equals the entry with
+    the same check id in the golden `verify all` report."""
+    rc = main(argv + ["--format", "json"])
+    emitted = json.loads(capsys.readouterr().out)
+    assert rc == 0 and emitted
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = {d["check"]: d for d in json.load(fh)}
+    for entry in emitted:
+        assert entry == golden[entry["check"]]
 
 
 def test_discriminant_routes_must_agree(monkeypatch):
