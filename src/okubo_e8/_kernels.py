@@ -5,23 +5,29 @@ The four hot loops of the package:
 * branch-and-bound enumeration of short lattice vectors, with one walk
   and two modes: the vectors themselves (:func:`enumerate_short_vectors`)
   or only the number of vectors of each norm (:func:`shell_histogram`,
-  which builds no vector);
+  which builds no vector).  The walk visits one vector of each pair +-v,
+  the one whose nonzero coordinate of highest index is positive; the
+  vector mode adds its negation, the counting mode counts it twice;
 * the signed block-permutation metric filter, which compares the
-  magnitudes of the Gram entries before it tries any sign vector;
+  magnitudes of the Gram entries before it looks at any sign, and then
+  solves e_i e_j = G[i][j] / G'[i][j] for the sign vectors by two-colouring
+  each component of the nonzero entries, in place of trying all 256;
 * the pairwise closure check for unit loops, which packs the coordinates
-  of a product into signed digit fields of one integer, so that each
-  product is one dot product and each membership test one dict lookup;
+  of a product into biased digit fields of one integer, one byte-aligned
+  block per product, so that the products of one unit with every unit are
+  eight multiply-adds of whole rows and each membership test one bytes
+  slice and one dict lookup;
 * the walk over diagonal 2-adic scaling exponents, which decides each
   valuation constraint once per prefix of the exponent vector.
 
 All kernel arithmetic is arbitrary-precision integer arithmetic; the exact
 rational preprocessing (LDL data and denominator clearing) happens in
-:func:`prepare_enumeration`.
+:func:`prepare_enumeration`.  The metric filter and the closure check
+reject a non-integral input entry with ValueError.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -86,25 +92,43 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
     )
 
 
+def _int_rows(rows) -> list[tuple[int, ...]]:
+    """The rows as tuples of ints; ValueError on an entry that is not an
+    integer, which ``int`` alone would truncate."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        ints = tuple(map(int, row))
+        if ints != row:
+            raise ValueError(f"kernel input {row} has a non-integral entry")
+        out.append(ints)
+    return out
+
+
 def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
     """The walk shared by both enumeration modes.
 
     Branch and bound over the integer completed squares: the last
     coordinate is fixed first, and each W_c t_c^2 is charged against what
-    is left of the bound.  With x[n-1], ..., x[1] fixed, every admissible
-    range of x[0] goes to ``leaf_row(lo, hi, off, rem)``: x[0] runs over
-    lo..hi, t_0 = B_0 x[0] + off, and ``rem`` is what is left of the bound
-    before W_0 t_0^2 is charged.
+    is left of the bound.  The walk visits one vector of each pair +-v: the
+    one whose nonzero coordinate of highest index is positive.  So it
+    starts once at each level c as that coordinate, with x[c] >= 1 and
+    every coordinate above it zero; the zero vector is never reached.
+    With x[n-1], ..., x[1] fixed, every admissible range of x[0] goes to
+    ``leaf_row(lo, hi, off, rem)``: x[0] runs over lo..hi,
+    t_0 = B_0 x[0] + off, and ``rem`` is what is left of the bound before
+    W_0 t_0^2 is charged.  ``x[0]`` itself is never written.
     """
     n, weights, pivots, offsets = plan.n, plan.weights, plan.pivots, plan.offsets
 
-    def descend(c, rem):
+    def descend(c, rem, lo=None):
         off = sum(map(mul, offsets[c], x[c + 1:]))
         w = weights[c]
         m = isqrt(rem // w)
         b = pivots[c]
-        lo = -((m + off) // b)  # ceil((-m - off) / b)
         hi = (m - off) // b
+        if lo is None:
+            lo = -((m + off) // b)  # ceil((-m - off) / b)
         if not c:
             leaf_row(lo, hi, off, rem)
             return
@@ -115,7 +139,8 @@ def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
         x[c] = 0
 
     if plan.bound_scaled >= 0:
-        descend(n - 1, plan.bound_scaled)
+        for c in reversed(range(n)):
+            descend(c, plan.bound_scaled, 1)
 
 
 def enumerate_short_vectors(plan: EnumPlan) -> list[tuple[int, ...]]:
@@ -126,14 +151,14 @@ def enumerate_short_vectors(plan: EnumPlan) -> list[tuple[int, ...]]:
     append = out.append
 
     def leaf_row(lo, hi, off, rem):
+        tail = tuple(x[1:])
+        neg = tuple(-v for v in tail)
         for v in range(lo, hi + 1):
-            x[0] = v
-            append(tuple(x))
+            append((v,) + tail)
+            append((-v,) + neg)
 
     _branch_and_bound(plan, x, leaf_row)
-    if out:  # every walk that runs reaches the zero vector
-        out.sort()
-        del out[bisect_left(out, (0,) * plan.n)]
+    out.sort()
     return out
 
 
@@ -144,7 +169,8 @@ def shell_histogram(plan: EnumPlan) -> dict[int, int]:
 
     A leaf's scaled norm is ``bound_scaled - rem`` after its last square
     is charged; by the completed-squares identity it is exactly
-    ``plan.scale * x^T G x``.  No vector is built.
+    ``plan.scale * x^T G x``.  Each leaf stands for itself and its
+    negation, so it counts 2.  No vector is built.
     """
     w, b, top = plan.weights[0], plan.pivots[0], plan.bound_scaled
     hist = {}
@@ -155,48 +181,67 @@ def shell_histogram(plan: EnumPlan) -> dict[int, int]:
         for v in range(lo, hi + 1):
             t = b * v + off
             k = base + w * t * t
-            hist[k] = get(k, 0) + 1
+            hist[k] = get(k, 0) + 2
 
     _branch_and_bound(plan, [0] * plan.n, leaf_row)
-    if hist:  # drop the zero vector, the only one of norm 0
-        hist[0] -= 1
-    return {k: hist[k] for k in sorted(hist) if hist[k]}
+    return dict(sorted(hist.items()))
 
 
 def metric_stabilizers(gram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Signed block permutations (blocks {0..3}, {4..7}) preserving ``gram``.
 
-    Returns (perm, signs) pairs, deterministically ordered; the candidate
-    count is always 147456.  A block permutation that moves some |G[i][j]|
-    to a different magnitude is preserved by no sign vector, so its 256
-    sign vectors are skipped.
+    Returns (perm, signs) pairs in the order of the candidate loop over
+    (p1, p2, s1, s2), signs running from all +1; the candidate count is
+    always 147456.  A block permutation that moves some |G[i][j]| to a
+    different magnitude is preserved by no sign vector.  For one that
+    keeps every magnitude, G' = G[perm][perm] has the zero pattern of G,
+    and the signs must satisfy e_i e_j = G[i][j] / G'[i][j] on each
+    nonzero entry.  A spanning tree of each component of the graph of
+    nonzero off-diagonal entries fixes the signs of the component up to one
+    flip; every nonzero entry, the diagonal included, is then checked
+    against them.  ValueError on a non-integral entry.
     """
-    gram = [[int(v) for v in row] for row in gram]
+    gram = _int_rows(gram)
     mags = [[abs(v) for v in row] for row in gram]
     pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+    nonzero = [(i, j) for i, j in pairs if gram[i][j]]
+    # a spanning forest of the graph with the edges i < j of ``nonzero``;
+    # a tree edge (child, parent, i, j) sets the child's sign from the
+    # parent's, in breadth-first order
+    edges = [(i, j) for i, j in nonzero if i != j]
+    comp = [-1] * 8
+    tree = []
+    roots = 0
+    for r in range(8):
+        if comp[r] < 0:
+            comp[r] = roots
+            queue = [r]
+            for parent in queue:
+                for i, j in edges:
+                    child = j if i == parent else i if j == parent else parent
+                    if comp[child] < 0:
+                        comp[child] = roots
+                        tree.append((child, parent, i, j))
+                        queue.append(child)
+            roots += 1
+    flips = list(product((1, -1), repeat=roots))
     perms4 = list(permutations(range(4)))
-    signs4 = list(product((1, -1), repeat=4))
     survivors = []
     for p1 in perms4:
         for p2 in perms4:
             perm = tuple(p1) + tuple(4 + t for t in p2)
             if any(mags[perm[i]][perm[j]] != mags[i][j] for i, j in pairs):
                 continue
-            pg = [[gram[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
-            for s1 in signs4:
-                for s2 in signs4:
-                    eps = s1 + s2
-                    ok = True
-                    for i in range(8):
-                        row_p, row_g, ei = pg[i], gram[i], eps[i]
-                        for j in range(i, 8):
-                            if ei * eps[j] * row_p[j] != row_g[j]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        survivors.append((perm, eps))
+            eps = [1] * 8
+            for child, parent, i, j in tree:
+                same = gram[perm[i]][perm[j]] == gram[i][j]
+                eps[child] = eps[parent] if same else -eps[parent]
+            if any((gram[perm[i]][perm[j]] == gram[i][j]) != (eps[i] == eps[j])
+                   for i, j in nonzero):
+                continue
+            found = sorted((tuple(e * f[k] for e, k in zip(eps, comp)) for f in flips),
+                           reverse=True)
+            survivors.extend((perm, s) for s in found)
     return survivors
 
 
@@ -206,19 +251,23 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
     ``vecs2``: doubled integer coordinate vectors of the unit set.  A
     product of two units must again be a unit (doubled coordinates in the
     set) of norm one (sum of squares of the 4x coordinates equal to 16).
+    ValueError on a non-integral coordinate.
 
     The product acc = x*y of doubled vectors sums sgn[i][j] x_i y_j into
     acc[idx[i][j]], so |acc_k| <= reach_k m^2, where reach_k counts the
     table entries landing on k (8 for an octonion table) and m is the
-    largest |coordinate| of the data.  Each acc_k gets a signed digit
-    field of one integer, wide enough for that bound; packing is then
-    injective, and linear.  The columns of the left multiplication by x
-    are packed once per x, and each product is the dot product of y
-    with them.  acc is a doubled member exactly when its packed value is a
-    key of the packed doubled members, which also hold their norms; only a
-    non-member is unpacked to get its norm.
+    largest |coordinate| of the data.  Each acc_k gets a digit field of one
+    integer, wide enough for that bound and biased by half its range, so
+    every biased digit is positive and packing is injective, and linear
+    up to the bias.  A block of whole bytes holds the fields of one vector.
+    Y_j holds coordinate j of every y, one block each, and the columns of
+    the left multiplication by x are packed once per x, so the sum of
+    col_j * Y_j holds the products of x with every y, one block each: eight
+    multiply-adds per x.  A product is a doubled member exactly when its
+    block, as bytes, is a key of the packed doubled members, which also
+    hold their norms; only a non-member is unpacked to get its norm.
     """
-    vecs2 = sorted(tuple(int(v) for v in vec) for vec in vecs2)
+    vecs2 = _int_rows(vecs2)
     n = len(idx)
     m = max((abs(v) for vec in vecs2 for v in vec), default=0)
     reach = [0] * n
@@ -226,16 +275,24 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
         for k, s in zip(row_i, row_s):
             reach[k] += abs(s)
     width = max(max(reach) * m * m, 2 * m).bit_length() + 1
+    half, mask = 1 << (width - 1), (1 << width) - 1
     shifts = [width * k for k in range(n)]
+    size = -(-n * width // 8)  # bytes per block
+    bias = sum(half << s for s in shifts)
 
-    def pack(acc):
-        return sum(v << s for v, s in zip(acc, shifts))
+    def block(acc):
+        return (sum(v << s for v, s in zip(acc, shifts)) + bias).to_bytes(size, "little")
 
     members = {}
     for vec in vecs2:
         acc = [2 * v for v in vec]
-        members[pack(acc)] = sum(v * v for v in acc)
-    full, half = 1 << width, 1 << (width - 1)
+        members[block(acc)] = sum(v * v for v in acc)
+    count = len(vecs2)
+    total = size * count
+    ys = [sum(vec[j] << (8 * size * b) for b, vec in enumerate(vecs2)) for j in range(n)]
+    biases = int.from_bytes(bias.to_bytes(size, "little") * count, "little")
+    blocks = [slice(o, o + size) for o in range(0, total, size)]
+    get = members.get
     bad_member = 0
     bad_norm = 0
     for xa in vecs2:
@@ -244,19 +301,16 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
                 for xi, row_i, row_s in zip(xa, idx, sgn) if xi)
             for j in range(n)
         ]
-        for packed in [sum(map(mul, yb, cols)) for yb in vecs2]:
-            norm = members.get(packed)
-            if norm is None:
-                bad_member += 1
-                norm = 0
-                for _ in range(n):
-                    v = packed & (full - 1)
-                    if v >= half:
-                        v -= full
-                    norm += v * v
-                    packed = (packed - v) >> width
-            if norm != 16:
-                bad_norm += 1
+        buf = (sum(map(mul, cols, ys)) + biases).to_bytes(total, "little")
+        norms = list(map(get, map(buf.__getitem__, blocks)))
+        misses = norms.count(None)
+        if misses:
+            bad_member += misses
+            for b, norm in enumerate(norms):
+                if norm is None:
+                    v = int.from_bytes(buf[blocks[b]], "little")
+                    norms[b] = sum((((v >> s) & mask) - half) ** 2 for s in shifts)
+        bad_norm += count - norms.count(16)
     return bad_member, bad_norm
 
 

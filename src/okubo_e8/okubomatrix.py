@@ -470,21 +470,23 @@ def _sign_search(mat_c, alg_c) -> CrossRealizationReport:
     """Mismatches of mat_c[a][b][k] against alg_c[a][b][k] * s_a s_b s_k,
     under the identity pattern and under every pattern with s_0 = 1; the
     first pattern with the fewest mismatches is the best."""
-    # every sign is +-1, so under a pattern the entry (a, b, k) matches
-    # exactly when lhs equals rhs (sign product +1) or -rhs (sign product -1);
-    # both equalities are decided once per entry
-    cells = list(product(range(DIM), repeat=3))
-    same, opposite = [], []
-    for a, b, k in cells:
+    # under a pattern with negative set N (a bit mask), the sign product of
+    # entry (a, b, k) is (-1)^|M & N| with M = 2^a ^ 2^b ^ 2^k, and the entry
+    # matches when lhs equals rhs (product +1) or -rhs (product -1); so the
+    # entries of one mask M match or fail together, and each mask keeps its
+    # two failure counts
+    fails = {}
+    for a, b, k in product(range(DIM), repeat=3):
         lhs, rhs = mat_c[a][b][k], alg_c[a][b][k]
-        same.append(lhs == rhs)
-        opposite.append(lhs == -rhs)
+        mask = (1 << a) ^ (1 << b) ^ (1 << k)
+        same, opposite = fails.get(mask, (0, 0))
+        fails[mask] = (same + (lhs != rhs), opposite + (lhs != -rhs))
+    classes = list(fails.items())
 
     def mismatches(signs) -> int:
-        return sum(
-            not (eq if signs[a] * signs[b] * signs[k] > 0 else neg)
-            for (a, b, k), eq, neg in zip(cells, same, opposite)
-        )
+        neg = sum(1 << i for i, s in enumerate(signs) if s < 0)
+        return sum(opposite if (mask & neg).bit_count() & 1 else same
+                   for mask, (same, opposite) in classes)
 
     ident = mismatches((1,) * DIM)
     best_signs = (1,) * DIM
@@ -498,5 +500,5 @@ def _sign_search(mat_c, alg_c) -> CrossRealizationReport:
         identity_mismatches=ident,
         best_signs=best_signs,
         best_mismatches=best,
-        total=len(cells),
+        total=DIM ** 3,
     )

@@ -226,18 +226,17 @@ def unit_shapes() -> list[AlgebraElem]:
     """The 240 catalogued unit shapes: the 16 signed letters and the
     fourteen half-sum families of 16 sign patterns each."""
     lt = letters()
-    half = Fraction(1, 2)
     out = []
     for name in ("1", "i", "j", "k", "l", "il", "jl", "kl"):
         out.append(lt[name])
         out.append(-lt[name])
+    # every letter is a signed basis vector: integer pairs over 1
     for row in HALF_UNIT_ROWS:
-        base = [lt[n] for n in row]
+        base = [lt[n]._p for n in row]
         for signs in iter_product((1, -1), repeat=4):
-            acc = AlgebraElem.zero()
-            for s, el in zip(signs, base):
-                acc = acc + (el if s == 1 else -el)
-            out.append(acc.scale(half))
+            out.append(_elem([(sum(s * p[k][0] for s, p in zip(signs, base)),
+                               sum(s * p[k][1] for s, p in zip(signs, base)))
+                              for k in range(DIM)], 2))
     return out
 
 
@@ -508,7 +507,7 @@ def scaled_basis() -> OrderBasis:
         tuple(b.scale(d) for b, d in zip(cd_basis(), SCALING_DIAGONAL)), "scaled")
 
 
-def scaled_constants(constants: StructureConstants, diagonal=SCALING_DIAGONAL):
+def scaled_constants(constants: StructureConstants, diagonal):
     """m_ij^k = (D_i D_j / D_k) c_ij^k."""
     out = []
     for i in range(DIM):
@@ -521,6 +520,14 @@ def scaled_constants(constants: StructureConstants, diagonal=SCALING_DIAGONAL):
             plane.append(tuple(row))
         out.append(tuple(plane))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def okubo_scaled_constants(diagonal) -> tuple:
+    """:func:`scaled_constants` of the Okubo constants, computed once per
+    diagonal: the scaled-order check and the stabilizer search read the
+    same table."""
+    return scaled_constants(structure_constants("okubo"), diagonal)
 
 
 @dataclass(frozen=True)
@@ -538,8 +545,7 @@ def scaled_order_verify(exponents=(1, 1, 1, 1, 2, 2, 2, 2)) -> ScaledOrderReport
     norm n(u_i), the Gram <u_i, u_j>, and the traces <u_i * u_j, 1>.
     """
     diagonal = tuple(2 ** a for a in exponents)
-    constants = structure_constants("okubo")
-    scaled = scaled_constants(constants, diagonal)
+    scaled = okubo_scaled_constants(diagonal)
     ring = RingTag.ZSQRT3
     violations = tuple(
         (i, j, k, scaled[i][j][k])

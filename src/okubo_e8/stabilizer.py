@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from ._kernels import metric_stabilizers
 from .algebras import DIM, basis_element, okubo_mul, tau_apply
+from .claims import SCALING_DIAGONAL
 from .exact import QuadExt, RingTag
 from .orders import (
     coords_in_order_basis,
+    okubo_scaled_constants,
     scaled_basis,
-    scaled_constants,
-    structure_constants,
 )
 
 CANDIDATE_COUNT = (24 * 16) ** 2
@@ -32,19 +32,23 @@ class SignedBlockPerm:
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def compose(self, other: "SignedBlockPerm") -> "SignedBlockPerm":
-        """self after other: (self o other)(u_i)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(DIM))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(DIM))
-        return SignedBlockPerm(perm, signs)
 
-    def inverse(self) -> "SignedBlockPerm":
-        inv = [0] * DIM
-        sgn = [1] * DIM
-        for i in range(DIM):
-            inv[self.perm[i]] = i
-            sgn[self.perm[i]] = self.signs[i]
-        return SignedBlockPerm(tuple(inv), tuple(sgn))
+def compose(g, h):
+    """g after h, (g o h)(u_i), for (perm, signs) pairs."""
+    (gp, gs), (hp, hs) = g, h
+    return (tuple(gp[hp[i]] for i in range(DIM)),
+            tuple(hs[i] * gs[hp[i]] for i in range(DIM)))
+
+
+def inverse(g):
+    """The inverse of a (perm, signs) pair."""
+    perm, signs = g
+    inv = [0] * DIM
+    sgn = [1] * DIM
+    for i in range(DIM):
+        inv[perm[i]] = i
+        sgn[perm[i]] = signs[i]
+    return tuple(inv), tuple(sgn)
 
 
 def conductor_gram() -> tuple[tuple[int, ...], ...]:
@@ -54,7 +58,9 @@ def conductor_gram() -> tuple[tuple[int, ...], ...]:
 
 def preserves_product(cand: SignedBlockPerm, m_constants) -> bool:
     """g(u_i * u_j) = g(u_i) * g(u_j) via the scaled structure constants:
-    eps_i eps_j m[p(i)][p(j)][p(k)] = eps_k m[i][j][k] for all i, j, k."""
+    eps_i eps_j m[p(i)][p(j)][p(k)] = eps_k m[i][j][k] for all i, j, k.
+    Every eps is +-1, so each entry is compared with m[i][j][k] or its
+    negation, as the sign product says."""
     perm, eps = cand.perm, cand.signs
     for i in range(DIM):
         for j in range(DIM):
@@ -62,9 +68,8 @@ def preserves_product(cand: SignedBlockPerm, m_constants) -> bool:
             prow = m_constants[perm[i]][perm[j]]
             f = eps[i] * eps[j]
             for k in range(DIM):
-                lhs = prow[perm[k]] * f
-                rhs = row[k] * eps[k]
-                if lhs != rhs:
+                lhs, rhs = prow[perm[k]], row[k]
+                if lhs != (rhs if f == eps[k] else -rhs):
                     return False
     return True
 
@@ -81,19 +86,17 @@ class StabilizerReport:
 def search() -> StabilizerReport:
     """Exhaustive deterministic search of the 147456 candidates."""
     gram = conductor_gram()
-    survivors = metric_stabilizers(gram)
-    metric = tuple(
-        SignedBlockPerm(tuple(perm), tuple(signs)) for perm, signs in sorted(survivors)
-    )
+    survivors = sorted(metric_stabilizers(gram))
+    metric = tuple(SignedBlockPerm(perm, signs) for perm, signs in survivors)
 
-    constants = structure_constants("okubo")
-    m_constants = scaled_constants(constants)
+    m_constants = okubo_scaled_constants(SCALING_DIAGONAL)
     product = tuple(c for c in metric if preserves_product(c, m_constants))
 
     metric_set = set(metric)
+    pairs = set(survivors)
     closed = all(
-        a.compose(b) in metric_set for a in metric for b in metric
-    ) and all(a.inverse() in metric_set for a in metric)
+        compose(a, b) in pairs for a in survivors for b in survivors
+    ) and all(inverse(a) in pairs for a in survivors)
 
     return StabilizerReport(
         candidates=CANDIDATE_COUNT,

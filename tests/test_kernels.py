@@ -2,8 +2,10 @@
 histograms, the metric filter, the unit-loop closure and the scaling
 walk, each against a plain reference loop."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,15 +76,16 @@ def naive_unit_closure(vecs2, idx, sgn):
     """Reference: every product coordinate by the table, one pair at a time."""
     vecs2 = sorted(tuple(int(v) for v in vec) for vec in vecs2)
     vset = set(vecs2)
+    n = len(idx)
     bad_member = bad_norm = 0
     for xa in vecs2:
-        nz_x = [(i, xa[i]) for i in range(8) if xa[i]]
+        nz_x = [(i, xa[i]) for i in range(n) if xa[i]]
         for yb in vecs2:
-            acc = [0] * 8
+            acc = [0] * n
             for i, xi in nz_x:
                 row_i = idx[i]
                 row_s = sgn[i]
-                for j in range(8):
+                for j in range(n):
                     yj = yb[j]
                     if yj:
                         acc[row_i[j]] += row_s[j] * xi * yj
@@ -91,6 +94,58 @@ def naive_unit_closure(vecs2, idx, sgn):
             if any(v & 1 for v in acc) or tuple(v >> 1 for v in acc) not in vset:
                 bad_member += 1
     return bad_member, bad_norm
+
+
+#: e0..e3 = 1, i, j, k with ij = k, jk = i, ki = j
+_TABLES = {
+    "quaternion": ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                   [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]]),
+    "complex": ([[0, 1], [1, 0]], [[1, 1], [1, -1]]),
+}
+
+#: doubled coordinates of the 24 Hurwitz units +-1, +-i, +-j, +-k, (+-1 +-i +-j +-k)/2
+_HURWITZ = sorted(
+    [tuple(2 * s * (i == k) for i in range(4)) for k in range(4) for s in (1, -1)]
+    + list(product((1, -1), repeat=4)))
+
+
+def _field_width(vecs, idx, sgn):
+    """The width of one digit field for these data: the bound
+    max_k reach_k m^2 on |acc_k| that the closure kernel documents, plus a
+    sign bit."""
+    m = max((abs(v) for vec in vecs for v in vec), default=0)
+    reach = [0] * len(idx)
+    for row_i, row_s in zip(idx, sgn):
+        for k, s in zip(row_i, row_s):
+            reach[k] += abs(s)
+    return max(max(reach) * m * m, 2 * m).bit_length() + 1
+
+
+#: (table, doubled vectors) whose fields fill whole bytes, and some that do not
+_ALIGNMENT_CASES = [
+    # the 24 Hurwitz units: 4 fields of 6 bits, 3 whole bytes
+    ("quaternion", _HURWITZ),
+    # with some scaled by 3: 4 fields of 9 bits in 5 bytes
+    ("quaternion", _HURWITZ + [tuple(3 * v for v in vec) for vec in _HURWITZ[::5]]),
+    # the Gaussian units: 2 fields of 5 bits in 2 bytes
+    ("complex", [(2, 0), (-2, 0), (0, 2), (0, -2)]),
+    # 2 fields of 6 bits in 2 bytes
+    ("complex", [(2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (3, -1)]),
+    # 2 fields of 8 bits, 2 whole bytes
+    ("complex", [(2, 0), (0, 2), (-4, 4), (1, -5)]),
+]
+
+
+@st.composite
+def _closure_cases(draw):
+    n = draw(st.integers(1, 4))
+    k = st.integers(0, n - 1)
+    square = lambda entries: st.lists(  # noqa: E731
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    idx = draw(square(k))
+    sgn = draw(square(st.integers(-2, 2)))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=6))
+    return vecs, idx, sgn
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +240,70 @@ class TestUnitClosure:
         assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
             vecs, idx, sgn)
 
+    @pytest.mark.parametrize("vecs, want", [
+        ([], (0, 0)),
+        ([(0,) * 8], (0, 1)),  # 0 * 0 = 0 is a member, of norm 0
+        ([(2, 0, 0, 0, 0, 0, 0, 0)], (0, 0)),  # the unit 1 alone is closed
+        ([(0, 0, 2, 0, 0, 0, 0, 0)], (1, 0)),  # e2 * e2 = -1 is not in the set
+    ])
+    def test_small_inputs(self, vecs, want):
+        idx, sgn = _table()
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
+            vecs, idx, sgn) == want
+
+    def test_octonion_blocks_are_whole_bytes(self, units2):
+        idx, sgn = _table()
+        assert _field_width(units2, idx, sgn) * 8 % 8 == 0
+        assert unit_closure_failures(units2, idx, sgn) == (0, 0)
+
+    @pytest.mark.parametrize("table, vecs", _ALIGNMENT_CASES)
+    def test_block_alignment(self, table, vecs):
+        # a block is a whole number of bytes, whether or not the fields of
+        # one product fill it
+        idx, sgn = _TABLES[table]
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
+            vecs, idx, sgn)
+
+    def test_block_alignment_covers_both_cases(self):
+        filled = {_field_width(vecs, *_TABLES[table]) * len(vecs[0]) % 8 == 0
+                  for table, vecs in _ALIGNMENT_CASES}
+        assert filled == {False, True}
+
+    @pytest.mark.parametrize("s, m", [(7, 1), (-7, 1), (31, 1), (7, 3), (-15, 1)])
+    def test_products_at_the_field_limits(self, s, m):
+        # a one-entry table x * y = s x y: with |s| m^2 = 2^L - 1 the
+        # products +-|s| m^2 are the extreme values +-(2^(width-1) - 1) of a
+        # field of the width the data ask for
+        idx, sgn = [[0]], [[s]]
+        vecs = [(m,), (-m,), (1,)]
+        assert abs(s) * m * m == (1 << (_field_width(vecs, idx, sgn) - 1)) - 1
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
+            vecs, idx, sgn)
+        # two fields: the extreme product in field 0, next to field 1
+        idx, sgn = [[0, 1], [1, 0]], [[s, 1], [1, 0]]
+        vecs = [(m, 0), (-m, 0), (m, 1), (0, 1)]
+        assert abs(s) * m * m == (1 << (_field_width(vecs, idx, sgn) - 1)) - 1
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(
+            vecs, idx, sgn)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_closure_cases())
+    @example(([(2, 0), (0, 2), (-2, 0), (0, -2)], [[0, 1], [1, 0]], [[1, 1], [1, -1]]))
+    @example(([(4,), (-4,), (2,)], [[0]], [[1]]))
+    def test_against_nested_loop(self, case):
+        vecs, idx, sgn = case
+        assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(vecs, idx, sgn)
+
+    def test_rejects_non_integral(self, units2):
+        idx, sgn = _table()
+        vecs = list(units2[:4]) + [(Fraction(1, 2),) + (0,) * 7]
+        with pytest.raises(ValueError):
+            unit_closure_failures(vecs, idx, sgn)
+        # integral Fractions are integers
+        whole = [tuple(Fraction(v) for v in vec) for vec in units2[:16]]
+        assert unit_closure_failures(whole, idx, sgn) == unit_closure_failures(
+            units2[:16], idx, sgn)
+
 
 # ---------------------------------------------------------------------------
 # the metric filter against the full candidate loop
@@ -240,6 +359,34 @@ class TestMetricFilter:
         assert all(set(perm[:2]) == {0, 1} for perm in perms)
 
 
+    @pytest.mark.parametrize("seed, density, values", [
+        (1, 0.15, (-1, 1)),
+        (2, 0.3, (-1, 1)),
+        (3, 0.5, (-2, -1, 1, 2)),
+        (4, 0.1, (-3, 3)),
+    ])
+    def test_random_grams(self, seed, density, values):
+        # symmetric integer Grams with few distinct magnitudes, so that many
+        # block permutations keep them and the sign solve has work to do
+        rng = random.Random(seed)
+        gram = [[0] * 8 for _ in range(8)]
+        for i in range(8):
+            gram[i][i] = rng.choice((2, 4))
+            for j in range(i + 1, 8):
+                if rng.random() < density:
+                    gram[i][j] = gram[j][i] = rng.choice(values)
+        assert metric_stabilizers(gram) == naive_metric_stabilizers(gram)
+
+    def test_rejects_non_integral(self):
+        gram = [[2 * (i == j) for j in range(8)] for i in range(8)]
+        gram[0][1] = gram[1][0] = Fraction(1, 2)
+        with pytest.raises(ValueError):
+            metric_stabilizers(gram)
+        # integral Fractions are integers
+        gram = [[Fraction(v) for v in row] for row in conductor_gram()]
+        assert len(metric_stabilizers(gram)) == 48
+
+
 # ---------------------------------------------------------------------------
 # the counting mode against the vectors of the same walk
 # ---------------------------------------------------------------------------
@@ -277,6 +424,72 @@ class TestShellHistogram:
     def test_empty(self):
         assert shell_histogram(prepare_enumeration([[2]], -1)) == {}
         assert shell_histogram(prepare_enumeration([[2]], 1)) == {}
+
+
+# ---------------------------------------------------------------------------
+# the half walk, one vector of each +-x pair, against a box of vectors
+# ---------------------------------------------------------------------------
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** c * m[0][c] * _det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)) if m[0][c])
+
+
+def box_short_vectors(gram, bound):
+    """Reference: every nonzero integer vector of a box that holds all
+    vectors of norm <= bound, since x_i^2 <= bound (G^-1)_ii, each tested
+    on its own; sorted."""
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    n, det = len(gram), _det(gram)
+    radii = []
+    for i in range(n):
+        minor = [row[:i] + row[i + 1:] for r, row in enumerate(gram) if r != i]
+        radii.append(isqrt(int(bound * _det(minor) / det)))
+    out = []
+    for vec in product(*(range(-r, r + 1) for r in radii)):
+        nrm = sum(vec[i] * gram[i][j] * vec[j] for i in range(n) for j in range(n))
+        if any(vec) and nrm <= bound:
+            out.append(vec)
+    return out
+
+
+_WALK_GRAMS = [
+    [[3]],
+    [[2, -1], [-1, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    [[4, -1, -2], [-1, 3, 1], [-2, 1, 5]],
+    [[3, -1, 0, -1], [-1, 3, -1, 0], [0, -1, 3, -1], [-1, 0, -1, 3]],
+]
+
+
+class TestHalfWalk:
+    @pytest.mark.parametrize("gram", _WALK_GRAMS)
+    @pytest.mark.parametrize("bound", [-1, 0, Fraction(7, 2), 9])
+    def test_against_box(self, gram, bound):
+        plan = prepare_enumeration(gram, bound)
+        vecs = enumerate_short_vectors(plan)
+        assert vecs == box_short_vectors(gram, bound)
+        assert shell_histogram(plan) == _scaled_norm_counts(gram, plan)
+
+    def test_vector_mode(self):
+        gram = [list(r) for r in cd_gram()]
+        vecs = enumerate_short_vectors(prepare_enumeration(gram, 4))
+        assert len(vecs) == 240 + 2160
+        assert vecs == sorted(set(vecs))  # sorted, no vector twice
+        assert (0,) * 8 not in vecs
+        assert set(vecs) == {tuple(-v for v in vec) for vec in vecs}
+
+    def test_e8_to_bound_12(self):
+        # theta_E8 = E4: 240 sigma3(n) vectors of norm 2n
+        plan = prepare_enumeration([list(r) for r in cd_gram()], 12)
+        assert shell_histogram(plan) == {
+            2 * n * plan.scale: 240 * s3
+            for n, s3 in zip(range(1, 7), (1, 9, 28, 73, 126, 252))}
 
 
 # ---------------------------------------------------------------------------

@@ -443,26 +443,64 @@ class TestCrossRealization:
         assert rep.best_mismatches == 180
 
     def test_sign_search_against_naive_loop(self):
+        def naive(mat_c, alg_c):
+            """(identity mismatches, best signs, best mismatches, number of
+            patterns at the best), every cell compared under every pattern."""
+            def bad(signs):
+                return sum(mat_c[a][b][k] != alg_c[a][b][k] * (signs[a] * signs[b] * signs[k])
+                           for a, b, k in product(range(DIM), repeat=3))
+
+            best_signs = (1,) * DIM
+            best = ident = bad(best_signs)
+            scores = [ident]
+            for tail in product((1, -1), repeat=DIM - 1):
+                scores.append(bad((1,) + tail))
+                if scores[-1] < best:
+                    best, best_signs = scores[-1], (1,) + tail
+            return ident, best_signs, best, scores.count(best)
+
+        def signed(table, pattern):
+            return [[[table[a][b][k] * (pattern[a] * pattern[b] * pattern[k])
+                      for k in range(DIM)] for b in range(DIM)] for a in range(DIM)]
+
+        def check(mat_c, alg_c):
+            ident, best_signs, best, ties = naive(mat_c, alg_c)
+            rep = _sign_search(mat_c, alg_c)
+            assert (rep.identity_mismatches, rep.best_signs, rep.best_mismatches, rep.total) \
+                == (ident, best_signs, best, 512)
+            return ties
+
         # the rotation-side table under a sign pattern that is not the
         # identity, with a few entries perturbed
         alg_c = [[okubo_mul(basis_element(a), basis_element(b)).coords
                   for b in range(DIM)] for a in range(DIM)]
         target = (1, -1, 1, 1, -1, 1, -1, 1)
-        mat_c = [[[alg_c[a][b][k] * (target[a] * target[b] * target[k])
-                   for k in range(DIM)] for b in range(DIM)] for a in range(DIM)]
+        mat_c = signed(alg_c, target)
         for a, b, k in ((0, 1, 2), (3, 3, 0), (5, 2, 7), (7, 7, 7)):
             mat_c[a][b][k] = mat_c[a][b][k] + QuadExt(0, 7)
-
-        def naive(signs):
-            return sum(mat_c[a][b][k] != alg_c[a][b][k] * (signs[a] * signs[b] * signs[k])
-                       for a, b, k in product(range(DIM), repeat=3))
-
-        best_signs = (1,) * DIM
-        best = ident = naive(best_signs)
-        for tail in product((1, -1), repeat=DIM - 1):
-            if naive((1,) + tail) < best:
-                best, best_signs = naive((1,) + tail), (1,) + tail
+        check(mat_c, alg_c)
         rep = _sign_search(mat_c, alg_c)
-        assert (rep.identity_mismatches, rep.best_signs, rep.best_mismatches, rep.total) \
-            == (ident, best_signs, best, 512)
         assert rep.best_signs == target and rep.best_mismatches == 4
+
+        # a tie: with the entries (a, b, k) whose sign product differs between
+        # two patterns set to zero, both patterns match every entry, and the
+        # first of them in the search order wins
+        rng = random.Random(14)
+        first, second = (1, 1, -1, 1, 1, -1, 1, 1), (1, -1, 1, 1, -1, 1, 1, -1)
+        table = [[[rng.choice((-2, -1, 1, 2))
+                   if first[a] * first[b] * first[k] == second[a] * second[b] * second[k]
+                   else 0 for k in range(DIM)] for b in range(DIM)] for a in range(DIM)]
+        assert check(signed(table, second), table) >= 2
+        assert _sign_search(signed(table, second), table).best_signs == first
+
+        # seeded random tables: a random pattern, then about a third of the
+        # entries redrawn
+        for seed in range(3):
+            rng = random.Random(seed)
+            table = [[[rng.randint(-2, 2) for _ in range(DIM)] for _ in range(DIM)]
+                     for _ in range(DIM)]
+            mat_c = signed(table, (1,) + tuple(rng.choice((1, -1)) for _ in range(DIM - 1)))
+            for a, b, k in product(range(DIM), repeat=3):
+                if rng.random() < 0.3:
+                    mat_c[a][b][k] = rng.randint(-2, 2)
+            check(mat_c, table)

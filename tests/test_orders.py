@@ -3,6 +3,7 @@ and the diagonal scaling."""
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -11,6 +12,7 @@ from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
 from okubo_e8.orders import (
+    HALF_UNIT_ROWS,
     cd_basis,
     cd_basis_and_gram,
     cd_gram,
@@ -96,6 +98,21 @@ class TestUnits240:
     def test_shapes_distinct(self):
         shapes = unit_shapes()
         assert len(set(shapes)) == 240
+
+    def test_shapes_are_the_letter_sums(self):
+        # reference: the signed letters, then each half family summed as
+        # algebra elements and halved, in the same order
+        lt = letters()
+        want = []
+        for name in ("1", "i", "j", "k", "l", "il", "jl", "kl"):
+            want += [lt[name], -lt[name]]
+        for row in HALF_UNIT_ROWS:
+            for signs in iter_product((1, -1), repeat=4):
+                acc = AlgebraElem.zero()
+                for s, name in zip(signs, row):
+                    acc = acc + lt[name].scale(s)
+                want.append(acc.scale(HALF))
+        assert unit_shapes() == want
 
 
 class TestStructureConstants:

@@ -8,7 +8,9 @@ from okubo_e8.exact import QuadExt
 from okubo_e8.stabilizer import (
     CANDIDATE_COUNT,
     SignedBlockPerm,
+    compose,
     conductor_gram,
+    inverse,
     search,
     tau_membership,
     u_coordinates,
@@ -27,17 +29,18 @@ def perm_matrix(g):
 
 class TestSignedBlockPerm:
     def test_compose_inverse(self):
-        g = SignedBlockPerm((1, 0, 2, 3, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
-        assert g.compose(g.inverse()) == IDENTITY
-        assert g.inverse().compose(g) == IDENTITY
+        g = ((1, 0, 2, 3, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
+        ident = (IDENTITY.perm, IDENTITY.signs)
+        assert compose(g, inverse(g)) == ident
+        assert compose(inverse(g), g) == ident
 
     def test_matrix_action(self):
-        g = SignedBlockPerm((1, 0, 2, 3, 4, 5, 6, 7), (1, 1, 1, 1, 1, 1, 1, 1))
-        h = SignedBlockPerm((0, 1, 3, 2, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
-        m, n = perm_matrix(g), perm_matrix(h)
+        g = ((1, 0, 2, 3, 4, 5, 6, 7), (1, 1, 1, 1, 1, 1, 1, 1))
+        h = ((0, 1, 3, 2, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
+        m, n = perm_matrix(SignedBlockPerm(*g)), perm_matrix(SignedBlockPerm(*h))
         assert m[1][0] == 1 and m[0][1] == 1 and m[2][2] == 1
         # composition is the matrix product
-        assert perm_matrix(g.compose(h)) == [
+        assert perm_matrix(SignedBlockPerm(*compose(g, h))) == [
             [sum(m[r][k] * n[k][c] for k in range(8)) for c in range(8)] for r in range(8)]
 
 
