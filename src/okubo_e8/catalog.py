@@ -2,10 +2,13 @@
 scale: unit counts, closure, trace/norm integrality, lattice invariants.
 
 Each order is realized inside the octonion coordinate space (the complex
-and quaternion cases live on subalgebras) as an :class:`OrderBasis`, which
-owns the exact Gram and the map between order vectors and algebra
-elements.  Lattice identification is by the invariant triple (det, min,
-kissing) in the doubled-form normalization <x,x> = 2 n(x).
+and quaternion cases live on subalgebras) as an :class:`OrderBasis`
+labelled with its catalog name, which owns the exact Gram and the map
+between order vectors and algebra elements; the Coxeter-Dickson row is
+the order basis itself.  The reports hold what was computed, the invariant
+triple (det, min, kissing) in the doubled-form normalization
+<x,x> = 2 n(x) included; ``checks.check_catalog`` compares them with the
+claimed table.
 """
 
 from __future__ import annotations
@@ -31,16 +34,6 @@ class UnspecifiedConstructionError(ValueError):
     """The catalog names this set but gives no explicit construction."""
 
 
-@dataclass(frozen=True)
-class ClassicalOrderSpec:
-    name: str
-    basis: OrderBasis
-    expected_units: int
-    expected_det: int
-    expected_min: int
-    expected_kissing: int
-
-
 def _eisenstein_omega() -> AlgebraElem:
     # a primitive cube root of unity: -1/2 + (sqrt(3)/2) e1
     coords = [QuadExt(Fraction(-1, 2))] + [QUAD_ZERO] * 7
@@ -48,8 +41,8 @@ def _eisenstein_omega() -> AlgebraElem:
     return AlgebraElem(coords)
 
 
-def build_classical(name: str) -> ClassicalOrderSpec:
-    """The standard basis and the expected catalog data for one order."""
+def build_classical(name: str) -> OrderBasis:
+    """The standard basis of one catalog order, labelled ``name``."""
     if name in UNSPECIFIED_CLASSICAL:
         raise UnspecifiedConstructionError(
             f"no explicit construction is given for {name!r}; "
@@ -72,35 +65,25 @@ def build_classical(name: str) -> ClassicalOrderSpec:
     elif name == "cayley-graves":
         elements = tuple(lt[n] for n in ("1", "i", "j", "k", "l", "il", "jl", "kl"))
     else:  # coxeter-dickson: the order basis itself, with its cached solve
-        elements = None
-    units, _, det, mn, kiss = CLASSICAL_TABLE[name]
-    return ClassicalOrderSpec(
-        name=name,
-        basis=OrderBasis(elements, name) if elements else cd_basis(),
-        expected_units=units,
-        expected_det=det,
-        expected_min=mn,
-        expected_kissing=kiss,
-    )
+        return cd_basis()
+    return OrderBasis(elements, name)
 
 
-def order_lattice(spec: ClassicalOrderSpec) -> lat.LatticeZ:
-    return lat.LatticeZ.from_gram(spec.basis.gram(), label=spec.name)
+def order_lattice(basis: OrderBasis) -> lat.LatticeZ:
+    return lat.LatticeZ.from_gram(basis.gram(), label=basis.label)
 
 
-def coords_in_span(x: AlgebraElem, spec: ClassicalOrderSpec):
+def coords_in_span(x: AlgebraElem, basis: OrderBasis):
     """K-coordinates of x over the possibly lower-rank basis, or None when
     x is outside the span (decided by exact reconstruction)."""
-    coords = coords_in_order_basis(x, spec.basis)
-    return coords if spec.basis.element(coords) == x else None
+    coords = coords_in_order_basis(x, basis)
+    return coords if basis.element(coords) == x else None
 
 
 @dataclass(frozen=True)
 class CatalogReport:
     name: str
     unit_count: int
-    expected_units: int
-    units_match: bool
     units_closed: bool
     inverses_present: bool
     constants_integral: bool
@@ -108,13 +91,13 @@ class CatalogReport:
     det: Fraction
     minimum: Fraction
     kissing: int
-    triple_match: bool
 
 
-def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
-    """Enumerate the unit loop and certify the catalog row."""
-    lattice = order_lattice(spec)
-    if spec.name == "coxeter-dickson":  # the enumeration units240 reads
+def verify_classical(basis: OrderBasis) -> CatalogReport:
+    """Enumerate the unit loop and compute the data of one catalog row."""
+    lattice = order_lattice(basis)
+    cd = basis is cd_basis()
+    if cd:  # the enumeration units240 reads
         found = cd_short_vectors()
     else:  # the units, and the minimal vectors
         found = lat.short_vectors(lattice, 2)
@@ -123,13 +106,13 @@ def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
     norms = [nrm for _, nrm in found]
     mn = min(norms)
     kiss = norms.count(mn)
-    if spec.name == "coxeter-dickson":
+    if cd:
         _, rep = units240()
         unit_count = rep.count
         closed = rep.closure_failures == 0 and rep.norm_failures == 0
         inverses = rep.inverses_present
     else:
-        elements = [spec.basis.element(coords) for coords, _ in found]
+        elements = [basis.element(coords) for coords, _ in found]
         unit_count = len(elements)
         unit_set = set(elements)
         closed = all(
@@ -138,36 +121,27 @@ def verify_classical(spec: ClassicalOrderSpec) -> CatalogReport:
         inverses = all(x.conjugate() in unit_set for x in elements)
 
     constants_ok = True
-    for bi in spec.basis:
-        for bj in spec.basis:
-            coords = coords_in_span(oct_mul(bi, bj), spec)
+    for bi in basis:
+        for bj in basis:
+            coords = coords_in_span(oct_mul(bi, bj), basis)
             if coords is None or not all(RingTag.Z.contains(c) for c in coords):
                 constants_ok = False
 
     tn_ok = all(
         RingTag.Z.contains(b.trace()) and RingTag.Z.contains(b.norm())
-        for b in spec.basis
+        for b in basis
     )
 
-    det = lattice.det()
-    triple = (
-        det == spec.expected_det
-        and mn == spec.expected_min
-        and kiss == spec.expected_kissing
-    )
     return CatalogReport(
-        name=spec.name,
+        name=basis.label,
         unit_count=unit_count,
-        expected_units=spec.expected_units,
-        units_match=unit_count == spec.expected_units,
         units_closed=closed,
         inverses_present=inverses,
         constants_integral=constants_ok,
         trace_norm_integral=tn_ok,
-        det=det,
+        det=lattice.det(),
         minimum=mn,
         kissing=kiss,
-        triple_match=triple,
     )
 
 

@@ -98,7 +98,14 @@ def _cmp(cid, expected, tag, actual, details=None, record_only=False):
        ["basis-gram-det", "basis-gram-even-diagonal", "basis-trace-formula",
         "basis-norm-formula"])
 def check_basis_forms() -> list[CheckReport]:
-    basis, gram, cmp_rec = orders.cd_basis_and_gram()
+    gram = orders.cd_gram()
+    claimed = claims.NORM_CROSS_TERMS
+    # for i < j, gram[i][j] is the coefficient of a_i a_j in n(sum a_k b_k)
+    norm_mismatches = [
+        ((i, j), gram[i][j], claimed.get((i, j), 0))
+        for i in range(DIM) for j in range(i + 1, DIM)
+        if gram[i][j] != claimed.get((i, j), 0)
+    ]
     return [
         _cmp("basis-gram-det", 1, "claimed",
              int(lat.mat_det([list(r) for r in gram]))),
@@ -106,9 +113,8 @@ def check_basis_forms() -> list[CheckReport]:
              all(gram[i][i] % 2 == 0 for i in range(DIM))),
         _cmp("basis-trace-formula",
              [QuadExt(v) for v in claims.TRACE_PATTERN], "claimed",
-             list(cmp_rec.trace_computed), record_only=True),
-        _cmp("basis-norm-formula", [], "claimed",
-             list(cmp_rec.norm_mismatches),
+             [b.trace() for b in orders.cd_basis()], record_only=True),
+        _cmp("basis-norm-formula", [], "claimed", norm_mismatches,
              details="mismatching cross terms ((i,j), computed, claimed)",
              record_only=True),
     ]
@@ -215,7 +221,7 @@ def check_denominators() -> list[CheckReport]:
 def check_scaling_search(max_exp: int = 3) -> list[CheckReport]:
     constants = orders.structure_constants("okubo")
     res = orders.scaling_search(constants, max_exp)
-    minimal = [list(m.exponents) for m in res.minimal]
+    minimal = [list(m) for m in res.minimal]
     decrements_infeasible = all(
         not orders.scaling_feasible(
             constants,
@@ -235,7 +241,7 @@ def check_scaling_search(max_exp: int = 3) -> list[CheckReport]:
              decrements_infeasible,
              details="every single decrement breaks integrality"),
         _cmp("scaling-octonion-integral-basis", [[0] * DIM], "derived",
-             [list(m.exponents) for m in oct_res.minimal],
+             [list(m) for m in oct_res.minimal],
              details="unital product constants are already integers"),
     ]
 
@@ -244,7 +250,7 @@ def check_scaling_search(max_exp: int = 3) -> list[CheckReport]:
        "The scaled basis closes over Z[sqrt3] with integral trace, norm, and Gram",
        ["scaled-constants-integral", "scaled-values-integral"])
 def check_scaled_order() -> list[CheckReport]:
-    rep = orders.scaled_order_verify(claims.SCALING_EXPONENTS)
+    rep = orders.scaled_order_verify()
     return [
         _cmp("scaled-constants-integral", 0, "claimed",
              len(rep.violations), details="512 scaled structure constants"),
@@ -373,7 +379,7 @@ def check_saturation_gluing() -> list[CheckReport]:
        ["trace16-even", "trace16-positive-definite", "trace16-minimum",
         "trace16-u0-diagonal"])
 def check_trace16() -> list[CheckReport]:
-    rep = lat.trace_lattice_16(orders.u_gram_quadext())
+    rep = lat.trace_lattice_16(orders.scaled_basis().inner_products())
     return [
         _cmp("trace16-even", True, "claimed", rep.even),
         _cmp("trace16-positive-definite", True, "claimed",
@@ -391,7 +397,7 @@ def check_trace16() -> list[CheckReport]:
 
 
 def _perm_sign_list(items):
-    return [[list(c.perm), list(c.signs)] for c in items]
+    return [[list(perm), list(signs)] for perm, signs in items]
 
 
 @check("stabilizer-remark",
@@ -549,12 +555,13 @@ def check_catalog(name: str = "all") -> list[CheckReport]:
     out = []
     for n in names:
         rep = cat.verify_classical(cat.build_classical(n))
+        units, _, det, mn, kissing = claims.CLASSICAL_TABLE[n]
         expected = {
-            "units": rep.expected_units,
+            "units": units,
             "closed": True,
-            "det": claims.CLASSICAL_TABLE[n][2],
-            "min": claims.CLASSICAL_TABLE[n][3],
-            "kissing": claims.CLASSICAL_TABLE[n][4],
+            "det": det,
+            "min": mn,
+            "kissing": kissing,
             "integral": True,
         }
         actual = {

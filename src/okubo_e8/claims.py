@@ -45,9 +45,8 @@ SHELL_VALUES = (240, 2160, 6720, 17520, 30240, 60480)
 
 # -- scaled order -------------------------------------------------------------
 
-#: diagonal scaling D = diag(2,2,2,2,4,4,4,4)
-SCALING_DIAGONAL = (2, 2, 2, 2, 4, 4, 4, 4)
-#: exponent vector of the claimed unique componentwise minimal scaling
+#: exponent vector of the claimed unique componentwise minimal scaling;
+#: the scaled basis u_i = 2^{a_i} b_i, so D = diag(2,2,2,2,4,4,4,4)
 SCALING_EXPONENTS = (1, 1, 1, 1, 2, 2, 2, 2)
 #: structure-constant denominators claimed for the unscaled basis
 OKUBO_DENOMINATORS = (1, 2, 4)

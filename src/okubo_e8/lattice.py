@@ -135,40 +135,48 @@ def hnf_with_transform(m):
 
 
 def _snf_reduce(m):
-    """Return (S, P, Q) with P*M*Q = S diagonal, S_ii >= 0 and each S_ii
-    dividing the next (Cohen, GTM 138, section 2.4).
+    """Return (S, L, R) with M = L*S*R, S diagonal, S_ii >= 0 and each S_ii
+    dividing the next, and L, R unimodular (Cohen, GTM 138, section 2.4).
 
     Step k moves the smallest nonzero entry of the trailing block to (k, k),
     the first in row-major order on ties, and clears column k and row k by
     floor division; a remainder is smaller than the pivot and becomes the
     next one.  A trailing entry the pivot does not divide is added into
     row k and cleared the same way, so the chain holds when step k ends.
+
+    The transforms are kept as L = P^-1 and R = Q^-1 for the P, Q with
+    P*M*Q = S.  A row operation E on S (P <- E*P) is L <- L*E^-1, a column
+    operation on L, so L is kept transposed (``lt``) and the operation is
+    a row operation there; a column operation F on S (Q <- Q*F) is
+    R <- F^-1*R, a row operation on R.
     """
     s = [[int(v) for v in row] for row in m]
     nr, nc = len(s), len(s[0])
-    p = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    q = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    lt = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
     for k in range(min(nr, nc)):
         while True:
             trailing = [(abs(s[i][j]), i, j) for i in range(k, nr)
                         for j in range(k, nc) if s[i][j]]
             if not trailing:
-                return s, p, q
+                return s, [list(r) for r in zip(*lt)], right
             _, i, j = min(trailing)
-            s[k], s[i], p[k], p[i] = s[i], s[k], p[i], p[k]
-            for row in s + q:
+            s[k], s[i], lt[k], lt[i] = s[i], s[k], lt[i], lt[k]
+            for row in s:
                 row[k], row[j] = row[j], row[k]
+            right[k], right[j] = right[j], right[k]
             pivot = s[k][k]
             for i in range(k + 1, nr):
                 f = s[i][k] // pivot
-                if f:
+                if f:  # row i -= f * row k
                     s[i] = [a - f * b for a, b in zip(s[i], s[k])]
-                    p[i] = [a - f * b for a, b in zip(p[i], p[k])]
+                    lt[k] = [a + f * b for a, b in zip(lt[k], lt[i])]
             for j in range(k + 1, nc):
                 f = s[k][j] // pivot
-                if f:
-                    for row in s + q:
+                if f:  # column j -= f * column k
+                    for row in s:
                         row[j] -= f * row[k]
+                    right[k] = [a + f * b for a, b in zip(right[k], right[j])]
             if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
                 continue
             bad = next((i for i in range(k + 1, nr)
@@ -176,18 +184,19 @@ def _snf_reduce(m):
             if bad is None:
                 break
             s[k] = [a + b for a, b in zip(s[k], s[bad])]
-            p[k] = [a + b for a, b in zip(p[k], p[bad])]
+            lt[bad] = [a - b for a, b in zip(lt[bad], lt[k])]
         if s[k][k] < 0:
             s[k] = [-a for a in s[k]]
-            p[k] = [-a for a in p[k]]
-    return s, p, q
+            lt[k] = [-a for a in lt[k]]
+    return s, [list(r) for r in zip(*lt)], right
 
 
 @dataclass(frozen=True)
 class NormalForms:
     """Hermite and Smith data of one integer matrix M.
 
-    hermite_transform * M = hermite;  M = left * diag(smith) * right.
+    hermite_transform * M = hermite;  M = left * diag(smith) * right, with
+    left and right unimodular.
     """
 
     hermite: tuple[tuple[int, ...], ...]
@@ -197,31 +206,18 @@ class NormalForms:
     right: tuple[tuple[int, ...], ...]
 
 
-def _int_inverse(u):
-    inv = mat_inv(u)
-    out = []
-    for row in inv:
-        irow = []
-        for v in row:
-            if v.denominator != 1:
-                raise LatticeError("transform is not unimodular")
-            irow.append(int(v))
-        out.append(tuple(irow))
-    return tuple(out)
-
-
 def hnf_snf(m) -> NormalForms:
     """Hermite form, Smith invariants, and exact unimodular transforms."""
     h, t = hnf_with_transform(m)
-    s, p, q = _snf_reduce(m)
+    s, left, right = _snf_reduce(m)
     size = min(len(s), len(s[0]))
     smith = tuple(s[i][i] for i in range(size))
     return NormalForms(
         hermite=tuple(tuple(r) for r in h),
         hermite_transform=tuple(tuple(r) for r in t),
         smith=smith,
-        left=_int_inverse(p),
-        right=_int_inverse(q),
+        left=tuple(tuple(r) for r in left),
+        right=tuple(tuple(r) for r in right),
     )
 
 
@@ -340,13 +336,13 @@ def _inclusion_matrix(sub: LatticeZ, sup: LatticeZ):
 
 def _smith_rows(m):
     """Pairs (d_i, r_i) for a square integer matrix M of full rank, with
-    P*M*Q = S its Smith form, d_i = S_ii and r_i row i of Q^-1.  Since
-    M*Q = P^-1*S, the rows of M span the same lattice as the d_i * r_i, so
+    M = L*S*R its Smith form, d_i = S_ii and r_i row i of R.  Since L is
+    unimodular, the rows of M span the same lattice as the d_i * r_i, so
     Z^n / rowspan(M) is the sum of the cyclic groups Z/d_i generated by r_i."""
-    s, _, q = _snf_reduce(m)
+    s, _, right = _snf_reduce(m)
     if not all(s[i][i] for i in range(len(s))):
         raise LatticeError("matrix is not of full rank")
-    return [(s[i][i], row) for i, row in enumerate(_int_inverse(q))]
+    return [(s[i][i], tuple(row)) for i, row in enumerate(right)]
 
 
 def contains(outer: LatticeZ, inner: LatticeZ) -> bool:

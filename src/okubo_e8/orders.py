@@ -17,10 +17,13 @@ is
 
 with h = (i + j + k + l)/2.
 
-Every order vector goes through :class:`OrderBasis`: ``element`` maps
-coordinates to an algebra element, ``gram`` gives the integral Gram, and
-:func:`coords_in_order_basis` is the one coordinate solve, for this basis,
-its saturated and scaled variants and the catalog orders alike.
+Every order is an :class:`OrderBasis`: this basis, the scaled basis
+u_i = 2^{a_i} b_i built from the certified exponents, the saturated basis
+and the catalog orders.  ``element`` maps coordinates to an algebra
+element, ``gram`` gives the integral Gram, and
+:func:`coords_in_order_basis` is the one coordinate solve; the structure
+constants of every basis come from it, and :func:`closure_test` decides
+their integrality.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .algebras import (
     oct_mul,
     okubo_mul,
 )
-from .claims import SCALING_DIAGONAL
+from .claims import SCALING_EXPONENTS
 from .exact import (
     QUAD_ZERO,
     QuadExt,
@@ -164,41 +167,6 @@ def cd_gram() -> tuple[tuple[int, ...], ...]:
 
 def cd_lattice() -> lat.LatticeZ:
     return lat.LatticeZ.from_gram(cd_gram(), label="cd-order")
-
-
-@dataclass(frozen=True)
-class FormulaComparison:
-    """Diff of the computed trace/norm polynomials against claimed ones."""
-
-    trace_computed: tuple
-    trace_matches: bool
-    norm_mismatches: tuple
-
-
-def cd_basis_and_gram():
-    """Basis, Gram, and the formula comparison record.
-
-    The Gram is certified even unimodular; the trace and norm polynomial
-    coefficients are compared against the claimed patterns and mismatches
-    are recorded (not corrected).
-    """
-    from .claims import NORM_CROSS_TERMS, TRACE_PATTERN
-
-    basis = cd_basis()
-    gram = cd_gram()
-    trace_computed = tuple(b.trace() for b in basis)
-    trace_expected = tuple(QuadExt(v) for v in TRACE_PATTERN)
-    mismatches = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            coeff = gram[i][j]  # coefficient of a_i a_j in n(x)
-            if coeff != NORM_CROSS_TERMS.get((i, j), 0):
-                mismatches.append(((i, j), coeff, NORM_CROSS_TERMS.get((i, j), 0)))
-    return basis, gram, FormulaComparison(
-        trace_computed=trace_computed,
-        trace_matches=trace_computed == trace_expected,
-        norm_mismatches=tuple(mismatches),
-    )
 
 
 # -- the 240 units ------------------------------------------------------------
@@ -463,14 +431,9 @@ def closure_test(constants: StructureConstants, ring: RingTag,
 
 
 @dataclass(frozen=True)
-class ScalingVector:
-    exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ScalingSearchResult:
     feasible_count: int
-    minimal: tuple[ScalingVector, ...]
+    minimal: tuple[tuple[int, ...], ...]  # exponent vectors, sorted
 
 
 def scaling_feasible(constants: StructureConstants, exponents) -> bool:
@@ -494,40 +457,15 @@ def scaling_search(constants: StructureConstants, max_exp: int) -> ScalingSearch
     if cons is None:
         return ScalingSearchResult(feasible_count=0, minimal=())
     feasible_count, minimal = scaling_walk(cons, DIM, max_exp)
-    return ScalingSearchResult(
-        feasible_count=feasible_count,
-        minimal=tuple(ScalingVector(m) for m in minimal),
-    )
+    return ScalingSearchResult(feasible_count=feasible_count, minimal=tuple(minimal))
 
 
 @lru_cache(maxsize=None)
 def scaled_basis() -> OrderBasis:
-    """u_i = D_i b_i with D = diag(2,2,2,2,4,4,4,4)."""
+    """u_i = 2^{a_i} b_i, with a the minimal exponents that
+    ``check_scaling_search`` certifies."""
     return OrderBasis(
-        tuple(b.scale(d) for b, d in zip(cd_basis(), SCALING_DIAGONAL)), "scaled")
-
-
-def scaled_constants(constants: StructureConstants, diagonal):
-    """m_ij^k = (D_i D_j / D_k) c_ij^k."""
-    out = []
-    for i in range(DIM):
-        plane = []
-        for j in range(DIM):
-            row = []
-            for k in range(DIM):
-                factor = Fraction(diagonal[i] * diagonal[j], diagonal[k])
-                row.append(constants.c[i][j][k] * factor)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def okubo_scaled_constants(diagonal) -> tuple:
-    """:func:`scaled_constants` of the Okubo constants, computed once per
-    diagonal: the scaled-order check and the stabilizer search read the
-    same table."""
-    return scaled_constants(structure_constants("okubo"), diagonal)
+        tuple(b.scale(2 ** a) for b, a in zip(cd_basis(), SCALING_EXPONENTS)), "scaled")
 
 
 @dataclass(frozen=True)
@@ -538,56 +476,36 @@ class ScaledOrderReport:
     all_integral: bool
 
 
-def scaled_order_verify(exponents=(1, 1, 1, 1, 2, 2, 2, 2)) -> ScaledOrderReport:
+def scaled_order_verify() -> ScaledOrderReport:
     """Verify closure and integrality of the scaled basis over Z[sqrt3].
 
-    Checks all 512 scaled constants, and the relative trace <u_i, 1>, the
-    norm n(u_i), the Gram <u_i, u_j>, and the traces <u_i * u_j, 1>.
+    :func:`closure_test` checks all 512 Okubo constants over the scaled
+    basis, the relative trace <u_i, 1> and the norm n(u_i); this adds the
+    Gram <u_i, u_j> and the traces <u_i * u_j, 1>.
     """
-    diagonal = tuple(2 ** a for a in exponents)
-    scaled = okubo_scaled_constants(diagonal)
+    u = scaled_basis()
     ring = RingTag.ZSQRT3
-    violations = tuple(
-        (i, j, k, scaled[i][j][k])
-        for i in range(DIM)
-        for j in range(DIM)
-        for k in range(DIM)
-        if scaled[i][j][k] and not ring.contains(scaled[i][j][k])
-    )
-    basis = cd_basis()
-    u = tuple(b.scale(d) for b, d in zip(basis.elements, diagonal))
-    one = AlgebraElem.one()
-    traces = tuple(x.inner(one) for x in u)
-    norms = tuple(x.norm() for x in u)
-    inners = tuple(u[i].inner(u[j]) for i in range(DIM) for j in range(DIM))
-    prod_traces = tuple(
-        okubo_mul(u[i], u[j]).inner(one) for i in range(DIM) for j in range(DIM)
-    )
-    all_integral = all(
-        ring.contains(v) for v in traces + norms + inners + prod_traces
-    )
+    closure = closure_test(structure_constants("okubo", u), ring, u)
+    inners = tuple(v for row in u.inner_products() for v in row)
+    prod_traces = tuple(okubo_mul(x, y).trace() for x in u for y in u)
     return ScaledOrderReport(
-        violations=violations,
-        norm_values=norms,
+        violations=closure.violations,
+        norm_values=closure.norm_values,
         inner_values=inners,
-        all_integral=all_integral,
+        all_integral=closure.trace_norm_ok
+        and all(ring.contains(v) for v in inners + prod_traces),
     )
 
 
 def conductor_lattice() -> lat.LatticeZ:
     """The direct metric shadow: the Z-span of the scaled basis, i.e. the
-    conductor sublattice D * (order lattice) in order coordinates."""
+    conductor sublattice D * (order lattice) in order coordinates, with
+    D = diag(2^{a_i})."""
     rows = [
-        [SCALING_DIAGONAL[i] if i == j else 0 for j in range(DIM)]
+        [2 ** SCALING_EXPONENTS[i] if i == j else 0 for j in range(DIM)]
         for i in range(DIM)
     ]
     return lat.LatticeZ.from_rows(rows, cd_gram(), label="okubo-conductor")
-
-
-def u_gram_quadext() -> tuple[tuple[QuadExt, ...], ...]:
-    """K-valued Gram <u_i, u_j> of the scaled basis (used by the rank-16
-    restriction-of-scalars lattice)."""
-    return scaled_basis().inner_products()
 
 
 def denominator_profile(constants: StructureConstants) -> dict[int, int]:

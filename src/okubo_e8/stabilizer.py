@@ -3,9 +3,11 @@ integrality test for the rotation automorphism on the scaled basis.
 
 Candidates act on the scaled-basis coordinates u0..u7 as signed
 permutations preserving the blocks {0,1,2,3} and {4,5,6,7}; there are
-(4! * 2^4)^2 = 147456 of them.  Filter one keeps the isometries of the
+(4! * 2^4)^2 = 147456 of them.  A candidate is a (perm, signs) pair,
+u_i -> signs[i] * u_{perm[i]}.  Filter one keeps the isometries of the
 conductor Gram, filter two keeps those that also commute with the Okubo
-product on all 64 basis pairs.
+product on all 64 basis pairs, read from the structure constants of the
+scaled :class:`orders.OrderBasis`.
 """
 
 from __future__ import annotations
@@ -14,23 +16,10 @@ from dataclasses import dataclass
 
 from ._kernels import metric_stabilizers
 from .algebras import DIM, basis_element, okubo_mul, tau_apply
-from .claims import SCALING_DIAGONAL
 from .exact import QuadExt, RingTag
-from .orders import (
-    coords_in_order_basis,
-    okubo_scaled_constants,
-    scaled_basis,
-)
+from .orders import coords_in_order_basis, scaled_basis, structure_constants
 
 CANDIDATE_COUNT = (24 * 16) ** 2
-
-
-@dataclass(frozen=True)
-class SignedBlockPerm:
-    """u_i -> signs[i] * u_{perm[i]} with perm preserving the two blocks."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
 
 
 def compose(g, h):
@@ -56,12 +45,12 @@ def conductor_gram() -> tuple[tuple[int, ...], ...]:
     return scaled_basis().gram()
 
 
-def preserves_product(cand: SignedBlockPerm, m_constants) -> bool:
+def preserves_product(cand, m_constants) -> bool:
     """g(u_i * u_j) = g(u_i) * g(u_j) via the scaled structure constants:
     eps_i eps_j m[p(i)][p(j)][p(k)] = eps_k m[i][j][k] for all i, j, k.
     Every eps is +-1, so each entry is compared with m[i][j][k] or its
     negation, as the sign product says."""
-    perm, eps = cand.perm, cand.signs
+    perm, eps = cand
     for i in range(DIM):
         for j in range(DIM):
             row = m_constants[i][j]
@@ -77,32 +66,29 @@ def preserves_product(cand: SignedBlockPerm, m_constants) -> bool:
 @dataclass(frozen=True)
 class StabilizerReport:
     candidates: int
-    metric: tuple[SignedBlockPerm, ...]
-    product: tuple[SignedBlockPerm, ...]
+    metric: tuple  # sorted (perm, signs) pairs
+    product: tuple
     product_subset_of_metric: bool
     metric_closed_under_group_ops: bool
 
 
 def search() -> StabilizerReport:
     """Exhaustive deterministic search of the 147456 candidates."""
-    gram = conductor_gram()
-    survivors = sorted(metric_stabilizers(gram))
-    metric = tuple(SignedBlockPerm(perm, signs) for perm, signs in survivors)
+    metric = tuple(sorted(metric_stabilizers(conductor_gram())))
 
-    m_constants = okubo_scaled_constants(SCALING_DIAGONAL)
+    m_constants = structure_constants("okubo", scaled_basis()).c
     product = tuple(c for c in metric if preserves_product(c, m_constants))
 
-    metric_set = set(metric)
-    pairs = set(survivors)
+    pairs = set(metric)
     closed = all(
-        compose(a, b) in pairs for a in survivors for b in survivors
-    ) and all(inverse(a) in pairs for a in survivors)
+        compose(a, b) in pairs for a in metric for b in metric
+    ) and all(inverse(a) in pairs for a in metric)
 
     return StabilizerReport(
         candidates=CANDIDATE_COUNT,
         metric=metric,
         product=product,
-        product_subset_of_metric=all(c in metric_set for c in product),
+        product_subset_of_metric=all(c in pairs for c in product),
         metric_closed_under_group_ops=closed,
     )
 

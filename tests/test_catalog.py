@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from okubo_e8 import checks, claims
 from okubo_e8.algebras import basis_element, oct_mul
 from okubo_e8.catalog import (
     UnspecifiedConstructionError,
@@ -27,12 +28,22 @@ EXPECTED_UNITS = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_UNITS))
 def test_catalog_row(name):
-    spec = build_classical(name)
-    rep = verify_classical(spec)
+    rep = verify_classical(build_classical(name))
+    assert rep.name == name
     assert rep.unit_count == EXPECTED_UNITS[name]
-    assert (rep.units_match and rep.units_closed and rep.inverses_present
-            and rep.constants_integral and rep.trace_norm_integral
-            and rep.triple_match), rep
+    assert (rep.units_closed and rep.inverses_present
+            and rep.constants_integral and rep.trace_norm_integral), rep
+    _, _, det, mn, kissing = claims.CLASSICAL_TABLE[name]
+    assert (rep.det, rep.minimum, rep.kissing) == (det, mn, kissing), rep
+
+
+def test_check_catalog_expects_the_table_rows():
+    for report in checks.check_catalog():
+        name = report.check.removeprefix("catalog-")
+        units, _, det, mn, kissing = claims.CLASSICAL_TABLE[name]
+        assert report.expected == {"units": units, "closed": True, "det": det,
+                                   "min": mn, "kissing": kissing, "integral": True}
+        assert report.status == "pass", report
 
 
 def test_all_names_covered():
@@ -41,15 +52,15 @@ def test_all_names_covered():
 
 def test_hamilton_units_exactly_quaternion_group():
     lt = letters()
-    spec = build_classical("hamilton")
+    basis = build_classical("hamilton")
     from okubo_e8.lattice import short_vectors
     from okubo_e8.algebras import AlgebraElem
 
-    found = short_vectors(order_lattice(spec), 2)
+    found = short_vectors(order_lattice(basis), 2)
     units = set()
     for coords, _ in found:
         acc = AlgebraElem.zero()
-        for c, b in zip(coords, spec.basis):
+        for c, b in zip(coords, basis):
             if c:
                 acc = acc + b.scale(c)
         units.add(acc)
@@ -62,8 +73,7 @@ def test_hamilton_units_exactly_quaternion_group():
 
 def test_eisenstein_norm_form():
     # n(a + b*omega) = a^2 - a b + b^2, by direct exact expansion
-    spec = build_classical("eisenstein")
-    one, omega = spec.basis
+    one, omega = build_classical("eisenstein")
     rng = random.Random(3)
     for _ in range(20):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -72,17 +82,17 @@ def test_eisenstein_norm_form():
 
 
 def test_eisenstein_omega_cubes_to_one():
-    omega = build_classical("eisenstein").basis[1]
+    omega = build_classical("eisenstein")[1]
     assert oct_mul(omega, oct_mul(omega, omega)) == basis_element(0)
 
 
 def test_hurwitz_basis_closure_example():
-    spec = build_classical("hurwitz")
-    sigma = spec.basis[3]  # (1 + i + j + k)/2
-    prod = oct_mul(spec.basis[1], sigma)  # i * sigma
+    basis = build_classical("hurwitz")
+    sigma = basis[3]  # (1 + i + j + k)/2
+    prod = oct_mul(basis[1], sigma)  # i * sigma
     from okubo_e8.catalog import coords_in_span
 
-    coords = coords_in_span(prod, spec)
+    coords = coords_in_span(prod, basis)
     assert coords is not None
     assert all(c.irr == 0 and c.rat.denominator == 1 for c in coords)
 
@@ -100,22 +110,21 @@ def test_unknown_name():
 
 def test_no_minimal_vectors_raises():
     # the doubled Gaussian basis has Gram 8 I: no vector of norm <= 2
-    from dataclasses import replace
-
     from okubo_e8.lattice import LatticeError
     from okubo_e8.orders import OrderBasis
 
-    spec = build_classical("gaussian")
-    doubled = OrderBasis(tuple(b.scale(2) for b in spec.basis), "doubled-gaussian")
+    doubled = OrderBasis(tuple(b.scale(2) for b in build_classical("gaussian")),
+                         "doubled-gaussian")
     with pytest.raises(LatticeError, match="no nonzero vectors of norm <= 2"):
-        verify_classical(replace(spec, basis=doubled))
+        verify_classical(doubled)
 
 
 def test_catalog_basis_is_an_order_basis():
     from okubo_e8.orders import OrderBasis, cd_basis
 
-    assert all(isinstance(build_classical(n).basis, OrderBasis) for n in catalog_names())
-    assert build_classical("coxeter-dickson").basis is cd_basis()
+    assert all(isinstance(build_classical(n), OrderBasis) for n in catalog_names())
+    assert all(build_classical(n).label == n for n in catalog_names())
+    assert build_classical("coxeter-dickson") is cd_basis()
 
 
 def test_coxeter_dickson_enumerated_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used in its module, every
-module-level name it assigns is read by one of its modules, and every
-field of its dataclasses is read somewhere.
+module-level name it assigns is read by one of its modules, every field
+of its dataclasses is read somewhere, and only ``checks`` reads claimed
+values from ``claims``.
 
 No linter ships with the project, so this is the one dead-name check: a
 deletion that leaves an import, a constant or a stored field behind
@@ -210,3 +211,56 @@ def test_checker_sees_an_unread_field():
               "class T:\n    v: int\n")
     assert _unread_fields({"a.py": source}, ["print(r.x, s.w)\nr.y = 1\n"]) == ["a.py:4 R.y"]
     assert _unread_fields({"a.py": source}, []) == ["a.py:3 R.x", "a.py:4 R.y", "a.py:8 S.w"]
+
+
+#: what a module other than ``checks`` may take from ``claims``: the
+#: construction inputs (the convention, the certified scaling exponents
+#: that build the scaled order, the catalog's names).  Every other claimed
+#: value is an expected value, compared in ``checks`` alone.
+CLAIMS_INPUTS = frozenset(
+    {"CONVENTION", "SCALING_EXPONENTS", "CLASSICAL_TABLE", "UNSPECIFIED_CLASSICAL"})
+CLAIMS_READER = "checks.py"
+
+
+def _claims_reads(tree: ast.Module) -> set[str]:
+    """The names a module takes from ``claims``, anywhere in it: by
+    ``from .claims import X``, or as ``c.X`` where ``c`` is ``claims``
+    imported as a module."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "claims":
+                names.update(alias.name for alias in node.names)
+            aliases.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "claims")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            names.add(node.attr)
+    return names
+
+
+def _claims_violations(sources: dict[str, str]) -> list[str]:
+    """``file: name`` for each name outside the construction inputs that a
+    module other than ``checks`` takes from ``claims``."""
+    return sorted(
+        f"{file}: {name}"
+        for file, text in sources.items() if file != CLAIMS_READER
+        for name in _claims_reads(ast.parse(text, filename=file)) - CLAIMS_INPUTS
+    )
+
+
+def test_only_checks_reads_claimed_values():
+    bad = _claims_violations({p.name: p.read_text() for p in MODULES})
+    assert not bad, f"claimed values read outside {CLAIMS_READER}: {', '.join(bad)}"
+
+
+def test_checker_sees_a_claimed_value_read():
+    sources = {
+        "a.py": "from .claims import SCALING_EXPONENTS, TRACE_PATTERN\n",
+        "b.py": "from . import claims as c\nx = c.UNIT_COUNT, c.CONVENTION\n",
+        "c.py": "def f():\n    from .claims import NORM_CROSS_TERMS\n",
+        "d.py": "from okubo_e8.claims import CLASSICAL_TABLE\n",
+        CLAIMS_READER: "from . import claims\nx = claims.UNIT_COUNT\n",
+    }
+    assert _claims_violations(sources) == [
+        "a.py: TRACE_PATTERN", "b.py: UNIT_COUNT", "c.py: NORM_CROSS_TERMS"]

@@ -43,7 +43,7 @@ from okubo_e8.lattice import (
     sublattice_invariants,
     trace_lattice_16,
 )
-from okubo_e8.orders import cd_lattice, conductor_lattice, u_gram_quadext
+from okubo_e8.orders import cd_lattice, conductor_lattice, scaled_basis
 
 A2 = [[2, -1], [-1, 2]]
 D4 = [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]  # det 4
@@ -199,9 +199,10 @@ class TestSmithProperties:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(int_matrices)
     def test_transforms(self, m):
-        s, p, q = _snf_reduce(m)
-        assert _int_mul(_int_mul(p, m), q) == s
-        assert abs(_det(p)) == 1 and abs(_det(q)) == 1
+        # M = P^-1 S Q^-1 with both transforms unimodular
+        s, p_inv, q_inv = _snf_reduce(m)
+        assert _int_mul(_int_mul(p_inv, s), q_inv) == m
+        assert abs(_det(p_inv)) == 1 and abs(_det(q_inv)) == 1
         assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -239,9 +240,9 @@ class TestSmithProperties:
         from sympy.matrices.normalforms import smith_normal_form
 
         for gram, smith in fixture_grams():
-            s, p, q = _snf_reduce(gram)
-            assert _int_mul(_int_mul(p, gram), q) == s
-            assert abs(mat_det(p)) == 1 and abs(mat_det(q)) == 1
+            s, p_inv, q_inv = _snf_reduce(gram)
+            assert _int_mul(_int_mul(p_inv, s), q_inv) == gram
+            assert abs(mat_det(p_inv)) == 1 and abs(mat_det(q_inv)) == 1
             theirs = smith_normal_form(sympy.Matrix(gram))
             assert smith_invariants(gram) == smith == tuple(
                 abs(int(theirs[i, i])) for i in range(8))
@@ -581,6 +582,18 @@ class TestGlueSaturate:
         assert q.invariants == claims.QUOTIENT_INVARIANTS
         assert q.order == 4096
 
+    @pytest.mark.parametrize("run", [quotient_group,
+                                     lambda sub, sup: saturation(sub, sup, 2)])
+    def test_smith_rows_need_no_rational_inverse(self, run, monkeypatch):
+        # the Smith form hands over Q^-1 itself; nothing inverts Q over Q
+        import okubo_e8.lattice as lattice_module
+
+        def refuse(*args):
+            raise AssertionError("mat_inv was called")
+
+        monkeypatch.setattr(lattice_module, "mat_inv", refuse)
+        run(conductor_lattice(), cd_lattice())
+
     def test_saturation_idempotent_and_monotone(self):
         cond, cd = conductor_lattice(), cd_lattice()
         sat = saturation(cond, cd, 2)
@@ -611,7 +624,7 @@ class TestGlueSaturate:
 
 class TestTrace16:
     def test_report(self):
-        rep = trace_lattice_16(u_gram_quadext())
+        rep = trace_lattice_16(scaled_basis().inner_products())
         assert rep.even
         assert rep.positive_definite
         assert rep.minimum == 16
@@ -619,7 +632,7 @@ class TestTrace16:
         assert rep.gram[0][0] == 16  # Tr<u0,u0> doubles the norm-8 entry
 
     def test_no_vectors_below_sixteen(self):
-        rep = trace_lattice_16(u_gram_quadext())
+        rep = trace_lattice_16(scaled_basis().inner_products())
         lat = LatticeZ.from_gram([list(r) for r in rep.gram])
         assert short_vectors(lat, 15) == []
 

@@ -7,23 +7,24 @@ from itertools import product as iter_product
 
 import pytest
 
-from okubo_e8 import claims
+from okubo_e8 import checks, claims
 from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
 from okubo_e8.orders import (
     HALF_UNIT_ROWS,
+    OrderBasis,
     cd_basis,
-    cd_basis_and_gram,
     cd_gram,
     cd_lattice,
     closure_test,
+    conductor_lattice,
     coords_in_order_basis,
     denominator_profile,
     dump_structure_constants,
     letters,
     parse_structure_constants,
-    scaled_constants,
+    scaled_basis,
     scaled_order_verify,
     scaling_feasible,
     scaling_search,
@@ -59,20 +60,22 @@ EXPECTED_B0B2 = (
 
 class TestBasisAndGram:
     def test_gram_is_e8(self):
-        basis, gram, _ = cd_basis_and_gram()
+        gram = cd_gram()
         assert gram[0][0] == 2
         assert all(gram[i][i] == 2 for i in range(DIM))
         assert mat_det([list(r) for r in gram]) == 1
         assert gram == tuple(tuple(r) for r in zip(*gram))  # symmetric
 
     def test_trace_formula_matches(self):
-        _, _, cmp_rec = cd_basis_and_gram()
-        assert cmp_rec.trace_matches
-        assert cmp_rec.trace_computed[4] == QuadExt(0)  # tr(h) = 0
+        traces = [b.trace() for b in cd_basis()]
+        assert traces == [QuadExt(v) for v in claims.TRACE_PATTERN]
+        assert traces[4] == QuadExt(0)  # tr(h) = 0
+        by_id = {r.check: r for r in checks.check_basis_forms()}
+        assert by_id["basis-trace-formula"].actual == traces
 
     def test_norm_formula_mismatches_recorded(self):
-        _, _, cmp_rec = cd_basis_and_gram()
-        assert cmp_rec.norm_mismatches == EXPECTED_NORM_MISMATCHES
+        by_id = {r.check: r for r in checks.check_basis_forms()}
+        assert by_id["basis-norm-formula"].actual == list(EXPECTED_NORM_MISMATCHES)
 
     def test_letters_are_units(self):
         for name, el in letters().items():
@@ -231,7 +234,7 @@ class TestClosure:
 class TestScaling:
     def test_minimal_unique(self):
         res = scaling_search(structure_constants("okubo"), 3)
-        assert [m.exponents for m in res.minimal] == [claims.SCALING_EXPONENTS]
+        assert res.minimal == (claims.SCALING_EXPONENTS,)
         assert res.feasible_count > 0
 
     def test_minimality_certificate(self):
@@ -248,40 +251,74 @@ class TestScaling:
         constants = structure_constants("octonion")
         assert scaling_feasible(constants, (0,) * DIM)
         res = scaling_search(constants, 3)
-        assert [m.exponents for m in res.minimal] == [(0,) * DIM]
+        assert res.minimal == ((0,) * DIM,)
 
     def test_max_exp_guard(self):
         with pytest.raises(ValueError):
             scaling_search(structure_constants("okubo"), 1)
 
     def test_scaling_covariance(self):
-        # oracle: structure constants of the rescaled basis computed from
-        # scratch agree with the transformation formula
-        from okubo_e8.orders import OrderBasis
-
-        rng = random.Random(6)
+        # oracle: the solve over a rescaled basis u_i = D_i b_i agrees with
+        # the transformation formula m_ij^k = (D_i D_j / D_k) c_ij^k, on the
+        # claimed diagonal and on random ones
         constants = structure_constants("okubo")
         basis = cd_basis()
-        for _ in range(3):
-            diag = tuple(2 ** rng.randint(0, 2) for _ in range(DIM))
-            scaled = scaled_constants(constants, diag)
-            rescaled_basis = OrderBasis(
-                tuple(b.scale(d) for b, d in zip(basis.elements, diag)),
-                f"rescaled-{diag}",
-            )
-            direct = structure_constants("okubo", rescaled_basis)
-            assert direct.c == scaled
+        rng = random.Random(6)
+        claimed = tuple(2 ** a for a in claims.SCALING_EXPONENTS)
+        diagonals = [claimed] + [tuple(2 ** rng.randint(0, 2) for _ in range(DIM))
+                                 for _ in range(3)]
+        for diag in diagonals:
+            formula = tuple(tuple(tuple(
+                constants.c[i][j][k] * Fraction(diag[i] * diag[j], diag[k])
+                for k in range(DIM)) for j in range(DIM)) for i in range(DIM))
+            rescaled = OrderBasis(
+                tuple(b.scale(d) for b, d in zip(basis, diag)), f"rescaled-{diag}")
+            assert structure_constants("okubo", rescaled).c == formula
+            if diag == claimed:
+                assert structure_constants("okubo", scaled_basis()).c == formula
+
+    def test_scaled_basis_from_claimed_exponents(self):
+        assert scaled_basis().elements == tuple(
+            b.scale(2 ** a) for b, a in zip(cd_basis(), claims.SCALING_EXPONENTS))
+        rows = conductor_lattice().basis
+        assert [rows[i][i] for i in range(DIM)] == [2 ** a for a in claims.SCALING_EXPONENTS]
 
     def test_scaled_order_verify(self):
-        rep = scaled_order_verify(claims.SCALING_EXPONENTS)
+        rep = scaled_order_verify()
         assert rep.violations == () and rep.all_integral
         assert rep.norm_values[0] == QuadExt(4)  # n(2 b0) = 4
         # <u4, u4> = 16 * <b4, b4> = 32
         assert rep.inner_values[4 * DIM + 4] == QuadExt(32)
+        u = scaled_basis()
+        assert rep.inner_values == tuple(x.inner(y) for x in u for y in u)
 
     def test_unscaled_fails(self):
-        rep = scaled_order_verify((0,) * DIM)
-        assert rep.violations or not rep.all_integral
+        rep = closure_test(structure_constants("okubo"), RingTag.ZSQRT3)
+        assert rep.violations
+
+    def test_search_and_verify_read_one_constants_object(self, monkeypatch):
+        # the scaled-order check and the stabilizer search both read the
+        # cached Okubo constants of the scaled basis
+        from okubo_e8 import orders, stabilizer
+
+        seen = []
+        closure, preserves = orders.closure_test, stabilizer.preserves_product
+
+        def closure_spy(constants, ring, basis=None):
+            seen.append(("closure", constants.c))
+            return closure(constants, ring, basis)
+
+        def preserves_spy(cand, m_constants):
+            seen.append(("search", m_constants))
+            return preserves(cand, m_constants)
+
+        monkeypatch.setattr(orders, "closure_test", closure_spy)
+        monkeypatch.setattr(stabilizer, "preserves_product", preserves_spy)
+        scaled_order_verify()
+        stabilizer.search()
+        tables = {id(c) for _, c in seen}
+        assert {who for who, _ in seen} == {"closure", "search"} and len(tables) == 1
+        assert seen[0][1] is structure_constants("okubo", scaled_basis()).c
 
 
 def _two_adic(q):
@@ -431,7 +468,7 @@ class TestCoordinateMap:
         from okubo_e8.catalog import build_classical, catalog_names
 
         for name in catalog_names():
-            basis = build_classical(name).basis
+            basis = build_classical(name)
             for bi in basis:
                 for bj in basis:
                     x = oct_mul(bi, bj)
@@ -474,7 +511,7 @@ class TestCoordinateMap:
         from okubo_e8.catalog import build_classical
         from okubo_e8.lattice import mat_inv
 
-        basis = build_classical("gaussian").basis
+        basis = build_classical("gaussian")
         ginv = mat_inv(basis.inner_products())
         assert len(basis) == 2 and len(basis.solve_matrix[0]) == DIM
         assert solve_entries(basis) == [

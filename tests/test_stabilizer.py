@@ -7,7 +7,6 @@ from okubo_e8 import claims
 from okubo_e8.exact import QuadExt
 from okubo_e8.stabilizer import (
     CANDIDATE_COUNT,
-    SignedBlockPerm,
     compose,
     conductor_gram,
     inverse,
@@ -16,31 +15,32 @@ from okubo_e8.stabilizer import (
     u_coordinates,
 )
 
-IDENTITY = SignedBlockPerm(tuple(range(8)), (1,) * 8)
+IDENTITY = (tuple(range(8)), (1,) * 8)
 
 
 def perm_matrix(g):
-    """The matrix of g: column i holds signs[i] in row perm[i]."""
+    """The matrix of the (perm, signs) pair g: column i holds signs[i] in
+    row perm[i]."""
+    perm, signs = g
     m = [[0] * 8 for _ in range(8)]
     for i in range(8):
-        m[g.perm[i]][i] = g.signs[i]
+        m[perm[i]][i] = signs[i]
     return m
 
 
 class TestSignedBlockPerm:
     def test_compose_inverse(self):
         g = ((1, 0, 2, 3, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
-        ident = (IDENTITY.perm, IDENTITY.signs)
-        assert compose(g, inverse(g)) == ident
-        assert compose(inverse(g), g) == ident
+        assert compose(g, inverse(g)) == IDENTITY
+        assert compose(inverse(g), g) == IDENTITY
 
     def test_matrix_action(self):
         g = ((1, 0, 2, 3, 4, 5, 6, 7), (1, 1, 1, 1, 1, 1, 1, 1))
         h = ((0, 1, 3, 2, 5, 4, 6, 7), (1, -1, 1, 1, -1, 1, 1, 1))
-        m, n = perm_matrix(SignedBlockPerm(*g)), perm_matrix(SignedBlockPerm(*h))
+        m, n = perm_matrix(g), perm_matrix(h)
         assert m[1][0] == 1 and m[0][1] == 1 and m[2][2] == 1
         # composition is the matrix product
-        assert perm_matrix(SignedBlockPerm(*compose(g, h))) == [
+        assert perm_matrix(compose(g, h)) == [
             [sum(m[r][k] * n[k][c] for k in range(8)) for c in range(8)] for r in range(8)]
 
 
@@ -57,7 +57,7 @@ class TestSearch:
         rep = search()
         metric = set(rep.metric)
         assert IDENTITY in metric
-        assert SignedBlockPerm(tuple(range(8)), (-1,) * 8) in metric
+        assert (tuple(range(8)), (-1,) * 8) in metric
 
     def test_group_and_subset_properties(self):
         rep = search()
