@@ -70,7 +70,7 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
         for c in range(r):
             if gram[r][c] != gram[c][r]:
                 raise ValueError("Gram matrix is not symmetric")
-    work, diag, _ = eliminate(gram, swap=False)
+    work, diag = eliminate(gram, swap=False)
     for c, d in enumerate(diag):
         if d <= 0:
             raise NotPositiveDefinite(f"pivot {c} is {d}")

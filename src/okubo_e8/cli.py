@@ -88,15 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _fixture_reports(path: str):
     """Determinant against the Smith factors, and |det| against the order of
     the discriminant group (the product of the Smith factors > 1), from one
-    Gram matrix and one Smith normal form; the parser has checked that the
-    Gram is integral."""
+    integer Gram matrix and one Smith normal form; the parser has checked
+    that the Gram is integral, so its denominator is 1."""
     with open(path, "r", encoding="utf-8") as fh:
         lattice = lat.lattice_from_fixture(fh.read())
-    gram = lattice.gram()
+    gram, _ = lattice.integer_gram
     det = int(lat.mat_det(gram))
     if det == 0:
         raise lat.LatticeError("fixture Gram is singular")
-    smith = lat.smith_invariants([[int(v) for v in row] for row in gram])
+    smith = lat.smith_invariants(gram)
     return [
         compare("fixture-det-vs-smith", "fixture-analysis", claims.CONVENTION,
                 det, "derived", math.prod(smith),

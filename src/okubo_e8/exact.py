@@ -25,13 +25,15 @@ and ``ComplexQuad`` values are built from those integers at the report
 boundary, when a report, a solve or a test reads a coordinate.
 
 :func:`eliminate` is the one Gaussian elimination of the package: every
-determinant, inverse, linear solve and LDL pivot, over Q or over K, runs
-through it.  A K-linear map that is applied many times is kept in the one
-integer form of :func:`integer_map`, per input coordinate the nonzero
-entries of its column as integers over one denominator, and
-:func:`apply_map` is the one product of such a map with integer pairs.
-The rotation, the order-basis solve, and the matrix-coordinate solve with
-its reconstruction guard all run through those two.
+inverse, linear solve and LDL pivot, over Q or over K, runs through it;
+determinants are taken over Q only, fraction-free on integers
+(``lattice.mat_det``).  A K-linear map that is applied many times is
+kept in the one integer form of :func:`integer_map`, per input
+coordinate the nonzero entries of its column as integers over one
+denominator, and :func:`apply_map` is the one product of such a map with
+integer pairs.  The rotation, the order-basis solve, and the
+matrix-coordinate solve with its reconstruction guard all run through
+those two.
 
 No floating point is used anywhere.  Sign questions in either real
 embedding of K are settled by exact case analysis on squares.
@@ -261,15 +263,13 @@ def eliminate(rows, *, swap=True, reduced=False):
     serves Q and K alike with one reciprocal per pivot.  Columns past the
     square block (an augmented right-hand side) are carried along.
 
-    Returns ``(work, pivots, sign)``:
+    Returns ``(work, pivots)``:
 
     * ``work`` -- a reduced copy whose pivot rows are scaled to a leading
       1.  With ``reduced`` the pivot columns are also cleared above the
       pivots (Gauss-Jordan), so ``[A | B]`` ends as ``[I | A^-1 B]``.
     * ``pivots`` -- the pivot of each column in turn, up to and including
       the first zero one; the block is singular iff one of them is zero.
-    * ``sign`` -- the parity of the row exchanges, so the determinant is
-      ``sign * prod(pivots)``.
 
     ``swap=False`` forbids row exchanges: the pivots are then those of the
     LDL decomposition of a symmetric matrix, and the entries right of the
@@ -278,14 +278,10 @@ def eliminate(rows, *, swap=True, reduced=False):
     work = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
     n = len(work)
     pivots = []
-    sign = 1
     for c in range(n):
-        piv = c
         if swap and not work[c][c]:
             piv = next((r for r in range(c + 1, n) if work[r][c]), c)
-        if piv != c:
             work[c], work[piv] = work[piv], work[c]
-            sign = -sign
         d = work[c][c]
         pivots.append(d)
         if not d:
@@ -297,7 +293,7 @@ def eliminate(rows, *, swap=True, reduced=False):
             f = work[r][c]
             if f and r != c:
                 work[r][c:] = [x - f * y for x, y in zip(work[r][c:], prow)]
-    return work, pivots, sign
+    return work, pivots
 
 
 def integer_map(columns):
@@ -345,19 +341,29 @@ def render_quadext(x: QuadExt) -> str:
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """An integer or a fraction ``a/b``, written ``[+-]digits(/digits)``,
-    the form the fixture and dump writers produce.
+def rational_pair(text: str) -> tuple[int, int]:
+    """The integers ``(a, b)``, ``b > 0``, of an integer or a fraction
+    ``a/b``, written ``[+-]digits(/digits)``, the form the fixture and
+    dump writers produce; ``a/b`` need not be in lowest terms.
 
-    Anything else (decimals, exponents, underscores, whitespace) raises
-    ValueError, a zero denominator ZeroDivisionError.  Unlike
+    Anything else (decimals, exponents, underscores, whitespace, non-ASCII
+    digits) raises ValueError, a zero denominator ZeroDivisionError.  The
+    grammar is matched before any ``int()``, which is looser, and unlike
     ``Fraction(text)`` this never expands an exponent, so a short entry
     cannot cost a huge power of ten.
     """
     if _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not an integer or a fraction a/b: {text!r}")
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    den = int(den or 1)
+    if not den:
+        raise ZeroDivisionError(f"zero denominator: {text!r}")
+    return int(num), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of :func:`rational_pair`."""
+    return Fraction(*rational_pair(text))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact integer-lattice machinery.
 
-Everything here is exact: Hermite/Smith normal forms with unimodular
-transforms, sublattice invariants, short-vector enumeration by exact
-rational Cholesky (through the kernel layer), discriminant groups with
-their quadratic form, isotropic gluing, p-adic saturation, shell counts,
-and the rank-16 restriction-of-scalars Gram.
+Everything here is exact: determinants by fraction-free elimination,
+Hermite/Smith normal forms with unimodular transforms (or, for the Smith
+invariants alone, without them), sublattice invariants, short-vector
+enumeration by exact rational Cholesky (through the kernel layer),
+discriminant groups with their quadratic form, isotropic gluing, p-adic
+saturation, shell counts, and the rank-16 restriction-of-scalars Gram.
 
 Norm bookkeeping: a lattice Gram always stores the bilinear form <x,y>
 with <x,x> = 2 n(x) for algebra elements, so the minimum of E8 is 2 and
@@ -19,13 +20,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
+from operator import mul
 
 from ._kernels import (
     enumerate_short_vectors,
     prepare_enumeration,
     shell_histogram,
 )
-from .exact import QuadExt, eliminate, parse_rational
+from .exact import QuadExt, eliminate, rational_pair
 
 
 class LatticeError(ValueError):
@@ -41,9 +43,19 @@ class InclusionError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# exact dense matrix helpers (sizes here are at most 16x16); determinants,
-# inverses, solves and LDL pivots all run through exact.eliminate
+# exact dense matrix helpers (sizes here are at most 16x16); inverses,
+# solves and LDL pivots run through exact.eliminate, determinants through
+# fraction-free elimination on integers
 # ---------------------------------------------------------------------------
+
+
+def _integer_rows_and_scale(m):
+    """Integer rows Mi and the least den > 0 with M = Mi/den, for a matrix
+    M of ints and Fractions; any other entry raises TypeError."""
+    if not all(isinstance(v, (int, Fraction)) for row in m for v in row):
+        raise TypeError("expected a matrix of ints and Fractions")
+    den = lcm(*(v.denominator for row in m for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in m], den
 
 
 def identity_matrix(n):
@@ -69,7 +81,7 @@ def mat_mul(a, b):
 def mat_inv(a):
     """Exact inverse over the field of the entries (Q or K)."""
     n = len(a)
-    work, pivots, _ = eliminate(
+    work, pivots = eliminate(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
         reduced=True,
     )
@@ -78,11 +90,33 @@ def mat_inv(a):
     return [row[n:] for row in work]
 
 
-def mat_det(a):
-    _, pivots, det = eliminate(a)
-    for p in pivots:
-        det *= p
-    return det
+def mat_det(a) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions.
+
+    With M = Mi/den for integer Mi, det M = det(Mi)/den^n, and det(Mi)
+    comes from Bareiss's fraction-free elimination ("Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968): after step k every trailing entry is a (k+2)x(k+2) minor of Mi,
+    so each division by the previous pivot is exact and no Fraction is
+    formed until the end.  Any other entry raises TypeError.
+    """
+    rows, den = _integer_rows_and_scale(a)
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return Fraction(0)
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot, tail = rows[k][k], rows[k][k + 1:]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return Fraction(sign * rows[-1][-1] if n else 1, den ** n)
 
 
 def ldl_pivots(gram):
@@ -134,9 +168,12 @@ def hnf_with_transform(m):
     return rows, t
 
 
-def _snf_reduce(m):
+def _snf_reduce(m, transforms=True):
     """Return (S, L, R) with M = L*S*R, S diagonal, S_ii >= 0 and each S_ii
     dividing the next, and L, R unimodular (Cohen, GTM 138, section 2.4).
+    With ``transforms`` false the L and R updates are skipped, and None
+    stands for both (Cohen's Smith form without transforms, section 2.4.4):
+    the pivot sequence and S are the same either way.
 
     Step k moves the smallest nonzero entry of the trailing block to (k, k),
     the first in row-major order on ties, and clears column k and row k by
@@ -152,31 +189,38 @@ def _snf_reduce(m):
     """
     s = [[int(v) for v in row] for row in m]
     nr, nc = len(s), len(s[0])
-    lt = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    if transforms:
+        lt = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    # rows and columns before k are zero off the diagonal once step k
+    # starts, so every operation of step k reads and writes rows k.. only
     for k in range(min(nr, nc)):
         while True:
-            trailing = [(abs(s[i][j]), i, j) for i in range(k, nr)
-                        for j in range(k, nc) if s[i][j]]
-            if not trailing:
-                return s, [list(r) for r in zip(*lt)], right
+            trailing = [(abs(v), i, j) for i, row in enumerate(s[k:], k)
+                        for j, v in enumerate(row[k:], k) if v]
+            if not trailing:  # the trailing block is zero: so are all later ones
+                break
             _, i, j = min(trailing)
-            s[k], s[i], lt[k], lt[i] = s[i], s[k], lt[i], lt[k]
-            for row in s:
+            s[k], s[i] = s[i], s[k]
+            for row in s[k:]:
                 row[k], row[j] = row[j], row[k]
-            right[k], right[j] = right[j], right[k]
+            if transforms:
+                lt[k], lt[i] = lt[i], lt[k]
+                right[k], right[j] = right[j], right[k]
             pivot = s[k][k]
             for i in range(k + 1, nr):
                 f = s[i][k] // pivot
                 if f:  # row i -= f * row k
                     s[i] = [a - f * b for a, b in zip(s[i], s[k])]
-                    lt[k] = [a + f * b for a, b in zip(lt[k], lt[i])]
+                    if transforms:
+                        lt[k] = [a + f * b for a, b in zip(lt[k], lt[i])]
             for j in range(k + 1, nc):
                 f = s[k][j] // pivot
                 if f:  # column j -= f * column k
-                    for row in s:
+                    for row in s[k:]:
                         row[j] -= f * row[k]
-                    right[k] = [a + f * b for a, b in zip(right[k], right[j])]
+                    if transforms:
+                        right[k] = [a + f * b for a, b in zip(right[k], right[j])]
             if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
                 continue
             bad = next((i for i in range(k + 1, nr)
@@ -184,10 +228,14 @@ def _snf_reduce(m):
             if bad is None:
                 break
             s[k] = [a + b for a, b in zip(s[k], s[bad])]
-            lt[bad] = [a - b for a, b in zip(lt[bad], lt[k])]
+            if transforms:
+                lt[bad] = [a - b for a, b in zip(lt[bad], lt[k])]
         if s[k][k] < 0:
             s[k] = [-a for a in s[k]]
-            lt[k] = [-a for a in lt[k]]
+            if transforms:
+                lt[k] = [-a for a in lt[k]]
+    if not transforms:
+        return s, None, None
     return s, [list(r) for r in zip(*lt)], right
 
 
@@ -222,7 +270,9 @@ def hnf_snf(m) -> NormalForms:
 
 
 def smith_invariants(m) -> tuple[int, ...]:
-    s, _, _ = _snf_reduce(m)
+    """The diagonal of the Smith form of an integer matrix; the transforms
+    are not built."""
+    s = _snf_reduce(m, False)[0]
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
 
 
@@ -233,6 +283,13 @@ def smith_invariants(m) -> tuple[int, ...]:
 
 def _frac_rows(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def _integer_gram(bi, ai):
+    """Bi Ai Bi^T for integer matrices, as a tuple of rows."""
+    cols = list(zip(*ai))
+    ba = [[sum(map(mul, row, col)) for col in cols] for row in bi]
+    return tuple(tuple(sum(map(mul, u, v)) for v in bi) for u in ba)
 
 
 @dataclass(frozen=True)
@@ -263,16 +320,18 @@ class LatticeZ:
 
     @cached_property
     def _gram(self):
+        gi, den = self.integer_gram
+        return tuple(tuple(Fraction(v, den) for v in row) for row in gi)
+
+    @cached_property
+    def integer_gram(self):
+        """(Gi, den) with B A B^T = Gi/den for an integer matrix Gi (a tuple
+        of rows) and den > 0, not necessarily the least."""
         # with B = Bi/db and A = Ai/da for integer Bi and Ai, B A B^T is
-        # Bi Ai Bi^T / (db^2 da): integer sums, then one division per entry
+        # Bi Ai Bi^T / (db^2 da)
         bi, db = _integer_rows_and_scale(self.basis)
         ai, da = _integer_rows_and_scale(self.ambient_gram)
-        ba = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ai)] for row in bi]
-        den = db * db * da
-        return tuple(
-            tuple(Fraction(sum(x * y for x, y in zip(u, v)), den) for v in bi)
-            for u in ba
-        )
+        return _integer_gram(bi, ai), db * db * da
 
     def det(self) -> Fraction:
         return mat_det(self.gram())
@@ -309,7 +368,7 @@ def change_of_basis(sub: LatticeZ, sup: LatticeZ):
     rows, basis = sub.basis, sup.basis
     n = len(basis)
     # X B = R  <=>  B^T X^T = R^T: reduce [B^T | R^T] to [I | X^T]
-    work, pivots, _ = eliminate(
+    work, pivots = eliminate(
         [[basis[r][c] for r in range(n)] + [row[c] for row in rows]
          for c in range(n)],
         reduced=True,
@@ -394,13 +453,6 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
 # ---------------------------------------------------------------------------
 # short vectors and shells
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows_and_scale(m):
-    """Integer rows Mi and the least den > 0 with M = Mi/den, for a matrix
-    M of ints and Fractions."""
-    den = lcm(*(v.denominator for row in m for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in m], den
 
 
 def short_vectors(lat: LatticeZ, bound):
@@ -704,23 +756,29 @@ def lattice_to_fixture(lat: LatticeZ) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _fixture_number(v) -> Fraction:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+def _fixture_number(v) -> tuple[int, int]:
+    """(a, b) with b > 0 for an entry a/b: a JSON integer, or a string in
+    the grammar of :func:`exact.rational_pair`."""
     if isinstance(v, str):
         try:
-            return parse_rational(v)
+            return rational_pair(v)
         except (ValueError, ZeroDivisionError):
             pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
     raise LatticeError(f"fixture entry {v!r} is not an integer or a fraction string")
 
 
 def _fixture_matrix(payload, key):
+    """The matrix ``payload[key]`` as integer rows Mi and a den > 0 with
+    M = Mi/den."""
     rows = payload[key]
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
         raise LatticeError(f"fixture {key} is not a square matrix of size >= 1")
-    return tuple(tuple(_fixture_number(v) for v in row) for row in rows)
+    pairs = [[_fixture_number(v) for v in row] for row in rows]
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[a * (den // d) for a, d in row] for row in pairs], den
 
 
 def lattice_from_fixture(text: str) -> LatticeZ:
@@ -728,7 +786,11 @@ def lattice_from_fixture(text: str) -> LatticeZ:
     whose ``gram``, ``basis`` and ``ambient_gram`` are n x n matrices
     (n >= 1) of integers or fraction strings, ``ambient_gram`` symmetric,
     ``gram`` integral and exactly equal to the Gram of the basis, and an
-    optional string ``label``.  Any other input raises LatticeError."""
+    optional string ``label``.  Any other input raises LatticeError.
+
+    Each matrix is read once, into integer rows over one denominator, and
+    every test is decided on those integers; the lattice returned holds
+    the declared Gram as its ``integer_gram``, over den 1."""
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -739,14 +801,21 @@ def lattice_from_fixture(text: str) -> LatticeZ:
     label = payload.get("label", "")
     if not isinstance(label, str):
         raise LatticeError("fixture label is not a string")
-    gram, basis, ambient = (_fixture_matrix(payload, key) for key in keys)
+    (gram, dg), (basis, db), (ambient, da) = (_fixture_matrix(payload, key) for key in keys)
     if not len(gram) == len(basis) == len(ambient):
         raise LatticeError("fixture matrices differ in size")
     if any(row[j] != ambient[j][i] for i, row in enumerate(ambient) for j in range(i)):
         raise LatticeError("fixture ambient_gram is not symmetric")
-    if any(v.denominator != 1 for row in gram for v in row):
+    if any(v % dg for row in gram for v in row):
         raise LatticeError("fixture gram is not integral")
-    lat = LatticeZ(basis, ambient, label)
-    if lat._gram != gram:
+    gram = tuple(tuple(v // dg for v in row) for row in gram)
+    # B A B^T = Bi Ai Bi^T / (db^2 da)
+    scale = db * db * da
+    if any(x != y * scale for u, v in zip(_integer_gram(basis, ambient), gram)
+           for x, y in zip(u, v)):
         raise LatticeError("fixture gram does not match basis and ambient gram")
+    lat = LatticeZ(tuple(tuple(Fraction(v, db) for v in row) for row in basis),
+                   tuple(tuple(Fraction(v, da) for v in row) for row in ambient),
+                   label)
+    lat.__dict__["integer_gram"] = (gram, 1)  # validated against the basis above
     return lat

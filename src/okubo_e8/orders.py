@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from math import lcm
 
 from . import lattice as lat
 from ._kernels import scaling_walk, unit_closure_failures
@@ -44,7 +45,6 @@ from .algebras import (
     _elem,
     basis_element,
     oct_mul,
-    okubo_mul,
 )
 from .claims import SCALING_EXPONENTS
 from .exact import (
@@ -427,6 +427,24 @@ def closure_test(constants: StructureConstants, ring: RingTag,
     )
 
 
+def product_traces(constants: StructureConstants,
+                   basis: OrderBasis) -> tuple[QuadExt, ...]:
+    """tr(b_i o b_j) for all i, j in row-major order, read from the
+    constants over ``basis``: the trace is K-linear, so tr(b_i o b_j) =
+    sum_k c_ij^k tr(b_k), one 1 x 8 map applied to each row of constants
+    over the lcm of its denominators."""
+    cols, den = integer_map([[b.trace()] for b in basis])
+    out = []
+    for plane in constants.c:
+        for row in plane:
+            triples = [v.triple for v in row]
+            d = lcm(*(e for _, _, e in triples))
+            pairs = [(a * (d // e), b * (d // e)) for a, b, e in triples]
+            (a, b), = apply_map(cols, pairs, 1)
+            out.append(_quad(a, b, den * d))
+    return tuple(out)
+
+
 # -- diagonal 2-adic scaling --------------------------------------------------
 
 
@@ -481,13 +499,14 @@ def scaled_order_verify() -> ScaledOrderReport:
 
     :func:`closure_test` checks all 512 Okubo constants over the scaled
     basis, the relative trace <u_i, 1> and the norm n(u_i); this adds the
-    Gram <u_i, u_j> and the traces <u_i * u_j, 1>.
+    Gram <u_i, u_j> and the traces <u_i * u_j, 1>, read from the constants.
     """
     u = scaled_basis()
     ring = RingTag.ZSQRT3
-    closure = closure_test(structure_constants("okubo", u), ring, u)
+    constants = structure_constants("okubo", u)
+    closure = closure_test(constants, ring, u)
     inners = tuple(v for row in u.inner_products() for v in row)
-    prod_traces = tuple(okubo_mul(x, y).trace() for x in u for y in u)
+    prod_traces = product_traces(constants, u)
     return ScaledOrderReport(
         violations=closure.violations,
         norm_values=closure.norm_values,

@@ -16,6 +16,7 @@ from okubo_e8.exact import (
     apply_map,
     integer_map,
     parse_rational,
+    rational_pair,
     render_quadext,
 )
 
@@ -151,7 +152,7 @@ class TestTextForm:
 
 #: strings outside the fixture and dump grammar; ``Fraction`` accepts most
 NOT_RATIONAL = ["1e5", "1.5", "1_000", " 3/4", "3/4 ", "3/4\n", "1/2e3", "", "/2",
-                "1/-2", "1/+2", "inf", "nan", "\u0663"]
+                "1/-2", "1/+2", "inf", "nan", "\u0663", "++1", "+", "-", "5 ", "\t5"]
 
 
 class TestRationalGrammar:
@@ -175,6 +176,14 @@ class TestRationalGrammar:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
+
+    def test_pairs_keep_the_written_terms(self):
+        assert rational_pair("-6/4") == (-6, 4)
+        assert rational_pair("+7") == (7, 1)
+        assert rational_pair("007/010") == (7, 10)
+        for text in ("1/0", "-3/000"):
+            with pytest.raises(ZeroDivisionError):
+                rational_pair(text)
 
 
 class TestComplexQuad:

@@ -82,6 +82,19 @@ def box_search(gram, bound):
     return sorted(out)
 
 
+#: rectangular and rank-deficient integer matrices
+RECTANGULAR_AND_DEFICIENT = [
+    [[2, 4, 6]],
+    [[3], [6], [-9]],
+    [[0, 0, 0], [0, 0, 0]],
+    [[6, 4, 2, 8], [3, 2, 1, 4]],  # rank 1
+    [[2, 0], [0, 4], [6, 8], [0, 0]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # rank 2
+    [[0, 12, 18], [0, 8, 12], [0, 0, 0]],
+    [[4, 6, 0, 2], [2, 3, 5, 1], [6, 9, 5, 3]],  # row 3 = row 1 + row 2
+]
+
+
 def fixture_grams(seeds=range(4), ops=40):
     """(Gram, Smith invariants) pairs in the shape of lattice fixtures: the
     conductor lattice D*E8 (det 2^24 = 8^8) and E8 after ``ops`` random
@@ -148,6 +161,13 @@ class TestNormalForms:
             ref = sorted(abs(theirs[i, i]) for i in range(min(theirs.shape))
                          if theirs[i, i] != 0)
             assert sorted(ours) == ref
+        # rectangular and rank-deficient inputs, against the full S as well
+        for m in RECTANGULAR_AND_DEFICIENT:
+            theirs = smith_normal_form(sympy.Matrix(m))
+            ref = tuple(abs(int(theirs[i, i])) for i in range(min(theirs.shape)))
+            assert smith_invariants(m) == ref
+            s, _, _ = _snf_reduce(m)
+            assert tuple(s[i][i] for i in range(min(len(m), len(m[0])))) == ref
 
 
 def _int_mul(a, b):
@@ -234,6 +254,14 @@ class TestSmithProperties:
                 for i in range(len(m))]
         assert _int_mul(_int_mul([list(r) for r in nf.left], diag),
                         [list(r) for r in nf.right]) == m
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(int_matrices)
+    def test_without_transforms_same_form(self, m):
+        # the transform-free reduction takes the same pivots to the same S
+        s = _snf_reduce(m)[0]
+        assert _snf_reduce(m, False) == (s, None, None)
+        assert smith_invariants(m) == tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
 
     def test_fixture_grams(self):
         sympy = pytest.importorskip("sympy")
@@ -637,6 +665,79 @@ class TestTrace16:
         assert short_vectors(lat, 15) == []
 
 
+def sympy_det(m):
+    sympy = pytest.importorskip("sympy")
+    d = sympy.Matrix([[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
+                       for v in row] for row in m]).det()
+    return Fraction(int(d.p), int(d.q))
+
+
+class TestDeterminant:
+    """``mat_det`` (fraction-free elimination) against sympy's determinant."""
+
+    def seeded(self, rational):
+        rng = random.Random(16 + rational)
+        out = []
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            if rational:
+                out.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(n)] for _ in range(n)])
+            else:
+                out.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        return out
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_seeded_against_sympy(self, rational):
+        dets = []
+        for m in self.seeded(rational):
+            det = mat_det(m)
+            assert type(det) is Fraction and det == sympy_det(m)
+            dets.append(det)
+        assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
+        if rational:
+            assert any(d.denominator > 1 for d in dets)
+
+    def test_singular(self):
+        rng = random.Random(5)
+        cases = [[[0, 0], [0, 0]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[0]]]
+        for n in range(2, 7):
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n - 1)]
+            c = [rng.randint(-2, 2) for _ in range(n - 1)]
+            rows.insert(rng.randrange(n), [sum(a * r[j] for a, r in zip(c, rows))
+                                           for j in range(n)])
+            cases.append(rows)
+        for m in cases:
+            assert mat_det(m) == 0 == sympy_det(m)
+            assert type(mat_det(m)) is Fraction
+
+    def test_row_swaps(self):
+        cases = [
+            [[0, 1], [1, 0]],  # det -1
+            [[0, 2, 1], [3, 1, 4], [1, 5, 9]],  # zero leading pivot
+            [[1, 2, 3], [2, 4, 7], [3, 7, 1]],  # zero second pivot after a step
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[Fraction(1, 2), 1, 0, 0], [1, 2, 1, 0], [0, 0, 0, 3], [0, 1, 5, 7]],
+        ]
+        for m in cases:
+            assert mat_det(m) == sympy_det(m) != 0
+        assert mat_det(cases[0]) == -1
+
+    def test_one_by_one(self):
+        for v in (5, -3, 0, Fraction(-3, 4)):
+            assert mat_det([[v]]) == v and type(mat_det([[v]])) is Fraction
+
+    def test_fixture_grams(self):
+        for gram, smith in fixture_grams():
+            assert mat_det(gram) == prod(smith) == sympy_det(gram)
+
+    def test_only_rationals(self):
+        for bad in ([[QuadExt(1, 1)]], [[1.0, 0], [0, 1]], [["1"]]):
+            with pytest.raises(TypeError):
+                mat_det(bad)
+
+
 class TestPivotsAndFixtures:
     def test_ldl_pivots(self):
         assert all(p > 0 for p in ldl_pivots(A2))
@@ -663,6 +764,25 @@ class TestPivotsAndFixtures:
         back = lattice_from_fixture(text)
         assert lattices_equal(back, cond)
         assert back.gram() == cond.gram()
+
+    def test_fixture_integer_gram(self):
+        cond = conductor_lattice()
+        back = lattice_from_fixture(lattice_to_fixture(cond))
+        gram = tuple(tuple(int(v) for v in row) for row in cond.gram())
+        assert back.integer_gram == (gram, 1)
+        assert back.basis == cond.basis and back.ambient_gram == cond.ambient_gram
+        # entries need not be in lowest terms: each test is on the values
+        lat_ = lattice_from_fixture(json.dumps(
+            {"gram": [["4/2"]], "basis": [["2/4"]], "ambient_gram": [["16/2"]]}))
+        assert lat_.integer_gram == (((2,),), 1) and lat_.gram() == [[2]]
+        assert lat_.basis == ((Fraction(1, 2),),) and lat_.ambient_gram == ((8,),)
+        lat_ = lattice_from_fixture(json.dumps(
+            {"gram": [["18", "1"], ["1", "2"]], "basis": [["3", "0"], ["0", "1"]],
+             "ambient_gram": [["2", "1/3"], ["2/6", "2"]]}))
+        assert lat_.gram() == [[18, 1], [1, 2]]
+        with pytest.raises(LatticeError, match="not integral"):
+            lattice_from_fixture(json.dumps(
+                {"gram": [["3/2"]], "basis": [["1"]], "ambient_gram": [["3/2"]]}))
 
     def test_fixture_tamper_detected(self):
         payload = json.loads(lattice_to_fixture(cd_lattice()))

@@ -374,7 +374,7 @@ def naive_matrix_coordinates(m):
         lambda x: x.rows[1][2].re,
         lambda x: x.rows[1][2].im,
     ]
-    work, pivots, _ = eliminate(
+    work, pivots = eliminate(
         [[f(bm) for bm in build_basis()] + [f(m)] for f in funcs], reduced=True)
     assert all(pivots)
     return tuple(QuadExt.coerce(row[-1]) for row in work)

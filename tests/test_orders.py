@@ -8,7 +8,7 @@ from itertools import product as iter_product
 import pytest
 
 from okubo_e8 import checks, claims
-from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem
+from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem, okubo_mul
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
 from okubo_e8.orders import (
@@ -24,6 +24,7 @@ from okubo_e8.orders import (
     dump_structure_constants,
     letters,
     parse_structure_constants,
+    product_traces,
     scaled_basis,
     scaled_order_verify,
     scaling_feasible,
@@ -291,6 +292,34 @@ class TestScaling:
         assert rep.inner_values[4 * DIM + 4] == QuadExt(32)
         u = scaled_basis()
         assert rep.inner_values == tuple(x.inner(y) for x in u for y in u)
+
+    def test_product_traces_read_from_constants(self):
+        # the 64 traces tr(u_i*u_j) that scaled_order_verify reads from the
+        # scaled Okubo constants are those of the products themselves
+        u = scaled_basis()
+        want = tuple(okubo_mul(x, y).trace() for x in u for y in u)
+        assert len(want) == DIM * DIM and any(want)
+        assert product_traces(structure_constants("okubo", u), u) == want
+        b = cd_basis()
+        for name, mul in PRODUCTS.items():
+            assert product_traces(structure_constants(name, b), b) == tuple(
+                mul(x, y).trace() for x in b for y in b)
+
+    def test_scaled_order_verify_forms_no_product(self, monkeypatch):
+        from okubo_e8 import algebras, orders
+
+        structure_constants("okubo", scaled_basis())  # the solve's products, cached
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return okubo_mul(x, y)
+
+        monkeypatch.setitem(algebras.PRODUCTS, "okubo", counted)
+        # also catches a direct ``okubo_mul`` import in orders, should one return
+        monkeypatch.setattr(orders, "okubo_mul", counted, raising=False)
+        assert scaled_order_verify().all_integral
+        assert calls == []
 
     def test_unscaled_fails(self):
         rep = closure_test(structure_constants("okubo"), RingTag.ZSQRT3)

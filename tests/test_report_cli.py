@@ -234,7 +234,10 @@ class TestCli:
         want = "bad structure-constant line" if entry[0] == " " else "not an integer"
         assert want in captured.err
 
-    @pytest.mark.parametrize("entry", ["1e5", "1.5", "1_000", " 3/4"])
+    # int() accepts a non-ASCII digit and surrounding whitespace; the
+    # grammar accepts neither, nor a bare or doubled sign
+    @pytest.mark.parametrize("entry", ["1e5", "1.5", "1_000", " 3/4", "\u0663", "++1",
+                                       "+", "5 ", "\t5", "-"])
     @pytest.mark.parametrize("key", ["gram", "basis", "ambient_gram"])
     def test_non_grammar_fixture_exit_2(self, tmp_path, capsys, entry, key):
         payload = {"gram": [["1"]], "basis": [["1"]], "ambient_gram": [["1"]]}
