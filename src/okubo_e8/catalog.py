@@ -88,8 +88,8 @@ class CatalogReport:
     inverses_present: bool
     constants_integral: bool
     trace_norm_integral: bool
-    det: Fraction
-    minimum: Fraction
+    det: int
+    minimum: int
     kissing: int
 
 

@@ -107,8 +107,7 @@ def check_basis_forms() -> list[CheckReport]:
         if gram[i][j] != claimed.get((i, j), 0)
     ]
     return [
-        _cmp("basis-gram-det", 1, "claimed",
-             int(lat.mat_det([list(r) for r in gram]))),
+        _cmp("basis-gram-det", 1, "claimed", lat.mat_det(gram)),
         _cmp("basis-gram-even-diagonal", True, "trivial",
              all(gram[i][i] % 2 == 0 for i in range(DIM))),
         _cmp("basis-trace-formula",
@@ -281,7 +280,7 @@ def check_conductor() -> list[CheckReport]:
     return [
         _cmp("conductor-index", claims.CONDUCTOR_INDEX, "claimed", inv.index),
         _cmp("conductor-determinant", claims.CONDUCTOR_DET, "claimed",
-             int(inv.det_sub)),
+             inv.det_sub),
         _cmp("conductor-smith", list(claims.CONDUCTOR_SMITH), "claimed",
              list(inv.smith)),
         _cmp("conductor-chain",
@@ -290,7 +289,7 @@ def check_conductor() -> list[CheckReport]:
         _cmp("conductor-no-short-roots", 0, "claimed", len(no_roots),
              details="no nonzero vectors of norm <= 7"),
         _cmp("conductor-minimum", claims.CONDUCTOR_MIN, "claimed",
-             int(min(mins)) if mins else None,
+             min(mins, default=None),
              details=f"{len(at8)} vectors of norm 8"),
         _cmp("conductor-minimum-witness", True, "derived",
              witness_found, details="doubled first basis vector has norm 8"),
@@ -307,7 +306,7 @@ def check_discriminant() -> list[CheckReport]:
     # the second route: |L*/L| = |det G| is also the product of the Hermite
     # diagonal of the Gram; if the routes disagree, neither value is reported
     # as the result and both checks fail
-    hermite, _ = lat.hnf_with_transform([[int(v) for v in row] for row in cond.gram()])
+    hermite, _ = lat.hnf_with_transform(cond.gram)
     hermite_order = prod(hermite[i][i] for i in range(len(hermite)))
     order, invariants = group.order, list(group.invariants)
     if hermite_order != order:
@@ -385,7 +384,7 @@ def check_trace16() -> list[CheckReport]:
         _cmp("trace16-positive-definite", True, "claimed",
              rep.positive_definite, details="exact LDL pivots all positive"),
         _cmp("trace16-minimum", claims.TRACE16_MIN, "claimed",
-             int(rep.minimum), details=f"{rep.minimum_count} minimal vectors"),
+             rep.minimum, details=f"{rep.minimum_count} minimal vectors"),
         _cmp("trace16-u0-diagonal", 16, "derived", rep.gram[0][0],
              details="field trace doubles the norm-8 diagonal entry"),
     ]
@@ -567,8 +566,8 @@ def check_catalog(name: str = "all") -> list[CheckReport]:
         actual = {
             "units": rep.unit_count,
             "closed": rep.units_closed and rep.inverses_present,
-            "det": int(rep.det),
-            "min": int(rep.minimum),
+            "det": rep.det,
+            "min": rep.minimum,
             "kissing": rep.kissing,
             "integral": rep.constants_integral and rep.trace_norm_integral,
         }

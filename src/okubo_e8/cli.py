@@ -89,18 +89,17 @@ def _fixture_reports(path: str):
     """Determinant against the Smith factors, and |det| against the order of
     the discriminant group (the product of the Smith factors > 1), from one
     integer Gram matrix and one Smith normal form; the parser has checked
-    that the Gram is integral, so its denominator is 1."""
+    that Gram against the basis."""
     with open(path, "r", encoding="utf-8") as fh:
-        lattice = lat.lattice_from_fixture(fh.read())
-    gram, _ = lattice.integer_gram
-    det = int(lat.mat_det(gram))
+        label, gram = lat.lattice_from_fixture(fh.read())
+    det = lat.mat_det(gram)
     if det == 0:
         raise lat.LatticeError("fixture Gram is singular")
     smith = lat.smith_invariants(gram)
     return [
         compare("fixture-det-vs-smith", "fixture-analysis", claims.CONVENTION,
                 det, "derived", math.prod(smith),
-                details=f"label={lattice.label!r} smith={list(smith)}"),
+                details=f"label={label!r} smith={list(smith)}"),
         compare("fixture-discriminant-order", "fixture-analysis",
                 claims.CONVENTION, abs(det), "derived",
                 math.prod(s for s in smith if s > 1)),

@@ -26,14 +26,14 @@ boundary, when a report, a solve or a test reads a coordinate.
 
 :func:`eliminate` is the one Gaussian elimination of the package: every
 inverse, linear solve and LDL pivot, over Q or over K, runs through it;
-determinants are taken over Q only, fraction-free on integers
-(``lattice.mat_det``).  A K-linear map that is applied many times is
-kept in the one integer form of :func:`integer_map`, per input
-coordinate the nonzero entries of its column as integers over one
-denominator, and :func:`apply_map` is the one product of such a map with
-integer pairs.  The rotation, the order-basis solve, and the
-matrix-coordinate solve with its reconstruction guard all run through
-those two.
+determinants are taken of integer matrices only, by fraction-free
+elimination (``lattice.mat_det``, which refuses any other entry).  A
+K-linear map that is applied many times is kept in the one integer form
+of :func:`integer_map`, per input coordinate the nonzero entries of its
+column as integers over one denominator, and :func:`apply_map` is the
+one product of such a map with integer pairs.  The rotation, the
+order-basis solve, and the matrix-coordinate solve with its
+reconstruction guard all run through those two.
 
 No floating point is used anywhere.  Sign questions in either real
 embedding of K are settled by exact case analysis on squares.

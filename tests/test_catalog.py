@@ -132,12 +132,12 @@ def test_coxeter_dickson_enumerated_once(monkeypatch):
     # enumeration of the E8 Gram at bound 2; one verify all makes it once
     from okubo_e8 import checks, lattice, orders
 
-    cd_gram = orders.cd_lattice().gram()
+    cd_gram = orders.cd_lattice().gram
     real = lattice.short_vectors
     calls = []
 
     def counting(lat, bound):
-        if bound == 2 and lat.gram() == cd_gram:
+        if bound == 2 and lat.gram == cd_gram:
             calls.append(bound)
         return real(lat, bound)
 

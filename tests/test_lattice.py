@@ -11,7 +11,7 @@ from math import isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from okubo_e8 import claims
+from okubo_e8 import claims, cli
 from okubo_e8._kernels import NotPositiveDefinite
 from okubo_e8.catalog import build_classical, order_lattice
 from okubo_e8.exact import QuadExt
@@ -77,7 +77,7 @@ def box_search(gram, bound):
         for v in values:
             nrm = partial + v * (v * gii + cross)
             if (nonzero or v != 0) and nrm <= bound:
-                out.append((tuple(vec) + (v,), Fraction(nrm)))
+                out.append((tuple(vec) + (v,), nrm))
     rec(0, [], 0, False)
     return sorted(out)
 
@@ -108,8 +108,8 @@ def fixture_grams(seeds=range(4), ops=40):
                 i, j = rng.sample(range(8), 2)
                 c = rng.choice((-1, 1))
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-            gram = LatticeZ.from_rows(rows, base.ambient_gram).gram()
-            out.append(([[int(v) for v in row] for row in gram], smith))
+            gram = LatticeZ.from_rows(rows, base.ambient_gram).gram
+            out.append(([list(row) for row in gram], smith))
     return out
 
 
@@ -302,12 +302,16 @@ class TestSublattice:
 
     def test_non_inclusion_witness(self):
         cd = cd_lattice()
-        half = cd.scaled(Fraction(1, 2))
+        double = cd.scaled(2)
         for run in (sublattice_invariants, quotient_group,
                     lambda sub, sup: saturation(sub, sup, 2)):
             with pytest.raises(InclusionError) as err:
-                run(half, cd)
-            assert err.value.witness == half.basis[0]
+                run(cd, double)
+            assert err.value.witness == cd.basis[0]
+
+    def test_scaled_takes_an_int(self):
+        with pytest.raises(TypeError):
+            cd_lattice().scaled(Fraction(1, 2))
 
     def test_index_squared_law_random(self):
         rng = random.Random(12)
@@ -316,7 +320,7 @@ class TestSublattice:
             rows = [[rng.randint(0, 2) + (2 if i == j else 0) for j in range(8)]
                     for i in range(8)]
             sub = LatticeZ.from_rows(rows, cd.ambient_gram, "random-sub")
-            if mat_det([list(r) for r in sub.basis]) == 0:
+            if mat_det(sub.basis) == 0:
                 continue
             inv = sublattice_invariants(sub, cd)
             assert inv.det_sub == inv.index ** 2 * inv.det_sup
@@ -336,9 +340,7 @@ class TestShortVectors:
         assert short_vectors(lat, 4) == box_search(D4, 4)
 
     def test_box_oracle_e8_small(self):
-        gram = [list(r) for r in cd_lattice().gram()]
-        gi = [[int(v) for v in row] for row in gram]
-        assert short_vectors(cd_lattice(), 2) == box_search(gi, 2)
+        assert short_vectors(cd_lattice(), 2) == box_search(cd_lattice().gram, 2)
 
     def test_conductor_minimum(self):
         cond = conductor_lattice()
@@ -353,11 +355,8 @@ class TestShortVectors:
         with pytest.raises(NotPositiveDefinite):
             short_vectors(LatticeZ.from_gram([[1, 0], [0, -1]]), 3)
 
-    def test_rational_gram(self):
-        lat = LatticeZ.from_gram([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-        vecs = short_vectors(lat, 1)
-        assert len(vecs) == 8  # squares and diagonals of the scaled square grid
-        assert all(nrm <= 1 for _, nrm in vecs)
+    def test_norms_are_ints(self):
+        assert all(type(nrm) is int for _, nrm in short_vectors(cd_lattice(), 4))
 
     def test_empty_bound(self):
         assert short_vectors(cd_lattice(), 1) == []
@@ -407,7 +406,7 @@ class TestNormCounts:
         (conductor_lattice, 16),
         (lambda: LatticeZ.from_gram(A2), 8),
         (lambda: LatticeZ.from_gram(D4), 6),
-        (lambda: LatticeZ.from_gram([[Fraction(1, 2), 0], [0, Fraction(3, 2)]]), 5),
+        (lambda: LatticeZ.from_gram([[1, 0], [0, 3]]), 5),  # odd norms
     ])
     def test_against_short_vectors(self, lattice, bound):
         lat = lattice()
@@ -428,7 +427,7 @@ class TestNormCounts:
     def test_norm_keys(self):
         counts = norm_counts(cd_lattice(), 6)
         assert counts == {2: 240, 4: 2160, 6: 6720}
-        assert all(type(k) is Fraction for k in counts)
+        assert all(type(k) is int for k in counts)
         assert norm_counts(cd_lattice(), 1) == {}
 
 
@@ -444,15 +443,16 @@ class TestDiscriminantGroup:
     def test_singular_and_non_integral_grams_rejected(self):
         with pytest.raises(LatticeError):
             discriminant_group(LatticeZ.from_gram([[2, 2], [2, 2]]))
-        with pytest.raises(LatticeError):
+        # a non-integral Gram never makes a lattice
+        with pytest.raises(TypeError):
             half = Fraction(1, 2)
-            discriminant_group(LatticeZ.from_gram([[2, half], [half, 2]]))
+            LatticeZ.from_gram([[2, half], [half, 2]])
 
     def test_one_smith_form_and_no_rational_inverse(self, monkeypatch):
         import okubo_e8.lattice as lattice_module
 
         lat = conductor_lattice()
-        lat.gram()  # the basis Gram is cached before counting
+        lat.gram  # the basis Gram is cached before counting
         calls = {"_snf_reduce": 0, "mat_inv": 0}
         for name in calls:
             original = getattr(lattice_module, name)
@@ -469,7 +469,7 @@ class TestDiscriminantGroup:
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form
 
-        gram = [[int(v) for v in row] for row in conductor_lattice().gram()]
+        gram = [list(row) for row in conductor_lattice().gram]
         s = smith_normal_form(sympy.Matrix(gram))
         diag = sorted(abs(s[i, i]) for i in range(8))
         assert tuple(d for d in diag if d > 1) == claims.DISCRIMINANT_INVARIANTS
@@ -497,7 +497,7 @@ class TestDiscriminantGroup:
             sub = LatticeZ.from_rows(sub_rows, sup_gram)
             sup = LatticeZ.from_gram(sup_gram)
             values, _ = dual_form_values(sub, sup)
-            ginv = mat_inv(sub.gram())
+            ginv = mat_inv(sub.gram)
             orders = quotient_group(sub, sup).invariants
             for a, (qa, ya) in values.items():
                 for b, (qb, yb) in values.items():
@@ -522,12 +522,11 @@ def dual_form_values(sub, sup, shift=None):
     j of G), else None.
     """
     quot = quotient_group(sub, sup)
-    g, amb = sub.gram(), sub.ambient_gram
+    g, amb = sub.gram, sub.ambient_gram
     ginv = mat_inv(g)
     den = lcm(*(v.denominator for row in ginv for v in row))
     dual_int = [[int(v * den) for v in row] for row in ginv]
     n = len(g)
-    g = [[int(v) for v in row] for row in g]
 
     def dual(v):
         return [sum(v[r] * amb[r][c] * b[c] for r in range(n) for c in range(n))
@@ -540,7 +539,6 @@ def dual_form_values(sub, sup, shift=None):
 
     gens = [dual(sup.vector(h)) for h in quot.generators_sup_coords]
     assert all(v.denominator == 1 for row in gens for v in row), "sup is not in sub*"
-    gens = [[int(v) for v in row] for row in gens]
     values, shifted = {}, None if shift is None else {}
     for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
         y = [sum(c * row[j] for c, row in zip(coeffs, gens)) for j in range(n)]
@@ -564,10 +562,10 @@ class TestGlueSaturate:
 
     @pytest.mark.parametrize("sub_rows, sup_gram, isotropic", [
         ([[2]], [[1]], False),  # 2Z in Z: q(1) = 1
-        ([[2]], [[Fraction(1, 2)]], False),
+        ([[2]], [[3]], False),
         ([[2, 0], [0, 2]], [[2, 1], [1, 4]], True),
         ([[2, 0], [0, 2]], [[1, 0], [0, 2]], False),
-        ([[2, 0], [0, 2]], [[2, Fraction(1, 2)], [Fraction(1, 2), 2]], False),
+        ([[2, 0], [0, 2]], [[2, 1], [1, 3]], False),  # the witness is not e_1
         ([[2, 0, 0], [0, 4, 0], [1, 1, 2]], [[2, 1, 0], [1, 3, 1], [0, 1, 6]],
          False),
     ])
@@ -577,7 +575,7 @@ class TestGlueSaturate:
         sup = LatticeZ.from_gram(sup_gram)
         sub = LatticeZ.from_rows(sub_rows, sup_gram)
         quot = quotient_group(sub, sup)
-        g, n = sup.gram(), sup.rank
+        g, n = sup.gram, sup.rank
         expected = None
         for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
             v = [sum(c * row[j] for c, row in zip(coeffs, quot.generators_sup_coords))
@@ -689,11 +687,15 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_seeded_against_sympy(self, rational):
+        """A rational M is taken as integer rows Mi over one denominator:
+        det M = det(Mi) / den^n."""
         dets = []
         for m in self.seeded(rational):
-            det = mat_det(m)
-            assert type(det) is Fraction and det == sympy_det(m)
-            dets.append(det)
+            den = lcm(*(Fraction(v).denominator for row in m for v in row))
+            det = mat_det([[int(v * den) for v in row] for row in m])
+            assert type(det) is int
+            dets.append(Fraction(det, den ** len(m)))
+            assert dets[-1] == sympy_det(m)
         assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
         if rational:
             assert any(d.denominator > 1 for d in dets)
@@ -702,15 +704,14 @@ class TestDeterminant:
         rng = random.Random(5)
         cases = [[[0, 0], [0, 0]], [[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[0]]]
         for n in range(2, 7):
-            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-                    for _ in range(n - 1)]
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n - 1)]
             c = [rng.randint(-2, 2) for _ in range(n - 1)]
             rows.insert(rng.randrange(n), [sum(a * r[j] for a, r in zip(c, rows))
                                            for j in range(n)])
             cases.append(rows)
         for m in cases:
             assert mat_det(m) == 0 == sympy_det(m)
-            assert type(mat_det(m)) is Fraction
+            assert type(mat_det(m)) is int
 
     def test_row_swaps(self):
         cases = [
@@ -718,24 +719,31 @@ class TestDeterminant:
             [[0, 2, 1], [3, 1, 4], [1, 5, 9]],  # zero leading pivot
             [[1, 2, 3], [2, 4, 7], [3, 7, 1]],  # zero second pivot after a step
             [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-            [[Fraction(1, 2), 1, 0, 0], [1, 2, 1, 0], [0, 0, 0, 3], [0, 1, 5, 7]],
+            [[1, 2, 0, 0], [1, 2, 1, 0], [0, 0, 0, 3], [0, 1, 5, 7]],
         ]
         for m in cases:
             assert mat_det(m) == sympy_det(m) != 0
         assert mat_det(cases[0]) == -1
 
     def test_one_by_one(self):
-        for v in (5, -3, 0, Fraction(-3, 4)):
-            assert mat_det([[v]]) == v and type(mat_det([[v]])) is Fraction
+        for v in (5, -3, 0):
+            assert mat_det([[v]]) == v and type(mat_det([[v]])) is int
 
     def test_fixture_grams(self):
         for gram, smith in fixture_grams():
             assert mat_det(gram) == prod(smith) == sympy_det(gram)
 
-    def test_only_rationals(self):
-        for bad in ([[QuadExt(1, 1)]], [[1.0, 0], [0, 1]], [["1"]]):
-            with pytest.raises(TypeError):
-                mat_det(bad)
+    def test_only_integers(self):
+        """A matrix entry that is not an int, an integral Fraction included,
+        is refused by the determinant and by both lattice constructors."""
+        for bad in ([[QuadExt(1, 1)]], [[1.0, 0], [0, 1]], [["1"]],
+                    [[Fraction(1, 2)]], [[Fraction(2), 0], [0, 1]]):
+            ident = [[int(i == j) for j in range(len(bad))] for i in range(len(bad))]
+            for build in (mat_det, LatticeZ.from_gram,
+                          lambda m: LatticeZ.from_rows(m, ident),
+                          lambda m: LatticeZ.from_rows(ident, m)):
+                with pytest.raises(TypeError):
+                    build(bad)
 
 
 class TestPivotsAndFixtures:
@@ -754,32 +762,49 @@ class TestPivotsAndFixtures:
 
     def test_det_equals_smith_product(self):
         lats = (cd_lattice(), conductor_lattice(), LatticeZ.from_gram(D4))
-        grams = [[[int(v) for v in row] for row in lat_.gram()] for lat_ in lats]
-        for gram in grams + [g for g, _ in fixture_grams()]:
+        for gram in [lat_.gram for lat_ in lats] + [g for g, _ in fixture_grams()]:
             assert mat_det(gram) == prod(smith_invariants(gram))
 
     def test_fixture_round_trip(self):
         cond = conductor_lattice()
         text = lattice_to_fixture(cond)
-        back = lattice_from_fixture(text)
-        assert lattices_equal(back, cond)
-        assert back.gram() == cond.gram()
+        assert json.loads(text)["basis"] == [[str(v) for v in row] for row in cond.basis]
+        assert lattice_from_fixture(text) == (cond.label, cond.gram)
 
-    def test_fixture_integer_gram(self):
+    def test_fixture_integer_gram(self, tmp_path, capsys):
         cond = conductor_lattice()
-        back = lattice_from_fixture(lattice_to_fixture(cond))
-        gram = tuple(tuple(int(v) for v in row) for row in cond.gram())
-        assert back.integer_gram == (gram, 1)
-        assert back.basis == cond.basis and back.ambient_gram == cond.ambient_gram
+        label, gram = lattice_from_fixture(lattice_to_fixture(cond))
+        assert label == cond.label and gram == cond.gram
+        assert all(type(v) is int for row in gram for v in row)
         # entries need not be in lowest terms: each test is on the values
-        lat_ = lattice_from_fixture(json.dumps(
-            {"gram": [["4/2"]], "basis": [["2/4"]], "ambient_gram": [["16/2"]]}))
-        assert lat_.integer_gram == (((2,),), 1) and lat_.gram() == [[2]]
-        assert lat_.basis == ((Fraction(1, 2),),) and lat_.ambient_gram == ((8,),)
-        lat_ = lattice_from_fixture(json.dumps(
+        assert lattice_from_fixture(json.dumps(
+            {"gram": [["4/2"]], "basis": [["2/4"]], "ambient_gram": [["16/2"]]})
+        ) == ("", ((2,),))
+        assert lattice_from_fixture(json.dumps(
             {"gram": [["18", "1"], ["1", "2"]], "basis": [["3", "0"], ["0", "1"]],
-             "ambient_gram": [["2", "1/3"], ["2/6", "2"]]}))
-        assert lat_.gram() == [[18, 1], [1, 2]]
+             "ambient_gram": [["2", "1/3"], ["2/6", "2"]]})
+        )[1] == ((18, 1), (1, 2))
+        # outside input may be rational: the conductor basis diag(2^a_i)
+        # quartered, to entries 1/2 and 1, in an ambient space scaled by 16
+        # has the conductor's Gram
+        payload = json.loads(lattice_to_fixture(cond))
+        payload["basis"] = [[str(Fraction(v) / 4) for v in row] for row in payload["basis"]]
+        payload["ambient_gram"] = [[str(16 * int(v)) for v in row]
+                                   for row in payload["ambient_gram"]]
+        assert {"1/2", "1"} <= {v for row in payload["basis"] for v in row}
+        assert lattice_from_fixture(json.dumps(payload)) == (cond.label, cond.gram)
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps(payload))
+        argv = ["lattice", "invariants", "--fixture", str(path), "--format", "json"]
+        assert cli.main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["actual"] for r in reports] == [claims.CONDUCTOR_DET] * 2
+        # and tampered, it is refused with the same message as ever
+        payload["basis"][0][0] = "1"
+        path.write_text(json.dumps(payload))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "okubo-e8: fixture gram does not match basis and ambient gram\n")
         with pytest.raises(LatticeError, match="not integral"):
             lattice_from_fixture(json.dumps(
                 {"gram": [["3/2"]], "basis": [["1"]], "ambient_gram": [["3/2"]]}))
@@ -822,4 +847,4 @@ class TestPivotsAndFixtures:
         for text in bad:
             with pytest.raises(LatticeError):
                 lattice_from_fixture(text)
-        assert lattice_from_fixture(one("4", "1/2", "16", label="x")).label == "x"
+        assert lattice_from_fixture(one("4", "1/2", "16", label="x")) == ("x", ((4,),))
