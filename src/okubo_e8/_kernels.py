@@ -62,8 +62,9 @@ class EnumPlan:
 def prepare_enumeration(gram, bound) -> EnumPlan:
     """Exact LDL of an integer Gram matrix, cleared to integer data.
 
-    ``gram`` is a symmetric positive definite matrix of ints (or Fractions
-    with denominator 1); ``bound`` may be an int or Fraction.
+    ``gram`` is a symmetric matrix of ints, and this LDL is what decides
+    that it is positive definite: a non-positive exact pivot raises
+    NotPositiveDefinite.  ``bound`` may be an int or Fraction.
     """
     n = len(gram)
     for r in range(n):

@@ -265,6 +265,14 @@ class AutMatrix:
     def compose(self, other: "AutMatrix") -> "AutMatrix":
         return AutMatrix(tuple(self.apply(x) for x in other.images))
 
+    def preserved_pairs(self, mul) -> int:
+        """The number of basis pairs (e_i, e_j) with
+        g(e_i e_j) = g(e_i) g(e_j) under the product ``mul``; 64 when g is
+        an automorphism of it."""
+        pairs = list(zip((basis_element(k) for k in range(DIM)), self.images))
+        return sum(self.apply(mul(x, y)) == mul(gx, gy)
+                   for x, gx in pairs for y, gy in pairs)
+
 
 def _tau_images() -> tuple[AlgebraElem, ...]:
     """tau(e_0), ..., tau(e_7) as integer pairs over 2."""

@@ -5,10 +5,13 @@ Each order is realized inside the octonion coordinate space (the complex
 and quaternion cases live on subalgebras) as an :class:`OrderBasis`
 labelled with its catalog name, which owns the exact Gram and the map
 between order vectors and algebra elements; the Coxeter-Dickson row is
-the order basis itself.  The reports hold what was computed, the invariant
-triple (det, min, kissing) in the doubled-form normalization
-<x,x> = 2 n(x) included; ``checks.check_catalog`` compares them with the
-claimed table.
+the order basis itself.  Every row takes its octonion structure constants
+from :func:`orders.structure_constants` and their integrality, with that
+of the traces and norms, from :func:`orders.closure_test`, and its
+minimum and kissing number from :func:`lattice.minimum_and_kissing`.  The
+reports hold what was computed, the invariant triple (det, min, kissing)
+in the doubled-form normalization <x,x> = 2 n(x) included;
+``checks.check_catalog`` compares them with the claimed table.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from .orders import (
     OrderBasis,
     cd_basis,
     cd_short_vectors,
-    coords_in_order_basis,
+    closure_test,
     letters,
+    structure_constants,
     units240,
 )
 
@@ -73,13 +77,6 @@ def order_lattice(basis: OrderBasis) -> lat.LatticeZ:
     return lat.LatticeZ.from_gram(basis.gram(), label=basis.label)
 
 
-def coords_in_span(x: AlgebraElem, basis: OrderBasis):
-    """K-coordinates of x over the possibly lower-rank basis, or None when
-    x is outside the span (decided by exact reconstruction)."""
-    coords = coords_in_order_basis(x, basis)
-    return coords if basis.element(coords) == x else None
-
-
 @dataclass(frozen=True)
 class CatalogReport:
     name: str
@@ -96,22 +93,14 @@ class CatalogReport:
 def verify_classical(basis: OrderBasis) -> CatalogReport:
     """Enumerate the unit loop and compute the data of one catalog row."""
     lattice = order_lattice(basis)
-    cd = basis is cd_basis()
-    if cd:  # the enumeration units240 reads
+    if basis is cd_basis():  # the enumeration and the unit loop units240 reads
         found = cd_short_vectors()
-    else:  # the units, and the minimal vectors
-        found = lat.short_vectors(lattice, 2)
-    if not found:
-        raise lat.LatticeError("no nonzero vectors of norm <= 2")
-    norms = [nrm for _, nrm in found]
-    mn = min(norms)
-    kiss = norms.count(mn)
-    if cd:
         _, rep = units240()
         unit_count = rep.count
         closed = rep.closure_failures == 0 and rep.norm_failures == 0
         inverses = rep.inverses_present
-    else:
+    else:  # the units, and the minimal vectors
+        found = lat.short_vectors(lattice, 2)
         elements = [basis.element(coords) for coords, _ in found]
         unit_count = len(elements)
         unit_set = set(elements)
@@ -119,26 +108,16 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
             oct_mul(a, b) in unit_set for a in elements for b in elements
         )
         inverses = all(x.conjugate() in unit_set for x in elements)
-
-    constants_ok = True
-    for bi in basis:
-        for bj in basis:
-            coords = coords_in_span(oct_mul(bi, bj), basis)
-            if coords is None or not all(RingTag.Z.contains(c) for c in coords):
-                constants_ok = False
-
-    tn_ok = all(
-        RingTag.Z.contains(b.trace()) and RingTag.Z.contains(b.norm())
-        for b in basis
-    )
+    mn, kiss = lat.minimum_and_kissing(found, 2)
+    closure = closure_test(structure_constants("octonion", basis), RingTag.Z, basis)
 
     return CatalogReport(
         name=basis.label,
         unit_count=unit_count,
         units_closed=closed,
         inverses_present=inverses,
-        constants_integral=constants_ok,
-        trace_norm_integral=tn_ok,
+        constants_integral=not closure.violations,
+        trace_norm_integral=closure.trace_norm_ok,
         det=lattice.det(),
         minimum=mn,
         kissing=kiss,

@@ -438,12 +438,7 @@ def check_tau() -> list[CheckReport]:
         for i in range(DIM)
         for j in range(DIM)
     )
-    automorphism = all(
-        tau_apply(oct_mul(basis_element(i), basis_element(j)))
-        == oct_mul(tau_apply(basis_element(i)), tau_apply(basis_element(j)))
-        for i in range(DIM)
-        for j in range(DIM)
-    )
+    automorphism = TAU.preserved_pairs(oct_mul) == DIM * DIM
     nontrivial = tau_apply(basis_element(2)) != basis_element(2) and tau_apply(
         basis_element(2), 2) != basis_element(2)
     return [

@@ -28,6 +28,7 @@ from math import lcm, prod
 from operator import index, mul
 
 from ._kernels import (
+    NotPositiveDefinite,
     enumerate_short_vectors,
     prepare_enumeration,
     shell_histogram,
@@ -48,8 +49,8 @@ class InclusionError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# exact dense matrix helpers (sizes here are at most 16x16); inverses,
-# solves and LDL pivots run through exact.eliminate, determinants through
+# exact dense matrix helpers (sizes here are at most 16x16); inverses
+# and solves run through exact.eliminate, determinants through
 # fraction-free elimination on integers
 # ---------------------------------------------------------------------------
 
@@ -113,12 +114,6 @@ def mat_det(a) -> int:
             row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
     return sign * rows[-1][-1] if n else 1
-
-
-def ldl_pivots(gram):
-    """The exact pivots of the LDL decomposition; all positive iff the
-    symmetric matrix is positive definite."""
-    return eliminate(gram, swap=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +314,6 @@ class LatticeZ:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def is_positive_definite(self) -> bool:
-        return all(p > 0 for p in ldl_pivots(self.gram))
-
     def scaled(self, factor: int) -> "LatticeZ":
         return LatticeZ.from_rows([[factor * v for v in row] for row in self.basis],
                                   self.ambient_gram, f"{factor}*{self.label}")
@@ -461,14 +453,15 @@ def norm_counts(lat: LatticeZ, bound) -> dict[int, int]:
     return {k // plan.scale: c for k, c in shell_histogram(plan).items()}
 
 
-def minimum_and_kissing(lat: LatticeZ, search_bound):
-    """(minimum norm, number of minimal vectors) via enumeration up to
-    ``search_bound``; raises if no nonzero vector is found below it."""
-    sv = short_vectors(lat, search_bound)
-    if not sv:
-        raise LatticeError(f"no nonzero vectors of norm <= {search_bound}")
-    m = min(nrm for _, nrm in sv)
-    return m, sum(1 for _, nrm in sv if nrm == m)
+def minimum_and_kissing(found, bound):
+    """(minimum norm, number of minimal vectors) of the vectors ``found``
+    that :func:`short_vectors` returned at ``bound``; LatticeError if it
+    found none."""
+    if not found:
+        raise LatticeError(f"no nonzero vectors of norm <= {bound}")
+    norms = [nrm for _, nrm in found]
+    m = min(norms)
+    return m, norms.count(m)
 
 
 def sigma3(n: int) -> int:
@@ -651,7 +644,7 @@ class Trace16Report:
     gram: tuple[tuple[int, ...], ...]
     even: bool
     positive_definite: bool
-    minimum: int
+    minimum: int | None  # None when the form is not positive definite
     minimum_count: int
 
 
@@ -659,8 +652,10 @@ def trace_lattice_16(k_gram) -> Trace16Report:
     """Rank-16 Gram Tr_{K/Q}<v_a, v_b> for the Z-basis u_i, sqrt(3) u_i.
 
     ``k_gram`` is the 8x8 K-valued Gram <u_i, u_j> of the scaled order
-    basis.  Positive definiteness is certified by exact LDL pivots and the
-    minimum by enumeration at bound 16.
+    basis.  The enumeration at bound 16 runs the one exact LDL: its plan
+    certifies positive definiteness (every pivot positive) and its vectors
+    give the minimum.  A form with a non-positive pivot is reported as not
+    positive definite, with no minimum and no minimal vectors.
     """
     sqrt3 = QuadExt(0, 1)
     scalars = [QuadExt(1)] * 8 + [sqrt3] * 8
@@ -676,15 +671,11 @@ def trace_lattice_16(k_gram) -> Trace16Report:
         g.append(tuple(row))
     lat = LatticeZ.from_gram(g, label="trace16")
     even = lat.is_even()
-    posdef = lat.is_positive_definite()
-    mn, count = minimum_and_kissing(lat, 16)
-    return Trace16Report(
-        gram=tuple(g),
-        even=even,
-        positive_definite=posdef,
-        minimum=mn,
-        minimum_count=count,
-    )
+    try:
+        mn, count = minimum_and_kissing(short_vectors(lat, 16), 16)
+    except NotPositiveDefinite:
+        return Trace16Report(tuple(g), even, False, None, 0)
+    return Trace16Report(tuple(g), even, True, mn, count)
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,9 @@ class OrderBasis:
         the entries of row m of P.
 
         x P are the coordinates of x over the basis when x lies in its
-        K-span, and of the orthogonal projection of x onto that span
-        otherwise; for a full-rank basis P is B^-1.
+        K-span; for a full-rank basis P is B^-1.  Only
+        :func:`coords_in_order_basis` applies it, and it refuses an x
+        outside the span rather than return a projection.
         """
         try:
             ginv = lat.mat_inv(self.inner_products())
@@ -279,10 +280,10 @@ class StructureConstants:
     c: tuple  # c[i][j][k] QuadExt with b_i o b_j = sum_k c[i][j][k] b_k
 
     def all_entries(self):
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    yield i, j, k, self.c[i][j][k]
+        for i, plane in enumerate(self.c):
+            for j, row in enumerate(plane):
+                for k, v in enumerate(row):
+                    yield i, j, k, v
 
     @cached_property
     def valuation_constraints(self) -> tuple[tuple[int, int, int, int], ...] | None:
@@ -308,21 +309,34 @@ class StructureConstants:
 
 def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, ...]:
     """Exact K-coordinates of x over the given order basis: x P with P the
-    basis's solve matrix (see :attr:`OrderBasis.solve_matrix`)."""
+    basis's solve matrix (see :attr:`OrderBasis.solve_matrix`).
+
+    Below rank 8 the coordinates are rebuilt into an element, and
+    ArithmeticError is raised when that is not x, i.e. when x lies outside
+    the K-span of the basis; at rank 8, P is the inverse and every x lies
+    in the span.
+    """
     cols, den = basis.solve_matrix
     d = den * x._d
-    return tuple(_quad(p, q, d) for p, q in apply_map(cols, x._p, len(basis)))
+    coords = tuple(_quad(p, q, d) for p, q in apply_map(cols, x._p, len(basis)))
+    if len(basis) < DIM and basis.element(coords) != x:
+        raise ArithmeticError(f"element outside the K-span of {basis.label!r}")
+    return coords
 
 
 @lru_cache(maxsize=None)
 def structure_constants(product: str, basis: OrderBasis | None = None) -> StructureConstants:
-    """Exact structure constants of one product over an order basis.
+    """Exact structure constants of one product over an order basis; the
+    default is the Coxeter-Dickson basis, and it returns the cached table
+    of ``cd_basis()``, so both spellings make one solve.
 
-    The reconstruction identity b_i o b_j = sum_k c_ij^k b_k holds exactly
-    by construction of the solve; the test suite re-verifies it.
+    The reconstruction identity b_i o b_j = sum_k c_ij^k b_k holds exactly:
+    by construction of the solve at rank 8, and by the solve's own rebuild
+    below it, where a product outside the span raises ArithmeticError.
+    The test suite re-verifies it.
     """
     if basis is None:
-        basis = cd_basis()
+        return structure_constants(product, cd_basis())
     mul = PRODUCTS[product]
     c = tuple(
         tuple(coords_in_order_basis(mul(bi, bj), basis) for bj in basis)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernels import metric_stabilizers
-from .algebras import DIM, basis_element, okubo_mul, tau_apply
+from .algebras import DIM, TAU, okubo_mul, tau_apply
 from .exact import QuadExt, RingTag
 from .orders import coords_in_order_basis, scaled_basis, structure_constants
 
@@ -120,20 +120,12 @@ def tau_membership() -> TauMembershipReport:
     tau_u2 = u_coordinates(tau_apply(u[2], 1))
     tau2_u2 = u_coordinates(tau_apply(u[2], 2))
 
-    ok = 0
-    total = DIM * DIM
-    for i in range(DIM):
-        for j in range(DIM):
-            x, y = basis_element(i), basis_element(j)
-            if tau_apply(okubo_mul(x, y)) == okubo_mul(tau_apply(x), tau_apply(y)):
-                ok += 1
-
     return TauMembershipReport(
         tau_u2_coords=tau_u2,
         tau_u2_integral=all(ring.contains(c) for c in tau_u2),
         tau2_u2_integral=all(ring.contains(c) for c in tau2_u2),
         tau_u2_u0_coefficient=tau_u2[0],
         tau2_u2_u0_coefficient=tau2_u2[0],
-        automorphism_pairs_ok=ok,
-        automorphism_pairs_total=total,
+        automorphism_pairs_ok=TAU.preserved_pairs(okubo_mul),
+        automorphism_pairs_total=DIM * DIM,
     )

@@ -13,6 +13,7 @@ from okubo_e8.algebras import (
     TAU,
     TAU2,
     AlgebraElem,
+    AutMatrix,
     PRODUCTS,
     basis_element,
     bridge_identities,
@@ -370,6 +371,23 @@ class TestTau:
                 assert tau_apply(oct_mul(x, y)) == oct_mul(tau_apply(x), tau_apply(y))
         for x in seeded(8, seed=17):
             assert tau_apply(x).norm() == x.norm()
+
+    def test_preserved_pairs(self):
+        """The one automorphism count, against the direct loop over basis
+        pairs: 64 for tau and tau^2 under the octonion and Okubo products,
+        fewer for the sign change of e1 alone."""
+        flip = AutMatrix(tuple(basis_element(k).scale(-1 if k == 1 else 1)
+                               for k in range(DIM)))
+        for aut in (TAU, TAU2, flip):
+            for mul in (oct_mul, okubo_mul, para_mul):
+                want = sum(
+                    aut.apply(mul(basis_element(i), basis_element(j)))
+                    == mul(aut.apply(basis_element(i)), aut.apply(basis_element(j)))
+                    for i in range(DIM) for j in range(DIM))
+                assert aut.preserved_pairs(mul) == want
+        assert TAU.preserved_pairs(oct_mul) == TAU.preserved_pairs(okubo_mul) == 64
+        assert TAU2.preserved_pairs(oct_mul) == 64
+        assert flip.preserved_pairs(oct_mul) < 64
 
     def test_aut_matrix_invariant(self):
         ident = [[QuadExt(int(r == c)) for c in range(DIM)] for r in range(DIM)]

@@ -90,10 +90,10 @@ def test_hurwitz_basis_closure_example():
     basis = build_classical("hurwitz")
     sigma = basis[3]  # (1 + i + j + k)/2
     prod = oct_mul(basis[1], sigma)  # i * sigma
-    from okubo_e8.catalog import coords_in_span
+    from okubo_e8.orders import coords_in_order_basis
 
-    coords = coords_in_span(prod, basis)
-    assert coords is not None
+    coords = coords_in_order_basis(prod, basis)  # raises outside the span
+    assert basis.element(coords) == prod
     assert all(c.irr == 0 and c.rat.denominator == 1 for c in coords)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from okubo_e8 import claims, cli
-from okubo_e8._kernels import NotPositiveDefinite
+from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
 from okubo_e8.catalog import build_classical, order_lattice
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
@@ -28,7 +28,6 @@ from okubo_e8.lattice import (
     lattice_from_fixture,
     lattice_to_fixture,
     lattices_equal,
-    ldl_pivots,
     mat_det,
     mat_inv,
     mat_mul,
@@ -347,7 +346,7 @@ class TestShortVectors:
         assert short_vectors(cond, 7) == []
         at8 = short_vectors(cond, 8)
         assert any(coords == (1, 0, 0, 0, 0, 0, 0, 0) for coords, _ in at8)
-        mn, kiss = minimum_and_kissing(cond, 8)
+        mn, kiss = minimum_and_kissing(at8, 8)
         assert mn == 8
         assert kiss == len(at8)
 
@@ -360,8 +359,8 @@ class TestShortVectors:
 
     def test_empty_bound(self):
         assert short_vectors(cd_lattice(), 1) == []
-        with pytest.raises(Exception):
-            minimum_and_kissing(cd_lattice(), 1)
+        with pytest.raises(LatticeError, match="no nonzero vectors of norm <= 1"):
+            minimum_and_kissing(short_vectors(cd_lattice(), 1), 1)
 
 
 class TestShells:
@@ -657,6 +656,30 @@ class TestTrace16:
         assert rep.minimum_count == 16
         assert rep.gram[0][0] == 16  # Tr<u0,u0> doubles the norm-8 entry
 
+    def test_indefinite_gram_fails_its_checks(self, monkeypatch):
+        """A trace Gram with a negative pivot is reported, not raised: not
+        positive definite, no minimum and no minimal vectors, so both
+        checks that read them fail."""
+        from okubo_e8 import checks, orders
+
+        k_gram = [[QuadExt(2 * (i == j) * (-1 if i == 7 else 1)) for j in range(8)]
+                  for i in range(8)]
+        rep = trace_lattice_16(k_gram)
+        with pytest.raises(NotPositiveDefinite, match="pivot 7 is -4"):
+            short_vectors(LatticeZ.from_gram(rep.gram), 16)
+        assert rep.even and not rep.positive_definite
+        assert (rep.minimum, rep.minimum_count) == (None, 0)
+
+        class Indefinite:
+            def inner_products(self):
+                return k_gram
+
+        monkeypatch.setattr(orders, "scaled_basis", Indefinite)
+        by_id = {r.check: r for r in checks.check_trace16()}
+        assert by_id["trace16-positive-definite"].status == "fail"
+        assert by_id["trace16-minimum"].status == "fail"
+        assert by_id["trace16-even"].status == "pass"
+
     def test_no_vectors_below_sixteen(self):
         rep = trace_lattice_16(scaled_basis().inner_products())
         lat = LatticeZ.from_gram([list(r) for r in rep.gram])
@@ -747,11 +770,16 @@ class TestDeterminant:
 
 
 class TestPivotsAndFixtures:
-    def test_ldl_pivots(self):
-        assert all(p > 0 for p in ldl_pivots(A2))
-        assert any(p <= 0 for p in ldl_pivots([[1, 0], [0, -2]]))
+    def test_enumeration_plan_decides_definiteness(self):
+        """The enumeration's exact LDL is the one positive-definiteness
+        test: every pivot of A2 is positive, and the plan refuses a form
+        with a negative or a zero pivot."""
+        assert all(w > 0 for w in prepare_enumeration(A2, 2).weights)
+        with pytest.raises(NotPositiveDefinite, match="pivot 1 is -2"):
+            prepare_enumeration([[1, 0], [0, -2]], 2)
         # a row exchange would hide the zero leading pivot of this form
-        assert not all(p > 0 for p in ldl_pivots([[0, 1], [1, 0]]))
+        with pytest.raises(NotPositiveDefinite, match="pivot 0 is 0"):
+            prepare_enumeration([[0, 1], [1, 0]], 2)
 
     def test_mat_inv_over_k(self):
         s3 = QuadExt(0, 1)

@@ -1,14 +1,18 @@
 """The Coxeter-Dickson order: Gram, units, structure constants, closure,
 and the diagonal scaling."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
 
 from okubo_e8 import checks, claims
-from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem, okubo_mul
+from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem, basis_element, oct_mul, okubo_mul
+from okubo_e8.catalog import build_classical, catalog_names
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
 from okubo_e8.orders import (
@@ -128,6 +132,33 @@ class TestStructureConstants:
         for i in range(DIM):
             for j in range(DIM):
                 assert basis.element(constants.c[i][j]) == mul(basis[i], basis[j])
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_reconstruction_on_catalog_rows(self, name):
+        """Every catalog row, of rank 2, 4 or 8, the Eisenstein row with its
+        sqrt(3) coordinates included, rebuilds each product of two basis
+        elements from its octonion constants."""
+        basis = build_classical(name)
+        assert len(basis) in (2, 4, 8)
+        if name == "eisenstein":
+            assert any(c.irr for b in basis for c in b.coords)
+        c = structure_constants("octonion", basis).c
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                assert basis.element(c[i][j]) == oct_mul(bi, bj)
+
+    def test_product_outside_a_lower_rank_span_raises(self):
+        """e1 e1 = -1 leaves the span of (e1, e2): the solve refuses it
+        instead of returning a projection, and so do the constants."""
+        e1, e2 = basis_element(1), basis_element(2)
+        plane = OrderBasis((e1, e2), "e1-e2")
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'e1-e2'"):
+            coords_in_order_basis(oct_mul(e1, e1), plane)
+        with pytest.raises(ArithmeticError):
+            structure_constants("octonion", plane)
+
+    def test_default_basis_returns_the_cd_table(self):
+        assert structure_constants("octonion") is structure_constants("octonion", cd_basis())
 
     def test_octonion_constants_integral(self):
         profile = denominator_profile(structure_constants("octonion"))
@@ -547,11 +578,9 @@ class TestCoordinateMap:
             for m in range(DIM)
         ]
 
-    def test_outside_span_is_none(self):
-        from okubo_e8.algebras import basis_element
-        from okubo_e8.catalog import build_classical, coords_in_span
-
-        assert coords_in_span(basis_element(7), build_classical("gaussian")) is None
+    def test_outside_span_raises(self):
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'gaussian'"):
+            coords_in_order_basis(basis_element(7), build_classical("gaussian"))
 
     def test_element_inverts_the_solve(self):
         basis = cd_basis()
@@ -568,3 +597,39 @@ class TestCoordinateMap:
         half = OrderBasis((AlgebraElem.one().scale(HALF),), "half")
         with pytest.raises(ArithmeticError):
             half.gram()
+
+
+#: runs in a fresh interpreter, so that no cached table hides a solve;
+#: counts the solves on the Coxeter-Dickson basis in one ``run_all``,
+#: wherever the package binds the solve
+SOLVE_COUNTER = r"""
+import sys
+from okubo_e8 import checks, orders
+
+real, cd = orders.coords_in_order_basis, orders.cd_basis()
+calls = []
+
+def counting(x, basis):
+    calls.append(basis is cd)
+    return real(x, basis)
+
+for name, mod in list(sys.modules.items()):
+    if name.startswith("okubo_e8"):
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                setattr(mod, attr, counting)
+checks.run_all()
+print(sum(calls))
+"""
+
+
+def test_one_run_solves_each_order_table_once():
+    """The octonion, para and Okubo tables over the Coxeter-Dickson basis
+    are solved once each, 3 x 64 solves: the catalog's Coxeter-Dickson row
+    reads the octonion table that the closure check cached."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVE_COUNTER], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    assert int(proc.stdout) == 3 * DIM * DIM

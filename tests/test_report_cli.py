@@ -1,13 +1,17 @@
 """Report schema, serialization determinism, CLI exit codes, and the
 claim-to-check coverage of the full suite."""
 
+import hashlib
+import itertools
 import json
 import os
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import time_limit
 from okubo_e8 import checks, claims
 from okubo_e8 import lattice as lat
 from okubo_e8.cli import build_parser, main
@@ -118,6 +122,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "para-closure fail" in out
+
+    def test_long_distinct_denominators_stay_cheap(self, tmp_path, capsys):
+        """A dump whose 512 entries have distinct 300-digit denominators is
+        read and certified in well under a second: each entry keeps its own
+        denominator.  Clearing them to one shared lcm (about 150k digits)
+        would put that number into every later operation."""
+        rng = random.Random(18)
+        lines = []
+        for i, j, k in itertools.product(range(8), repeat=3):
+            den = rng.randrange(10 ** 299, 10 ** 300)
+            lines.append(f"{i} {j} {k} {rng.randrange(1, den)}/{den} 0/1")
+        f = tmp_path / "constants.txt"
+        f.write_text("\n".join(lines) + "\n")
+        with time_limit(5, "verify para-closure on long denominators"):
+            rc = main(["verify", "para-closure", "--constants", str(f)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        assert "para-closure fail" in captured.out
 
     def test_constants_with_all_rejected(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
@@ -302,6 +324,29 @@ def test_golden_verify_all(all_reports):
     with open(GOLDEN, "rb") as fh:
         golden = fh.read()
     assert (serialize(all_reports, "json") + "\n").encode("utf-8") == golden
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference.json")
+
+
+def test_golden_matches_benchmark_reference():
+    """The golden report and the benchmark's recorded certificate are one
+    record: same sha256, same byte count, and the exit code its statuses
+    give.  Re-recording one without the other fails here."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)["certify-all"]
+    with open(GOLDEN, "rb") as fh:
+        golden = fh.read()
+    assert hashlib.sha256(golden).hexdigest() == ref["sha256"]
+    assert len(golden) == ref["bytes"]
+    reports = [CheckReport(check=d["check"], anchor=d["anchor"],
+                           convention=d["convention"], status=d["status"],
+                           expected=d["expected"]["value"],
+                           expected_tag=d["expected"]["tag"],
+                           actual=d["actual"], details=d["details"])
+               for d in json.loads(golden)]
+    assert exit_code(reports) == ref["exit"]
 
 
 @pytest.mark.parametrize("seed", [1, 42])
