@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 
 from .claims import CONVENTION
@@ -419,33 +419,20 @@ def bridge_identities(seed: int = 0, samples: int = 12) -> dict:
     """
     rng = random.Random(seed)
     randoms = [random_element(rng) for _ in range(samples)]
+    basis = [basis_element(k) for k in range(DIM)]
     out = {}
-    for name, fn in BRIDGE_PAIR_IDENTITIES.items():
-        checked, failures = 0, []
-        for i in range(DIM):
-            for j in range(DIM):
-                lhs, rhs = fn(basis_element(i), basis_element(j))
-                checked += 1
+    for identities, seeded in ((BRIDGE_PAIR_IDENTITIES, list(product(randoms, randoms[:4]))),
+                               (BRIDGE_UNARY_IDENTITIES, list(product(randoms)))):
+        # basis tuples with their indices as witness, then seeded tuples,
+        # whose witness (their elements' reprs) is built on failure only
+        indices = product(range(DIM), repeat=len(seeded[0]))
+        inputs = [(("basis", *idx), [basis[i] for i in idx]) for idx in indices]
+        inputs += [(None, args) for args in seeded]
+        for name, fn in identities.items():
+            failures = []
+            for witness, args in inputs:
+                lhs, rhs = fn(*args)
                 if lhs != rhs:
-                    failures.append(("basis", i, j))
-        for a in randoms:
-            for b in randoms[:4]:
-                lhs, rhs = fn(a, b)
-                checked += 1
-                if lhs != rhs:
-                    failures.append(("random", repr(a), repr(b)))
-        out[name] = {"checked": checked, "failures": failures}
-    for name, fn in BRIDGE_UNARY_IDENTITIES.items():
-        checked, failures = 0, []
-        for i in range(DIM):
-            lhs, rhs = fn(basis_element(i))
-            checked += 1
-            if lhs != rhs:
-                failures.append(("basis", i))
-        for a in randoms:
-            lhs, rhs = fn(a)
-            checked += 1
-            if lhs != rhs:
-                failures.append(("random", repr(a)))
-        out[name] = {"checked": checked, "failures": failures}
+                    failures.append(witness or ("random", *map(repr, args)))
+            out[name] = {"checked": len(inputs), "failures": failures}
     return out

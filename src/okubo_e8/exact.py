@@ -31,9 +31,11 @@ elimination (``lattice.mat_det``, which refuses any other entry).  A
 K-linear map that is applied many times is kept in the one integer form
 of :func:`integer_map`, per input coordinate the nonzero entries of its
 column as integers over one denominator, and :func:`apply_map` is the
-one product of such a map with integer pairs.  The rotation, the
-order-basis solve, and the matrix-coordinate solve with its
-reconstruction guard all run through those two.
+one product of such a map with integer pairs.  The rotation runs through
+those two, and so does :class:`SpanSolve`, the one coordinate solve of
+both product realizations: coordinates over an order basis and over the
+Hermitian-matrix basis, with the rebuild that refuses a vector outside
+the span.
 
 No floating point is used anywhere.  Sign questions in either real
 embedding of K are settled by exact case analysis on squares.
@@ -323,6 +325,49 @@ def apply_map(cols, pairs, n_out: int) -> list[list[int]]:
                 acc[0] += p * a + 3 * q * b
                 acc[1] += p * b + q * a
     return out
+
+
+class SpanSolve:
+    """The one coordinate solve, over K-linearly independent vectors
+    b_0..b_{n-1} of K^N, the rows of B, each given as its N integer pairs
+    over its denominator: ``solve`` is P = B^T (B B^T)^-1 and ``combine``
+    is B, both in the form of :func:`integer_map`, built once.  As B P = I,
+    P sends a vector of the span to its coordinates, and B those back to
+    the vector.  ``label`` names the basis in errors; a singular B B^T
+    raises ``lattice.LatticeError``."""
+
+    __slots__ = ("label", "solve", "combine")
+
+    def __init__(self, vectors, label: str):
+        from .lattice import mat_inv, mat_mul  # lattice imports this module
+
+        vectors = list(vectors)
+        # B B^T on the integers: sum_m (a + b s3)(c + e s3) over Dx*Dy
+        gram = [[_quad(sum(a * c + 3 * b * e for (a, b), (c, e) in zip(xs, ys)),
+                       sum(a * e + b * c for (a, b), (c, e) in zip(xs, ys)), dx * dy)
+                 for ys, dy in vectors] for xs, dx in vectors]
+        rows = [[_quad(a, b, d) for a, b in pairs] for pairs, d in vectors]
+        self.label = label
+        self.solve = integer_map(mat_mul(list(zip(*rows)), mat_inv(gram)))
+        self.combine = integer_map(rows)
+
+    def coordinates(self, pairs, den: int) -> tuple[QuadExt, ...]:
+        """The coordinates x P of the vector x whose entries are the
+        integer pairs ``pairs`` over ``den``.
+
+        For n < N, x P is rebuilt into a vector through ``combine``, and
+        ArithmeticError is raised when that is not x, i.e. when x lies
+        outside the K-span; for n = N, P is B^-1 and every x lies in it.
+        """
+        (solve, s_den), (combine, c_den) = self.solve, self.combine
+        n, ambient = len(combine), len(solve)
+        coords = apply_map(solve, pairs, n)
+        if n < ambient:
+            scale = s_den * c_den
+            if apply_map(combine, coords, ambient) != [[scale * a, scale * b] for a, b in pairs]:
+                raise ArithmeticError(f"element outside the K-span of {self.label!r}")
+        d = s_den * den
+        return tuple(_quad(p, q, d) for p, q in coords)
 
 
 # ---------------------------------------------------------------------------

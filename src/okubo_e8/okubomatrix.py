@@ -28,6 +28,11 @@ both computed: the result is checked Hermitian and traceless on those
 integers, with the errors the HermTraceless3 constructor raises, and not
 assumed.  ``norm`` and ``inner`` compute only the three diagonal entries
 their trace needs, and still reject a trace that is not real.
+
+Coordinates over the basis (e, e1..e7) come from :class:`exact.SpanSolve`
+on the 18 K-parts of the nine entries, and the matrix-side table of the
+cross-realization diff from :func:`orders.product_table`, as for the
+order bases.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .algebras import DIM, basis_element, okubo_mul
-from .exact import ComplexQuad, QuadExt, _complex, _quad, apply_map, eliminate, integer_map
-from .lattice import mat_inv
+from .algebras import DIM
+from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, eliminate
+from .orders import e_basis, product_table, structure_constants
 
 _C0 = ComplexQuad(0)
 
@@ -246,8 +251,8 @@ def basis_gram() -> list[list[QuadExt]]:
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
     """A random real linear combination sum_k (c_k/2) basis[k] of the eight
     basis matrices with small half-integer coefficients, computed with the
-    basis map of :func:`_basis_map`."""
-    cols, den = _basis_map()
+    combine map of :func:`_basis_span`."""
+    cols, den = _basis_span().combine
     pairs = [(rng.randint(-span, span), 0) for _ in cols]
     return _matrix([v for pair in apply_map(cols, pairs, 18) for v in pair], 2 * den)
 
@@ -393,57 +398,24 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3):
 # -- cross-realization --------------------------------------------------------
 
 
-#: eight real functionals that determine a matrix of the span: the real
-#: parts of m00 and m11, and both parts of m01, m02 and m12, as (cell, 0)
-#: for a real part and (cell, 2) for an imaginary part of a row-major cell
-_FUNCTIONALS = ((0, 0), (4, 0), (1, 0), (1, 2), (2, 0), (2, 2), (5, 0), (5, 2))
-
-
-def _functionals(ints):
-    """The eight functionals of a matrix given by its integers, as integer
-    pairs (a, b) for (a + b sqrt3) over its denominator."""
-    return [ints[4 * cell + part:4 * cell + part + 2] for cell, part in _FUNCTIONALS]
+def _pairs(ints):
+    """The 18 integer pairs of a matrix's integers: the real and the
+    imaginary part of each entry, in row-major order."""
+    return list(zip(ints[::2], ints[1::2]))
 
 
 @lru_cache(maxsize=None)
-def _basis_map():
-    """The map sending coordinates over the basis (e, e1..e7) to the matrix
-    they combine, in the integer form of :func:`exact.integer_map`: its 18
-    rows are the (real, imaginary) pairs of the nine entries in row-major
-    order, so that the output pairs, flattened, are the integers ``_q`` of
-    the matrix."""
-    return integer_map([_quad(a, b, m._d) for a, b in zip(m._q[::2], m._q[1::2])]
-                       for m in build_basis())
+def _basis_span() -> SpanSolve:
+    """The coordinate solve of the basis (e, e1..e7), each basis matrix
+    the vector of its 18 K-parts (see :func:`_pairs`); so the output pairs
+    of its combine map, flattened, are the integers ``_q`` of a matrix."""
+    return SpanSolve(((_pairs(m._q), m._d) for m in build_basis()), "matrix-basis")
 
 
-@lru_cache(maxsize=None)
-def _coordinate_inverse():
-    """F^-1 for the functional matrix F[f][k] = f(basis[k]), so that the
-    coordinates of m are F^-1 f(m); in the integer form of
-    :func:`exact.integer_map`."""
-    basis = build_basis()
-    f = [[_quad(a, b, m._d) for a, b in _functionals(m._q)] for m in basis]
-    return integer_map(zip(*mat_inv(list(zip(*f)))))
-
-
-def matrix_coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
-    """Exact coordinates of m over the basis (e, e1..e7).
-
-    The coordinates are F^-1 f(m) (see :func:`_coordinate_inverse`), as
-    (P_k + Q_k sqrt3)/(E D) with D the denominator of m.  An exactness guard
-    reconstructs sum_k (P_k + Q_k sqrt3) basis[k] on the integers, with the
-    basis map of :func:`_basis_map`, and compares it with m, so no wrong
-    coordinate vector is ever returned.
-    """
-    inv, e_den = _coordinate_inverse()
-    ints, d = m._q, m._d
-    coords = apply_map(inv, _functionals(ints), DIM)
-    cols, b_den = _basis_map()
-    scale = e_den * b_den
-    rebuilt = [v for pair in apply_map(cols, coords, 18) for v in pair]
-    if rebuilt != [scale * v for v in ints]:
-        raise ArithmeticError("coordinate solve failed to reconstruct")
-    return tuple(_quad(p, q, e_den * d) for p, q in coords)
+def _coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
+    """Exact coordinates of m over the basis (e, e1..e7); ArithmeticError
+    when m lies outside its K-span."""
+    return _basis_span().coordinates(_pairs(m._q), m._d)
 
 
 @dataclass(frozen=True)
@@ -458,12 +430,12 @@ class CrossRealizationReport:
 
 
 def cross_realization_report() -> CrossRealizationReport:
-    basis = build_basis()
-    mat_c = [[matrix_coordinates(matrix_mul(basis[a], basis[b])) for b in range(DIM)]
-             for a in range(DIM)]
-    alg_c = [[okubo_mul(basis_element(a), basis_element(b)).coords for b in range(DIM)]
-             for a in range(DIM)]
-    return _sign_search(mat_c, alg_c)
+    """The sign search between the two Okubo tables: the matrix side built
+    by :func:`orders.product_table` with ``matrix_mul`` over
+    :func:`build_basis`, and the rotation side the cached
+    ``structure_constants("okubo", e_basis())``."""
+    mat_c = product_table(matrix_mul, build_basis(), _coordinates)
+    return _sign_search(mat_c, structure_constants("okubo", e_basis()).c)
 
 
 def _sign_search(mat_c, alg_c) -> CrossRealizationReport:

@@ -19,11 +19,14 @@ with h = (i + j + k + l)/2.
 
 Every order is an :class:`OrderBasis`: this basis, the scaled basis
 u_i = 2^{a_i} b_i built from the certified exponents, the saturated basis
-and the catalog orders.  ``element`` maps coordinates to an algebra
+and the catalog orders; the e-basis is one too, for the rotation side of
+the cross-realization diff.  ``element`` maps coordinates to an algebra
 element, ``gram`` gives the integral Gram, and
-:func:`coords_in_order_basis` is the one coordinate solve; the structure
-constants of every basis come from it, and :func:`closure_test` decides
-their integrality.
+:func:`coords_in_order_basis` solves for coordinates with the basis's
+:class:`exact.SpanSolve`, the coordinate solve that the Hermitian-matrix
+basis uses as well.  :func:`product_table` is the one table builder of
+both realizations: the structure constants of every order basis come
+from it, and :func:`closure_test` decides their integrality.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .exact import (
     QUAD_ZERO,
     QuadExt,
     RingTag,
+    SpanSolve,
     _quad,
     apply_map,
     integer_map,
@@ -124,22 +128,14 @@ class OrderBasis:
         return tuple(rows)
 
     @cached_property
-    def solve_matrix(self):
-        """P = 2 B^T G^-1, with B the e-coordinate rows and G the Gram, in
-        the integer form of :func:`exact.integer_map`: per e-coordinate m,
-        the entries of row m of P.
-
-        x P are the coordinates of x over the basis when x lies in its
-        K-span; for a full-rank basis P is B^-1.  Only
-        :func:`coords_in_order_basis` applies it, and it refuses an x
-        outside the span rather than return a projection.
-        """
+    def span(self) -> SpanSolve:
+        """The coordinate solve of the basis, B its e-coordinate rows.  As
+        <e_i, e_j> = 2 delta_ij, B B^T is G/2 for the Gram G, so the solve
+        map P = B^T (B B^T)^-1 is 2 B^T G^-1, and B^-1 at full rank."""
         try:
-            ginv = lat.mat_inv(self.inner_products())
+            return SpanSolve(((b._p, b._d) for b in self.elements), self.label)
         except lat.LatticeError as exc:
             raise SingularBasisError("order basis is singular") from exc
-        bt = list(zip(*(b.coords for b in self.elements)))
-        return integer_map([2 * v for v in row] for row in lat.mat_mul(bt, ginv))
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +154,12 @@ def cd_basis() -> OrderBasis:
         oct_mul(lt["k"], h),
     )
     return OrderBasis(els, "coxeter-dickson")
+
+
+@lru_cache(maxsize=None)
+def e_basis() -> OrderBasis:
+    """The basis e_0..e_7 itself, whose solve map is the identity."""
+    return OrderBasis(tuple(basis_element(k) for k in range(DIM)), "e-basis")
 
 
 @lru_cache(maxsize=None)
@@ -308,27 +310,25 @@ class StructureConstants:
 
 
 def coords_in_order_basis(x: AlgebraElem, basis: OrderBasis) -> tuple[QuadExt, ...]:
-    """Exact K-coordinates of x over the given order basis: x P with P the
-    basis's solve matrix (see :attr:`OrderBasis.solve_matrix`).
+    """Exact K-coordinates of x over the given order basis, by the basis's
+    :attr:`OrderBasis.span`; below rank 8, ArithmeticError when x lies
+    outside the K-span of the basis."""
+    return basis.span.coordinates(x._p, x._d)
 
-    Below rank 8 the coordinates are rebuilt into an element, and
-    ArithmeticError is raised when that is not x, i.e. when x lies outside
-    the K-span of the basis; at rank 8, P is the inverse and every x lies
-    in the span.
-    """
-    cols, den = basis.solve_matrix
-    d = den * x._d
-    coords = tuple(_quad(p, q, d) for p, q in apply_map(cols, x._p, len(basis)))
-    if len(basis) < DIM and basis.element(coords) != x:
-        raise ArithmeticError(f"element outside the K-span of {basis.label!r}")
-    return coords
+
+def product_table(mul, basis, coordinates) -> tuple:
+    """The table c[i][j][k] with b_i o b_j = sum_k c[i][j][k] b_k for the
+    product ``mul``, each of the n^2 products solved by ``coordinates``:
+    the one table builder, for the order bases and for the matrix basis."""
+    return tuple(tuple(coordinates(mul(bi, bj)) for bj in basis) for bi in basis)
 
 
 @lru_cache(maxsize=None)
 def structure_constants(product: str, basis: OrderBasis | None = None) -> StructureConstants:
-    """Exact structure constants of one product over an order basis; the
-    default is the Coxeter-Dickson basis, and it returns the cached table
-    of ``cd_basis()``, so both spellings make one solve.
+    """Exact structure constants of one product over an order basis, from
+    :func:`product_table` and :func:`coords_in_order_basis`; the default
+    is the Coxeter-Dickson basis, and it returns the cached table of
+    ``cd_basis()``, so both spellings make one solve.
 
     The reconstruction identity b_i o b_j = sum_k c_ij^k b_k holds exactly:
     by construction of the solve at rank 8, and by the solve's own rebuild
@@ -337,11 +337,8 @@ def structure_constants(product: str, basis: OrderBasis | None = None) -> Struct
     """
     if basis is None:
         return structure_constants(product, cd_basis())
-    mul = PRODUCTS[product]
-    c = tuple(
-        tuple(coords_in_order_basis(mul(bi, bj), basis) for bj in basis)
-        for bi in basis
-    )
+    c = product_table(PRODUCTS[product], basis,
+                      lambda x: coords_in_order_basis(x, basis))
     return StructureConstants(product=product, basis_label=basis.label, c=c)
 
 

@@ -264,3 +264,44 @@ def test_checker_sees_a_claimed_value_read():
     }
     assert _claims_violations(sources) == [
         "a.py: TRACE_PATTERN", "b.py: UNIT_COUNT", "c.py: NORM_CROSS_TERMS"]
+
+
+#: the one coordinate solve, the only package code that inverts a matrix
+#: over a field: every other coordinate question goes through it
+INVERSE_CALLERS = ["exact.py:SpanSolve.__init__"]
+
+
+def _call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """``file:scope`` for each call of ``name`` in ``sources`` (file name
+    -> text), as a bare name or as an attribute, with ``scope`` the dotted
+    names of the enclosing classes and functions."""
+    sites = []
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call) and name
+                    in (getattr(child.func, "id", None), getattr(child.func, "attr", None))):
+                sites.append(f"{file}:{'.'.join(scope)}")
+            visit(child, file, inner)
+
+    for file, text in sources.items():
+        visit(ast.parse(text, filename=file), file, [])
+    return sorted(sites)
+
+
+def test_one_coordinate_solve_inverts():
+    sites = _call_sites({p.name: p.read_text() for p in MODULES}, "mat_inv")
+    assert sites == INVERSE_CALLERS, f"mat_inv called from {', '.join(sites)}"
+
+
+def test_checker_sees_every_call_site():
+    sources = {
+        "a.py": "from .lattice import mat_inv\nX = mat_inv(1)\n"
+                "class C:\n    def f(self):\n        return g(mat_inv(2))\n",
+        "b.py": "from . import lattice as lat\ndef h():\n    return lat.mat_inv\n"
+                "def k():\n    return lat.mat_inv(3)\n",
+    }
+    assert _call_sites(sources, "mat_inv") == ["a.py:", "a.py:C.f", "b.py:k"]

@@ -8,9 +8,11 @@ from math import lcm
 
 import pytest
 
-from okubo_e8.algebras import DIM, basis_element, okubo_mul
+from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
 from okubo_e8 import okubomatrix
+from okubo_e8.catalog import build_classical
 from okubo_e8.exact import ComplexQuad, QuadExt, apply_map, eliminate
+from okubo_e8.orders import coords_in_order_basis, e_basis, product_table, structure_constants
 from okubo_e8.okubomatrix import (
     HermTraceless3,
     _sign_search,
@@ -21,7 +23,6 @@ from okubo_e8.okubomatrix import (
     jordan_product,
     kaplansky,
     kaplansky_report,
-    matrix_coordinates,
     matrix_mul,
     norm,
     random_matrix,
@@ -361,9 +362,13 @@ class TestJordanFixture:
         assert rows[0][0] + rows[1][1] + rows[2][2] != ComplexQuad(0)
 
 
+#: the shared coordinate solve on the matrix basis
+coordinates = okubomatrix._coordinates
+
+
 def naive_matrix_coordinates(m):
-    """Reference: one elimination of the 8x9 system of eight functionals
-    per call, the solve that the cached inverse replaced."""
+    """Reference: one elimination of the 8x9 system of eight real
+    functionals per call, independent of the shared solve."""
     funcs = [
         lambda x: x.rows[0][0].re,
         lambda x: x.rows[1][1].re,
@@ -380,35 +385,53 @@ def naive_matrix_coordinates(m):
     return tuple(QuadExt.coerce(row[-1]) for row in work)
 
 
+def bumped(int_map, column, row):
+    """An integer map as ``exact.integer_map`` gives it, with 1 added to
+    its entry in ``row`` of ``column``."""
+    cols, den = int_map
+    entries = {r: (p, q) for r, p, q in cols[column]}
+    p, q = entries.get(row, (0, 0))
+    entries[row] = (p + 1, q)
+    col = tuple((r, *entries[r]) for r in sorted(entries))
+    return cols[:column] + (col,) + cols[column + 1:], den
+
+
 class TestCoordinates:
     def test_basis_products_against_elimination(self):
         basis = build_basis()
         for a, b in product(range(DIM), repeat=2):
             m = matrix_mul(basis[a], basis[b])
-            assert matrix_coordinates(m) == naive_matrix_coordinates(m)
+            assert coordinates(m) == naive_matrix_coordinates(m)
 
     def test_random_against_elimination(self):
         rng = random.Random(12)
         for span in (1, 2, 5):
             for _ in range(10):
                 m = random_matrix(rng, span)
-                assert matrix_coordinates(m) == naive_matrix_coordinates(m)
+                assert coordinates(m) == naive_matrix_coordinates(m)
 
     def test_basis_coordinates_are_unit_vectors(self):
         for k, bm in enumerate(build_basis()):
-            assert matrix_coordinates(bm) == tuple(QuadExt(int(j == k)) for j in range(DIM))
+            assert coordinates(bm) == tuple(QuadExt(int(j == k)) for j in range(DIM))
 
     def test_corrupted_inverse_is_caught(self, monkeypatch):
-        cols, den = okubomatrix._coordinate_inverse()
-        assert all(r != 3 for r, _, _ in cols[0])
-        corrupted = (cols[0] + ((3, 1, 0),),) + cols[1:]
-        monkeypatch.setattr(okubomatrix, "_coordinate_inverse", lambda: (corrupted, den))
-        e = build_basis()[0]  # Re e00 = 2, so coordinate 3 turns nonzero
-        with pytest.raises(ArithmeticError, match="reconstruct"):
-            matrix_coordinates(e)
+        """A wrong solve map gives wrong coordinates, which the rebuild
+        through the combine map refuses: for a matrix, and for the
+        rank-two gaussian order."""
+        span = okubomatrix._basis_span()
+        monkeypatch.setattr(span, "solve", bumped(span.solve, 0, 3))
+        e = build_basis()[0]  # Re e00 = 2, so coordinate 3 turns wrong
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'matrix-basis'"):
+            coordinates(e)
+
+        gaussian = build_classical("gaussian")
+        monkeypatch.setattr(gaussian.span, "solve", bumped(gaussian.span.solve, 0, 1))
+        minus_one = oct_mul(basis_element(1), basis_element(1))  # e-coordinate 0 is -1
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'gaussian'"):
+            coords_in_order_basis(minus_one, gaussian)
 
     def test_basis_map_rebuilds_the_basis(self):
-        cols, den = okubomatrix._basis_map()
+        cols, den = okubomatrix._basis_span().combine
         for k, bm in enumerate(build_basis()):
             unit = [(int(j == k), 0) for j in range(DIM)]
             ints = [v for pair in apply_map(cols, unit, 18) for v in pair]
@@ -418,22 +441,41 @@ class TestCoordinates:
             assert HermTraceless3([entries[i:i + 3] for i in (0, 3, 6)]) == bm
 
     def test_corrupted_basis_map_is_caught(self, monkeypatch):
-        cols, den = okubomatrix._basis_map()
-        (r, p, q), *rest = cols[1]
-        corrupted = (cols[0], ((r, -p, -q), *rest)) + cols[2:]
-        monkeypatch.setattr(okubomatrix, "_basis_map", lambda: (corrupted, den))
-        with pytest.raises(ArithmeticError, match="reconstruct"):
-            matrix_coordinates(build_basis()[1])
+        """A wrong combine map rebuilds a vector that is not the input,
+        for a matrix and for the rank-two gaussian order."""
+        span = okubomatrix._basis_span()
+        monkeypatch.setattr(span, "combine", bumped(span.combine, 1, 0))
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'matrix-basis'"):
+            coordinates(build_basis()[1])
+
+        gaussian = build_classical("gaussian")
+        monkeypatch.setattr(gaussian.span, "combine", bumped(gaussian.span.combine, 1, 0))
+        e1 = basis_element(1)  # the second basis vector of the order
+        with pytest.raises(ArithmeticError, match="outside the K-span of 'gaussian'"):
+            coords_in_order_basis(e1, gaussian)
 
     def test_round_trip(self):
         rng = random.Random(8)
         basis = build_basis()
         for _ in range(5):
             m = random_matrix(rng)
-            assert combine(matrix_coordinates(m), basis) == m
+            assert combine(coordinates(m), basis) == m
 
 
 class TestCrossRealization:
+    def test_tables_against_direct_products(self):
+        """The two tables the diff reads, against products solved
+        independently: the e-basis table is the e-coordinates of the
+        Okubo products, and the matrix table the eliminated coordinates of
+        the matrix products."""
+        table = structure_constants("okubo", e_basis()).c
+        assert table == tuple(tuple(okubo_mul(basis_element(a), basis_element(b)).coords
+                                    for b in range(DIM)) for a in range(DIM))
+        basis = build_basis()
+        mat_c = product_table(matrix_mul, basis, coordinates)
+        assert mat_c == tuple(tuple(naive_matrix_coordinates(matrix_mul(x, y)) for y in basis)
+                              for x in basis)
+
     def test_diff_recorded(self):
         rep = cross_realization_report()
         assert rep.total == 512
@@ -472,8 +514,7 @@ class TestCrossRealization:
 
         # the rotation-side table under a sign pattern that is not the
         # identity, with a few entries perturbed
-        alg_c = [[okubo_mul(basis_element(a), basis_element(b)).coords
-                  for b in range(DIM)] for a in range(DIM)]
+        alg_c = structure_constants("okubo", e_basis()).c
         target = (1, -1, 1, 1, -1, 1, -1, 1)
         mat_c = signed(alg_c, target)
         for a, b, k in ((0, 1, 2), (3, 3, 0), (5, 2, 7), (7, 7, 7)):

@@ -1,6 +1,7 @@
 """The Coxeter-Dickson order: Gram, units, structure constants, closure,
 and the diagonal scaling."""
 
+import json
 import os
 import random
 import subprocess
@@ -502,7 +503,7 @@ def _gram_solve(x, basis):
 def solve_entries(basis):
     """The solve map of ``basis`` as the QuadExt matrix P, row m for the
     e-coordinate m."""
-    cols, den = basis.solve_matrix
+    cols, den = basis.span.solve
     p = [[QuadExt(0)] * len(basis) for _ in cols]
     for m, col in enumerate(cols):
         for k, a, b in col:
@@ -571,7 +572,7 @@ class TestCoordinateMap:
 
         basis = build_classical("gaussian")
         ginv = mat_inv(basis.inner_products())
-        assert len(basis) == 2 and len(basis.solve_matrix[0]) == DIM
+        assert len(basis) == 2 and len(basis.span.solve[0]) == DIM
         assert solve_entries(basis) == [
             [2 * sum((b.coords[m] * ginv[j][k] for j, b in enumerate(basis)), QuadExt(0))
              for k in range(2)]
@@ -600,36 +601,61 @@ class TestCoordinateMap:
 
 
 #: runs in a fresh interpreter, so that no cached table hides a solve;
-#: counts the solves on the Coxeter-Dickson basis in one ``run_all``,
-#: wherever the package binds the solve
+#: counts every coordinate solve of one ``run_all``, in both realizations,
+#: by the label of the basis, and whether a table build made it: the
+#: solve is wrapped on its class, the table builder wherever the package
+#: binds it
 SOLVE_COUNTER = r"""
+import json
 import sys
-from okubo_e8 import checks, orders
+from collections import Counter
+from okubo_e8 import checks, exact, orders
 
-real, cd = orders.coords_in_order_basis, orders.cd_basis()
-calls = []
+solve, build = exact.SpanSolve.coordinates, orders.product_table
+calls, building = Counter(), []
 
-def counting(x, basis):
-    calls.append(basis is cd)
-    return real(x, basis)
+def counting_solve(span, pairs, den):
+    calls[span.label, bool(building)] += 1
+    return solve(span, pairs, den)
 
+def counting_build(*args):
+    building.append(True)
+    try:
+        return build(*args)
+    finally:
+        building.pop()
+
+exact.SpanSolve.coordinates = counting_solve
 for name, mod in list(sys.modules.items()):
     if name.startswith("okubo_e8"):
         for attr, value in list(vars(mod).items()):
-            if value is real:
-                setattr(mod, attr, counting)
+            if value is build:
+                setattr(mod, attr, counting_build)
 checks.run_all()
-print(sum(calls))
+print(json.dumps({"tables": {label: n for (label, table), n in calls.items() if table},
+                  "other": {label: n for (label, table), n in calls.items() if not table}}))
 """
 
 
 def test_one_run_solves_each_order_table_once():
-    """The octonion, para and Okubo tables over the Coxeter-Dickson basis
-    are solved once each, 3 x 64 solves: the catalog's Coxeter-Dickson row
-    reads the octonion table that the closure check cached."""
+    """Every table one run builds is solved once, n x n solves per product
+    and basis: three over the Coxeter-Dickson basis (the catalog's row
+    reads the octonion table that the closure check cached), the Okubo
+    tables over the scaled and saturated orders, the octonion table of each
+    other catalog row, and the two tables the cross-realization diff
+    compares, over the e-basis and the matrix basis.  The only solves
+    outside a table are tau(u_2) and tau^2(u_2) over the scaled basis."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", SOLVE_COUNTER], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
     )
-    assert int(proc.stdout) == 3 * DIM * DIM
+    counts = json.loads(proc.stdout)
+    square = DIM * DIM
+    assert counts["tables"] == {
+        "coxeter-dickson": 3 * square, "scaled": square, "saturated": square,
+        "e-basis": square, "matrix-basis": square,
+        "gaussian": 4, "eisenstein": 4, "hamilton": 16, "hurwitz": 16,
+        "cayley-graves": square,
+    }
+    assert counts["other"] == {"scaled": 2}
