@@ -34,7 +34,7 @@ from itertools import permutations, product
 from math import isqrt, lcm
 from operator import le, mul
 
-from .exact import eliminate
+from .exact import ldl
 
 BACKEND = "python"
 
@@ -71,11 +71,10 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
         for c in range(r):
             if gram[r][c] != gram[c][r]:
                 raise ValueError("Gram matrix is not symmetric")
-    work, diag = eliminate(gram, swap=False)
+    mu, diag = ldl(gram)
     for c, d in enumerate(diag):
         if d <= 0:
             raise NotPositiveDefinite(f"pivot {c} is {d}")
-    mu = [work[c][c + 1:] for c in range(n)]
 
     # clear denominators: t_c = b_c x_c + sum a_cr x_r, weight W_c
     pivots = [lcm(*(f.denominator for f in mu[c])) for c in range(n)]

@@ -24,10 +24,12 @@ their coordinates over one denominator, and compute on them: ``QuadExt``
 and ``ComplexQuad`` values are built from those integers at the report
 boundary, when a report, a solve or a test reads a coordinate.
 
-:func:`eliminate` is the one Gaussian elimination of the package: every
-inverse, linear solve and LDL pivot, over Q or over K, runs through it;
-determinants are taken of integer matrices only, by fraction-free
-elimination (``lattice.mat_det``, which refuses any other entry).  A
+Elimination over Q or over K has two routines, neither with options:
+:func:`solve`, the one Gauss-Jordan solve of the package (the coordinate
+solve below, and the inclusion matrix of ``lattice``), and :func:`ldl`,
+the LDL pivots that decide positive definiteness; determinants are taken
+of integer matrices only, by fraction-free elimination
+(``lattice.mat_det``, which refuses any other entry).  A
 K-linear map that is applied many times is kept in the one integer form
 of :func:`integer_map`, per input coordinate the nonzero entries of its
 column as integers over one denominator, and :func:`apply_map` is the
@@ -257,45 +259,57 @@ class RingTag(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def eliminate(rows, *, swap=True, reduced=False):
-    """Gaussian elimination on the leading square block of ``rows``.
+def _field_rows(rows):
+    """Copies of the rows with ints made Fractions; every other entry keeps
+    its own type, so the routines below serve Q and K alike."""
+    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
 
-    The entries may be ints, Fractions or QuadExt values; ints become
-    Fractions, and every other entry keeps its own type, so the routine
-    serves Q and K alike with one reciprocal per pivot.  Columns past the
-    square block (an augmented right-hand side) are carried along.
 
-    Returns ``(work, pivots)``:
-
-    * ``work`` -- a reduced copy whose pivot rows are scaled to a leading
-      1.  With ``reduced`` the pivot columns are also cleared above the
-      pivots (Gauss-Jordan), so ``[A | B]`` ends as ``[I | A^-1 B]``.
-    * ``pivots`` -- the pivot of each column in turn, up to and including
-      the first zero one; the block is singular iff one of them is zero.
-
-    ``swap=False`` forbids row exchanges: the pivots are then those of the
-    LDL decomposition of a symmetric matrix, and the entries right of the
-    diagonal in pivot row c are its multipliers.
-    """
-    work = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
+def solve(a, b):
+    """The X with A X = B, for a square nonsingular A, by one Gauss-Jordan
+    elimination of [A | B] to [I | X]; a zero pivot is exchanged with the
+    first nonzero entry below it, and a singular A raises
+    ArithmeticError."""
+    work = _field_rows([*ra, *rb] for ra, rb in zip(a, b))
     n = len(work)
-    pivots = []
     for c in range(n):
-        if swap and not work[c][c]:
-            piv = next((r for r in range(c + 1, n) if work[r][c]), c)
+        if not work[c][c]:
+            piv = next((r for r in range(c + 1, n) if work[r][c]), None)
+            if piv is None:
+                raise ArithmeticError("singular matrix")
             work[c], work[piv] = work[piv], work[c]
+        inv = 1 / work[c][c]
+        prow = [v * inv for v in work[c][c:]]
+        work[c][c:] = prow
+        for r in range(n):
+            f = work[r][c]
+            if f and r != c:
+                work[r][c:] = [x - f * y for x, y in zip(work[r][c:], prow)]
+    return [row[n:] for row in work]
+
+
+def ldl(gram):
+    """The LDL decomposition of a symmetric matrix, without row exchanges:
+    ``(multipliers, pivots)``, with ``pivots`` the diagonal of D up to and
+    including the first zero one, and ``multipliers[c]`` the entries right
+    of the diagonal in row c of L^T, one row per nonzero pivot.  The form
+    is positive definite iff every pivot is positive."""
+    work = _field_rows(gram)
+    n = len(work)
+    multipliers, pivots = [], []
+    for c in range(n):
         d = work[c][c]
         pivots.append(d)
         if not d:
             break
         inv = 1 / d
-        prow = [v * inv for v in work[c][c:]]
-        work[c][c:] = prow
-        for r in range(0 if reduced else c + 1, n):
+        mu = [v * inv for v in work[c][c + 1:]]
+        multipliers.append(mu)
+        for r in range(c + 1, n):
             f = work[r][c]
-            if f and r != c:
-                work[r][c:] = [x - f * y for x, y in zip(work[r][c:], prow)]
-    return work, pivots
+            if f:
+                work[r][c + 1:] = [x - f * y for x, y in zip(work[r][c + 1:], mu)]
+    return multipliers, pivots
 
 
 def integer_map(columns):
@@ -334,13 +348,11 @@ class SpanSolve:
     is B, both in the form of :func:`integer_map`, built once.  As B P = I,
     P sends a vector of the span to its coordinates, and B those back to
     the vector.  ``label`` names the basis in errors; a singular B B^T
-    raises ``lattice.LatticeError``."""
+    raises ArithmeticError."""
 
     __slots__ = ("label", "solve", "combine")
 
     def __init__(self, vectors, label: str):
-        from .lattice import mat_inv, mat_mul  # lattice imports this module
-
         vectors = list(vectors)
         # B B^T on the integers: sum_m (a + b s3)(c + e s3) over Dx*Dy
         gram = [[_quad(sum(a * c + 3 * b * e for (a, b), (c, e) in zip(xs, ys)),
@@ -348,7 +360,8 @@ class SpanSolve:
                  for ys, dy in vectors] for xs, dx in vectors]
         rows = [[_quad(a, b, d) for a, b in pairs] for pairs, d in vectors]
         self.label = label
-        self.solve = integer_map(mat_mul(list(zip(*rows)), mat_inv(gram)))
+        # B B^T is symmetric, so (B B^T)^-1 B is P^T: its columns are P's rows
+        self.solve = integer_map(zip(*solve(gram, rows)))
         self.combine = integer_map(rows)
 
     def coordinates(self, pairs, den: int) -> tuple[QuadExt, ...]:

@@ -10,7 +10,9 @@ restriction-of-scalars Gram.
 
 Every lattice is integral: a :class:`LatticeZ` holds integer basis rows
 in a space with an integer Gram, so its own Gram is an integer matrix,
-computed once; every reader takes that one matrix.
+computed once; every reader takes that one matrix.  The one step over Q,
+the inclusion matrix of a sublattice, is one ``exact.solve``; the rest is
+integer arithmetic.
 
 Norm bookkeeping: a lattice Gram always stores the bilinear form <x,y>
 with <x,x> = 2 n(x) for algebra elements, so the minimum of E8 is 2 and
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
@@ -33,7 +34,7 @@ from ._kernels import (
     prepare_enumeration,
     shell_histogram,
 )
-from .exact import QuadExt, eliminate, rational_pair
+from .exact import QuadExt, rational_pair, solve
 
 
 class LatticeError(ValueError):
@@ -49,9 +50,9 @@ class InclusionError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# exact dense matrix helpers (sizes here are at most 16x16); inverses
-# and solves run through exact.eliminate, determinants through
-# fraction-free elimination on integers
+# integer matrix helpers (sizes here are at most 16x16): determinants by
+# fraction-free elimination; the one rational solve, the inclusion matrix,
+# runs through exact.solve
 # ---------------------------------------------------------------------------
 
 
@@ -59,34 +60,6 @@ def _int_rows(m):
     """The matrix as a tuple of int rows; an entry that is not an int (a
     Fraction included, even an integral one) raises TypeError."""
     return tuple(tuple(map(index, row)) for row in m)
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(p):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return out
-
-
-def mat_inv(a):
-    """Exact inverse over the field of the entries (Q or K)."""
-    n = len(a)
-    work, pivots = eliminate(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
-        reduced=True,
-    )
-    if not all(pivots):
-        raise LatticeError("singular matrix")
-    return [row[n:] for row in work]
 
 
 def mat_det(a) -> int:
@@ -324,27 +297,16 @@ class LatticeZ:
         return tuple(sum(c * row[j] for c, row in terms) for j in range(len(self.basis[0])))
 
 
-def change_of_basis(sub: LatticeZ, sup: LatticeZ):
-    """Rational matrix X with sub.basis = X * sup.basis, for a square
-    nonsingular sup.basis."""
-    rows, basis = sub.basis, sup.basis
-    n = len(basis)
-    # X B = R  <=>  B^T X^T = R^T: reduce [B^T | R^T] to [I | X^T]
-    work, pivots = eliminate(
-        [[basis[r][c] for r in range(n)] + [row[c] for row in rows]
-         for c in range(n)],
-        reduced=True,
-    )
-    if not all(pivots):
-        raise LatticeError("singular matrix")
-    return [[work[c][n + k] for c in range(n)] for k in range(len(rows))]
-
-
 def _inclusion_matrix(sub: LatticeZ, sup: LatticeZ):
-    """Integer matrix X with sub.basis = X * sup.basis; raises
-    InclusionError, with the first basis vector of ``sub`` outside ``sup``
-    as its witness, if there is none."""
-    x = change_of_basis(sub, sup)
+    """Integer matrix X with sub.basis = X * sup.basis, from the solve of
+    sup.basis^T X^T = sub.basis^T; raises LatticeError for a singular
+    sup.basis, and InclusionError, with the first basis vector of ``sub``
+    outside ``sup`` as its witness, if X is not integral."""
+    try:
+        xt = solve(list(zip(*sup.basis)), list(zip(*sub.basis)))
+    except ArithmeticError:
+        raise LatticeError("singular matrix") from None
+    x = list(zip(*xt))
     for r, row in enumerate(x):
         if any(v.denominator != 1 for v in row):
             raise InclusionError(

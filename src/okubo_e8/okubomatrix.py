@@ -44,7 +44,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .algebras import DIM
-from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, eliminate
+from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, ldl
 from .orders import e_basis, product_table, structure_constants
 
 _C0 = ComplexQuad(0)
@@ -243,11 +243,6 @@ def build_basis() -> tuple[HermTraceless3, ...]:
     return (e, e1, e2, e3, e4, e5, e6, e7)
 
 
-def basis_gram() -> list[list[QuadExt]]:
-    basis = build_basis()
-    return [[inner(x, y) for y in basis] for x in basis]
-
-
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
     """A random real linear combination sum_k (c_k/2) basis[k] of the eight
     basis matrices with small half-integer coefficients, computed with the
@@ -328,7 +323,8 @@ def gram_pivots() -> list[QuadExt]:
     pivots live in K; the signature of the norm on the real span is read
     off from their signs in the standard real embedding.
     """
-    return eliminate(basis_gram(), swap=False)[1]
+    basis = build_basis()
+    return ldl([[inner(x, y) for y in basis] for x in basis])[1]
 
 
 # -- Kaplansky's recovered unital product -------------------------------------

@@ -134,7 +134,7 @@ class OrderBasis:
         map P = B^T (B B^T)^-1 is 2 B^T G^-1, and B^-1 at full rank."""
         try:
             return SpanSolve(((b._p, b._d) for b in self.elements), self.label)
-        except lat.LatticeError as exc:
+        except ArithmeticError as exc:
             raise SingularBasisError("order basis is singular") from exc
 
 

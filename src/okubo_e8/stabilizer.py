@@ -107,18 +107,13 @@ class TauMembershipReport:
     automorphism_pairs_total: int
 
 
-def u_coordinates(x) -> tuple[QuadExt, ...]:
-    """Exact coordinates of an algebra element over the scaled basis."""
-    return coords_in_order_basis(x, scaled_basis())
-
-
 def tau_membership() -> TauMembershipReport:
     """tau is an Okubo automorphism over K but u2 leaves the scaled order."""
     u = scaled_basis()
     ring = RingTag.ZSQRT3
 
-    tau_u2 = u_coordinates(tau_apply(u[2], 1))
-    tau2_u2 = u_coordinates(tau_apply(u[2], 2))
+    tau_u2 = coords_in_order_basis(tau_apply(u[2], 1), u)
+    tau2_u2 = coords_in_order_basis(tau_apply(u[2], 2), u)
 
     return TauMembershipReport(
         tau_u2_coords=tau_u2,

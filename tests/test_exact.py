@@ -7,6 +7,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_oracle import inverse, mat_product
 
 from okubo_e8.exact import (
     ComplexQuad,
@@ -15,9 +16,11 @@ from okubo_e8.exact import (
     _quad,
     apply_map,
     integer_map,
+    ldl,
     parse_rational,
     rational_pair,
     render_quadext,
+    solve,
 )
 
 S3 = QuadExt(0, 1)
@@ -399,3 +402,90 @@ class TestIntegerMap:
         assert cols == ((), ((0, 1, 1),), ())
         assert apply_map(cols, [(5, 7), (0, 0), (1, 1)], 2) == [[0, 0], [0, 0]]
         assert apply_map(cols, [(0, 0), (2, 1), (0, 0)], 2) == [[5, 3], [0, 0]]
+
+
+# -- elimination: the one solve and the one LDL --------------------------------
+
+
+def random_entry(rng, field):
+    """A seeded entry of Q (as a Fraction) or of K (as a QuadExt)."""
+    if field == "Q":
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    return random_quad(rng, 4, (1, 2, 3), (1, 2, 5))
+
+
+class TestSolve:
+    def test_solve_over_k(self):
+        a = [[q(1), S3], [q(2), q(1, 1)]]
+        ident = [[q(int(i == j)) for j in range(2)] for i in range(2)]
+        a_inv = solve(a, ident)
+        assert mat_product(a_inv, a) == ident
+        assert mat_product(a, a_inv) == ident
+        b = [[q(0, 1), q(3), q(Fraction(-1, 2), 2)], [q(1, -1), q(0), S3]]
+        assert mat_product(a, solve(a, b)) == b
+
+    def test_zero_leading_pivot_is_swapped(self):
+        assert solve([[0, 1], [2, 0]], [[3], [4]]) == [[2], [3]]
+        assert solve([[0, 0, 1], [0, 3, 0], [1, 0, 0]], [[5], [6], [7]]) == [[7], [2], [5]]
+
+    @pytest.mark.parametrize("a", [
+        [[1, 2], [2, 4]],
+        [[0, 0], [0, 1]],
+        [[S3, q(3)], [q(1), S3]],  # det 3 - 3 over K, though no entry is 0
+    ])
+    def test_singular_raises(self, a):
+        with pytest.raises(ArithmeticError, match="singular matrix"):
+            solve(a, [[1], [0]])
+
+    @pytest.mark.parametrize("field", ["Q", "K"])
+    def test_random_against_reference(self, field):
+        """A X = B against X = A^-1 B from the test oracle, for seeded
+        sparse square A of sizes 1 to 5, some of them singular, and B of
+        one to three columns."""
+        rng = random.Random(20 + len(field))
+        checked = singular = 0
+        for _ in range(30):
+            n, m = rng.randint(1, 5), rng.randint(1, 3)
+            a = [[random_entry(rng, field) if rng.random() < 0.7 else 0
+                  for _ in range(n)] for _ in range(n)]
+            b = [[random_entry(rng, field) for _ in range(m)] for _ in range(n)]
+            try:
+                a_inv = inverse(a)
+            except ZeroDivisionError:
+                with pytest.raises(ArithmeticError):
+                    solve(a, b)
+                singular += 1
+                continue
+            assert solve(a, b) == mat_product(a_inv, b)
+            checked += 1
+        assert checked >= 15 and singular >= 1
+
+
+class TestLDL:
+    def test_stops_at_zero_pivot_without_swap(self):
+        # a row exchange would find the nonzero pivots of this form
+        assert ldl([[0, 1], [1, 0]]) == ([], [0])
+        assert ldl([[1, 1, 0], [1, 1, 2], [0, 2, 5]]) == ([[1, 0]], [1, 0])
+
+    def test_negative_pivot_continues(self):
+        multipliers, pivots = ldl([[1, 0, 0], [0, -2, 1], [0, 1, 1]])
+        assert pivots == [1, -2, Fraction(3, 2)]
+        assert multipliers == [[0, 0], [Fraction(-1, 2)], []]
+
+    @pytest.mark.parametrize("field", ["Q", "K"])
+    def test_random_reconstructs(self, field):
+        """L D L^T = G, multiplied out by the test oracle, for seeded
+        symmetric G of sizes 1 to 5 whose pivots are all nonzero."""
+        rng = random.Random(40 + len(field))
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    g[i][j] = g[j][i] = random_entry(rng, field)
+                g[i][i] += 7 * n  # diagonally dominant: every pivot is nonzero
+            multipliers, pivots = ldl(g)
+            assert len(pivots) == len(multipliers) == n
+            lt = [[0] * c + [1] + row for c, row in enumerate(multipliers)]
+            d = [[pivots[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            assert mat_product(mat_product(list(zip(*lt)), d), lt) == g

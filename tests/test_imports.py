@@ -266,9 +266,14 @@ def test_checker_sees_a_claimed_value_read():
         "a.py: TRACE_PATTERN", "b.py: UNIT_COUNT", "c.py: NORM_CROSS_TERMS"]
 
 
-#: the one coordinate solve, the only package code that inverts a matrix
-#: over a field: every other coordinate question goes through it
-INVERSE_CALLERS = ["exact.py:SpanSolve.__init__"]
+#: the callers of the one solve over a field: the one coordinate solve,
+#: which every coordinate question goes through, and the inclusion matrix
+#: of a sublattice
+INVERSE_CALLERS = ["exact.py:SpanSolve.__init__", "lattice.py:_inclusion_matrix"]
+
+#: the callers of the one LDL: the enumeration plan, the one positive
+#: definiteness test of a lattice, and the matrix realization's signature
+LDL_CALLERS = ["_kernels.py:prepare_enumeration", "okubomatrix.py:gram_pivots"]
 
 
 def _call_sites(sources: dict[str, str], name: str) -> list[str]:
@@ -293,15 +298,28 @@ def _call_sites(sources: dict[str, str], name: str) -> list[str]:
 
 
 def test_one_coordinate_solve_inverts():
-    sites = _call_sites({p.name: p.read_text() for p in MODULES}, "mat_inv")
-    assert sites == INVERSE_CALLERS, f"mat_inv called from {', '.join(sites)}"
+    sources = {p.name: p.read_text() for p in MODULES}
+    for name, callers in (("solve", INVERSE_CALLERS), ("ldl", LDL_CALLERS)):
+        sites = _call_sites(sources, name)
+        assert sites == callers, f"{name} called from {', '.join(sites)}"
+
+
+def test_exact_imports_nothing_from_lattice():
+    """``exact`` sits below ``lattice``: the field solve needs no lattice
+    helper, so the two modules form no import cycle."""
+    tree = ast.parse((PACKAGE_DIR / "exact.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not {m for m in imported if m.rpartition(".")[2] == "lattice"}
 
 
 def test_checker_sees_every_call_site():
     sources = {
-        "a.py": "from .lattice import mat_inv\nX = mat_inv(1)\n"
-                "class C:\n    def f(self):\n        return g(mat_inv(2))\n",
-        "b.py": "from . import lattice as lat\ndef h():\n    return lat.mat_inv\n"
-                "def k():\n    return lat.mat_inv(3)\n",
+        "a.py": "from .exact import solve\nX = solve(1, 2)\n"
+                "class C:\n    def f(self):\n        return g(solve(2, 3))\n",
+        "b.py": "from . import exact as ex\ndef h():\n    return ex.solve\n"
+                "def k():\n    return ex.solve(3, 4)\n",
     }
-    assert _call_sites(sources, "mat_inv") == ["a.py:", "a.py:C.f", "b.py:k"]
+    assert _call_sites(sources, "solve") == ["a.py:", "a.py:C.f", "b.py:k"]

@@ -10,11 +10,12 @@ from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_oracle import inverse, mat_product
 
 from okubo_e8 import claims, cli
 from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
 from okubo_e8.catalog import build_classical, order_lattice
-from okubo_e8.exact import QuadExt
+from okubo_e8.exact import QuadExt, solve
 from okubo_e8.lattice import (
     _snf_reduce,
     InclusionError,
@@ -29,8 +30,6 @@ from okubo_e8.lattice import (
     lattice_to_fixture,
     lattices_equal,
     mat_det,
-    mat_inv,
-    mat_mul,
     minimum_and_kissing,
     norm_counts,
     quotient_group,
@@ -57,7 +56,7 @@ def box_search(gram, bound):
     so each level adds its own term to the partial norm handed down.
     """
     n = len(gram)
-    ginv = mat_inv([[Fraction(v) for v in row] for row in gram])
+    ginv = inverse(gram)
     limits = []
     for i in range(n):
         # x_i^2 <= bound * (G^-1)_ii
@@ -135,13 +134,12 @@ class TestNormalForms:
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             nf = hnf_snf(m)
             s = [[nf.smith[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            recon = mat_mul(mat_mul([list(r) for r in nf.left], s),
-                            [list(r) for r in nf.right])
+            recon = mat_product(mat_product(nf.left, s), nf.right)
             assert [[int(v) for v in row] for row in recon] == m
             h, t = hnf_with_transform(m)
             assert abs(mat_det([list(r) for r in t])) == 1
             assert [[int(v) for v in row]
-                    for row in mat_mul([list(r) for r in t], m)] == h
+                    for row in mat_product(t, m)] == h
             # divisibility chain
             for a, b in zip(nf.smith, nf.smith[1:]):
                 if a and b:
@@ -308,6 +306,14 @@ class TestSublattice:
                 run(cd, double)
             assert err.value.witness == cd.basis[0]
 
+    def test_singular_outer_basis(self):
+        # the solve's ArithmeticError reaches callers as a LatticeError
+        ident = [[1, 0], [0, 1]]
+        flat = LatticeZ.from_rows([[1, 1], [2, 2]], ident)
+        assert not contains(flat, LatticeZ.from_gram(ident))
+        with pytest.raises(LatticeError, match="singular matrix"):
+            quotient_group(LatticeZ.from_gram(ident), flat)
+
     def test_scaled_takes_an_int(self):
         with pytest.raises(TypeError):
             cd_lattice().scaled(Fraction(1, 2))
@@ -452,7 +458,7 @@ class TestDiscriminantGroup:
 
         lat = conductor_lattice()
         lat.gram  # the basis Gram is cached before counting
-        calls = {"_snf_reduce": 0, "mat_inv": 0}
+        calls = {"_snf_reduce": 0, "solve": 0}
         for name in calls:
             original = getattr(lattice_module, name)
 
@@ -462,7 +468,7 @@ class TestDiscriminantGroup:
 
             monkeypatch.setattr(lattice_module, name, counted)
         assert discriminant_group(lat).invariants == claims.DISCRIMINANT_INVARIANTS
-        assert calls == {"_snf_reduce": 1, "mat_inv": 0}
+        assert calls == {"_snf_reduce": 1, "solve": 0}
 
     def test_conductor_group_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -496,7 +502,7 @@ class TestDiscriminantGroup:
             sub = LatticeZ.from_rows(sub_rows, sup_gram)
             sup = LatticeZ.from_gram(sup_gram)
             values, _ = dual_form_values(sub, sup)
-            ginv = mat_inv(sub.gram)
+            ginv = inverse(sub.gram)
             orders = quotient_group(sub, sup).invariants
             for a, (qa, ya) in values.items():
                 for b, (qb, yb) in values.items():
@@ -522,7 +528,7 @@ def dual_form_values(sub, sup, shift=None):
     """
     quot = quotient_group(sub, sup)
     g, amb = sub.gram, sub.ambient_gram
-    ginv = mat_inv(g)
+    ginv = inverse(g)
     den = lcm(*(v.denominator for row in ginv for v in row))
     dual_int = [[int(v * den) for v in row] for row in ginv]
     n = len(g)
@@ -610,14 +616,19 @@ class TestGlueSaturate:
     @pytest.mark.parametrize("run", [quotient_group,
                                      lambda sub, sup: saturation(sub, sup, 2)])
     def test_smith_rows_need_no_rational_inverse(self, run, monkeypatch):
-        # the Smith form hands over Q^-1 itself; nothing inverts Q over Q
+        # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
+        # and the one rational solve is the inclusion matrix
         import okubo_e8.lattice as lattice_module
 
-        def refuse(*args):
-            raise AssertionError("mat_inv was called")
+        calls = []
 
-        monkeypatch.setattr(lattice_module, "mat_inv", refuse)
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lattice_module, "solve", counted)
         run(conductor_lattice(), cd_lattice())
+        assert len(calls) == 1
 
     def test_saturation_idempotent_and_monotone(self):
         cond, cd = conductor_lattice(), cd_lattice()
@@ -780,13 +791,6 @@ class TestPivotsAndFixtures:
         # a row exchange would hide the zero leading pivot of this form
         with pytest.raises(NotPositiveDefinite, match="pivot 0 is 0"):
             prepare_enumeration([[0, 1], [1, 0]], 2)
-
-    def test_mat_inv_over_k(self):
-        s3 = QuadExt(0, 1)
-        a = [[QuadExt(1), s3], [QuadExt(2), QuadExt(1, 1)]]
-        ident = [[QuadExt(int(i == j)) for j in range(2)] for i in range(2)]
-        assert mat_mul(mat_inv(a), a) == ident
-        assert mat_mul(a, mat_inv(a)) == ident
 
     def test_det_equals_smith_product(self):
         lats = (cd_lattice(), conductor_lattice(), LatticeZ.from_gram(D4))

@@ -7,11 +7,12 @@ from itertools import product
 from math import lcm
 
 import pytest
+from matrix_oracle import inverse, mat_product
 
 from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
 from okubo_e8 import okubomatrix
 from okubo_e8.catalog import build_classical
-from okubo_e8.exact import ComplexQuad, QuadExt, apply_map, eliminate
+from okubo_e8.exact import ComplexQuad, QuadExt, apply_map
 from okubo_e8.orders import coords_in_order_basis, e_basis, product_table, structure_constants
 from okubo_e8.okubomatrix import (
     HermTraceless3,
@@ -367,8 +368,9 @@ coordinates = okubomatrix._coordinates
 
 
 def naive_matrix_coordinates(m):
-    """Reference: one elimination of the 8x9 system of eight real
-    functionals per call, independent of the shared solve."""
+    """Reference: the 8x8 system of eight real functionals on the basis,
+    inverted by the test oracle per call, independent of the shared
+    solve."""
     funcs = [
         lambda x: x.rows[0][0].re,
         lambda x: x.rows[1][1].re,
@@ -379,10 +381,8 @@ def naive_matrix_coordinates(m):
         lambda x: x.rows[1][2].re,
         lambda x: x.rows[1][2].im,
     ]
-    work, pivots = eliminate(
-        [[f(bm) for bm in build_basis()] + [f(m)] for f in funcs], reduced=True)
-    assert all(pivots)
-    return tuple(QuadExt.coerce(row[-1]) for row in work)
+    system = inverse([[f(bm) for bm in build_basis()] for f in funcs])
+    return tuple(QuadExt.coerce(v) for v, in mat_product(system, [[f(m)] for f in funcs]))
 
 
 def bumped(int_map, column, row):

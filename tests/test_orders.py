@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from matrix_oracle import inverse
 
 from okubo_e8 import checks, claims
 from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem, basis_element, oct_mul, okubo_mul
@@ -489,10 +490,8 @@ def _units240_reference():
 
 def _gram_solve(x, basis):
     """Coordinates of x by the Gram formula G^-1 (<x, b_m>)_m."""
-    from okubo_e8.lattice import mat_inv
-
     elems = list(basis)
-    ginv = mat_inv([[bi.inner(bj) for bj in elems] for bi in elems])
+    ginv = inverse([[bi.inner(bj) for bj in elems] for bi in elems])
     inners = [x.inner(b) for b in elems]
     return tuple(
         sum((inners[m] * ginv[m][k] for m in range(len(elems))), QuadExt(0))
@@ -557,21 +556,18 @@ class TestCoordinateMap:
                 assert coords_in_order_basis(x, basis) == _gram_solve(x, basis), basis.label
 
     def test_full_rank_solve_matrix_is_the_inverse(self):
-        from okubo_e8.lattice import mat_inv
-
         basis = cd_basis()
         assert all(not c.irr for b in basis for c in b.coords)
-        inverse = mat_inv([[c.rat for c in b.coords] for b in basis])
-        assert solve_entries(basis) == [[QuadExt(v) for v in row] for row in inverse]
+        b_inv = inverse([[c.rat for c in b.coords] for b in basis])
+        assert solve_entries(basis) == [[QuadExt(v) for v in row] for row in b_inv]
 
     def test_rank_two_solve_map(self):
         """The gaussian catalog row spans a plane: its solve map takes the
         eight e-coordinates to two, and is P = 2 B^T G^-1."""
         from okubo_e8.catalog import build_classical
-        from okubo_e8.lattice import mat_inv
 
         basis = build_classical("gaussian")
-        ginv = mat_inv(basis.inner_products())
+        ginv = inverse(basis.inner_products())
         assert len(basis) == 2 and len(basis.span.solve[0]) == DIM
         assert solve_entries(basis) == [
             [2 * sum((b.coords[m] * ginv[j][k] for j, b in enumerate(basis)), QuadExt(0))

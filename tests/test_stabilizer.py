@@ -12,7 +12,6 @@ from okubo_e8.stabilizer import (
     inverse,
     search,
     tau_membership,
-    u_coordinates,
 )
 
 IDENTITY = (tuple(range(8)), (1,) * 8)
@@ -103,12 +102,12 @@ class TestTauMembership:
         assert rep.automorphism_pairs_ok == rep.automorphism_pairs_total == 64
 
     def test_u_coordinates_reconstruct(self):
-        from okubo_e8.orders import scaled_basis
+        from okubo_e8.orders import coords_in_order_basis, scaled_basis
         from okubo_e8.algebras import AlgebraElem
 
         u = scaled_basis()
         x = u[3] + u[0].scale(QuadExt(2, 1))
-        coords = u_coordinates(x)
+        coords = coords_in_order_basis(x, scaled_basis())
         acc = AlgebraElem.zero()
         for c, b in zip(coords, u):
             if c:
