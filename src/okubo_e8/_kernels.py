@@ -29,10 +29,9 @@ reject a non-integral input entry with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt, lcm
-from operator import le, mul
+from operator import index, le, mul
 
 from .exact import ldl
 
@@ -64,7 +63,9 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
 
     ``gram`` is a symmetric matrix of ints, and this LDL is what decides
     that it is positive definite: a non-positive exact pivot raises
-    NotPositiveDefinite.  ``bound`` may be an int or Fraction.
+    NotPositiveDefinite.  ``bound`` is an int (any other type raises
+    TypeError): the norms of an integer Gram are integers, so a rational
+    bound would enumerate what its floor does.
     """
     n = len(gram)
     for r in range(n):
@@ -81,14 +82,13 @@ def prepare_enumeration(gram, bound) -> EnumPlan:
     offsets = [tuple(int(f * b) for f in row) for row, b in zip(mu, pivots)]
     total = lcm(*(d.denominator * b * b for d, b in zip(diag, pivots)))
     weights = [int(d * total) // (b * b) for d, b in zip(diag, pivots)]
-    bound = Fraction(bound)
     return EnumPlan(
         n=n,
         weights=tuple(weights),
         pivots=tuple(pivots),
         offsets=tuple(offsets),
         scale=total,
-        bound_scaled=(bound.numerator * total) // bound.denominator,
+        bound_scaled=index(bound) * total,
     )
 
 

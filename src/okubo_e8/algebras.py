@@ -410,15 +410,19 @@ BRIDGE_UNARY_IDENTITIES = {
 }
 
 
-def bridge_identities(seed: int = 0, samples: int = 12) -> dict:
+#: the number of seeded random elements the bridge identities are checked on
+BRIDGE_SAMPLES = 12
+
+
+def bridge_identities(seed: int = 0) -> dict:
     """Verify the product-conversion identities on all basis pairs and on
-    seeded random exact elements.
+    :data:`BRIDGE_SAMPLES` seeded random exact elements.
 
     Returns per-identity dictionaries with the number of comparisons and
     the list of failing witnesses (basis indices or coordinate dumps).
     """
     rng = random.Random(seed)
-    randoms = [random_element(rng) for _ in range(samples)]
+    randoms = [random_element(rng) for _ in range(BRIDGE_SAMPLES)]
     basis = [basis_element(k) for k in range(DIM)]
     out = {}
     for identities, seeded in ((BRIDGE_PAIR_IDENTITIES, list(product(randoms, randoms[:4]))),

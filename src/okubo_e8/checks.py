@@ -216,9 +216,9 @@ def check_denominators() -> list[CheckReport]:
        "componentwise minimum",
        ["scaling-minimal-unique", "scaling-minimality-certificate",
         "scaling-octonion-integral-basis"])
-def check_scaling_search(max_exp: int = 3) -> list[CheckReport]:
+def check_scaling_search() -> list[CheckReport]:
     constants = orders.structure_constants("okubo")
-    res = orders.scaling_search(constants, max_exp)
+    res = orders.scaling_search(constants)
     minimal = [list(m) for m in res.minimal]
     decrements_infeasible = all(
         not orders.scaling_feasible(
@@ -230,11 +230,12 @@ def check_scaling_search(max_exp: int = 3) -> list[CheckReport]:
         )
         for m in range(DIM)
     )
-    oct_res = orders.scaling_search(orders.structure_constants("octonion"), max_exp)
+    oct_res = orders.scaling_search(orders.structure_constants("octonion"))
     return [
         _cmp("scaling-minimal-unique", [list(claims.SCALING_EXPONENTS)],
              "claimed", minimal,
-             details={"feasible_vectors": res.feasible_count, "max_exp": max_exp}),
+             details={"feasible_vectors": res.feasible_count,
+                      "max_exp": orders.SCALING_MAX_EXP}),
         _cmp("scaling-minimality-certificate", True, "derived",
              decrements_infeasible,
              details="every single decrement breaks integrality"),
@@ -305,7 +306,7 @@ def check_discriminant() -> list[CheckReport]:
     # the second route: |L*/L| = |det G| is also the product of the Hermite
     # diagonal of the Gram; if the routes disagree, neither value is reported
     # as the result and both checks fail
-    hermite, _ = lat.hnf_with_transform(cond.gram)
+    hermite = lat.hermite_form(cond.gram)
     hermite_order = prod(hermite[i][i] for i in range(len(hermite)))
     order, invariants = group.order, list(group.invariants)
     if hermite_order != order:
@@ -341,7 +342,7 @@ def check_shells(maxn: int = 4) -> list[CheckReport]:
 def check_saturation_gluing() -> list[CheckReport]:
     cd = orders.cd_lattice()
     cond = orders.conductor_lattice()
-    rep = lat.glue_and_saturate(cond, cd, 2)
+    rep = lat.glue_and_saturate(cond, cd)
 
     # re-run the closure test over the saturated (recovered) basis
     basis = orders.cd_basis()
@@ -494,9 +495,9 @@ def check_bridges(seed: int = 0) -> list[CheckReport]:
         "matrix-no-unit", "kaplansky-unit", "kaplansky-alternative",
         "kaplansky-composition", "matrix-jordan-commutative",
         "matrix-cross-realization"])
-def check_matrix_laws(seed: int = 0, samples: int = 100) -> list[CheckReport]:
-    rep = om.verify_laws(samples=samples, seed=seed)
-    krep = om.kaplansky_report(samples=samples, seed=seed)
+def check_matrix_laws(seed: int = 0) -> list[CheckReport]:
+    rep = om.verify_laws(seed=seed)
+    krep = om.kaplansky_report(seed=seed)
     xrep = om.cross_realization_report()
 
     rng = random.Random(seed)
@@ -507,7 +508,7 @@ def check_matrix_laws(seed: int = 0, samples: int = 100) -> list[CheckReport]:
         _cmp("matrix-idempotent", True, "claimed", rep.idempotent_ok,
              details="reference idempotent squares to itself with norm one"),
         _cmp("matrix-flexibility", 0, "claimed",
-             rep.flexibility_failures, details=f"{rep.samples} seeded samples"),
+             rep.flexibility_failures, details=f"{om.SAMPLES} seeded samples"),
         _cmp("matrix-composition", 0, "derived", rep.composition_failures),
         _cmp("matrix-form-associativity", 0, "claimed",
              rep.form_associativity_failures),
@@ -521,7 +522,7 @@ def check_matrix_laws(seed: int = 0, samples: int = 100) -> list[CheckReport]:
         _cmp("kaplansky-unit", [True, True], "claimed",
              [krep.unit_left_ok, krep.unit_right_ok]),
         _cmp("kaplansky-alternative", 0, "derived",
-             krep.alternativity_failures, details=f"{krep.samples} samples"),
+             krep.alternativity_failures, details=f"{om.SAMPLES} samples"),
         _cmp("kaplansky-composition", 0, "derived", krep.composition_failures),
         _cmp("matrix-jordan-commutative", True, "derived", jordan_comm,
              details="symmetrized product with real coefficient is commutative"),

@@ -4,7 +4,7 @@ Two layers of immutable, hashable values:
 
 * ``QuadExt`` -- elements ``a + b*sqrt(3)`` with rational ``a``, ``b``:
   the ring operations, the inverse (also as ``1 / x``), the trace to Q
-  and the exact sign in either real embedding.
+  and the exact sign in the real embedding with sqrt(3) > 0.
 * ``ComplexQuad`` -- elements ``x + y*i`` with ``x``, ``y`` in ``QuadExt``,
   the entries of the Hermitian-matrix realization.
 
@@ -39,8 +39,8 @@ both product realizations: coordinates over an order basis and over the
 Hermitian-matrix basis, with the rebuild that refuses a vector outside
 the span.
 
-No floating point is used anywhere.  Sign questions in either real
-embedding of K are settled by exact case analysis on squares.
+No floating point is used anywhere.  Sign questions in the real embedding
+of K are settled by exact case analysis on squares.
 """
 
 from __future__ import annotations
@@ -151,15 +151,13 @@ class QuadExt:
         """Tr_{K/Q}((a + b*sqrt(3))/d) = 2a/d."""
         return Fraction(2 * self._a, self._d)
 
-    def sign_real(self, conjugate_embedding: bool = False) -> int:
-        """Exact sign of the image under a real embedding of K.
-
-        The default embedding sends sqrt(3) to the positive square root;
-        ``conjugate_embedding=True`` sends it to the negative one.  The
-        denominator is positive, so the sign is that of a + b*sqrt(3).
+    def sign_real(self) -> int:
+        """Exact sign of the image under the real embedding of K that sends
+        sqrt(3) to the positive square root (the other embedding's sign is
+        that of the Galois conjugate).  The denominator is positive, so the
+        sign is that of a + b*sqrt(3).
         """
-        a = self._a
-        b = -self._b if conjugate_embedding else self._b
+        a, b = self._a, self._b
         if a == 0 and b == 0:
             return 0
         if a >= 0 and b >= 0:
@@ -239,19 +237,13 @@ class RingTag(enum.Enum):
 
     Z = "Z"
     ZSQRT3 = "Z[sqrt3]"
-    Q = "Q"
-    K = "Q(sqrt3)"
 
     def contains(self, x: QuadExt) -> bool:
         x = QuadExt.coerce(x)
         if self is RingTag.Z:
             return not x._b and x._d == 1
-        if self is RingTag.ZSQRT3:
-            # gcd(a, b, d) = 1, so a/d and b/d are both integers iff d = 1
-            return x._d == 1
-        if self is RingTag.Q:
-            return not x._b
-        return True
+        # Z[sqrt3]: gcd(a, b, d) = 1, so a/d and b/d are both integers iff d = 1
+        return x._d == 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +409,6 @@ def rational_pair(text: str) -> tuple[int, int]:
     if not den:
         raise ZeroDivisionError(f"zero denominator: {text!r}")
     return int(num), den
-
-
-def parse_rational(text: str) -> Fraction:
-    """The Fraction of :func:`rational_pair`."""
-    return Fraction(*rational_pair(text))
 
 
 # ---------------------------------------------------------------------------

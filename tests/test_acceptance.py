@@ -84,7 +84,7 @@ def test_03_denominators():
 
 def test_04_minimal_scaling():
     budget = Budget(30.0)
-    res = scaling_search(structure_constants("okubo"), 3)
+    res = scaling_search(structure_constants("okubo"))
     budget.check()
     ok = res.minimal == ((1, 1, 1, 1, 2, 2, 2, 2),)
     announce(4, "unique componentwise minimal scaling", ok)
@@ -144,7 +144,7 @@ def test_08_shells():
 
 
 def test_09_saturation_gluing():
-    rep = lat.glue_and_saturate(conductor_lattice(), cd_lattice(), 2)
+    rep = lat.glue_and_saturate(conductor_lattice(), cd_lattice())
     sat_reports = {r.check: r for r in checks.check_saturation_gluing()}
     ok = (
         rep.saturation_equals_sup
@@ -212,8 +212,8 @@ def test_12_tau():
 
 
 def test_13_matrix_realization():
-    rep = verify_laws(samples=100, seed=0)
-    krep = kaplansky_report(samples=100, seed=0)
+    rep = verify_laws(seed=0)
+    krep = kaplansky_report(seed=0)
     ok = (
         rep.idempotent_ok
         and rep.flexibility_failures == 0

@@ -467,7 +467,7 @@ class TestOkubo:
 
 class TestBridges:
     def test_all_identities_hold(self):
-        rep = bridge_identities(seed=3, samples=10)
+        rep = bridge_identities(seed=3)
         for name, data in rep.items():
             assert data["failures"] == [], name
         # the pair identities cover all 64 basis pairs

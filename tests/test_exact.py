@@ -17,7 +17,6 @@ from okubo_e8.exact import (
     apply_map,
     integer_map,
     ldl,
-    parse_rational,
     rational_pair,
     render_quadext,
     solve,
@@ -108,7 +107,7 @@ class TestSigns:
     def test_positive_mixed(self):
         assert q(2, -1).sign_real() == 1  # 2 - sqrt(3) > 0
         assert q(1, -1).sign_real() == -1  # 1 - sqrt(3) < 0
-        assert q(1, -1).sign_real(conjugate_embedding=True) == 1
+        assert q(1, 1).sign_real() == 1  # its conjugate, 1 + sqrt(3) > 0
         assert q(0).sign_real() == 0
 
     def test_negative_mixed(self):
@@ -122,9 +121,8 @@ class TestRingMembership:
         assert RingTag.ZSQRT3.contains(q(5, -7))
         assert not RingTag.Z.contains(q(Fraction(1, 2)))
         assert RingTag.Z.contains(q(3))
-        assert RingTag.Q.contains(q(Fraction(1, 3)))
-        assert not RingTag.Q.contains(q(0, 1))
-        assert RingTag.K.contains(q(Fraction(1, 7), Fraction(2, 9)))
+        assert not RingTag.Z.contains(q(3, 1))
+        assert list(RingTag) == [RingTag.Z, RingTag.ZSQRT3]
 
 
 class TestTextForm:
@@ -163,22 +161,22 @@ class TestRationalGrammar:
     @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), rationals))
     def test_round_trip(self, value):
         v = Fraction(value)
-        assert parse_rational(str(v)) == v
-        assert parse_rational(f"{v.numerator}/{v.denominator}") == v
+        assert Fraction(*rational_pair(str(v))) == v
+        assert rational_pair(f"{v.numerator}/{v.denominator}") == (v.numerator, v.denominator)
 
     def test_accepts(self):
-        assert parse_rational("+7") == 7
-        assert parse_rational("-6/4") == Fraction(-3, 2)
-        assert parse_rational("007/010") == Fraction(7, 10)
+        assert Fraction(*rational_pair("+7")) == 7
+        assert Fraction(*rational_pair("-6/4")) == Fraction(-3, 2)
+        assert Fraction(*rational_pair("007/010")) == Fraction(7, 10)
 
     @pytest.mark.parametrize("text", NOT_RATIONAL)
     def test_rejects(self, text):
         with pytest.raises(ValueError):
-            parse_rational(text)
+            rational_pair(text)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            parse_rational("1/0")
+            rational_pair("1/0")
 
     def test_pairs_keep_the_written_terms(self):
         assert rational_pair("-6/4") == (-6, 4)
@@ -203,7 +201,7 @@ class TestComplexQuad:
         x = ComplexQuad(q(1, -1), q(0, Fraction(1, 2)))
         nrm = x.norm()
         assert nrm.sign_real() >= 0
-        assert nrm.sign_real(conjugate_embedding=True) >= 0
+        assert galois(nrm).sign_real() >= 0  # the other embedding
 
     def test_norm_multiplicative(self):
         x = ComplexQuad(q(1, 1), q(2))
@@ -297,7 +295,7 @@ class TestIntegerRepresentation:
         conj = (xp[0], -xp[1])
         assert x.field_trace() == 2 * xp[0]
         assert x.sign_real() == o_sign(xp)
-        assert x.sign_real(conjugate_embedding=True) == o_sign(conj)
+        assert galois(x).sign_real() == o_sign(conj)  # the other embedding
 
     @settings(derandomize=True, max_examples=100)
     @given(st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals))

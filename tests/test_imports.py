@@ -1,11 +1,11 @@
 """Every module-level import of the package is used in its module, every
 module-level name it assigns is read by one of its modules, every field
-of its dataclasses is read somewhere, and only ``checks`` reads claimed
-values from ``claims``.
+of its dataclasses is read somewhere, every defaulted parameter is set
+by some call, and only ``checks`` reads claimed values from ``claims``.
 
 No linter ships with the project, so this is the one dead-name check: a
-deletion that leaves an import, a constant or a stored field behind
-fails here.  It
+deletion that leaves an import, a constant, a stored field or an option
+no caller turns behind fails here.  It
 reads the sources with the standard-library ``ast`` and imports nothing.
 ``tests/test_reachability.py`` is its companion for functions."""
 
@@ -132,14 +132,6 @@ def test_checker_sees_an_unread_assignment():
     assert _unread(sources, "") == ["a.py:3 KEPT", "a.py:4 DEAD"]
 
 
-#: dataclass fields nothing reads that a benchmark span still builds:
-#: (module file, "Class.field") -> the perfbench name that needs them
-FIELD_EXEMPT = {
-    ("lattice.py", "NormalForms.hermite"): "hnf_snf",
-    ("lattice.py", "NormalForms.hermite_transform"): "hnf_snf",
-}
-
-
 def _is_dataclass(decorator: ast.expr) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
@@ -185,23 +177,8 @@ def _package_unread_fields() -> list[str]:
 
 
 def test_every_field_is_read():
-    unread = [entry for entry in _package_unread_fields()
-              if (entry.split(":")[0], entry.split()[1]) not in FIELD_EXEMPT]
+    unread = _package_unread_fields()
     assert not unread, f"stored and never read: {', '.join(unread)}"
-
-
-@pytest.mark.parametrize("entry", sorted(FIELD_EXEMPT), ids="{0[0]}:{0[1]}".format)
-def test_field_exemption_is_current(entry):
-    """An entry names a field that exists, that nothing reads, and whose
-    perfbench name a perfbench file still names."""
-    file, field = entry
-    tree = ast.parse((PACKAGE_DIR / file).read_text())
-    assert field in _dataclass_fields(tree), f"{file} has no field {field}"
-    assert any(e.startswith(file + ":") and e.endswith(" " + field)
-               for e in _package_unread_fields()), f"{field} is read: drop its exemption"
-    word = re.compile(rf"\b{re.escape(FIELD_EXEMPT[entry])}\b")
-    assert any(word.search(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")), \
-        f"no perfbench file names {FIELD_EXEMPT[entry]}"
 
 
 def test_checker_sees_an_unread_field():
@@ -211,6 +188,157 @@ def test_checker_sees_an_unread_field():
               "class T:\n    v: int\n")
     assert _unread_fields({"a.py": source}, ["print(r.x, s.w)\nr.y = 1\n"]) == ["a.py:4 R.y"]
     assert _unread_fields({"a.py": source}, []) == ["a.py:3 R.x", "a.py:4 R.y", "a.py:8 S.w"]
+
+
+#: defaulted parameters that no call sets, and why each stays:
+#: (module file, "function.parameter") -> the reason
+DEFAULT_EXEMPT = {
+    ("okubomatrix.py", "random_matrix.span"):
+        "perfbench/micro.py passes span=2 to draw its matrix operands",
+    **{("algebras.py", f"random_element.{name}"):
+       "goes with the seeded sampling, which is deleted whole"
+       for name in ("span", "denominator", "with_irrational")},
+}
+
+#: the module whose check groups, and ``run_all``, get the keyword
+#: arguments that ``cli._verify_reports`` collects for a ``verify`` suite
+CHECKS_MODULE = "checks.py"
+
+
+def _cli_kwargs(cli_source: str) -> set[str]:
+    """The keys ``cli._verify_reports`` puts into its ``kwargs`` dict: by
+    the dict display it starts from, and by ``kwargs["key"] = ...``."""
+    keys = set()
+    for node in ast.walk(ast.parse(cli_source)):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if getattr(target, "id", None) == "kwargs" and isinstance(node.value, ast.Dict):
+                keys.update(k.value for k in node.value.keys)
+            elif (isinstance(target, ast.Subscript)
+                    and getattr(target.value, "id", None) == "kwargs"):
+                keys.add(target.slice.value)
+    return keys
+
+
+def _defaults(tree: ast.Module):
+    """(name it is called by, leading parameters a call leaves out, def
+    node, {parameter: (positional index or None, default source)}) for
+    each function of the module that has a defaulted parameter.  A method
+    is called without its ``self`` or ``cls``, and ``__init__`` and
+    ``__new__`` by the name of their class."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)  # the first defaulted one
+                params = {arg.arg: (i, ast.unparse(d)) for i, (arg, d)
+                          in enumerate(zip(positional[first:], a.defaults), first)}
+                params.update((arg.arg, (None, ast.unparse(d)))
+                              for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                name = (cls.name if cls is not None and child.name in ("__init__", "__new__")
+                        else child.name)
+                if params:
+                    out.append((name, int(cls is not None and not static), child, params))
+                visit(child, None)
+            else:
+                visit(child, child if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, None)
+    return out
+
+
+def _turned(calls, name, skip, param, position, default) -> bool:
+    """Whether some call of ``name`` in ``calls`` passes ``param`` a value
+    other than the source text of its default."""
+    for call in calls.get(name, ()):
+        for k, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                break
+            if k + skip == position and ast.unparse(arg) != default:
+                return True
+        if any(kw.arg == param and ast.unparse(kw.value) != default for kw in call.keywords):
+            return True
+    return False
+
+
+def _unturned_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``file:line function.parameter`` for each defaulted parameter of a
+    function of ``sources`` (file name -> text) that no call in them or in
+    ``callers`` sets to a value other than its default, calls being
+    matched by name.  In the check groups of ``checks.py`` and its
+    ``run_all``, the names ``cli.py`` (one of ``sources``) passes them
+    count as set."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    calls = {}
+    for tree in [*trees.values(), *(ast.parse(text) for text in callers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    from_cli = _cli_kwargs(sources.get("cli.py", ""))
+    out = []
+    for file, tree in trees.items():
+        for name, skip, node, params in _defaults(tree):
+            suite = file == CHECKS_MODULE and (node.name == "run_all" or any(
+                getattr(getattr(d, "func", None), "id", None) == "check"
+                for d in node.decorator_list))
+            out += [f"{file}:{node.lineno} {node.name}.{param}"
+                    for param, (position, default) in params.items()
+                    if not (suite and param in from_cli)
+                    and not _turned(calls, name, skip, param, position, default)]
+    return sorted(out)
+
+
+def _package_unturned_defaults() -> list[str]:
+    """The unturned defaulted parameters of the package, the benchmark's
+    calls counting as well; a test's call does not turn one."""
+    callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return _unturned_defaults({p.name: p.read_text() for p in MODULES}, callers)
+
+
+def test_every_default_is_turned():
+    unturned = [entry for entry in _package_unturned_defaults()
+                if (entry.split(":")[0], entry.split()[1]) not in DEFAULT_EXEMPT]
+    assert not unturned, f"a default no call changes, make it a constant: {', '.join(unturned)}"
+
+
+@pytest.mark.parametrize("entry", sorted(DEFAULT_EXEMPT), ids="{0[0]}:{0[1]}".format)
+def test_default_exemption_is_current(entry):
+    """An entry names a defaulted parameter that exists and that no call
+    sets."""
+    file, param = entry
+    assert any(e.startswith(file + ":") and e.endswith(" " + param)
+               for e in _package_unturned_defaults()), \
+        f"{file} has no unturned defaulted parameter {param}: drop its exemption"
+
+
+def test_checker_sees_an_unturned_default():
+    sources = {
+        "a.py": "def f(x, k=2, *, flag=False):\n    return x\n"
+                "def g(y=1):\n    return f(y, 2) + f(y, flag=False)\n"
+                "class C:\n    def __init__(self, v=0):\n        self.v = v\n"
+                "    @classmethod\n    def make(cls, w=''):\n        return cls(w)\n"
+                "    @staticmethod\n    def s(u=None):\n        return u\n"
+                "X = C(1), C.make(), C.s(3), g(*[5])\n",
+        "cli.py": "def main(args):\n    kwargs = {'seed': args.seed}\n"
+                  "    kwargs['constants'] = None\n    return run(**kwargs)\n",
+        CHECKS_MODULE: "@check('anchor', 'claim', [])\ndef check_x(seed=0, samples=9):\n"
+                       "    return []\ndef run_all(seed=0):\n    return []\n"
+                       "def helper(seed=0):\n    return []\n",
+    }
+    assert _cli_kwargs(sources["cli.py"]) == {"seed", "constants"}
+    assert _unturned_defaults(sources, []) == [
+        "a.py:1 f.flag", "a.py:1 f.k", "a.py:3 g.y", "a.py:9 make.w",
+        "checks.py:2 check_x.samples", "checks.py:6 helper.seed"]
+    assert _unturned_defaults(sources, ["f(0, 3)\nC.make('w')\n"]) == [
+        "a.py:1 f.flag", "a.py:3 g.y", "checks.py:2 check_x.samples",
+        "checks.py:6 helper.seed"]
 
 
 #: what a module other than ``checks`` may take from ``claims``: the

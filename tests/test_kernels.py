@@ -5,7 +5,7 @@ walk, each against a plain reference loop."""
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +23,7 @@ from okubo_e8._kernels import (
 from okubo_e8.algebras import DIM, OCT_TABLE
 from okubo_e8.exact import QuadExt
 from okubo_e8.orders import (
+    SCALING_MAX_EXP,
     StructureConstants,
     cd_gram,
     scaling_feasible,
@@ -52,8 +53,12 @@ class TestPrepare:
         assert enumerate_short_vectors(plan) == []
 
     def test_rational_bound(self):
-        plan = prepare_enumeration([[2]], Fraction(7, 2))  # x^2 <= 7/4
-        assert enumerate_short_vectors(plan) == [(-1,), (1,)]
+        # the norms of an integer Gram are integers: a caller passes the
+        # floor of a rational bound, and the plan refuses anything else
+        assert enumerate_short_vectors(prepare_enumeration([[2]], 3)) == [(-1,), (1,)]
+        for bound in (Fraction(7, 2), 3.0):
+            with pytest.raises(TypeError):
+                prepare_enumeration([[2]], bound)
 
 
 class TestFallback:
@@ -411,7 +416,8 @@ class TestShellHistogram:
         ([[4, 1, 0], [1, 3, 1], [0, 1, 5]], 20),
     ])
     def test_against_vectors(self, gram, bound):
-        plan = prepare_enumeration(gram, bound)
+        # integer norms: a rational bound enumerates what its floor does
+        plan = prepare_enumeration(gram, floor(bound))
         assert shell_histogram(plan) == _scaled_norm_counts(gram, plan)
 
     def test_e8(self):
@@ -471,7 +477,9 @@ class TestHalfWalk:
     @pytest.mark.parametrize("gram", _WALK_GRAMS)
     @pytest.mark.parametrize("bound", [-1, 0, Fraction(7, 2), 9])
     def test_against_box(self, gram, bound):
-        plan = prepare_enumeration(gram, bound)
+        # integer norms: the walk to the floor of a rational bound finds
+        # what the box search finds to the bound itself
+        plan = prepare_enumeration(gram, floor(bound))
         vecs = enumerate_short_vectors(plan)
         assert vecs == box_short_vectors(gram, bound)
         assert shell_histogram(plan) == _scaled_norm_counts(gram, plan)
@@ -536,8 +544,9 @@ class TestScalingWalk:
         cons = structure_constants(name).valuation_constraints
         want = naive_scaling_search(cons, DIM, max_exp)
         assert scaling_walk(cons, DIM, max_exp) == want
-        res = scaling_search(structure_constants(name), max_exp)
-        assert (res.feasible_count, list(res.minimal)) == want
+        if max_exp == SCALING_MAX_EXP:  # the box the search decides
+            res = scaling_search(structure_constants(name))
+            assert (res.feasible_count, list(res.minimal)) == want
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_constraint_sets())
@@ -570,6 +579,6 @@ class TestScalingWalk:
         tampered = StructureConstants(
             "okubo", okubo.basis_label, tuple(tuple(map(tuple, p)) for p in c))
         assert tampered.valuation_constraints is None
-        res = scaling_search(tampered, 3)
+        res = scaling_search(tampered)
         assert (res.feasible_count, res.minimal) == (0, ())
         assert not scaling_feasible(tampered, (4,) * DIM)

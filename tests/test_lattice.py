@@ -24,8 +24,8 @@ from okubo_e8.lattice import (
     contains,
     discriminant_group,
     glue_and_saturate,
+    hermite_form,
     hnf_snf,
-    hnf_with_transform,
     lattice_from_fixture,
     lattice_to_fixture,
     lattices_equal,
@@ -113,35 +113,31 @@ def fixture_grams(seeds=range(4), ops=40):
 
 class TestNormalForms:
     def test_examples(self):
-        assert hnf_snf([[2, 1], [0, 3]]).smith == (1, 6)
+        assert hnf_snf([[2, 1], [0, 3]]) == ([[2, 1], [0, 3]], (1, 6))
+        assert hnf_snf([[0, 3], [2, 1]]) == ([[2, 1], [0, 3]], (1, 6))
         diag = [[2 if i == j and i < 4 else (4 if i == j else 0) for j in range(8)]
                 for i in range(8)]
-        assert hnf_snf(diag).smith == (2, 2, 2, 2, 4, 4, 4, 4)
+        assert smith_invariants(diag) == (2, 2, 2, 2, 4, 4, 4, 4)
         ident = [[int(i == j) for j in range(8)] for i in range(8)]
-        assert hnf_snf(ident).smith == (1,) * 8
+        assert smith_invariants(ident) == (1,) * 8
 
     def test_gcd_det_oracle(self):
         # smith (1, 6): first invariant is the gcd of entries, product is |det|
-        m = [[2, 1], [0, 3]]
-        nf = hnf_snf(m)
-        assert nf.smith[0] == 1  # gcd(2, 1, 0, 3)
-        assert nf.smith[0] * nf.smith[1] == 6  # |det|
+        smith = smith_invariants([[2, 1], [0, 3]])
+        assert smith[0] == 1  # gcd(2, 1, 0, 3)
+        assert smith[0] * smith[1] == 6  # |det|
 
     def test_reconstruction(self):
         rng = random.Random(4)
         for _ in range(12):
             n = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            nf = hnf_snf(m)
-            s = [[nf.smith[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            recon = mat_product(mat_product(nf.left, s), nf.right)
+            s, left, right = _snf_reduce(m)
+            recon = mat_product(mat_product(left, s), right)
             assert [[int(v) for v in row] for row in recon] == m
-            h, t = hnf_with_transform(m)
-            assert abs(mat_det([list(r) for r in t])) == 1
-            assert [[int(v) for v in row]
-                    for row in mat_product(t, m)] == h
             # divisibility chain
-            for a, b in zip(nf.smith, nf.smith[1:]):
+            smith = [s[i][i] for i in range(n)]
+            for a, b in zip(smith, smith[1:]):
                 if a and b:
                     assert b % a == 0
 
@@ -165,6 +161,19 @@ class TestNormalForms:
             assert smith_invariants(m) == ref
             s, _, _ = _snf_reduce(m)
             assert tuple(s[i][i] for i in range(min(len(m), len(m[0])))) == ref
+
+
+def _reduces_to_zero(v, h):
+    """Whether the integer vector v is an integer combination of the
+    nonzero echelon rows h, by back-substitution on their pivots."""
+    v = list(v)
+    for row in h:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def _int_mul(a, b):
@@ -242,15 +251,24 @@ class TestSmithProperties:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(int_matrices)
-    def test_hermite_transform(self, m):
-        h, t = hnf_with_transform(m)
-        assert _int_mul(t, m) == h
-        assert abs(_det(t)) == 1
-        nf = hnf_snf(m)
-        diag = [[nf.smith[i] if i == j else 0 for j in range(len(m[0]))]
-                for i in range(len(m))]
-        assert _int_mul(_int_mul([list(r) for r in nf.left], diag),
-                        [list(r) for r in nf.right]) == m
+    def test_hermite_form(self, m):
+        h = hermite_form(m)
+        assert len(h) == len(m) and all(len(row) == len(m[0]) for row in h)
+        # row Hermite form: the pivot columns strictly increase, each pivot
+        # is positive with the entries above it in [0, pivot), zero rows last
+        pivots = [next((c for c, v in enumerate(row) if v), None) for row in h]
+        rank = sum(c is not None for c in pivots)
+        assert all(c is None for c in pivots[rank:])
+        assert all(a < b for a, b in zip(pivots[:rank], pivots[1:rank]))
+        for r, c in enumerate(pivots[:rank]):
+            assert h[r][c] > 0
+            assert all(0 <= h[i][c] < h[r][c] for i in range(r))
+        # H spans the row lattice of M: every row of M reduces to zero
+        # against H, and stacking H under M changes no nonzero Smith invariant
+        assert all(_reduces_to_zero(row, h[:rank]) for row in m)
+        nonzero = [v for v in smith_invariants(m) if v]
+        assert [v for v in smith_invariants(m + h) if v] == nonzero
+        assert hnf_snf(m) == (h, smith_invariants(m))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(int_matrices)
@@ -300,8 +318,7 @@ class TestSublattice:
     def test_non_inclusion_witness(self):
         cd = cd_lattice()
         double = cd.scaled(2)
-        for run in (sublattice_invariants, quotient_group,
-                    lambda sub, sup: saturation(sub, sup, 2)):
+        for run in (sublattice_invariants, quotient_group, saturation):
             with pytest.raises(InclusionError) as err:
                 run(cd, double)
             assert err.value.witness == cd.basis[0]
@@ -313,6 +330,18 @@ class TestSublattice:
         assert not contains(flat, LatticeZ.from_gram(ident))
         with pytest.raises(LatticeError, match="singular matrix"):
             quotient_group(LatticeZ.from_gram(ident), flat)
+
+    def test_constructors_refuse_a_non_square_shape(self):
+        # a 2x3 basis in Z^3 once made contains() answer True for a vector
+        # outside it, and a 2x3 Gram was read as its 2x2 corner
+        i3 = [[int(i == j) for j in range(3)] for i in range(3)]
+        with pytest.raises(LatticeError, match="basis is 2x3, not 3x3"):
+            contains(LatticeZ.from_rows([[1, 0, 0], [0, 1, 0]], i3),
+                     LatticeZ.from_rows([[1, 0, 5], [0, 1, 0]], i3))
+        with pytest.raises(LatticeError, match="gram is 2x3, not 2x2"):
+            LatticeZ.from_gram([[1, 2, 3], [2, 1, 0]]).gram
+        with pytest.raises(LatticeError, match="ambient gram is 2x2/3, not 2x2"):
+            LatticeZ.from_rows(i3[:2], [[1, 0, 0], [0, 1]])
 
     def test_scaled_takes_an_int(self):
         with pytest.raises(TypeError):
@@ -486,7 +515,7 @@ class TestDiscriminantGroup:
         values, shifted = dual_form_values(sub, sup, shift=0)
         assert len(values) == claims.CONDUCTOR_INDEX
         assert values == shifted
-        assert glue_and_saturate(sub, sup, 2).q_values_all_zero
+        assert glue_and_saturate(sub, sup).q_values_all_zero
         assert all(q == 0 for q, _ in values.values())
 
     def test_q_polarization(self):
@@ -511,7 +540,7 @@ class TestDiscriminantGroup:
                                for j, v in enumerate(yb))
                     assert (values[ab][0] - qa - qb - 2 * pair) % 2 == 0
             isotropic = all(q == 0 for q, _ in values.values())
-            assert glue_and_saturate(sub, sup, 2).q_values_all_zero is isotropic
+            assert glue_and_saturate(sub, sup).q_values_all_zero is isotropic
             found.add(isotropic)
         assert found == {True, False}
 
@@ -555,7 +584,7 @@ def dual_form_values(sub, sup, shift=None):
 
 class TestGlueSaturate:
     def test_full_report(self):
-        rep = glue_and_saturate(conductor_lattice(), cd_lattice(), 2)
+        rep = glue_and_saturate(conductor_lattice(), cd_lattice())
         assert rep.saturation_equals_sup
         assert rep.quotient_invariants == claims.QUOTIENT_INVARIANTS
         assert rep.quotient_order == claims.CONDUCTOR_INDEX
@@ -589,7 +618,7 @@ class TestGlueSaturate:
             if q:
                 expected = (coeffs, q)
                 break
-        rep = glue_and_saturate(sub, sup, 2)
+        rep = glue_and_saturate(sub, sup)
         assert rep.q_values_all_zero is isotropic
         assert rep.isotropy_witness == expected
         assert (expected is None) is isotropic
@@ -604,7 +633,7 @@ class TestGlueSaturate:
             raise AssertionError("a class was walked")
 
         monkeypatch.setattr(lattice_module, "product", walk)
-        rep = glue_and_saturate(conductor_lattice(), cd_lattice(), 2)
+        rep = glue_and_saturate(conductor_lattice(), cd_lattice())
         assert rep.q_values_all_zero and rep.isotropy_witness is None
         assert rep.quotient_order == 4096
 
@@ -613,8 +642,7 @@ class TestGlueSaturate:
         assert q.invariants == claims.QUOTIENT_INVARIANTS
         assert q.order == 4096
 
-    @pytest.mark.parametrize("run", [quotient_group,
-                                     lambda sub, sup: saturation(sub, sup, 2)])
+    @pytest.mark.parametrize("run", [quotient_group, saturation])
     def test_smith_rows_need_no_rational_inverse(self, run, monkeypatch):
         # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
         # and the one rational solve is the inclusion matrix
@@ -632,24 +660,12 @@ class TestGlueSaturate:
 
     def test_saturation_idempotent_and_monotone(self):
         cond, cd = conductor_lattice(), cd_lattice()
-        sat = saturation(cond, cd, 2)
+        sat = saturation(cond, cd)
         assert contains(sat, cond)  # monotone: L subset of Sat(L)
-        sat2 = saturation(sat, cd, 2)
+        sat2 = saturation(sat, cd)
         assert lattices_equal(sat, sat2)
 
-    def test_saturation_other_prime(self):
-        cond, cd = conductor_lattice(), cd_lattice()
-        assert lattices_equal(saturation(cond, cd, 3), cond)
-
-    @pytest.mark.parametrize("p", [1, 0, -2])
-    @pytest.mark.parametrize("run", [saturation, glue_and_saturate])
-    def test_saturation_needs_p_at_least_two(self, run, p):
-        # p = 1 divides every Smith factor forever, p = 0 divides by zero
-        with pytest.raises(LatticeError):
-            run(conductor_lattice(), cd_lattice(), p)
-
-    @pytest.mark.parametrize("run", [sublattice_invariants, quotient_group,
-                                     lambda sub, sup: saturation(sub, sup, 2)])
+    @pytest.mark.parametrize("run", [sublattice_invariants, quotient_group, saturation])
     def test_rank_deficient_sub_rejected(self, run):
         # a rank-1 sublattice has an infinite quotient and a zero Smith factor
         sup = LatticeZ.from_gram([[2, 1], [1, 2]])

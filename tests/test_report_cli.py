@@ -387,15 +387,15 @@ def test_every_command_matches_golden(argv, capsys):
 def test_discriminant_routes_must_agree(monkeypatch):
     """A Hermite diagonal whose product is not the Smith order fails both
     discriminant checks."""
-    real = lat.hnf_with_transform
+    real = lat.hermite_form
 
     def perturbed(m):
-        hermite, transform = real(m)
+        hermite = real(m)
         hermite[-1][-1] *= 2
-        return hermite, transform
+        return hermite
 
     assert [r.status for r in checks.check_discriminant()] == ["pass", "pass"]
-    monkeypatch.setattr(lat, "hnf_with_transform", perturbed)
+    monkeypatch.setattr(lat, "hermite_form", perturbed)
     reports = checks.check_discriminant()
     assert [r.status for r in reports] == ["fail", "fail"]
     assert reports[0].actual == {"smith_order": 16777216, "hermite_order": 33554432}
