@@ -3,6 +3,10 @@
 Exit codes: 0 when every check passed or was diff-recorded, 1 when any
 check failed, 2 on usage errors.  Reports are deterministic: fixed seeds,
 stable ordering, byte-identical output for identical invocations.
+
+``main(argv)`` can be called repeatedly in one process: every call parses
+with the one parser that ``build_parser()`` builds on first use and then
+returns, shared and unchanged.  Callers must not mutate that parser.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import checks, claims, orders
 from . import lattice as lat
@@ -41,7 +46,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use; it is
+    shared by every caller and must not be mutated."""
     parser = argparse.ArgumentParser(
         prog="okubo-e8",
         description="exact certification of the para-octonion and Okubo "
@@ -164,12 +172,15 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown catalog name {args.name!r}; known: "
                                  f"{', '.join(claims.CLASSICAL_TABLE)} (or 'all')")
             reports = checks.check_catalog(args.name)
+        # inside the try: an int longer than the interpreter's int-to-str
+        # digit limit raises ValueError while it is rendered
+        text = serialize(reports, fmt)
     except (OSError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"okubo-e8: {exc}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(serialize(reports, fmt))
+    sys.stdout.write(text)
     if fmt == "json":
         sys.stdout.write("\n")
     return exit_code(reports)

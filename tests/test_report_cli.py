@@ -1,6 +1,7 @@
 """Report schema, serialization determinism, CLI exit codes, and the
 claim-to-check coverage of the full suite."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import time_limit
-from okubo_e8 import checks, claims
+from okubo_e8 import checks, claims, cli
 from okubo_e8 import lattice as lat
 from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
@@ -234,6 +235,27 @@ class TestCli:
             "fixture-det-vs-smith", "fixture-discriminant-order",
         }
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_determinant_past_digit_limit_exit_2(self, tmp_path, capsys, fmt):
+        """A valid fixture whose entries have 601 digits but whose
+        determinant has about 4,800: rendering that determinant passes the
+        interpreter's int-to-str limit, which ends in a message and exit 2,
+        not a traceback."""
+        v, n = 10 ** 300 + 7, 8
+
+        def diag(d):
+            return [[str(d) if i == j else "0" for j in range(n)] for i in range(n)]
+
+        f = tmp_path / "lat.json"
+        f.write_text(json.dumps({"basis": diag(v), "ambient_gram": diag(1),
+                                 "gram": diag(v * v)}))
+        rc = main(["lattice", "invariants", "--fixture", str(f), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: okubo-e8")
+        assert "okubo-e8: Exceeds the limit" in captured.err
+
     def test_malformed_constants_exit_2(self, tmp_path, capsys):
         lines = dump_structure_constants(structure_constants("para")).splitlines()
         bad = tmp_path / "constants.txt"
@@ -307,6 +329,102 @@ class TestCli:
         by_id = {d["check"]: d for d in data}
         assert by_id["stabilizer-metric-count"]["status"] == "diff-recorded"
         assert by_id["stabilizer-product-set"]["status"] == "pass"
+
+
+def run_cli(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors
+    included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def cold_parser():
+    """The cached parser is dropped before and after the test, so no test
+    sees a parser another one built."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+class TestOneParser:
+    """``main`` parses with one parser per process; repeated calls share it
+    and leave nothing behind in it."""
+
+    def test_built_once(self, cold_parser, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        calls = (["lattice", "shells", "--max", "1"],
+                 ["catalog", "verify", "gaussian"],
+                 ["verify", "para-closure", "--fano", "mystery"],
+                 ["verify", "no-such-suite"],
+                 ["lattice", "shells", "--max", "1"])
+        assert [run_cli(argv, capsys)[0] for argv in calls] == [0, 0, 2, 2, 0]
+        # the top-level parser and its four subcommand parsers, once
+        assert len(built) == 5
+        assert build_parser() is build_parser()
+        assert build_parser.cache_info().misses == 1
+
+    def test_no_state_between_calls(self, cold_parser, tmp_path, monkeypatch,
+                                    capsys):
+        """A sequence of calls in one process gives, call by call, what each
+        gives with a freshly built parser."""
+        f = tmp_path / "para.txt"
+        f.write_text(dump_structure_constants(structure_constants("para")))
+        steps = (
+            (["verify", "para-closure", "--constants", str(f)], None),
+            (["verify", "para-closure"], None),
+            (["lattice", "shells", "--max", "6"], None),
+            (["lattice", "shells"], None),
+            (["lattice", "glue", "--max", "3"], None),
+            (["verify", "no-such-suite"], None),
+            (["catalog", "verify", "gaussian"], None),
+            (["verify", "scaling-search"], "json"),
+            (["verify", "scaling-search"], None),
+        )
+
+        def run_steps():
+            results = []
+            for argv, env in steps:
+                if env is None:
+                    monkeypatch.delenv(cli.ENV_FORMAT, raising=False)
+                else:
+                    monkeypatch.setenv(cli.ENV_FORMAT, env)
+                results.append(run_cli(argv, capsys))
+            return results
+
+        shared = run_steps()
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_steps()
+        assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 2, 0, 0, 0]
+        assert shared == fresh
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv, stream", [
+        (["--help"], 1),
+        (["lattice", "--help"], 1),
+        (["verify", "no-such-suite"], 2),
+    ])
+    def test_help_and_usage_unchanged(self, cold_parser, monkeypatch, capsys,
+                                      argv, stream):
+        """Help and usage text from the shared parser, used before and
+        after, are byte-identical to a freshly built parser's."""
+        shared = run_cli(argv, capsys)
+        again = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_cli(argv, capsys)
+        assert shared[stream]
+        assert shared == again == fresh
 
 
 @pytest.fixture(scope="module")
