@@ -28,11 +28,11 @@ reject a non-integral input entry with ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import isqrt, lcm
 from operator import index, le, mul
 
+from ._record import record
 from .exact import ldl
 
 BACKEND = "python"
@@ -42,7 +42,7 @@ class NotPositiveDefinite(ValueError):
     """The quadratic form has a non-positive exact pivot."""
 
 
-@dataclass(frozen=True)
+@record
 class EnumPlan:
     """Denominator-cleared completed-squares data for one quadratic form.
 

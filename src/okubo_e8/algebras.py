@@ -39,12 +39,12 @@ with no intermediate element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import gcd, lcm
 
+from ._record import record
 from .claims import CONVENTION
 from .exact import QuadExt, _quad, apply_map, integer_map
 
@@ -77,7 +77,7 @@ def _build_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...],
     return tuple(tuple(r) for r in idx), tuple(tuple(r) for r in sgn)
 
 
-@dataclass(frozen=True)
+@record
 class MultTable:
     """Sign/index table for the unital basis product of one Fano orientation."""
 
@@ -246,7 +246,7 @@ def para_mul(x: AlgebraElem, y: AlgebraElem) -> AlgebraElem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AutMatrix:
     """A norm-preserving algebra automorphism given by the images of
     e0..e7, the columns of its exact matrix."""

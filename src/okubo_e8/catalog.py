@@ -16,10 +16,10 @@ in the doubled-form normalization <x,x> = 2 n(x) included;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice as lat
+from ._record import record
 from .algebras import AlgebraElem, basis_element, oct_mul
 from .claims import CLASSICAL_TABLE, UNSPECIFIED_CLASSICAL
 from .exact import QUAD_ZERO, QuadExt, RingTag
@@ -77,7 +77,7 @@ def order_lattice(basis: OrderBasis) -> lat.LatticeZ:
     return lat.LatticeZ.from_gram(basis.gram(), label=basis.label)
 
 
-@dataclass(frozen=True)
+@record
 class CatalogReport:
     name: str
     unit_count: int

@@ -14,9 +14,7 @@ a declaration, regenerate that file with
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass
 from math import prod
 
 from . import catalog as cat
@@ -25,6 +23,7 @@ from . import lattice as lat
 from . import okubomatrix as om
 from . import orders
 from . import stabilizer as stab
+from ._record import record
 from .algebras import (
     DIM,
     TAU,
@@ -38,7 +37,7 @@ from .exact import QuadExt, RingTag
 from .report import CheckReport, compare
 
 
-@dataclass(frozen=True)
+@record
 class CheckGroup:
     """A declared group: its function's name and parameter names, the claim
     anchor and claim it certifies, and the ids ``verify all`` emits for it."""
@@ -72,7 +71,8 @@ def check(anchor, claim, ids, extra_ids=()):
         if anchor in _ANCHOR_OF.values() or _ANCHOR_OF.keys() & set(declared):
             raise ValueError(f"{fn.__name__}: anchor or check id declared twice")
         _ANCHOR_OF.update(dict.fromkeys(declared, anchor))
-        params = frozenset(inspect.signature(fn).parameters)
+        code = fn.__code__
+        params = frozenset(code.co_varnames[:code.co_argcount + code.co_kwonlyargcount])
         group = CheckGroup(fn.__name__, params, anchor, claim, tuple(ids))
         REGISTRY[fn.__name__.removeprefix("check_").replace("_", "-")] = group
         return fn

@@ -103,6 +103,12 @@ def _fixture_reports(path: str):
     det = lat.mat_det(gram)
     if det == 0:
         raise lat.LatticeError("fixture Gram is singular")
+    # the report renders det in decimal; refuse one past the digit limit
+    # (0: none) before the Smith form, not after it
+    limit, digits = sys.get_int_max_str_digits(), math.log10(abs(det))
+    if limit and digits >= limit:
+        raise ValueError(f"the fixture determinant has about {int(digits) + 1:,} digits, "
+                         f"more than the {limit:,} a report can show")
     smith = lat.smith_invariants(gram)
     return [
         compare("fixture-det-vs-smith", "fixture-analysis", claims.CONVENTION,

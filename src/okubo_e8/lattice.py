@@ -22,7 +22,6 @@ shell number n corresponds to <x,x> = 2n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
@@ -34,6 +33,7 @@ from ._kernels import (
     prepare_enumeration,
     shell_histogram,
 )
+from ._record import record
 from .exact import QuadExt, rational_pair, solve
 
 
@@ -235,7 +235,7 @@ def _integer_gram(bi, ai):
     return tuple(tuple(sum(map(mul, u, v)) for v in bi) for u in ba)
 
 
-@dataclass(frozen=True)
+@record
 class LatticeZ:
     """A full-rank integral lattice: integer basis rows B in an ambient
     space with an integer Gram matrix A.  Build it with :meth:`from_rows`
@@ -328,7 +328,7 @@ def lattices_equal(a: LatticeZ, b: LatticeZ) -> bool:
     return contains(a, b) and contains(b, a)
 
 
-@dataclass(frozen=True)
+@record
 class SublatticeInvariants:
     index: int
     det_sub: int
@@ -418,7 +418,7 @@ def sigma3(n: int) -> int:
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
 
 
-@dataclass(frozen=True)
+@record
 class ShellCount:
     n: int
     count: int
@@ -451,7 +451,7 @@ def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantGroup:
     """The structure of A_L = L*/L: its invariants, the Smith factors > 1
     of the Gram matrix."""
@@ -472,7 +472,7 @@ def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     return DiscriminantGroup(invariants=tuple(d for d in invariants if d > 1))
 
 
-@dataclass(frozen=True)
+@record
 class QuotientGroup:
     """sup/sub for an inclusion of equal-rank lattices."""
 
@@ -510,7 +510,7 @@ def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
     return LatticeZ.from_rows(new_basis, base.ambient_gram, f"glue({base.label or 'L'})")
 
 
-@dataclass(frozen=True)
+@record
 class GlueSaturateReport:
     saturation: LatticeZ
     saturation_equals_sup: bool
@@ -587,7 +587,7 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Trace16Report:
     gram: tuple[tuple[int, ...], ...]
     even: bool

@@ -38,11 +38,11 @@ order bases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
+from ._record import record
 from .algebras import DIM
 from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, ldl
 from .orders import e_basis, product_table, structure_constants
@@ -259,7 +259,7 @@ def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
 SAMPLES = 100
 
 
-@dataclass(frozen=True)
+@record
 class MatrixLawsReport:
     idempotent_ok: bool
     flexibility_failures: int
@@ -337,7 +337,7 @@ def kaplansky(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     return matrix_mul(matrix_mul(e, x), matrix_mul(y, e))
 
 
-@dataclass(frozen=True)
+@record
 class KaplanskyReport:
     unit_left_ok: bool
     unit_right_ok: bool
@@ -416,7 +416,7 @@ def _coordinates(m: HermTraceless3) -> tuple[QuadExt, ...]:
     return _basis_span().coordinates(_pairs(m._q), m._d)
 
 
-@dataclass(frozen=True)
+@record
 class CrossRealizationReport:
     """Diff of the matrix-side and rotation-side structure constants under
     candidate basis identifications e -> e0, e_k -> s_k e_k."""

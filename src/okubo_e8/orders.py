@@ -32,7 +32,6 @@ from it, and :func:`closure_test` decides their integrality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -40,6 +39,7 @@ from math import lcm
 
 from . import lattice as lat
 from ._kernels import scaling_walk, unit_closure_failures
+from ._record import record
 from .algebras import (
     DIM,
     OCT_TABLE,
@@ -92,7 +92,7 @@ class SingularBasisError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class OrderBasis:
     """An order basis b_0..b_{n-1} in the e-coordinates, and the one map
     between order vectors and algebra elements."""
@@ -211,7 +211,7 @@ def unit_shapes() -> list[AlgebraElem]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Units240Report:
     count: int
     shape_count: int
@@ -275,7 +275,7 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
 
 # -- structure constants ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StructureConstants:
     product: str
     basis_label: str
@@ -402,7 +402,7 @@ def parse_structure_constants(text: str) -> StructureConstants:
 # -- integrality tests --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IntegralSystemReport:
     """Closure and trace/norm integrality relative to a reference idempotent."""
 
@@ -463,7 +463,7 @@ def product_traces(constants: StructureConstants,
 SCALING_MAX_EXP = 3
 
 
-@dataclass(frozen=True)
+@record
 class ScalingSearchResult:
     feasible_count: int
     minimal: tuple[tuple[int, ...], ...]  # exponent vectors, sorted
@@ -499,7 +499,7 @@ def scaled_basis() -> OrderBasis:
         tuple(b.scale(2 ** a) for b, a in zip(cd_basis(), SCALING_EXPONENTS)), "scaled")
 
 
-@dataclass(frozen=True)
+@record
 class ScaledOrderReport:
     violations: tuple
     norm_values: tuple

@@ -15,9 +15,9 @@ rather than asserted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .exact import QuadExt
 
 PASS = "pass"
@@ -27,7 +27,7 @@ DIFF = "diff-recorded"
 TAGS = ("claimed", "trivial", "derived")
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     check: str
     anchor: str

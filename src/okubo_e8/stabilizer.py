@@ -12,9 +12,9 @@ scaled :class:`orders.OrderBasis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ._kernels import metric_stabilizers
+from ._record import record
 from .algebras import DIM, TAU, okubo_mul, tau_apply
 from .exact import QuadExt, RingTag
 from .orders import coords_in_order_basis, scaled_basis, structure_constants
@@ -63,7 +63,7 @@ def preserves_product(cand, m_constants) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class StabilizerReport:
     candidates: int
     metric: tuple  # sorted (perm, signs) pairs
@@ -96,7 +96,7 @@ def search() -> StabilizerReport:
 # -- integrality of the rotation automorphism on the scaled basis -------------
 
 
-@dataclass(frozen=True)
+@record
 class TauMembershipReport:
     tau_u2_coords: tuple[QuadExt, ...]
     tau_u2_integral: bool

@@ -1,6 +1,6 @@
 """Every module-level import of the package is used in its module, every
 module-level name it assigns is read by one of its modules, every field
-of its dataclasses is read somewhere, every defaulted parameter is set
+of its records is read somewhere, every defaulted parameter is set
 by some call, and only ``checks`` reads claimed values from ``claims``.
 
 No linter ships with the project, so this is the one dead-name check: a
@@ -132,13 +132,18 @@ def test_checker_sees_an_unread_assignment():
     assert _unread(sources, "") == ["a.py:3 KEPT", "a.py:4 DEAD"]
 
 
+#: the decorators that make a class a record of its annotated fields: the
+#: package's own, and the standard library's in the checker's own test
+RECORD_DECORATORS = ("record", "dataclass")
+
+
 def _is_dataclass(decorator: ast.expr) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+    return getattr(target, "id", getattr(target, "attr", None)) in RECORD_DECORATORS
 
 
 def _dataclass_fields(tree: ast.Module) -> dict[str, int]:
-    """``Class.field`` -> line for each field of the module's dataclasses
+    """``Class.field`` -> line for each field of the module's records
     (annotated class-body names, ``ClassVar`` ones left out)."""
     fields = {}
     for node in ast.walk(tree):
@@ -151,7 +156,7 @@ def _dataclass_fields(tree: ast.Module) -> dict[str, int]:
 
 
 def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """``file:line Class.field`` for each dataclass field of ``sources``
+    """``file:line Class.field`` for each record field of ``sources``
     (file name -> text) that neither they nor ``readers`` read as an
     attribute.  Reads are matched by name, so any ``x.name`` counts for
     every field called ``name``."""
@@ -169,7 +174,7 @@ def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
 
 
 def _package_unread_fields() -> list[str]:
-    """The unread dataclass fields of the package, the tests and the
+    """The unread record fields of the package, the tests and the
     benchmark counting as readers."""
     readers = [p.read_text() for d in ("tests", "perfbench")
                for p in sorted((ROOT / d).glob("*.py"))]
@@ -181,8 +186,22 @@ def test_every_field_is_read():
     assert not unread, f"stored and never read: {', '.join(unread)}"
 
 
+def test_field_check_covers_every_record():
+    """The field check sees the fields of every class the package
+    decorates with ``@record``, so it cannot pass by covering none."""
+    decorated, covered = set(), set()
+    for path in MODULES:
+        text = path.read_text()
+        decorated |= {f"{path.name}:{name}"
+                      for name in re.findall(r"^@record\n(?:@.*\n)*class (\w+)", text, re.M)}
+        covered |= {f"{path.name}:{field.split('.')[0]}"
+                    for field in _dataclass_fields(ast.parse(text))}
+    assert decorated, "no module decorates a class with @record"
+    assert covered == decorated
+
+
 def test_checker_sees_an_unread_field():
-    source = ("@dataclass(frozen=True)\nclass R:\n    x: int\n    y: int\n"
+    source = ("@record\nclass R:\n    x: int\n    y: int\n"
               "    z: ClassVar[int] = 0\n"
               "@dataclasses.dataclass\nclass S:\n    w: int\n"
               "class T:\n    v: int\n")

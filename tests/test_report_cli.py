@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -236,11 +237,13 @@ class TestCli:
         }
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_determinant_past_digit_limit_exit_2(self, tmp_path, capsys, fmt):
+    def test_determinant_past_digit_limit_exit_2(self, tmp_path, capsys, monkeypatch, fmt):
         """A valid fixture whose entries have 601 digits but whose
         determinant has about 4,800: rendering that determinant passes the
-        interpreter's int-to-str limit, which ends in a message and exit 2,
-        not a traceback."""
+        interpreter's int-to-str limit, so it is refused before the Smith
+        form, with a message that names the value and exit 2, not a
+        traceback."""
+        monkeypatch.setattr(lat, "smith_invariants", None)  # calling it would raise
         v, n = 10 ** 300 + 7, 8
 
         def diag(d):
@@ -254,7 +257,9 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("usage: okubo-e8")
-        assert "okubo-e8: Exceeds the limit" in captured.err
+        assert ("okubo-e8: the fixture determinant has about 4,801 digits, more "
+                f"than the {sys.get_int_max_str_digits():,} a report can show\n"
+                ) in captured.err
 
     def test_malformed_constants_exit_2(self, tmp_path, capsys):
         lines = dump_structure_constants(structure_constants("para")).splitlines()
