@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -387,28 +388,72 @@ def render_quadext(x: QuadExt) -> str:
     return f"{a // ga}/{d // ga} + {b // gb}/{d // gb}*s3"
 
 
-#: the rational numbers of fixtures and constant dumps: an integer or a/b
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+#: the one number grammar of fixtures and constant dumps: an integer, or
+#: a/b, in ASCII digits; the groups are the numerator and the denominator.
+#: Only the error path matches it alone, so only that path compiles it
+INTEGER = r"[+-]?[0-9]+"
+RATIONAL = rf"({INTEGER})(?:/([0-9]+))?"
+#: entries joined by a comma, which the grammar excludes; the grammar's
+#: groups do not capture here, which makes the repeat faster
+_UNGROUPED = RATIONAL.replace("(?:", "(").replace("(", "(?:")
+_RATIONALS_RE = re.compile(rf"{_UNGROUPED}(?:,{_UNGROUPED})*")
 
 
-def rational_pair(text: str) -> tuple[int, int]:
-    """The integers ``(a, b)``, ``b > 0``, of an integer or a fraction
-    ``a/b``, written ``[+-]digits(/digits)``, the form the fixture and
-    dump writers produce; ``a/b`` need not be in lowest terms.
+def rational_pairs(entries) -> list[tuple[int, int]]:
+    """The integers ``(a, b)``, ``b > 0``, of each entry of ``entries``, an
+    integer or a fraction ``a/b`` written ``[+-]digits(/digits)``, the form
+    the fixture and dump writers produce; ``a/b`` need not be in lowest
+    terms.
 
-    Anything else (decimals, exponents, underscores, whitespace, non-ASCII
-    digits) raises ValueError, a zero denominator ZeroDivisionError.  The
-    grammar is matched before any ``int()``, which is looser, and unlike
+    The grammar is matched once, on the entries joined by a comma, and a
+    comma count that is not one less than the entries refuses an entry
+    with a comma in it; then ``int()``, which is looser, reads the
+    digits, and only entries with a ``/`` are split.  Unlike
     ``Fraction(text)`` this never expands an exponent, so a short entry
     cannot cost a huge power of ten.
+
+    Anything else raises, about the first entry that is not a number, with
+    its position in ``entries`` as the exception's ``index``: an entry
+    that is not a str in the grammar (decimals, exponents, underscores,
+    whitespace, non-ASCII digits) ValueError, a zero denominator
+    ZeroDivisionError, and a numerator or denominator with more digits
+    than ``int()`` reads (``sys.get_int_max_str_digits()``) OverflowError,
+    whose message quotes only the first digits.
     """
-    if _RATIONAL_RE.fullmatch(text) is None:
-        raise ValueError(f"not an integer or a fraction a/b: {text!r}")
-    num, _, den = text.partition("/")
-    den = int(den or 1)
-    if not den:
-        raise ZeroDivisionError(f"zero denominator: {text!r}")
-    return int(num), den
+    try:
+        text = ",".join(entries)
+    except TypeError:  # an entry that is not a str
+        text = ""
+    if (_RATIONALS_RE.fullmatch(text) is not None
+            and text.count(",") == len(entries) - 1):
+        try:
+            if "/" not in text:
+                return [(a, 1) for a in map(int, entries)]
+            pairs = [tuple(map(int, e.split("/"))) if "/" in e else (int(e), 1)
+                     for e in entries]
+        except ValueError:  # past the digit limit: named below
+            pass
+        else:
+            if all(b for _, b in pairs):
+                return pairs
+    # the error path: match each entry alone, to name the first bad one
+    limit = sys.get_int_max_str_digits()
+    for n, entry in enumerate(entries):
+        m = re.fullmatch(RATIONAL, entry) if isinstance(entry, str) else None
+        if m is None:
+            exc = ValueError(f"not an integer or a fraction a/b: {entry!r}")
+        else:
+            digits = max(len(m[1].lstrip("+-")), len(m[2] or ""))
+            if limit and digits > limit:
+                exc = OverflowError(f"{digits:,} digits, more than the {limit:,} a "
+                                    f"number can have: {entry[:12]!r}...")
+            elif not int(m[2] or 1):
+                exc = ZeroDivisionError(f"zero denominator: {entry!r}")
+            else:
+                continue
+        exc.index = n
+        raise exc
+    return []  # no entries
 
 
 # ---------------------------------------------------------------------------

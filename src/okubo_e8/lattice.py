@@ -34,7 +34,7 @@ from ._kernels import (
     shell_histogram,
 )
 from ._record import record
-from .exact import QuadExt, rational_pair, solve
+from .exact import QuadExt, rational_pairs, solve
 
 
 class LatticeError(ValueError):
@@ -128,6 +128,26 @@ def hermite_form(m):
     return rows
 
 
+def _snf_pivot(s, k):
+    """(i, j) of the pivot of step k of :func:`_snf_reduce`: the nonzero
+    entry of least absolute value in the trailing block ``s[k:][k:]``, the
+    first in row-major order on ties, or None when that block is zero.  No
+    nonzero entry is smaller than 1, so the scan ends at the first unit;
+    no list of the block is built."""
+    least, at = 0, None
+    for i in range(k, len(s)):
+        row = s[i]
+        for j in range(k, len(row)):
+            v = row[j]
+            if v:
+                v = abs(v)
+                if v == 1:
+                    return i, j
+                if not least or v < least:
+                    least, at = v, (i, j)
+    return at
+
+
 def _snf_reduce(m, transforms=True):
     """Return (S, L, R) with M = L*S*R, S diagonal, S_ii >= 0 and each S_ii
     dividing the next, and L, R unimodular (Cohen, GTM 138, section 2.4).
@@ -136,10 +156,11 @@ def _snf_reduce(m, transforms=True):
     the pivot sequence and S are the same either way.
 
     Step k moves the smallest nonzero entry of the trailing block to (k, k),
-    the first in row-major order on ties, and clears column k and row k by
-    floor division; a remainder is smaller than the pivot and becomes the
-    next one.  A trailing entry the pivot does not divide is added into
-    row k and cleared the same way, so the chain holds when step k ends.
+    the first in row-major order on ties (:func:`_snf_pivot`), and clears
+    column k and row k by floor division; a remainder is smaller than the
+    pivot and becomes the next one.  A trailing entry the pivot does not
+    divide is added into row k and cleared the same way, so the chain holds
+    when step k ends.
 
     The transforms are kept as L = P^-1 and R = Q^-1 for the P, Q with
     P*M*Q = S.  A row operation E on S (P <- E*P) is L <- L*E^-1, a column
@@ -156,11 +177,10 @@ def _snf_reduce(m, transforms=True):
     # starts, so every operation of step k reads and writes rows k.. only
     for k in range(min(nr, nc)):
         while True:
-            trailing = [(abs(v), i, j) for i, row in enumerate(s[k:], k)
-                        for j, v in enumerate(row[k:], k) if v]
-            if not trailing:  # the trailing block is zero: so are all later ones
+            pivot_at = _snf_pivot(s, k)
+            if pivot_at is None:  # the trailing block is zero: so are all later ones
                 break
-            _, i, j = min(trailing)
+            i, j = pivot_at
             s[k], s[i] = s[i], s[k]
             for row in s[k:]:
                 row[k], row[j] = row[j], row[k]
@@ -183,8 +203,9 @@ def _snf_reduce(m, transforms=True):
                         right[k] = [a + f * b for a, b in zip(right[k], right[j])]
             if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
                 continue
-            bad = next((i for i in range(k + 1, nr)
-                        if any(v % pivot for v in s[i][k + 1:])), None)
+            # a unit divides every entry: nothing to scan
+            bad = None if pivot in (1, -1) else next(
+                (i for i in range(k + 1, nr) if any(v % pivot for v in s[i][k + 1:])), None)
             if bad is None:
                 break
             s[k] = [a + b for a, b in zip(s[k], s[bad])]
@@ -642,29 +663,39 @@ def lattice_to_fixture(lat: LatticeZ) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def _fixture_number(v) -> tuple[int, int]:
-    """(a, b) with b > 0 for an entry a/b: a JSON integer, or a string in
-    the grammar of :func:`exact.rational_pair`."""
-    if isinstance(v, str):
+class _JsonInteger(str):
+    """A JSON integer literal of a fixture, kept as its text: it is read
+    by the number grammar as a string entry is, so that one past the
+    int-to-str digit limit is refused with its place, not by the JSON
+    parser."""
+
+    def __repr__(self):  # as the int, inside an entry that is no number
         try:
-            return rational_pair(v)
-        except (ValueError, ZeroDivisionError):
-            pass
-    elif isinstance(v, int) and not isinstance(v, bool):
-        return v, 1
-    raise LatticeError(f"fixture entry {v!r} is not an integer or a fraction string")
+            return repr(int(self))
+        except ValueError:  # past the digit limit
+            return f"{self[:12]}..."
 
 
 def _fixture_matrix(payload, key):
     """The matrix ``payload[key]`` as integer rows Mi and a den > 0 with
-    M = Mi/den."""
+    M = Mi/den.  Its entries are JSON integers or strings in the grammar
+    of :func:`exact.rational_pairs`, read by one call of it."""
     rows = payload[key]
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
         raise LatticeError(f"fixture {key} is not a square matrix of size >= 1")
-    pairs = [[_fixture_number(v) for v in row] for row in rows]
-    den = lcm(*(d for row in pairs for _, d in row))
-    return [[a * (den // d) for a, d in row] for row in pairs], den
+    n = len(rows)
+    entries = [v for row in rows for v in row]
+    try:
+        pairs = rational_pairs(entries)
+    except OverflowError as exc:
+        raise LatticeError(f"fixture {key} entry {divmod(exc.index, n)} has {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LatticeError(f"fixture entry {entries[exc.index]!r} is not an integer "
+                           "or a fraction string") from None
+    den = lcm(*{d for _, d in pairs})
+    flat = [a * (den // d) for a, d in pairs]
+    return [flat[i:i + n] for i in range(0, n * n, n)], den
 
 
 def lattice_from_fixture(text: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
@@ -680,14 +711,14 @@ def lattice_from_fixture(text: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
     Each matrix is read once, into integer rows over one denominator, and
     every test is decided on those integers."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_JsonInteger)
     except (ValueError, RecursionError) as exc:
         raise LatticeError(f"fixture is not JSON: {exc}") from None
     keys = ("gram", "basis", "ambient_gram")
     if not isinstance(payload, dict) or not set(keys) <= set(payload):
         raise LatticeError("fixture is not an object with gram, basis and ambient_gram")
     label = payload.get("label", "")
-    if not isinstance(label, str):
+    if type(label) is not str:  # an integer literal is a _JsonInteger
         raise LatticeError("fixture label is not a string")
     (gram, dg), (basis, db), (ambient, da) = (_fixture_matrix(payload, key) for key in keys)
     if not len(gram) == len(basis) == len(ambient):

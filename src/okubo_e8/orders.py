@@ -51,14 +51,16 @@ from .algebras import (
 )
 from .claims import SCALING_EXPONENTS
 from .exact import (
+    INTEGER,
     QUAD_ZERO,
+    RATIONAL,
     QuadExt,
     RingTag,
     SpanSolve,
     _quad,
     apply_map,
     integer_map,
-    rational_pair,
+    rational_pairs,
 )
 
 # -- pinned Dickson letters ---------------------------------------------------
@@ -355,8 +357,13 @@ def dump_structure_constants(constants: StructureConstants) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: one dump line: three indices and two numbers, single-space separated
-_DUMP_LINE = re.compile(r"([+-]?[0-9]+) ([+-]?[0-9]+) ([+-]?[0-9]+) (\S+) (\S+)")
+#: one dump entry: three indices and two numbers, single-space separated;
+#: the groups are i, j, k and each number's numerator and denominator
+_DUMP_ENTRY = re.compile(rf"({INTEGER}) ({INTEGER}) ({INTEGER}) {RATIONAL} {RATIONAL}")
+#: the shape of a dump line, any two fields for the numbers: what a line
+#: that is no entry is checked against, to say what is wrong with it; only
+#: that path compiles it
+_DUMP_LINE = rf"({INTEGER}) ({INTEGER}) ({INTEGER}) (\S+) (\S+)"
 
 
 def parse_structure_constants(text: str) -> StructureConstants:
@@ -364,32 +371,57 @@ def parse_structure_constants(text: str) -> StructureConstants:
     of product ``parsed`` over basis ``parsed``.
 
     Each line is ``i j k x y`` with single spaces, the numbers integers or
-    ``a/b`` (see :func:`exact.rational_pair`); x + y*sqrt(3) is built from
+    ``a/b`` (see :func:`exact.rational_pairs`); x + y*sqrt(3) is built from
     those integers.  Every index triple in ``0..7`` must appear exactly
     once, with nonzero denominators; anything else raises ValueError.
+
+    A good line costs one match of ``_DUMP_ENTRY`` and its ``int()``
+    calls.  Any other line is read again against the looser ``_DUMP_LINE``
+    to name its first fault: the shape, an index longer than ``int()``
+    reads or out of range, a duplicate, then the two numbers in order,
+    read by :func:`exact.rational_pairs`.  A field that is too long is
+    named by line number and position, and not quoted in full.
     """
     c = [[[QUAD_ZERO] * DIM for _ in range(DIM)] for _ in range(DIM)]
     seen = set()
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        m = _DUMP_LINE.fullmatch(line)
+        m = _DUMP_ENTRY.fullmatch(line)
+        if m is not None:
+            try:
+                i, j, k, a, b, e, d = map(int, m.groups("1"))
+            except ValueError:  # a field past the int-to-str digit limit
+                pass
+            else:
+                key = (i, j, k)
+                if (0 <= i < DIM and 0 <= j < DIM and 0 <= k < DIM
+                        and b and d and key not in seen):
+                    c[i][j][k] = _quad(a * d, e * b, b * d)  # a/b + (e/d) sqrt(3)
+                    seen.add(key)
+                    continue
+        m = re.fullmatch(_DUMP_LINE, line)
         if m is None:
             raise ValueError(f"bad structure-constant line: {line!r}")
-        i, j, k = key = tuple(int(p) for p in m.groups()[:3])
+        try:
+            i, j, k = key = tuple(v for v, _ in rational_pairs(m.groups()[:3]))
+        except OverflowError as exc:
+            raise ValueError(f"structure-constant line {lineno}, index {exc.index + 1} "
+                             f"has {exc}") from None
         if not all(0 <= v < DIM for v in key):
             raise ValueError(f"index out of range 0..{DIM - 1}: {line!r}")
         if key in seen:
             raise ValueError(f"duplicate entry {i} {j} {k}: {line!r}")
         try:
-            (a, b), (e, d) = rational_pair(m[4]), rational_pair(m[5])
+            rational_pairs(m.groups()[3:])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {line!r}") from None
+        except OverflowError as exc:
+            raise ValueError(f"structure-constant line {lineno}, number {exc.index + 1} "
+                             f"has {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{exc}: {line!r}") from None
-        c[i][j][k] = _quad(a * d, e * b, b * d)  # a/b + (e/d) sqrt(3)
-        seen.add(key)
     if len(seen) != DIM ** 3:
         raise ValueError(f"expected {DIM ** 3} entries, got {len(seen)}")
     return StructureConstants(

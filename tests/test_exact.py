@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -17,7 +18,7 @@ from okubo_e8.exact import (
     apply_map,
     integer_map,
     ldl,
-    rational_pair,
+    rational_pairs,
     render_quadext,
     solve,
 )
@@ -156,35 +157,132 @@ NOT_RATIONAL = ["1e5", "1.5", "1_000", " 3/4", "3/4 ", "3/4\n", "1/2e3", "", "/2
                 "1/-2", "1/+2", "inf", "nan", "\u0663", "++1", "+", "-", "5 ", "\t5"]
 
 
+#: the one-entry reference: the grammar as a regex of its own, the value by
+#: ``Fraction`` (which is looser, so only after the match)
+REFERENCE_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def reference_pair(text):
+    if not isinstance(text, str) or REFERENCE_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer or a fraction a/b: {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ZeroDivisionError(f"zero denominator: {text!r}")
+    a, b = int(num), int(den or 1)
+    assert Fraction(text) == Fraction(a, b)
+    return a, b
+
+
+def outcome(read, entries):
+    """The pairs ``read`` returns for ``entries``, or the type, message and
+    position of what it raises."""
+    try:
+        return read(entries)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc), exc.index
+
+
+def reference_outcome(entries):
+    pairs = []
+    for n, text in enumerate(entries):
+        try:
+            pairs.append(reference_pair(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc), n
+    return pairs
+
+
+#: entries drawn from pieces the grammar must tell apart: the separator the
+#: sequence match joins with, whitespace, an underscore, an exponent and a
+#: non-ASCII digit among the digits, signs and slashes
+ENTRY_PIECES = st.sampled_from(list("0123456789+-/,") + ["\n", " ", "_", "1e5", "\u0663"])
+entries = st.lists(st.lists(ENTRY_PIECES, max_size=6).map("".join), max_size=8)
+
+
 class TestRationalGrammar:
+    @settings(derandomize=True, max_examples=600)
+    @given(entries)
+    def test_sequence_matches_one_entry_reference(self, texts):
+        assert outcome(rational_pairs, texts) == reference_outcome(texts)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.one_of(st.integers(-10 ** 30, 10 ** 30).map(str),
+                              st.tuples(st.integers(-99, 99), st.integers(0, 99))
+                              .map("{0[0]}/{0[1]}".format),
+                              ENTRY_PIECES), min_size=1, max_size=8))
+    def test_mostly_numbers_match_one_entry_reference(self, texts):
+        # draws that pass the grammar often, so the pairs are compared too
+        assert outcome(rational_pairs, texts) == reference_outcome(texts)
+
     @settings(derandomize=True, max_examples=100)
     @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), rationals))
     def test_round_trip(self, value):
         v = Fraction(value)
-        assert Fraction(*rational_pair(str(v))) == v
-        assert rational_pair(f"{v.numerator}/{v.denominator}") == (v.numerator, v.denominator)
+        [pair] = rational_pairs([str(v)])
+        assert Fraction(*pair) == v
+        assert rational_pairs([f"{v.numerator}/{v.denominator}"]) == [(v.numerator, v.denominator)]
 
     def test_accepts(self):
-        assert Fraction(*rational_pair("+7")) == 7
-        assert Fraction(*rational_pair("-6/4")) == Fraction(-3, 2)
-        assert Fraction(*rational_pair("007/010")) == Fraction(7, 10)
+        assert [Fraction(*p) for p in rational_pairs(["+7", "-6/4", "007/010"])] == [
+            7, Fraction(-3, 2), Fraction(7, 10)]
+        assert rational_pairs([]) == []
 
     @pytest.mark.parametrize("text", NOT_RATIONAL)
     def test_rejects(self, text):
-        with pytest.raises(ValueError):
-            rational_pair(text)
+        with pytest.raises(ValueError, match="not an integer or a fraction a/b") as err:
+            rational_pairs(["1", text, "2"])
+        assert err.value.index == 1
+
+    def test_rejects_non_strings_and_commas(self):
+        for entry in (1, 1.0, True, None, ["1"]):
+            with pytest.raises(ValueError) as err:
+                rational_pairs(["1", entry])
+            assert err.value.index == 1
+        # a comma in an entry joins to a valid sequence: the count refuses it
+        with pytest.raises(ValueError, match="'1,2'") as err:
+            rational_pairs(["1,2", "3"])
+        assert err.value.index == 0
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            rational_pair("1/0")
+        with pytest.raises(ZeroDivisionError, match="zero denominator: '1/0'") as err:
+            rational_pairs(["1/2", "1/0"])
+        assert err.value.index == 1
 
     def test_pairs_keep_the_written_terms(self):
-        assert rational_pair("-6/4") == (-6, 4)
-        assert rational_pair("+7") == (7, 1)
-        assert rational_pair("007/010") == (7, 10)
+        assert rational_pairs(["-6/4", "+7", "007/010"]) == [(-6, 4), (7, 1), (7, 10)]
         for text in ("1/0", "-3/000"):
             with pytest.raises(ZeroDivisionError):
-                rational_pair(text)
+                rational_pairs([text])
+
+    def test_first_bad_entry_is_named(self):
+        # the grammar fault of entry 1 comes before the zero denominator of
+        # entry 2, and a zero denominator before a later grammar fault
+        with pytest.raises(ValueError, match="'1e5'"):
+            rational_pairs(["1", "1e5", "1/0"])
+        with pytest.raises(ZeroDivisionError):
+            rational_pairs(["1", "1/0", "1e5"])
+
+    def test_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            ok = "-" + "9" * 640
+            assert rational_pairs([ok, "1/" + "0" * 639 + "7"]) == [(int(ok), 1), (1, 7)]
+            for bad, digits in (("+" + "1" * 641, 641), ("1/" + "0" * 700 + "1", 701)):
+                with pytest.raises(OverflowError) as err:
+                    rational_pairs(["1", "2/3", bad])
+                assert err.value.index == 2
+                assert str(err.value) == (f"{digits} digits, more than the 640 a number "
+                                          f"can have: {bad[:12]!r}...")
+            # the grammar is checked first, and the limit before a zero denominator
+            with pytest.raises(ValueError, match="not an integer"):
+                rational_pairs(["1" * 700 + "x"])
+            with pytest.raises(OverflowError):
+                rational_pairs(["1" * 700 + "/0"])
+            sys.set_int_max_str_digits(0)  # no limit
+            assert rational_pairs(["1" * 5000]) == [(int("1" * 5000), 1)]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestComplexQuad:

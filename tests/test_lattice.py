@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from matrix_oracle import inverse, mat_product
 
-from okubo_e8 import claims, cli
+from okubo_e8 import claims, cli, lattice
 from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
 from okubo_e8.catalog import build_classical, order_lattice
 from okubo_e8.exact import QuadExt, solve
@@ -289,6 +289,57 @@ class TestSmithProperties:
             theirs = smith_normal_form(sympy.Matrix(gram))
             assert smith_invariants(gram) == smith == tuple(
                 abs(int(theirs[i, i])) for i in range(8))
+
+
+def reference_pivot(s, k):
+    """The pivot rule of the Smith form as first written: the least
+    (|v|, i, j) over the nonzero entries of the trailing block, from a list
+    of all of them."""
+    trailing = [(abs(v), i, j) for i, row in enumerate(s[k:], k)
+                for j, v in enumerate(row[k:], k) if v]
+    return min(trailing)[1:] if trailing else None
+
+
+def pivot_matrices(seed=24, count=160):
+    """Seeded integer matrices, by turns rich in +-1, with larger entries,
+    singular (a row the sum of two others, or a repeated column) and with
+    zero rows; square and not, 1 to 7 rows and columns."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        span = (-1, 0, 1, 1, -1, 2) if n % 4 == 0 else range(-40, 41)
+        m = [[rng.choice(span) for _ in range(nc)] for _ in range(nr)]
+        if n % 4 == 2 and nr >= 3:
+            m[-1] = [a + b for a, b in zip(m[0], m[1])]
+        elif n % 4 == 2 and nc >= 2:
+            for row in m:
+                row[-1] = row[0]
+        elif n % 4 == 3:
+            for i in rng.sample(range(nr), rng.randint(1, nr)):
+                m[i] = [0] * nc
+        out.append(m)
+    return out + [gram for gram, _ in fixture_grams(range(2))]
+
+
+class TestSmithPivot:
+    """The pivot scan that stops at the first unit picks the pivots of the
+    rule it replaced, so S, L and R are unchanged, with and without the
+    transforms."""
+
+    def test_same_pivot_at_every_step(self):
+        for m in pivot_matrices():
+            for k in range(min(len(m), len(m[0]))):
+                assert lattice._snf_pivot(m, k) == reference_pivot(m, k)
+
+    def test_same_reduction(self, monkeypatch):
+        matrices = pivot_matrices()
+        ours = [(_snf_reduce(m), _snf_reduce(m, False)) for m in matrices]
+        monkeypatch.setattr(lattice, "_snf_pivot", reference_pivot)
+        theirs = [(_snf_reduce(m), _snf_reduce(m, False)) for m in matrices]
+        assert ours == theirs
+        assert any(s[0][0] == 0 for (s, _, _), _ in ours)  # a zero matrix was drawn
+        assert {len(m) == len(m[0]) for m in matrices} == {True, False}
 
 
 class TestSublattice:
@@ -856,6 +907,24 @@ class TestPivotsAndFixtures:
         with pytest.raises(LatticeError, match="not integral"):
             lattice_from_fixture(json.dumps(
                 {"gram": [["3/2"]], "basis": [["1"]], "ambient_gram": [["3/2"]]}))
+
+    def test_fixture_json_integer_literals(self):
+        """JSON integers are read as their text is, by the one grammar; a
+        literal is no label, and inside an entry that is no number it is
+        quoted as the int it is, or by its first digits past the limit."""
+        cond = conductor_lattice()
+        payload = json.loads(lattice_to_fixture(cond))
+        for key in ("gram", "basis", "ambient_gram"):
+            payload[key] = [[int(v) for v in row] for row in payload[key]]
+        assert lattice_from_fixture(json.dumps(payload)) == (cond.label, cond.gram)
+        one = json.dumps({"gram": [["1"]], "basis": [["1"]], "ambient_gram": [["1"]]})
+        with pytest.raises(LatticeError, match="^fixture label is not a string$"):
+            lattice_from_fixture(one[:-1] + ', "label": 5}')
+        for entry, quoted in (("[-0, 5]", "[0, 5]"), ('{"a": 12}', "{'a': 12}"),
+                              (f"[{'9' * 5000}]", "[999999999999...]")):
+            with pytest.raises(LatticeError) as err:
+                lattice_from_fixture(one.replace('"basis": [["1"]]', f'"basis": [[{entry}]]'))
+            assert str(err.value) == f"fixture entry {quoted} is not an integer or a fraction string"
 
     def test_fixture_tamper_detected(self):
         payload = json.loads(lattice_to_fixture(cd_lattice()))

@@ -4,12 +4,14 @@ and the diagonal scaling."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from matrix_oracle import inverse
 
 from okubo_e8 import checks, claims
@@ -238,6 +240,111 @@ class TestDumpFormat:
         text = dump_structure_constants(structure_constants("para"))
         with pytest.raises(ValueError, match="duplicate"):
             parse_structure_constants(text + "0 0 0 1/1 0/1\n")
+
+
+#: the dump reader as first written, as the reference for its language: a
+#: coarse line match, the indices read by int() and range-checked, then
+#: each number matched alone against the grammar
+REF_LINE = re.compile(r"([+-]?[0-9]+) ([+-]?[0-9]+) ([+-]?[0-9]+) (\S+) (\S+)")
+REF_NUMBER = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def reference_dump_outcome(text):
+    """{(i, j, k): (rational, irrational)} of a dump, or the message of the
+    ValueError that refuses it."""
+    seen = {}
+    try:
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            m = REF_LINE.fullmatch(line)
+            if m is None:
+                raise ValueError(f"bad structure-constant line: {line!r}")
+            i, j, k = key = tuple(int(p) for p in m.groups()[:3])
+            if not all(0 <= v < DIM for v in key):
+                raise ValueError(f"index out of range 0..{DIM - 1}: {line!r}")
+            if key in seen:
+                raise ValueError(f"duplicate entry {i} {j} {k}: {line!r}")
+            values = []
+            for t in (m[4], m[5]):
+                if REF_NUMBER.fullmatch(t) is None:
+                    raise ValueError(f"not an integer or a fraction a/b: {t!r}: {line!r}")
+                num, _, den = t.partition("/")
+                if den and not int(den):
+                    raise ValueError(f"zero denominator: {line!r}")
+                values.append(Fraction(int(num), int(den or 1)))
+            seen[key] = tuple(values)
+        if len(seen) != DIM ** 3:
+            raise ValueError(f"expected {DIM ** 3} entries, got {len(seen)}")
+    except ValueError as exc:
+        return str(exc)
+    return seen
+
+
+def dump_outcome(text):
+    try:
+        c = parse_structure_constants(text).c
+    except ValueError as exc:
+        return str(exc)
+    return {(i, j, k): (c[i][j][k].rat, c[i][j][k].irr)
+            for i in range(DIM) for j in range(DIM) for k in range(DIM)}
+
+
+PARA_LINES = dump_structure_constants(structure_constants("para")).splitlines()
+#: field spellings: other spellings of an index, numbers in and out of the
+#: grammar, zero denominators, whitespace and nothing
+DUMP_TOKENS = ["0", "+0", "00", "-0", "007", "7", "8", "-1", "1/0", "0/00", "1/2",
+               "-3/4", "+1/+2", "1e5", "1.5", "1_0", "\u0663", "", "x", "1/", "/2",
+               " ", "\t", "1 2", "1,2"]
+#: (line, what, token): what 0-4 replaces that field, 5 doubles the line,
+#: 6 deletes it, 7 replaces it with the token
+dump_edits = st.lists(st.tuples(st.integers(0, len(PARA_LINES) - 1), st.integers(0, 7),
+                                st.sampled_from(DUMP_TOKENS)), max_size=3)
+
+
+def edited_dump(edits, end="\n"):
+    lines = list(PARA_LINES)
+    for n, what, token in edits:
+        n %= len(lines)
+        if what < 5:
+            parts = lines[n].split(" ")
+            parts[what] = token
+            lines[n] = " ".join(parts)
+        elif what == 5:
+            lines.append(lines[n])
+        elif what == 6:
+            del lines[n]
+        else:
+            lines[n] = token
+    return end.join(lines) + end
+
+
+class TestDumpLanguage:
+    """The one-match reader accepts exactly the lines the reference does,
+    with the same constants, and refuses the rest with the same message."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(dump_edits, st.sampled_from(["\n", "\r\n", "\n\n", "\x0b"]))
+    def test_matches_reference(self, edits, end):
+        text = edited_dump(edits, end)
+        assert dump_outcome(text) == reference_dump_outcome(text)
+
+    def test_index_spellings_are_accepted(self):
+        want = dump_outcome("\n".join(PARA_LINES))
+        for spelling in ("+0", "00", "-0"):
+            lines = [" ".join(spelling if p == "0" and f < 3 else p
+                              for f, p in enumerate(line.split(" ")))
+                     for line in PARA_LINES]
+            text = "\n".join(lines) + "\n"
+            assert spelling in text
+            assert dump_outcome(text) == reference_dump_outcome(text) == want
+
+    def test_zero_denominator_spellings(self):
+        for number in ("0/00", "1/0", "-5/000"):
+            text = edited_dump([(0, 4, number)])
+            assert dump_outcome(text) == reference_dump_outcome(text) == (
+                f"zero denominator: {text.splitlines()[0]!r}")
 
 
 class TestClosure:

@@ -18,7 +18,7 @@ from okubo_e8 import checks, claims, cli
 from okubo_e8 import lattice as lat
 from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
-from okubo_e8.orders import dump_structure_constants, structure_constants
+from okubo_e8.orders import cd_lattice, dump_structure_constants, structure_constants
 from okubo_e8.report import (
     DIFF,
     FAIL,
@@ -260,6 +260,51 @@ class TestCli:
         assert ("okubo-e8: the fixture determinant has about 4,801 digits, more "
                 f"than the {sys.get_int_max_str_digits():,} a report can show\n"
                 ) in captured.err
+
+    #: a 4,401-digit integer: past the default int-to-str limit of 4,300
+    LONG = "1" + "0" * 4400
+
+    def _digit_limit_exit_2(self, capsys, argv, fmt, where):
+        """exit 2 with the usage line and one short message that names the
+        place and the digit count and quotes only the first digits"""
+        rc = main(argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: okubo-e8")
+        assert captured.err.endswith(
+            f"okubo-e8: {where} has 4,401 digits, more than the "
+            f"{sys.get_int_max_str_digits():,} a number can have: '100000000000'...\n")
+        assert len(captured.err) < 300
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("literal", [False, True], ids=["string", "json-integer"])
+    def test_fixture_entry_past_digit_limit_exit_2(self, tmp_path, capsys, fmt, literal):
+        """A fixture entry longer than int() reads, as a string or as a
+        JSON integer literal, is named by matrix and position."""
+        payload = json.loads(lat.lattice_to_fixture(cd_lattice()))
+        payload["basis"][1][2] = self.LONG
+        text = json.dumps(payload)
+        if literal:
+            text = text.replace(f'"{self.LONG}"', self.LONG)
+        f = tmp_path / "lat.json"
+        f.write_text(text)
+        self._digit_limit_exit_2(capsys, ["lattice", "invariants", "--fixture", str(f)],
+                                 fmt, "fixture basis entry (1, 2)")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("field, where", [(3, "number 1"), (4, "number 2"), (1, "index 2")])
+    def test_constant_past_digit_limit_exit_2(self, tmp_path, capsys, fmt, field, where):
+        """A dump number (or index) longer than int() reads is named by
+        line and position, and the line is not echoed."""
+        lines = dump_structure_constants(structure_constants("para")).splitlines()
+        parts = lines[5].split(" ")
+        parts[field] = self.LONG if field != 4 else f"{self.LONG}/3"
+        lines[5] = " ".join(parts)
+        bad = tmp_path / "constants.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        self._digit_limit_exit_2(capsys, ["verify", "para-closure", "--constants", str(bad)],
+                                 fmt, f"structure-constant line 6, {where}")
 
     def test_malformed_constants_exit_2(self, tmp_path, capsys):
         lines = dump_structure_constants(structure_constants("para")).splitlines()
