@@ -32,7 +32,6 @@ from .algebras import (
     bridge_identities,
     oct_mul,
 )
-from .claims import CONVENTION
 from .exact import QuadExt, RingTag
 from .report import CheckReport, compare
 
@@ -82,7 +81,7 @@ def check(anchor, claim, ids, extra_ids=()):
 
 def _cmp(cid, expected, tag, actual, details=None, record_only=False):
     """The report of a declared id; an undeclared id raises KeyError."""
-    return compare(cid, _ANCHOR_OF[cid], CONVENTION, expected, tag, actual,
+    return compare(cid, _ANCHOR_OF[cid], expected, tag, actual,
                    details=details, record_only=record_only)
 
 
@@ -111,7 +110,7 @@ def check_basis_forms() -> list[CheckReport]:
              all(gram[i][i] % 2 == 0 for i in range(DIM))),
         _cmp("basis-trace-formula",
              [QuadExt(v) for v in claims.TRACE_PATTERN], "claimed",
-             [b.trace() for b in orders.cd_basis()], record_only=True),
+             [b.trace() for b in orders.cd_basis()]),
         _cmp("basis-norm-formula", [], "claimed", norm_mismatches,
              details="mismatching cross terms ((i,j), computed, claimed)",
              record_only=True),
@@ -416,7 +415,7 @@ def check_stabilizer() -> list[CheckReport]:
              details={"metric_preserving": _perm_sign_list(rep.metric)},
              record_only=True),
         _cmp("stabilizer-product-set", identity, "claimed",
-             _perm_sign_list(rep.product), record_only=True),
+             _perm_sign_list(rep.product)),
         _cmp("stabilizer-product-subset", True, "derived",
              rep.product_subset_of_metric),
         _cmp("stabilizer-metric-group", True, "derived",

@@ -111,12 +111,10 @@ def _fixture_reports(path: str):
                          f"more than the {limit:,} a report can show")
     smith = lat.smith_invariants(gram)
     return [
-        compare("fixture-det-vs-smith", "fixture-analysis", claims.CONVENTION,
-                det, "derived", math.prod(smith),
-                details=f"label={label!r} smith={list(smith)}"),
-        compare("fixture-discriminant-order", "fixture-analysis",
-                claims.CONVENTION, abs(det), "derived",
-                math.prod(s for s in smith if s > 1)),
+        compare("fixture-det-vs-smith", "fixture-analysis", det, "derived",
+                math.prod(smith), details=f"label={label!r} smith={list(smith)}"),
+        compare("fixture-discriminant-order", "fixture-analysis", abs(det),
+                "derived", math.prod(s for s in smith if s > 1)),
     ]
 
 

@@ -21,8 +21,9 @@ computed from the integers on demand.
 The elements of both product realizations (``algebras.AlgebraElem`` and
 ``okubomatrix.HermTraceless3``) hold the same canonical integers, for all
 their coordinates over one denominator, and compute on them: ``QuadExt``
-and ``ComplexQuad`` values are built from those integers at the report
-boundary, when a report, a solve or a test reads a coordinate.
+values are built from those integers at the report boundary, when a
+report or a solve reads a coordinate, and ``ComplexQuad`` values only
+when the ``rows`` of a matrix are read, which no command does.
 
 Elimination over Q or over K has two routines, neither with options:
 :func:`solve`, the one Gauss-Jordan solve of the package (the coordinate
@@ -470,7 +471,7 @@ class ComplexQuad:
 
     __slots__ = ("_a", "_b", "_c", "_e", "_d")
 
-    def __new__(cls, re=0, im=0):
+    def __new__(cls, re, im):
         x = QuadExt.coerce(re)
         y = QuadExt.coerce(im)
         p, q = x._d, y._d
@@ -483,7 +484,7 @@ class ComplexQuad:
     def coerce(cls, value) -> "ComplexQuad":
         if isinstance(value, ComplexQuad):
             return value
-        return cls(value)
+        return cls(value, 0)
 
     @property
     def re(self) -> QuadExt:
@@ -524,7 +525,7 @@ class ComplexQuad:
         return ComplexQuad.coerce(other) - self
 
     def __neg__(self):
-        return _cmake(-self._a, -self._b, -self._c, -self._e, self._d)
+        return _complex(-self._a, -self._b, -self._c, -self._e, self._d)
 
     def __mul__(self, other):
         if type(other) is not ComplexQuad:
@@ -544,7 +545,7 @@ class ComplexQuad:
     __rmul__ = __mul__
 
     def conjugate(self) -> "ComplexQuad":
-        return _cmake(self._a, self._b, -self._c, -self._e, self._d)
+        return _complex(self._a, self._b, -self._c, -self._e, self._d)
 
     def norm(self) -> QuadExt:
         """re^2 + im^2, nonnegative in both real embeddings of K."""
@@ -574,39 +575,30 @@ class ComplexQuad:
     def __repr__(self):
         return f"ComplexQuad({self.re!r}, {self.im!r})"
 
+    @staticmethod
+    def _canonical(a: int, b: int, c: int, e: int, d: int) -> "ComplexQuad":
+        """The ComplexQuad ((a + b s3) + (c + e s3) i)/d for integers,
+        d > 0; every value of the class is made here (module name
+        ``_complex``)."""
+        g = gcd(a, b, c, e, d)
+        if g != 1:
+            a //= g
+            b //= g
+            c //= g
+            e //= g
+            d //= g
+        z = _new(ComplexQuad)
+        _cset_a(z, a)
+        _cset_b(z, b)
+        _cset_c(z, c)
+        _cset_e(z, e)
+        _cset_d(z, d)
+        return z
+
 
 _cset_a = ComplexQuad._a.__set__
 _cset_b = ComplexQuad._b.__set__
 _cset_c = ComplexQuad._c.__set__
 _cset_e = ComplexQuad._e.__set__
 _cset_d = ComplexQuad._d.__set__
-
-
-def _cmake(a: int, b: int, c: int, e: int, d: int) -> ComplexQuad:
-    """The ComplexQuad from integers already in canonical form."""
-    z = _new(ComplexQuad)
-    _cset_a(z, a)
-    _cset_b(z, b)
-    _cset_c(z, c)
-    _cset_e(z, e)
-    _cset_d(z, d)
-    return z
-
-
-def _complex(a: int, b: int, c: int, e: int, d: int) -> ComplexQuad:
-    """The ComplexQuad ((a + b s3) + (c + e s3) i)/d for integers, d > 0."""
-    g = gcd(a, b, c, e, d)
-    if g != 1:
-        a //= g
-        b //= g
-        c //= g
-        e //= g
-        d //= g
-    # the body of _cmake, inlined: every arithmetic result passes here
-    z = _new(ComplexQuad)
-    _cset_a(z, a)
-    _cset_b(z, b)
-    _cset_c(z, c)
-    _cset_e(z, e)
-    _cset_d(z, d)
-    return z
+_complex = ComplexQuad._canonical

@@ -2,11 +2,12 @@
 
 Everything here is exact: determinants of integer matrices by
 fraction-free elimination, the Hermite normal form, the Smith normal form
-with its unimodular transforms (or, for the Smith invariants alone,
-without them), sublattice invariants, short-vector enumeration by exact
-rational Cholesky (through the kernel layer), discriminant groups with
-their quadratic form, isotropic gluing, 2-adic saturation, shell counts,
-and the rank-16 restriction-of-scalars Gram.
+with only its right unimodular transform, the one its callers read (or,
+for the Smith invariants alone, without it), sublattice invariants,
+short-vector enumeration by exact rational Cholesky (through the kernel
+layer), discriminant groups with their quadratic form, isotropic gluing,
+2-adic saturation, shell counts, and the rank-16 restriction-of-scalars
+Gram.
 
 Every lattice is integral: a :class:`LatticeZ` holds integer basis rows
 in a space with an integer Gram, so its own Gram is an integer matrix,
@@ -149,30 +150,25 @@ def _snf_pivot(s, k):
 
 
 def _snf_reduce(m, transforms=True):
-    """Return (S, L, R) with M = L*S*R, S diagonal, S_ii >= 0 and each S_ii
-    dividing the next, and L, R unimodular (Cohen, GTM 138, section 2.4).
-    With ``transforms`` false the L and R updates are skipped, and None
-    stands for both (Cohen's Smith form without transforms, section 2.4.4):
-    the pivot sequence and S are the same either way.
+    """Return (S, R): S = P*M*Q diagonal for some unimodular P and Q, with
+    S_ii >= 0 and each S_ii dividing the next, and R = Q^-1 (Cohen, GTM
+    138, section 2.4), so the rows of S*R = P*M span the row lattice of M.
+    P is not kept: no caller reads it.  With ``transforms`` false the R
+    updates are skipped and R is None (Cohen's Smith form without
+    transforms, section 2.4.4): the pivot sequence and S are the same
+    either way.
 
     Step k moves the smallest nonzero entry of the trailing block to (k, k),
     the first in row-major order on ties (:func:`_snf_pivot`), and clears
     column k and row k by floor division; a remainder is smaller than the
     pivot and becomes the next one.  A trailing entry the pivot does not
     divide is added into row k and cleared the same way, so the chain holds
-    when step k ends.
-
-    The transforms are kept as L = P^-1 and R = Q^-1 for the P, Q with
-    P*M*Q = S.  A row operation E on S (P <- E*P) is L <- L*E^-1, a column
-    operation on L, so L is kept transposed (``lt``) and the operation is
-    a row operation there; a column operation F on S (Q <- Q*F) is
-    R <- F^-1*R, a row operation on R.
+    when step k ends.  A column operation F on S (Q <- Q*F) is
+    R <- F^-1*R, a row operation on R; a row operation leaves R alone.
     """
     s = [[int(v) for v in row] for row in m]
     nr, nc = len(s), len(s[0])
-    if transforms:
-        lt = [[int(i == j) for j in range(nr)] for i in range(nr)]
-        right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
     # rows and columns before k are zero off the diagonal once step k
     # starts, so every operation of step k reads and writes rows k.. only
     for k in range(min(nr, nc)):
@@ -185,23 +181,27 @@ def _snf_reduce(m, transforms=True):
             for row in s[k:]:
                 row[k], row[j] = row[j], row[k]
             if transforms:
-                lt[k], lt[i] = lt[i], lt[k]
                 right[k], right[j] = right[j], right[k]
             pivot = s[k][k]
+            # whether a remainder is left in column k or row k; no nonzero
+            # entry there is smaller than the pivot, so f is 0 only for a 0
+            rest = False
             for i in range(k + 1, nr):
                 f = s[i][k] // pivot
                 if f:  # row i -= f * row k
-                    s[i] = [a - f * b for a, b in zip(s[i], s[k])]
-                    if transforms:
-                        lt[k] = [a + f * b for a, b in zip(lt[k], lt[i])]
+                    row = s[i] = [a - f * b for a, b in zip(s[i], s[k])]
+                    if row[k]:
+                        rest = True
             for j in range(k + 1, nc):
                 f = s[k][j] // pivot
                 if f:  # column j -= f * column k
                     for row in s[k:]:
                         row[j] -= f * row[k]
+                    if s[k][j]:
+                        rest = True
                     if transforms:
                         right[k] = [a + f * b for a, b in zip(right[k], right[j])]
-            if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
+            if rest:
                 continue
             # a unit divides every entry: nothing to scan
             bad = None if pivot in (1, -1) else next(
@@ -209,15 +209,9 @@ def _snf_reduce(m, transforms=True):
             if bad is None:
                 break
             s[k] = [a + b for a, b in zip(s[k], s[bad])]
-            if transforms:
-                lt[bad] = [a - b for a, b in zip(lt[bad], lt[k])]
         if s[k][k] < 0:
             s[k] = [-a for a in s[k]]
-            if transforms:
-                lt[k] = [-a for a in lt[k]]
-    if not transforms:
-        return s, None, None
-    return s, [list(r) for r in zip(*lt)], right
+    return s, right
 
 
 def hnf_snf(m):
@@ -327,10 +321,11 @@ def _inclusion_matrix(sub: LatticeZ, sup: LatticeZ):
 
 def _smith_rows(m):
     """Pairs (d_i, r_i) for a square integer matrix M of full rank, with
-    M = L*S*R its Smith form, d_i = S_ii and r_i row i of R.  Since L is
-    unimodular, the rows of M span the same lattice as the d_i * r_i, so
-    Z^n / rowspan(M) is the sum of the cyclic groups Z/d_i generated by r_i."""
-    s, _, right = _snf_reduce(m)
+    P*M = S*R its Smith form (:func:`_snf_reduce`), d_i = S_ii and r_i row
+    i of R.  Since P is unimodular, the rows of M span the same lattice as
+    the d_i * r_i, so Z^n / rowspan(M) is the sum of the cyclic groups
+    Z/d_i generated by r_i."""
+    s, right = _snf_reduce(m)
     if not all(s[i][i] for i in range(len(s))):
         raise LatticeError("matrix is not of full rank")
     return [(s[i][i], tuple(row)) for i, row in enumerate(right)]

@@ -47,8 +47,6 @@ from .algebras import DIM
 from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, ldl
 from .orders import e_basis, product_table, structure_constants
 
-_C0 = ComplexQuad(0)
-
 
 class HermTraceless3:
     """A Hermitian traceless 3x3 matrix over K(i).
@@ -80,7 +78,9 @@ class HermTraceless3:
     @property
     def rows(self) -> tuple[tuple[ComplexQuad, ...], ...]:
         """The entries as ComplexQuad values, built on each call."""
-        return _rows(self._q, self._d)
+        q, d = self._q, self._d
+        return tuple(tuple(_complex(*q[k:k + 4], d) for k in range(12 * i, 12 * i + 12, 4))
+                     for i in range(3))
 
     def __neg__(self):
         return _matrix(tuple(-v for v in self._q), self._d)
@@ -116,12 +116,6 @@ def _matrix(ints, den: int) -> HermTraceless3:
     _set_q(m, tuple(ints))
     _set_d(m, den)
     return m
-
-
-def _rows(ints, den: int):
-    """The 3x3 rows of ComplexQuad entries for ``ints`` over ``den``."""
-    return tuple(tuple(_complex(*ints[k:k + 4], den) for k in range(12 * i, 12 * i + 12, 4))
-                 for i in range(3))
 
 
 def _quadruples(ints):
@@ -224,23 +218,36 @@ def inner(x: HermTraceless3, y: HermTraceless3) -> QuadExt:
     return _quad(a, b, 3 * x._d * y._d)
 
 
+#: the entries of the basis (e, e1..e7) that are not 0, as {(i, j):
+#: (a, b, c, e)} for ((a + b sqrt3) + (c + e sqrt3) i)/1; sqrt(3) and
+#: sqrt(3) i off the diagonal, with the conjugate across it
+_S3, _S3I, _MS3I = (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)
+_BASIS_ENTRIES = (
+    {(0, 0): (2, 0, 0, 0), (1, 1): (-1, 0, 0, 0), (2, 2): (-1, 0, 0, 0)},
+    {(0, 1): _S3, (1, 0): _S3},
+    {(0, 2): _S3, (2, 0): _S3},
+    {(1, 2): _S3, (2, 1): _S3},
+    {(0, 0): _S3, (1, 1): (0, -1, 0, 0)},
+    {(0, 1): _MS3I, (1, 0): _S3I},
+    {(0, 2): _MS3I, (2, 0): _S3I},
+    {(1, 2): _MS3I, (2, 1): _S3I},
+)
+
+
 @lru_cache(maxsize=None)
 def build_basis() -> tuple[HermTraceless3, ...]:
     """The reference idempotent e = diag(2,-1,-1) and the seven sqrt(3)
-    generators; returned as (e, e1, ..., e7), built and validated once."""
-    s3 = QuadExt(0, 1)
-    i_pos = ComplexQuad(0, s3)  # sqrt(3) * i
-    i_neg = ComplexQuad(0, -s3)
-    r3 = ComplexQuad(s3)
-    e = HermTraceless3([[2, 0, 0], [0, -1, 0], [0, 0, -1]])
-    e1 = HermTraceless3([[_C0, r3, _C0], [r3, _C0, _C0], [_C0, _C0, _C0]])
-    e2 = HermTraceless3([[_C0, _C0, r3], [_C0, _C0, _C0], [r3, _C0, _C0]])
-    e3 = HermTraceless3([[_C0, _C0, _C0], [_C0, _C0, r3], [_C0, r3, _C0]])
-    e4 = HermTraceless3([[r3, _C0, _C0], [_C0, -r3, _C0], [_C0, _C0, _C0]])
-    e5 = HermTraceless3([[_C0, i_neg, _C0], [i_pos, _C0, _C0], [_C0, _C0, _C0]])
-    e6 = HermTraceless3([[_C0, _C0, i_neg], [_C0, _C0, _C0], [i_pos, _C0, _C0]])
-    e7 = HermTraceless3([[_C0, _C0, _C0], [_C0, _C0, i_neg], [_C0, i_pos, _C0]])
-    return (e, e1, e2, e3, e4, e5, e6, e7)
+    generators; returned as (e, e1, ..., e7), written as integers over 1,
+    built and validated once."""
+    basis = []
+    for entries in _BASIS_ENTRIES:
+        ints = [0] * 36
+        for (i, j), quad in entries.items():
+            k = 4 * (3 * i + j)
+            ints[k:k + 4] = quad
+        _check_type(ints)
+        basis.append(_matrix(ints, 1))
+    return tuple(basis)
 
 
 def random_matrix(rng: random.Random, span: int = 2) -> HermTraceless3:
@@ -386,11 +393,15 @@ def kaplansky_report(seed: int = 0) -> KaplanskyReport:
     )
 
 
-def jordan_product(x: HermTraceless3, y: HermTraceless3):
-    """The commutative symmetrized product (1/2)(xy + yx); kept as a raw
-    3x3 matrix since Hermitian traceless matrices are not closed under it."""
+def jordan_product(x: HermTraceless3, y: HermTraceless3) -> tuple[tuple[int, ...], int]:
+    """The commutative symmetrized product (1/2)(xy + yx) as its 36
+    integers, in the layout of ``_q``, and their denominator, made
+    canonical by one gcd; not a HermTraceless3, since Hermitian traceless
+    matrices are not closed under it."""
     sym = [u + v for u, v in zip(_product(x._q, y._q), _product(y._q, x._q))]
-    return [list(r) for r in _rows(sym, 2 * x._d * y._d)]
+    den = 2 * x._d * y._d
+    g = gcd(den, *sym)
+    return tuple(v // g for v in sym), den // g
 
 
 # -- cross-realization --------------------------------------------------------

@@ -18,6 +18,7 @@ import json
 from fractions import Fraction
 
 from ._record import record
+from .claims import CONVENTION
 from .exact import QuadExt
 
 PASS = "pass"
@@ -76,10 +77,11 @@ def jsonable(value):
     return repr(value)
 
 
-def compare(check, anchor, convention, expected, tag, actual,
+def compare(check, anchor, expected, tag, actual,
             details=None, record_only=False) -> CheckReport:
-    """Build a report whose status is exact equality, or a recorded diff
-    for convention-sensitive comparisons."""
+    """Build a report under the one pinned convention,
+    ``claims.CONVENTION``, whose status is exact equality, or a recorded
+    diff for convention-sensitive comparisons."""
     if jsonable(expected) == jsonable(actual):
         status = PASS
     elif record_only:
@@ -89,7 +91,7 @@ def compare(check, anchor, convention, expected, tag, actual,
     return CheckReport(
         check=check,
         anchor=anchor,
-        convention=convention,
+        convention=CONVENTION,
         status=status,
         expected=expected,
         expected_tag=tag,

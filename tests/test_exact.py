@@ -292,7 +292,7 @@ class TestComplexQuad:
         assert x.conjugate().conjugate() == x
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-        fixed = ComplexQuad(q(3, -2))
+        fixed = ComplexQuad(q(3, -2), 0)
         assert fixed.conjugate() == fixed
 
     def test_norm_nonnegative_both_embeddings(self):
@@ -401,13 +401,13 @@ class TestIntegerRepresentation:
         x = QuadExt(value)
         assert x == value and value == x
         assert hash(x) == hash(value)
-        assert hash(ComplexQuad(x)) == hash(x)
+        assert hash(ComplexQuad(x, 0)) == hash(x)
         assert_canonical(x)
 
     @settings(derandomize=True, max_examples=60)
     @given(quads, quads)
     def test_complex_hash_and_canonical(self, x, y):
-        z = ComplexQuad(x)
+        z = ComplexQuad(x, 0)
         assert hash(z) == hash(x) and z == x
         w = ComplexQuad(x, y)
         assert (w.re, w.im) == (x, y)
@@ -429,7 +429,7 @@ class TestIntegerRepresentation:
     def test_zero_is_canonical(self):
         assert QuadExt(0).triple == (0, 0, 1)
         assert (q(Fraction(1, 3), 2) - q(Fraction(1, 3), 2)).triple == (0, 0, 1)
-        assert ComplexQuad(0).quintuple == (0, 0, 0, 0, 1)
+        assert ComplexQuad(0, 0).quintuple == (0, 0, 0, 0, 1)
 
     def test_immutable(self):
         x = q(1, 2)

@@ -10,7 +10,7 @@ from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from matrix_oracle import inverse, mat_product
+from matrix_oracle import inverse
 
 from okubo_e8 import claims, cli, lattice
 from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
@@ -132,14 +132,7 @@ class TestNormalForms:
         for _ in range(12):
             n = rng.randint(1, 4)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            s, left, right = _snf_reduce(m)
-            recon = mat_product(mat_product(left, s), right)
-            assert [[int(v) for v in row] for row in recon] == m
-            # divisibility chain
-            smith = [s[i][i] for i in range(n)]
-            for a, b in zip(smith, smith[1:]):
-                if a and b:
-                    assert b % a == 0
+            assert_smith_form(m, *_snf_reduce(m))
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -159,7 +152,7 @@ class TestNormalForms:
             theirs = smith_normal_form(sympy.Matrix(m))
             ref = tuple(abs(int(theirs[i, i])) for i in range(min(theirs.shape)))
             assert smith_invariants(m) == ref
-            s, _, _ = _snf_reduce(m)
+            s, _ = _snf_reduce(m)
             assert tuple(s[i][i] for i in range(min(len(m), len(m[0])))) == ref
 
 
@@ -186,6 +179,27 @@ def _det(m):
         return m[0][0]
     return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)) if m[0][j])
+
+
+def assert_smith_form(m, s, right):
+    """What the callers of ``_snf_reduce`` read: S is diagonal with
+    entries >= 0, each dividing the next; R is unimodular; and the rows of
+    S*R span the row lattice of M, so the Hermite forms of S*R and of M
+    have the same nonzero rows."""
+    nr, nc = len(m), len(m[0])
+    assert len(s) == nr and all(len(row) == nc for row in s)
+    assert all(s[i][j] == 0 for i in range(nr) for j in range(nc) if i != j)
+    diag = [s[i][i] for i in range(min(nr, nc))]
+    assert all(v >= 0 for v in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    assert len(right) == nc and all(len(row) == nc for row in right)
+    assert abs((_det if nc <= 4 else mat_det)(right)) == 1
+
+    def nonzero(h):
+        return [row for row in h if any(row)]
+
+    assert nonzero(hermite_form(_int_mul(s, right))) == nonzero(hermite_form(m))
 
 
 def _rows(nr, nc):
@@ -225,11 +239,7 @@ class TestSmithProperties:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(int_matrices)
     def test_transforms(self, m):
-        # M = P^-1 S Q^-1 with both transforms unimodular
-        s, p_inv, q_inv = _snf_reduce(m)
-        assert _int_mul(_int_mul(p_inv, s), q_inv) == m
-        assert abs(_det(p_inv)) == 1 and abs(_det(q_inv)) == 1
-        assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
+        assert_smith_form(m, *_snf_reduce(m))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(int_matrices)
@@ -275,7 +285,7 @@ class TestSmithProperties:
     def test_without_transforms_same_form(self, m):
         # the transform-free reduction takes the same pivots to the same S
         s = _snf_reduce(m)[0]
-        assert _snf_reduce(m, False) == (s, None, None)
+        assert _snf_reduce(m, False) == (s, None)
         assert smith_invariants(m) == tuple(s[i][i] for i in range(min(len(s), len(s[0]))))
 
     def test_fixture_grams(self):
@@ -283,9 +293,7 @@ class TestSmithProperties:
         from sympy.matrices.normalforms import smith_normal_form
 
         for gram, smith in fixture_grams():
-            s, p_inv, q_inv = _snf_reduce(gram)
-            assert _int_mul(_int_mul(p_inv, s), q_inv) == gram
-            assert abs(mat_det(p_inv)) == 1 and abs(mat_det(q_inv)) == 1
+            assert_smith_form(gram, *_snf_reduce(gram))
             theirs = smith_normal_form(sympy.Matrix(gram))
             assert smith_invariants(gram) == smith == tuple(
                 abs(int(theirs[i, i])) for i in range(8))
@@ -324,8 +332,8 @@ def pivot_matrices(seed=24, count=160):
 
 class TestSmithPivot:
     """The pivot scan that stops at the first unit picks the pivots of the
-    rule it replaced, so S, L and R are unchanged, with and without the
-    transforms."""
+    rule it replaced, so S and R are unchanged, with and without the
+    transform."""
 
     def test_same_pivot_at_every_step(self):
         for m in pivot_matrices():
@@ -338,8 +346,79 @@ class TestSmithPivot:
         monkeypatch.setattr(lattice, "_snf_pivot", reference_pivot)
         theirs = [(_snf_reduce(m), _snf_reduce(m, False)) for m in matrices]
         assert ours == theirs
-        assert any(s[0][0] == 0 for (s, _, _), _ in ours)  # a zero matrix was drawn
+        assert any(s[0][0] == 0 for (s, _), _ in ours)  # a zero matrix was drawn
         assert {len(m) == len(m[0]) for m in matrices} == {True, False}
+
+
+def reference_snf_reduce(m, transforms=True):
+    """The Smith form loop as it was before the left transform went:
+    (S, L, R) with M = L*S*R, L kept transposed (``lt``), and after every
+    round a second scan of column k and row k for a remainder; the pivots
+    come from :func:`reference_pivot`."""
+    s = [[int(v) for v in row] for row in m]
+    nr, nc = len(s), len(s[0])
+    if transforms:
+        lt = [[int(i == j) for j in range(nr)] for i in range(nr)]
+        right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    for k in range(min(nr, nc)):
+        while True:
+            pivot_at = reference_pivot(s, k)
+            if pivot_at is None:
+                break
+            i, j = pivot_at
+            s[k], s[i] = s[i], s[k]
+            for row in s[k:]:
+                row[k], row[j] = row[j], row[k]
+            if transforms:
+                lt[k], lt[i] = lt[i], lt[k]
+                right[k], right[j] = right[j], right[k]
+            pivot = s[k][k]
+            for i in range(k + 1, nr):
+                f = s[i][k] // pivot
+                if f:
+                    s[i] = [a - f * b for a, b in zip(s[i], s[k])]
+                    if transforms:
+                        lt[k] = [a + f * b for a, b in zip(lt[k], lt[i])]
+            for j in range(k + 1, nc):
+                f = s[k][j] // pivot
+                if f:
+                    for row in s[k:]:
+                        row[j] -= f * row[k]
+                    if transforms:
+                        right[k] = [a + f * b for a, b in zip(right[k], right[j])]
+            if any(s[i][k] for i in range(k + 1, nr)) or any(s[k][k + 1:]):
+                continue
+            bad = None if pivot in (1, -1) else next(
+                (i for i in range(k + 1, nr) if any(v % pivot for v in s[i][k + 1:])), None)
+            if bad is None:
+                break
+            s[k] = [a + b for a, b in zip(s[k], s[bad])]
+            if transforms:
+                lt[bad] = [a - b for a, b in zip(lt[bad], lt[k])]
+        if s[k][k] < 0:
+            s[k] = [-a for a in s[k]]
+            if transforms:
+                lt[k] = [-a for a in lt[k]]
+    if not transforms:
+        return s, None, None
+    return s, [list(r) for r in zip(*lt)], right
+
+
+class TestSmithWithoutLeftTransform:
+    """Dropping L and the second scan of column k and row k changes no
+    pivot, so S and R are those of the loop that kept both."""
+
+    def test_reference_keeps_its_contract(self):
+        for m in pivot_matrices(count=40):
+            s, left, right = reference_snf_reduce(m)
+            assert _int_mul(_int_mul(left, s), right) == m
+
+    @pytest.mark.parametrize("transforms", [True, False])
+    def test_same_s_and_r(self, transforms):
+        matrices = pivot_matrices() + [gram for gram, _ in fixture_grams()]
+        for m in matrices:
+            s, _, right = reference_snf_reduce(m, transforms)
+            assert _snf_reduce(m, transforms) == (s, right)
 
 
 class TestSublattice:

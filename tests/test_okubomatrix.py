@@ -10,9 +10,9 @@ import pytest
 from matrix_oracle import inverse, mat_product
 
 from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
-from okubo_e8 import okubomatrix
+from okubo_e8 import checks, exact, okubomatrix
 from okubo_e8.catalog import build_classical
-from okubo_e8.exact import ComplexQuad, QuadExt, apply_map
+from okubo_e8.exact import ComplexQuad, QuadExt, _complex, apply_map
 from okubo_e8.orders import coords_in_order_basis, e_basis, product_table, structure_constants
 from okubo_e8.okubomatrix import (
     HermTraceless3,
@@ -37,7 +37,7 @@ MU = ComplexQuad(QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 6)))
 
 
 def ref_mat_product(x, y):
-    return [[sum((x.rows[i][m] * y.rows[m][j] for m in range(3)), ComplexQuad(0))
+    return [[sum((x.rows[i][m] * y.rows[m][j] for m in range(3)), ComplexQuad(0, 0))
              for j in range(3)] for i in range(3)]
 
 
@@ -48,7 +48,7 @@ def ref_trace(rows):
 def ref_matrix_mul(x, y):
     """MU xy + conj(MU) yx - Tr(xy)/3 I, validated by the constructor."""
     xy, yx = ref_mat_product(x, y), ref_mat_product(y, x)
-    third = ComplexQuad(Fraction(1, 3)) * ref_trace(xy)
+    third = ComplexQuad(Fraction(1, 3), 0) * ref_trace(xy)
     return HermTraceless3(
         [[MU * xy[i][j] + MU.conjugate() * yx[i][j] - (third if i == j else 0)
           for j in range(3)] for i in range(3)]
@@ -71,15 +71,22 @@ def ref_inner(x, y):
 
 
 def ref_jordan(x, y):
-    half = ComplexQuad(Fraction(1, 2))
+    half = ComplexQuad(Fraction(1, 2), 0)
     return [[half * (a + b) for a, b in zip(ra, rb)]
             for ra, rb in zip(ref_mat_product(x, y), ref_mat_product(y, x))]
+
+
+def entry_rows(ints, den):
+    """The 3x3 ComplexQuad rows of 36 integers over ``den``, in the layout
+    of ``HermTraceless3._q``."""
+    return [[_complex(*ints[k:k + 4], den) for k in range(12 * i, 12 * i + 12, 4)]
+            for i in range(3)]
 
 
 def combine(coeffs, mats):
     """sum_k coeffs[k] mats[k] on the ComplexQuad entries, validated by the
     constructor: the coefficients must be real."""
-    acc = [[ComplexQuad(0)] * 3 for _ in range(3)]
+    acc = [[ComplexQuad(0, 0)] * 3 for _ in range(3)]
     for c, m in zip(coeffs, mats):
         c = ComplexQuad.coerce(c)
         acc = [[u + c * v for u, v in zip(ra, rb)] for ra, rb in zip(acc, m.rows)]
@@ -136,9 +143,9 @@ class TestKernelOracle:
 
     def test_associative_and_jordan_products(self):
         for x, y in KERNEL_INPUTS:
-            rows = okubomatrix._rows(okubomatrix._product(x._q, y._q), x._d * y._d)
-            assert [list(r) for r in rows] == ref_mat_product(x, y)
-            assert jordan_product(x, y) == ref_jordan(x, y)
+            rows = entry_rows(okubomatrix._product(x._q, y._q), x._d * y._d)
+            assert rows == ref_mat_product(x, y)
+            assert entry_rows(*jordan_product(x, y)) == ref_jordan(x, y)
 
     def test_invalid_inputs_rejected_like_reference(self):
         # 3x3 matrices that need be neither Hermitian nor traceless
@@ -155,7 +162,7 @@ class TestKernelOracle:
             rows = [[entry() for _ in range(3)] for _ in range(3)]
             if n % 2 == 0:  # a real diagonal, so that Tr(xy) can be real
                 for i in range(3):
-                    rows[i][i] = ComplexQuad(rows[i][i].re)
+                    rows[i][i] = ComplexQuad(rows[i][i].re, 0)
             if n % 4 == 0:  # Hermitian, but not traceless
                 rows = [[rows[i][j] if i <= j else rows[j][i].conjugate()
                          for j in range(3)] for i in range(3)]
@@ -181,7 +188,7 @@ def ref_validated(rows):
         raise ValueError("need a 3x3 matrix")
     if not all(rows[i][j] == rows[j][i].conjugate() for i in range(3) for j in range(3)):
         raise ValueError("matrix is not Hermitian")
-    if ref_trace(rows) != ComplexQuad(0):
+    if ref_trace(rows) != ComplexQuad(0, 0):
         raise ValueError("matrix is not traceless")
     return rows
 
@@ -250,7 +257,7 @@ class TestStoredIntegers:
             rows = [[entry() for _ in range(3)] for _ in range(3)]
             if n % 3:  # Hermitian, traceless only when the diagonal is fixed up
                 rows = [[rows[i][j] if i < j else rows[j][i].conjugate() if i > j
-                         else ComplexQuad(rows[i][i].re) for j in range(3)] for i in range(3)]
+                         else ComplexQuad(rows[i][i].re, 0) for j in range(3)] for i in range(3)]
             if n % 3 == 2:
                 rows[2][2] = -(rows[0][0] + rows[1][1])
             if n % 10 == 9:
@@ -270,14 +277,33 @@ class TestStoredIntegers:
 class TestBasis:
     def test_mu(self):
         # the reference product's mu: mu + conj(mu) = 1 and |mu|^2 = 1/3
-        assert MU + MU.conjugate() == ComplexQuad(1)
-        assert MU * MU.conjugate() == ComplexQuad(QuadExt(Fraction(1, 3)))
+        assert MU + MU.conjugate() == ComplexQuad(1, 0)
+        assert MU * MU.conjugate() == ComplexQuad(QuadExt(Fraction(1, 3)), 0)
 
     def test_types(self):
         basis = build_basis()
         assert len(basis) == 8
         for m in basis:
             assert ref_validated(m.rows) == m.rows
+
+    def test_integers_match_the_entry_route(self):
+        # the basis written as integers over 1 is the basis built from its
+        # ComplexQuad entries by the public constructor
+        s3 = QuadExt(0, 1)
+        z, r3, i_pos = ComplexQuad(0, 0), ComplexQuad(s3, 0), ComplexQuad(0, s3)
+        i_neg = -i_pos
+        want = (
+            HermTraceless3([[2, 0, 0], [0, -1, 0], [0, 0, -1]]),
+            HermTraceless3([[z, r3, z], [r3, z, z], [z, z, z]]),
+            HermTraceless3([[z, z, r3], [z, z, z], [r3, z, z]]),
+            HermTraceless3([[z, z, z], [z, z, r3], [z, r3, z]]),
+            HermTraceless3([[r3, z, z], [z, -r3, z], [z, z, z]]),
+            HermTraceless3([[z, i_neg, z], [i_pos, z, z], [z, z, z]]),
+            HermTraceless3([[z, z, i_neg], [z, z, z], [i_pos, z, z]]),
+            HermTraceless3([[z, z, z], [z, z, i_neg], [z, i_pos, z]]),
+        )
+        assert build_basis() == want
+        assert all(m._d == 1 for m in build_basis())
 
     def test_idempotent(self):
         e = build_basis()[0]
@@ -355,8 +381,17 @@ class TestJordanFixture:
         # the symmetrized product leaves the traceless space, which is why
         # the trace correction term exists
         basis = build_basis()
-        rows = jordan_product(basis[1], basis[1])
-        assert rows[0][0] + rows[1][1] + rows[2][2] != ComplexQuad(0)
+        rows = entry_rows(*jordan_product(basis[1], basis[1]))
+        assert rows[0][0] + rows[1][1] + rows[2][2] != ComplexQuad(0, 0)
+
+    def test_canonical_integers(self):
+        # one gcd: the Jordan square of e is diag(4, 1, 1), over 1
+        e = build_basis()[0]
+        ints, den = jordan_product(e, e)
+        assert den == 1 and entry_rows(ints, den) == [
+            [ComplexQuad(4, 0), ComplexQuad(0, 0), ComplexQuad(0, 0)],
+            [ComplexQuad(0, 0), ComplexQuad(1, 0), ComplexQuad(0, 0)],
+            [ComplexQuad(0, 0), ComplexQuad(0, 0), ComplexQuad(1, 0)]]
 
 
 #: the shared coordinate solve on the matrix basis
@@ -541,3 +576,24 @@ class TestCrossRealization:
                 if rng.random() < 0.3:
                     mat_c[a][b][k] = rng.randint(-2, 2)
             check(mat_c, table)
+
+
+def test_certificate_builds_no_complex_entry(monkeypatch):
+    """One ``run_all`` from cold basis caches makes no ComplexQuad: the
+    matrix realization computes on integers from its basis to its reports.
+    Every ComplexQuad is made by ``object.__new__`` through ``exact._new``,
+    which is counted."""
+    made = []
+    real_new = exact._new
+
+    def counted(cls):
+        if cls is ComplexQuad:
+            made.append(cls)
+        return real_new(cls)
+
+    monkeypatch.setattr(exact, "_new", counted)
+    okubomatrix.build_basis.cache_clear()
+    okubomatrix._basis_span.cache_clear()
+    assert ComplexQuad(1, 0) and len(made) == 1  # the counter sees a construction
+    checks.run_all(seed=0)
+    assert len(made) == 1

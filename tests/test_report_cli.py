@@ -16,6 +16,7 @@ import pytest
 from conftest import time_limit
 from okubo_e8 import checks, claims, cli
 from okubo_e8 import lattice as lat
+from okubo_e8 import stabilizer as stab
 from okubo_e8.cli import build_parser, main
 from okubo_e8.exact import QuadExt
 from okubo_e8.orders import cd_lattice, dump_structure_constants, structure_constants
@@ -64,9 +65,9 @@ class TestCheckReport:
         assert jsonable((1, Fraction(1, 2))) == [1, "1/2"]
 
     def test_compare_statuses(self):
-        assert compare("c", "a", "v", 1, "trivial", 1).status == PASS
-        assert compare("c", "a", "v", 1, "trivial", 2).status == FAIL
-        assert compare("c", "a", "v", 1, "trivial", 2, record_only=True).status == DIFF
+        assert compare("c", "a", 1, "trivial", 1).status == PASS
+        assert compare("c", "a", 1, "trivial", 2).status == FAIL
+        assert compare("c", "a", 1, "trivial", 2, record_only=True).status == DIFF
 
 
 class TestSerialize:
@@ -567,6 +568,27 @@ def test_discriminant_routes_must_agree(monkeypatch):
     reports = checks.check_discriminant()
     assert [r.status for r in reports] == ["fail", "fail"]
     assert reports[0].actual == {"smith_order": 16777216, "hermite_order": 33554432}
+
+
+def test_planted_product_filter_fails_the_certificate(monkeypatch):
+    """A product filter that lets every metric survivor through breaks the
+    paper's "only the identity preserves the product": no other check sees
+    it, so stabilizer-product-set must fail, and `verify all` exits 1."""
+    monkeypatch.setattr(stab, "preserves_product", lambda cand, m_constants: True)
+    reports = checks.run_all(seed=0)
+    assert [r.check for r in reports if r.status == FAIL] == ["stabilizer-product-set"]
+    assert exit_code(reports) == 1
+
+
+def test_bumped_trace_pattern_fails(monkeypatch):
+    """A claimed trace pattern the order basis does not have fails
+    basis-trace-formula."""
+    bumped = (claims.TRACE_PATTERN[0] + 1,) + claims.TRACE_PATTERN[1:]
+    before = {r.check: r.status for r in checks.check_basis_forms()}
+    monkeypatch.setattr(claims, "TRACE_PATTERN", bumped)
+    after = {r.check: r.status for r in checks.check_basis_forms()}
+    assert before["basis-trace-formula"] == PASS
+    assert after == {**before, "basis-trace-formula": FAIL}
 
 
 class TestCoverage:
