@@ -45,7 +45,6 @@ from itertools import chain, product
 from math import gcd, lcm
 
 from ._record import record
-from .claims import CONVENTION
 from .exact import QuadExt, _quad, apply_map, integer_map
 
 DIM = 8
@@ -83,11 +82,10 @@ class MultTable:
 
     idx: tuple[tuple[int, ...], ...]
     sgn: tuple[tuple[int, ...], ...]
-    convention: str
 
 
 _IDX, _SGN = _build_tables()
-OCT_TABLE = MultTable(_IDX, _SGN, CONVENTION)
+OCT_TABLE = MultTable(_IDX, _SGN)
 
 
 class AlgebraElem:

@@ -79,7 +79,6 @@ def order_lattice(basis: OrderBasis) -> lat.LatticeZ:
 
 @record
 class CatalogReport:
-    name: str
     unit_count: int
     units_closed: bool
     inverses_present: bool
@@ -112,7 +111,6 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
     closure = closure_test(structure_constants("octonion", basis), RingTag.Z, basis)
 
     return CatalogReport(
-        name=basis.label,
         unit_count=unit_count,
         units_closed=closed,
         inverses_present=inverses,

@@ -325,7 +325,7 @@ def check_discriminant() -> list[CheckReport]:
        [f"shell-n{n}" for n in range(1, 5)], extra_ids=["shell-n5", "shell-n6"])
 def check_shells(maxn: int = 4) -> list[CheckReport]:
     return [
-        _cmp(f"shell-n{s.n}", s.formula, "claimed", s.count,
+        _cmp(f"shell-n{s.n}", claims.SHELL_VALUES[s.n - 1], "claimed", s.count,
              details=f"n={s.n} count={s.count} formula={s.formula}")
         for s in lat.shell_counts_vs_sigma3(orders.cd_lattice(), maxn)
     ]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import product
 from math import lcm, prod
 from operator import index, mul
 
@@ -348,7 +347,6 @@ def lattices_equal(a: LatticeZ, b: LatticeZ) -> bool:
 class SublatticeInvariants:
     index: int
     det_sub: int
-    det_sup: int
     smith: tuple[int, ...]
     inclusions: dict
 
@@ -360,8 +358,8 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
     index = abs(mat_det(xi))
     if not index:
         raise LatticeError("sublattice is not of full rank")
-    det_sub, det_sup = sub.det(), sup.det()
-    if det_sub != index * index * det_sup:
+    det_sub = sub.det()
+    if det_sub != index * index * sup.det():
         raise LatticeError("index-squared determinant law failed")
     inclusions = {
         "4sup_in_sub": contains(sub, sup.scaled(4)),
@@ -371,7 +369,6 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
     return SublatticeInvariants(
         index=index,
         det_sub=det_sub,
-        det_sup=det_sup,
         smith=smith_invariants(xi),
         inclusions=inclusions,
     )
@@ -439,7 +436,6 @@ class ShellCount:
     n: int
     count: int
     formula: int
-    match: bool
 
 
 def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
@@ -458,7 +454,7 @@ def shell_counts_vs_sigma3(lat: LatticeZ, maxn: int) -> list[ShellCount]:
     for n in range(1, maxn + 1):
         have = counts.get(2 * n, 0)
         want = 240 * sigma3(n)
-        out.append(ShellCount(n=n, count=have, formula=want, match=have == want))
+        out.append(ShellCount(n=n, count=have, formula=want))
     return out
 
 
@@ -488,35 +484,6 @@ def discriminant_group(lat: LatticeZ) -> DiscriminantGroup:
     return DiscriminantGroup(invariants=tuple(d for d in invariants if d > 1))
 
 
-@record
-class QuotientGroup:
-    """sup/sub for an inclusion of equal-rank lattices."""
-
-    invariants: tuple[int, ...]
-    generators_sup_coords: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariants)
-
-
-def quotient_group(sub: LatticeZ, sup: LatticeZ) -> QuotientGroup:
-    factors = [(d, r) for d, r in _smith_rows(_inclusion_matrix(sub, sup)) if d > 1]
-    return QuotientGroup(invariants=tuple(d for d, _ in factors),
-                         generators_sup_coords=tuple(r for _, r in factors))
-
-
-def saturation(sub: LatticeZ, sup: LatticeZ) -> LatticeZ:
-    """The 2-adic saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub
-    for some k}: each Smith factor of sup/sub loses its powers of 2."""
-    rows = []
-    for d, r in _smith_rows(_inclusion_matrix(sub, sup)):
-        while d % 2 == 0:
-            d //= 2
-        rows.append(sup.vector([d * v for v in r]))
-    return LatticeZ.from_rows(rows, sup.ambient_gram, f"sat_2({sub.label or 'L'})")
-
-
 def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
     """The lattice generated by ``base`` and the given ambient vectors."""
     h = hermite_form(list(base.basis) + list(_int_rows(lift_rows)))
@@ -533,7 +500,6 @@ class GlueSaturateReport:
     quotient_invariants: tuple[int, ...]
     quotient_order: int
     q_values_all_zero: bool
-    isotropy_witness: tuple | None
     maximal_isotropic: bool
     glued_even: bool
     glued_unimodular: bool
@@ -541,60 +507,51 @@ class GlueSaturateReport:
 
 
 def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
-    """Run the 2-adic saturation and the gluing recovery for sub inside sup.
+    """Run the 2-adic saturation and the gluing recovery for sub inside sup,
+    both from the one Smith decomposition (d_i, r_i) of the inclusion
+    matrix (:func:`_smith_rows`).
 
-    The gluing subgroup is H = sup/sub viewed inside A_sub.  Isotropy of H
-    is checked exhaustively (|H| is guarded at 2^16), and the first class
-    with q(h) != 0 is reported as the witness.  The lattice is glued along
-    H either way; the report says whether the result is even and
-    unimodular.
+    The saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub for some k}
+    is spanned by the (odd part of d_i) * r_i.  The factors d_i > 1 are the
+    invariants of H = sup/sub, with the r_i as its generators.  H is viewed
+    inside A_sub, where isotropy is decided on the generators alone (see
+    the comment below).  The lattice is glued along H either way; the
+    report says whether the result is even and unimodular.
     """
-    sat = saturation(sub, sup)
-    sat_eq = lattices_equal(sat, sup)
+    rows = _smith_rows(_inclusion_matrix(sub, sup))
+    sat_rows = []
+    for d, r in rows:
+        while d % 2 == 0:
+            d //= 2
+        sat_rows.append(sup.vector([d * v for v in r]))
+    sat = LatticeZ.from_rows(sat_rows, sup.ambient_gram, f"sat_2({sub.label or 'L'})")
 
-    quot = quotient_group(sub, sup)
-    if quot.order > 1 << 16:
-        raise LatticeError("quotient group exceeds the desk-scale guard")
-
-    # q(h) = <v, v> mod 2 for any lift v in sup of h.  For h = sum c_g h_g,
-    # <v, v> = c M c^T with M the integer Gram of the generators' lifts.
-    gens = quot.generators_sup_coords
+    factors = [(d, r) for d, r in rows if d > 1]
+    invariants = tuple(d for d, _ in factors)
+    order = prod(invariants)
+    gens = [r for _, r in factors]
+    # q(h) = <v, v> mod 2 for any lift v in sup of h.  For h = sum c_i h_i,
+    # <v, v> = c M c^T with M the integer Gram of the generators' lifts,
+    # and c M c^T = sum_i c_i^2 M_ii + 2 sum_{i<j} c_i c_j M_ij, so
+    # q(h) = sum of M_ii over the odd c_i (mod 2).  q vanishes on every
+    # class if every M_ii is even, and only then, as every invariant is
+    # > 1, so each h_i is a class of its own, with q(h_i) = M_ii mod 2.
     m = _integer_gram(gens, sup.gram)
-    # c M c^T = sum_i c_i^2 M_ii + 2 sum_{i<j} c_i c_j M_ij, so q vanishes
-    # on every class if every M_ii is even; and only then, as every
-    # invariant is > 1 and the class e_i lies in the box.  So the classes
-    # are walked, in order, for the first witness only when this test on
-    # the generators fails.
-    witness = None
-    if any(m[i][i] % 2 for i in range(len(m))):
-        for coeffs in product(*(range(t) for t in quot.invariants)):
-            nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
-            val = sum(ci * cj * m[i][j] for i, ci in nonzero for j, cj in nonzero)
-            if val % 2:
-                witness = (coeffs, val % 2)
-                break
-    all_zero = witness is None
+    all_zero = all(m[i][i] % 2 == 0 for i in range(len(m)))
+    maximal = order * order == discriminant_group(sub).order
 
-    disc = discriminant_group(sub)
-    maximal = quot.order * quot.order == disc.order
-
-    lifts = [sup.vector(g) for g in gens]
-    glued = glue_overlattice(sub, lifts)
-    glued_even = glued.is_even()
-    glued_unimodular = glued.det() == 1
-    glued_eq = lattices_equal(glued, sup)
+    glued = glue_overlattice(sub, [sup.vector(r) for r in gens])
 
     return GlueSaturateReport(
         saturation=sat,
-        saturation_equals_sup=sat_eq,
-        quotient_invariants=quot.invariants,
-        quotient_order=quot.order,
+        saturation_equals_sup=lattices_equal(sat, sup),
+        quotient_invariants=invariants,
+        quotient_order=order,
         q_values_all_zero=all_zero,
-        isotropy_witness=witness,
         maximal_isotropic=maximal,
-        glued_even=glued_even,
-        glued_unimodular=glued_unimodular,
-        glued_equals_sup=glued_eq,
+        glued_even=glued.is_even(),
+        glued_unimodular=glued.det() == 1,
+        glued_equals_sup=lattices_equal(glued, sup),
     )
 
 

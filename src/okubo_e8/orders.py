@@ -279,8 +279,6 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
 
 @record
 class StructureConstants:
-    product: str
-    basis_label: str
     c: tuple  # c[i][j][k] QuadExt with b_i o b_j = sum_k c[i][j][k] b_k
 
     def all_entries(self):
@@ -341,7 +339,7 @@ def structure_constants(product: str, basis: OrderBasis | None = None) -> Struct
         return structure_constants(product, cd_basis())
     c = product_table(PRODUCTS[product], basis,
                       lambda x: coords_in_order_basis(x, basis))
-    return StructureConstants(product=product, basis_label=basis.label, c=c)
+    return StructureConstants(c)
 
 
 def dump_structure_constants(constants: StructureConstants) -> str:
@@ -424,11 +422,7 @@ def parse_structure_constants(text: str) -> StructureConstants:
             raise ValueError(f"{exc}: {line!r}") from None
     if len(seen) != DIM ** 3:
         raise ValueError(f"expected {DIM ** 3} entries, got {len(seen)}")
-    return StructureConstants(
-        product="parsed",
-        basis_label="parsed",
-        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-    )
+    return StructureConstants(tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
 # -- integrality tests --------------------------------------------------------
@@ -438,9 +432,7 @@ def parse_structure_constants(text: str) -> StructureConstants:
 class IntegralSystemReport:
     """Closure and trace/norm integrality relative to a reference idempotent."""
 
-    product: str
     violations: tuple  # (i, j, k, coefficient)
-    norm_values: tuple
     trace_norm_ok: bool
 
 
@@ -456,17 +448,8 @@ def closure_test(constants: StructureConstants, ring: RingTag,
         for i, j, k, v in constants.all_entries()
         if v and not ring.contains(v)
     )
-    traces = tuple(b.trace() for b in basis)
-    norms = tuple(b.norm() for b in basis)
-    tn_ok = all(ring.contains(t) for t in traces) and all(
-        ring.contains(n) for n in norms
-    )
-    return IntegralSystemReport(
-        product=constants.product,
-        violations=violations,
-        norm_values=norms,
-        trace_norm_ok=tn_ok,
-    )
+    tn_ok = all(ring.contains(b.trace()) and ring.contains(b.norm()) for b in basis)
+    return IntegralSystemReport(violations=violations, trace_norm_ok=tn_ok)
 
 
 def product_traces(constants: StructureConstants,
@@ -534,8 +517,6 @@ def scaled_basis() -> OrderBasis:
 @record
 class ScaledOrderReport:
     violations: tuple
-    norm_values: tuple
-    inner_values: tuple
     all_integral: bool
 
 
@@ -554,8 +535,6 @@ def scaled_order_verify() -> ScaledOrderReport:
     prod_traces = product_traces(constants, u)
     return ScaledOrderReport(
         violations=closure.violations,
-        norm_values=closure.norm_values,
-        inner_values=inners,
         all_integral=closure.trace_norm_ok
         and all(ring.contains(v) for v in inners + prod_traces),
     )

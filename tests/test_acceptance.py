@@ -92,7 +92,9 @@ def test_04_minimal_scaling():
 
 def test_05_scaled_order():
     rep = scaled_order_verify()
-    ok = rep.violations == () and len(rep.inner_values) == 64 and rep.all_integral
+    inners = [v for row in scaled_basis().inner_products() for v in row]
+    ok = (rep.violations == () and len(inners) == 64
+          and all(RingTag.ZSQRT3.contains(v) for v in inners) and rep.all_integral)
     announce(5, "scaled order closes over Z[sqrt3] with integral values", ok)
 
 
@@ -139,7 +141,7 @@ def test_08_shells():
     budget.check()
     ok = [(s.n, s.count, s.formula) for s in shells] == [
         (1, 240, 240), (2, 2160, 2160), (3, 6720, 6720), (4, 17520, 17520),
-    ] and all(s.match for s in shells)
+    ] and all(s.count == s.formula for s in shells)
     announce(8, "shell counts equal 240*sigma3(n) for n=1..4", ok)
 
 

@@ -269,9 +269,6 @@ class TestMultTable:
     def test_table_valid(self):
         assert table_violations(OCT_TABLE) == []
 
-    def test_convention_id(self):
-        assert OCT_TABLE.convention == "cd1946"
-
     def test_unit_and_squares(self):
         x = seeded(1)[0]
         assert oct_mul(AlgebraElem.one(), x) == x

@@ -29,7 +29,6 @@ EXPECTED_UNITS = {
 @pytest.mark.parametrize("name", sorted(EXPECTED_UNITS))
 def test_catalog_row(name):
     rep = verify_classical(build_classical(name))
-    assert rep.name == name
     assert rep.unit_count == EXPECTED_UNITS[name]
     assert (rep.units_closed and rep.inverses_present
             and rep.constants_integral and rep.trace_norm_integral), rep

@@ -1,7 +1,8 @@
 """Every module-level import of the package is used in its module, every
 module-level name it assigns is read by one of its modules, every field
-of its records is read somewhere, every defaulted parameter is set
-by some call, and only ``checks`` reads claimed values from ``claims``.
+of its records is read by the package or the benchmark (not only by a
+test), every defaulted parameter is set by some call, and only
+``checks`` reads claimed values from ``claims``.
 
 No linter ships with the project, so this is the one dead-name check: a
 deletion that leaves an import, a constant, a stored field or an option
@@ -173,12 +174,20 @@ def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
     )
 
 
-def _package_unread_fields() -> list[str]:
-    """The unread record fields of the package, the tests and the
-    benchmark counting as readers."""
-    readers = [p.read_text() for d in ("tests", "perfbench")
-               for p in sorted((ROOT / d).glob("*.py"))]
-    return _unread_fields({p.name: p.read_text() for p in MODULES}, readers)
+def _package_unread_fields(root=ROOT) -> list[str]:
+    """The record fields of the package under ``root`` that neither it nor
+    the benchmark reads.  The tests do not count as readers: a value that
+    only a test reads is not computed for what ships, as a function that
+    only a test calls belongs in that test (``test_reachability``).
+
+    Reads are matched by name, so a field is flagged only when no shipped
+    code reads any attribute of that name: of the eleven fields that only
+    tests read before they were deleted, this check would have flagged
+    five, as ``product``, ``name``, ``convention`` and ``norm_values`` are
+    also read on other types."""
+    readers = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
+    modules = sorted((root / "src" / "okubo_e8").glob("*.py"))
+    return _unread_fields({p.name: p.read_text() for p in modules}, readers)
 
 
 def test_every_field_is_read():
@@ -200,13 +209,25 @@ def test_field_check_covers_every_record():
     assert covered == decorated
 
 
-def test_checker_sees_an_unread_field():
+def test_checker_sees_an_unread_field(tmp_path):
     source = ("@record\nclass R:\n    x: int\n    y: int\n"
               "    z: ClassVar[int] = 0\n"
               "@dataclasses.dataclass\nclass S:\n    w: int\n"
               "class T:\n    v: int\n")
     assert _unread_fields({"a.py": source}, ["print(r.x, s.w)\nr.y = 1\n"]) == ["a.py:4 R.y"]
     assert _unread_fields({"a.py": source}, []) == ["a.py:3 R.x", "a.py:4 R.y", "a.py:8 S.w"]
+    # a field that only a test reads is reported; one that the package or
+    # the benchmark reads is not
+    files = {
+        "src/okubo_e8/a.py": "@record\nclass R:\n    x: int\n    y: int\n    z: int\n"
+                             "def f(r):\n    return r.x\n",
+        "perfbench/run.py": "print(r.y)\n",
+        "tests/test_a.py": "assert r.x == r.y == r.z\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _package_unread_fields(tmp_path) == ["a.py:5 R.z"]
 
 
 #: defaulted parameters that no call sets, and why each stays:

@@ -576,8 +576,7 @@ class TestScalingWalk:
         okubo = structure_constants("okubo")
         c = [[list(row) for row in plane] for plane in okubo.c]
         c[0][2][0] = QuadExt(0, Fraction(1, 6))
-        tampered = StructureConstants(
-            "okubo", okubo.basis_label, tuple(tuple(map(tuple, p)) for p in c))
+        tampered = StructureConstants(tuple(tuple(map(tuple, p)) for p in c))
         assert tampered.valuation_constraints is None
         res = scaling_search(tampered)
         assert (res.feasible_count, res.minimal) == (0, ())

@@ -15,8 +15,10 @@ from matrix_oracle import inverse
 from okubo_e8 import claims, cli, lattice
 from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
 from okubo_e8.catalog import build_classical, order_lattice
-from okubo_e8.exact import QuadExt, solve
+from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
+    _inclusion_matrix,
+    _smith_rows,
     _snf_reduce,
     InclusionError,
     LatticeError,
@@ -32,8 +34,6 @@ from okubo_e8.lattice import (
     mat_det,
     minimum_and_kissing,
     norm_counts,
-    quotient_group,
-    saturation,
     shell_counts_vs_sigma3,
     short_vectors,
     sigma3,
@@ -426,7 +426,7 @@ class TestSublattice:
         inv = sublattice_invariants(conductor_lattice(), cd_lattice())
         assert inv.index == claims.CONDUCTOR_INDEX
         assert inv.det_sub == claims.CONDUCTOR_DET
-        assert inv.det_sup == 1
+        assert cd_lattice().det() == 1
         assert inv.smith == claims.CONDUCTOR_SMITH
         assert inv.inclusions == {
             "4sup_in_sub": True, "sub_in_2sup": True, "sub_in_sup": True,
@@ -448,7 +448,7 @@ class TestSublattice:
     def test_non_inclusion_witness(self):
         cd = cd_lattice()
         double = cd.scaled(2)
-        for run in (sublattice_invariants, quotient_group, saturation):
+        for run in (sublattice_invariants, glue_and_saturate):
             with pytest.raises(InclusionError) as err:
                 run(cd, double)
             assert err.value.witness == cd.basis[0]
@@ -459,7 +459,7 @@ class TestSublattice:
         flat = LatticeZ.from_rows([[1, 1], [2, 2]], ident)
         assert not contains(flat, LatticeZ.from_gram(ident))
         with pytest.raises(LatticeError, match="singular matrix"):
-            quotient_group(LatticeZ.from_gram(ident), flat)
+            glue_and_saturate(LatticeZ.from_gram(ident), flat)
 
     def test_constructors_refuse_a_non_square_shape(self):
         # a 2x3 basis in Z^3 once made contains() answer True for a vector
@@ -487,7 +487,7 @@ class TestSublattice:
             if mat_det(sub.basis) == 0:
                 continue
             inv = sublattice_invariants(sub, cd)
-            assert inv.det_sub == inv.index ** 2 * inv.det_sup
+            assert inv.det_sub == inv.index ** 2 * cd.det()
 
 
 class TestShortVectors:
@@ -537,7 +537,7 @@ class TestShells:
         assert [(s.n, s.count) for s in shells] == [
             (1, 240), (2, 2160), (3, 6720), (4, 17520),
         ]
-        assert all(s.match for s in shells)
+        assert all(s.count == s.formula for s in shells)
         assert [s.formula for s in shells] == list(claims.SHELL_VALUES[:4])
 
     def test_counts_even(self):
@@ -662,7 +662,7 @@ class TestDiscriminantGroup:
             sup = LatticeZ.from_gram(sup_gram)
             values, _ = dual_form_values(sub, sup)
             ginv = inverse(sub.gram)
-            orders = quotient_group(sub, sup).invariants
+            orders = glue_and_saturate(sub, sup).quotient_invariants
             for a, (qa, ya) in values.items():
                 for b, (qb, yb) in values.items():
                     ab = tuple((x + y) % t for x, y, t in zip(a, b, orders))
@@ -675,6 +675,14 @@ class TestDiscriminantGroup:
         assert found == {True, False}
 
 
+def quotient_generators(sub, sup):
+    """(invariants, generators) of H = sup/sub: the Smith factors d_i > 1 of
+    the inclusion matrix and their rows r_i in sup coordinates, from the
+    one decomposition ``glue_and_saturate`` reads."""
+    factors = [(d, r) for d, r in _smith_rows(_inclusion_matrix(sub, sup)) if d > 1]
+    return tuple(d for d, _ in factors), tuple(r for _, r in factors)
+
+
 def dual_form_values(sub, sup, shift=None):
     """q(h) = <v, v> mod 2 on every class h of H = sup/sub inside
     A_sub = sub*/sub, read from the dual Gram of sub alone: a lift v in sup
@@ -685,7 +693,7 @@ def dual_form_values(sub, sup, shift=None):
     values of q on the lifts moved by b_j (whose dual coordinates are row
     j of G), else None.
     """
-    quot = quotient_group(sub, sup)
+    invariants, generators = quotient_generators(sub, sup)
     g, amb = sub.gram, sub.ambient_gram
     ginv = inverse(g)
     den = lcm(*(v.denominator for row in ginv for v in row))
@@ -701,10 +709,10 @@ def dual_form_values(sub, sup, shift=None):
                   for j, w in enumerate(y) if w)
         return Fraction(val % (2 * den), den)
 
-    gens = [dual(sup.vector(h)) for h in quot.generators_sup_coords]
+    gens = [dual(sup.vector(h)) for h in generators]
     assert all(v.denominator == 1 for row in gens for v in row), "sup is not in sub*"
     values, shifted = {}, None if shift is None else {}
-    for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
+    for coeffs in itertools.product(*(range(t) for t in invariants)):
         y = [sum(c * row[j] for c, row in zip(coeffs, gens)) for j in range(n)]
         values[coeffs] = (q(y), y)
         if shift is not None:
@@ -719,7 +727,6 @@ class TestGlueSaturate:
         assert rep.quotient_invariants == claims.QUOTIENT_INVARIANTS
         assert rep.quotient_order == claims.CONDUCTOR_INDEX
         assert rep.q_values_all_zero
-        assert rep.isotropy_witness is None
         assert rep.maximal_isotropic
         assert rep.glued_even and rep.glued_unimodular
         assert rep.glued_equals_sup
@@ -729,73 +736,82 @@ class TestGlueSaturate:
         ([[2]], [[3]], False),
         ([[2, 0], [0, 2]], [[2, 1], [1, 4]], True),
         ([[2, 0], [0, 2]], [[1, 0], [0, 2]], False),
-        ([[2, 0], [0, 2]], [[2, 1], [1, 3]], False),  # the witness is not e_1
+        ([[2, 0], [0, 2]], [[2, 1], [1, 3]], False),  # q(e_1) = 0, q(e_2) = 1
         ([[2, 0, 0], [0, 4, 0], [1, 1, 2]], [[2, 1, 0], [1, 3, 1], [0, 1, 6]],
          False),
     ])
     def test_isotropy_witness(self, sub_rows, sup_gram, isotropic):
-        """The witness is the first class, in itertools.product order, whose
-        lift v has <v, v> outside 2Z, with q(v) = <v, v> mod 2."""
+        """Isotropy is decided on the generators alone; a walk over every
+        class, in itertools.product order, for the first lift v with
+        <v, v> outside 2Z agrees."""
         sup = LatticeZ.from_gram(sup_gram)
         sub = LatticeZ.from_rows(sub_rows, sup_gram)
-        quot = quotient_group(sub, sup)
+        invariants, generators = quotient_generators(sub, sup)
         g, n = sup.gram, sup.rank
-        expected = None
-        for coeffs in itertools.product(*(range(t) for t in quot.invariants)):
-            v = [sum(c * row[j] for c, row in zip(coeffs, quot.generators_sup_coords))
-                 for j in range(n)]
-            q = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) % 2
-            if q:
-                expected = (coeffs, q)
+        witness = None
+        for coeffs in itertools.product(*(range(t) for t in invariants)):
+            v = [sum(c * row[j] for c, row in zip(coeffs, generators)) for j in range(n)]
+            if sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) % 2:
+                witness = coeffs
                 break
         rep = glue_and_saturate(sub, sup)
         assert rep.q_values_all_zero is isotropic
-        assert rep.isotropy_witness == expected
-        assert (expected is None) is isotropic
-
-    def test_conductor_walks_no_class(self, monkeypatch):
-        """On the conductor q vanishes on the generators and on their
-        pairwise sums, which decides isotropy without walking the 4096
-        classes."""
-        import okubo_e8.lattice as lattice_module
-
-        def walk(*ranges):
-            raise AssertionError("a class was walked")
-
-        monkeypatch.setattr(lattice_module, "product", walk)
-        rep = glue_and_saturate(conductor_lattice(), cd_lattice())
-        assert rep.q_values_all_zero and rep.isotropy_witness is None
-        assert rep.quotient_order == 4096
+        assert (witness is None) is isotropic
 
     def test_quotient_group(self):
-        q = quotient_group(conductor_lattice(), cd_lattice())
-        assert q.invariants == claims.QUOTIENT_INVARIANTS
-        assert q.order == 4096
+        rep = glue_and_saturate(conductor_lattice(), cd_lattice())
+        assert rep.quotient_invariants == claims.QUOTIENT_INVARIANTS
+        assert rep.quotient_order == 4096
 
-    @pytest.mark.parametrize("run", [quotient_group, saturation])
-    def test_smith_rows_need_no_rational_inverse(self, run, monkeypatch):
-        # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
-        # and the one rational solve is the inclusion matrix
+    def test_one_smith_decomposition(self, monkeypatch):
+        """Both recoveries read one Smith decomposition of the inclusion
+        matrix of sub in sup: one inclusion matrix of that pair, and one
+        Smith form with its transform."""
         import okubo_e8.lattice as lattice_module
 
-        calls = []
+        sub, sup = conductor_lattice(), cd_lattice()
+        pairs, transformed = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
+        def inclusion(inner, outer, _original=lattice_module._inclusion_matrix):
+            pairs.append((inner, outer))
+            return _original(inner, outer)
 
-        monkeypatch.setattr(lattice_module, "solve", counted)
-        run(conductor_lattice(), cd_lattice())
-        assert len(calls) == 1
+        def snf(m, transforms=True, _original=lattice_module._snf_reduce):
+            transformed.append(transforms)
+            return _original(m, transforms)
+
+        monkeypatch.setattr(lattice_module, "_inclusion_matrix", inclusion)
+        monkeypatch.setattr(lattice_module, "_snf_reduce", snf)
+        glue_and_saturate(sub, sup)
+        assert pairs.count((sub, sup)) == 1
+        assert transformed.count(True) == 1
+
+    def test_smith_rows_need_no_rational_inverse(self, monkeypatch):
+        # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
+        # and every rational solve is an inclusion matrix: the one of sub
+        # in sup, and those of the two mutual containments
+        import okubo_e8.lattice as lattice_module
+
+        calls = {"solve": 0, "_inclusion_matrix": 0}
+        for name in calls:
+            original = getattr(lattice_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lattice_module, name, counted)
+        glue_and_saturate(conductor_lattice(), cd_lattice())
+        assert calls == {"solve": 5, "_inclusion_matrix": 5}
 
     def test_saturation_idempotent_and_monotone(self):
         cond, cd = conductor_lattice(), cd_lattice()
-        sat = saturation(cond, cd)
+        sat = glue_and_saturate(cond, cd).saturation
         assert contains(sat, cond)  # monotone: L subset of Sat(L)
-        sat2 = saturation(sat, cd)
+        sat2 = glue_and_saturate(sat, cd).saturation
         assert lattices_equal(sat, sat2)
 
-    @pytest.mark.parametrize("run", [sublattice_invariants, quotient_group, saturation])
+    @pytest.mark.parametrize("run", [sublattice_invariants, glue_and_saturate])
     def test_rank_deficient_sub_rejected(self, run):
         # a rank-1 sublattice has an infinite quotient and a zero Smith factor
         sup = LatticeZ.from_gram([[2, 1], [1, 2]])

@@ -591,6 +591,29 @@ def test_bumped_trace_pattern_fails(monkeypatch):
     assert after == {**before, "basis-trace-formula": FAIL}
 
 
+def test_bumped_shell_value_fails(monkeypatch):
+    """Each shell count is compared with its claimed value, so a claimed
+    value the lattice does not have fails its shell id alone."""
+    bumped = list(claims.SHELL_VALUES)
+    bumped[2] += 1
+    before = {r.check: r.status for r in checks.check_shells()}
+    monkeypatch.setattr(claims, "SHELL_VALUES", tuple(bumped))
+    after = {r.check: r.status for r in checks.check_shells()}
+    assert before == dict.fromkeys(("shell-n1", "shell-n2", "shell-n3", "shell-n4"), PASS)
+    assert after == {**before, "shell-n3": FAIL}
+
+
+def test_glue_and_saturate_split_the_group_ids():
+    """`lattice glue` and `lattice saturate` emit disjoint ids, which
+    together are every id of the saturation-gluing group: no id drops out
+    of both commands."""
+    parser = build_parser()
+    glue, saturate = ({r.check for r in cli._lattice_reports(parser.parse_args(["lattice", w]))}
+                      for w in ("glue", "saturate"))
+    assert glue and saturate and not glue & saturate
+    assert glue | saturate == set(checks.REGISTRY["saturation-gluing"].ids)
+
+
 class TestCoverage:
     def test_run_all_matches_check_map(self, all_reports):
         emitted = {r.check for r in all_reports}
