@@ -786,10 +786,18 @@ class TestGlueSaturate:
         assert pairs.count((sub, sup)) == 1
         assert transformed.count(True) == 1
 
-    def test_smith_rows_need_no_rational_inverse(self, monkeypatch):
+    @pytest.mark.parametrize("run, solves", [
+        pytest.param(lambda sub, sup: lattice._smith_rows(lattice._inclusion_matrix(sub, sup)),
+                     1, id="quotient_group"),
+        pytest.param(glue_and_saturate, 5, id="saturation"),
+    ])
+    def test_smith_rows_need_no_rational_inverse(self, run, solves, monkeypatch):
         # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
-        # and every rational solve is an inclusion matrix: the one of sub
-        # in sup, and those of the two mutual containments
+        # and every rational solve is an inclusion matrix.  The quotient
+        # group is read from the Smith rows of the one inclusion matrix of
+        # sub in sup; the saturation and the gluing add only those of the
+        # mutual containments that compare Sat_2(sub) and the glued lattice
+        # with sup
         import okubo_e8.lattice as lattice_module
 
         calls = {"solve": 0, "_inclusion_matrix": 0}
@@ -801,8 +809,8 @@ class TestGlueSaturate:
                 return _original(*args)
 
             monkeypatch.setattr(lattice_module, name, counted)
-        glue_and_saturate(conductor_lattice(), cd_lattice())
-        assert calls == {"solve": 5, "_inclusion_matrix": 5}
+        run(conductor_lattice(), cd_lattice())
+        assert calls == {"solve": solves, "_inclusion_matrix": solves}
 
     def test_saturation_idempotent_and_monotone(self):
         cond, cd = conductor_lattice(), cd_lattice()
@@ -811,7 +819,13 @@ class TestGlueSaturate:
         sat2 = glue_and_saturate(sat, cd).saturation
         assert lattices_equal(sat, sat2)
 
-    @pytest.mark.parametrize("run", [sublattice_invariants, glue_and_saturate])
+    @pytest.mark.parametrize("run", [
+        sublattice_invariants,
+        pytest.param(lambda sub, sup: glue_and_saturate(sub, sup).quotient_invariants,
+                     id="quotient_group"),
+        pytest.param(lambda sub, sup: glue_and_saturate(sub, sup).saturation,
+                     id="saturation"),
+    ])
     def test_rank_deficient_sub_rejected(self, run):
         # a rank-1 sublattice has an infinite quotient and a zero Smith factor
         sup = LatticeZ.from_gram([[2, 1], [1, 2]])
