@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from functools import lru_cache
 
@@ -21,29 +20,31 @@ from . import checks, claims, orders
 from . import lattice as lat
 from .report import compare, exit_code, serialize
 
-ENV_FORMAT = "OKUBO_E8_FORMAT"
+#: each ``verify`` flag -> the group parameter it sets, its help and its
+#: other argparse options
+FLAGS = {
+    "--constants": ("constants", "structure-constant dump to certify instead of the "
+                    "computed one", {"metavar": "FILE"}),
+    "--seed": ("seed", "seed for sampled identity checks; default 0",
+               {"type": int, "metavar": "N"}),
+    "--max": ("maxn", "largest shell, 1 to 6; default 4", {"type": int, "metavar": "N"}),
+    "--name": ("name", "one catalog row; default: every row",
+               {"choices": tuple(claims.CLASSICAL_TABLE)}),
+}
 
-KNOWN_CONVENTIONS = (claims.CONVENTION,)
+#: suite -> the parameters it takes: its group's, and the seed for ``all``
+#: (``checks.run_all``)
+SUITE_PARAMS = {"all": frozenset({"seed"}),
+                **{suite: group.params for suite, group in checks.REGISTRY.items()}}
 
-#: the verify suites whose check group takes a ``constants`` dump
-CONSTANTS_SUITES = tuple(
-    name for name, group in checks.REGISTRY.items() if "constants" in group.params
-)
+#: each flag -> the suites that accept it, built once per process
+SUITES_OF = {flag: tuple(suite for suite, params in SUITE_PARAMS.items() if param in params)
+             for flag, (param, *_) in FLAGS.items()}
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default=None,
-        help="report format (default: text, or the OKUBO_E8_FORMAT variable)",
-    )
-    parser.add_argument(
-        "--fano",
-        default=claims.CONVENTION,
-        metavar="CONVENTION",
-        help="basis convention id (only %(default)s is built in)",
-    )
+def _listed(suites) -> str:
+    """``a``, ``a and b``, ``a, b and c``"""
+    return " and ".join(filter(None, (", ".join(suites[:-1]), suites[-1])))
 
 
 @lru_cache(maxsize=None)
@@ -58,38 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a certification suite")
-    p_verify.add_argument("suite", choices=("all", *checks.REGISTRY))
-    p_verify.add_argument(
-        "--constants",
-        metavar="FILE",
-        default=None,
-        help="structure-constant dump to certify instead of the computed one "
-        f"({' and '.join(CONSTANTS_SUITES)} suites)",
-    )
-    p_verify.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled identity checks"
-    )
-    _common_flags(p_verify)
+    p_verify.add_argument("suite", choices=tuple(SUITE_PARAMS))
+    for flag, (param, help_text, options) in FLAGS.items():
+        p_verify.add_argument(flag, dest=param, **options,
+                              help=f"{help_text} ({_listed(SUITES_OF[flag])} only)")
 
-    p_lat = sub.add_parser("lattice", help="lattice-level checks")
-    p_lat.add_argument(
-        "what", choices=("invariants", "shells", "glue", "saturate", "trace16")
-    )
-    p_lat.add_argument("--max", type=int, default=None, dest="max_n",
-                       help="largest shell for `shells` (1 to 6, default 4)")
-    p_lat.add_argument("--fixture", metavar="FILE", default=None,
-                       help="lattice fixture to analyse with `invariants`")
-    _common_flags(p_lat)
+    p_lat = sub.add_parser("lattice", help="audit a lattice fixture")
+    p_lat.add_argument("what", choices=("invariants",))
+    p_lat.add_argument("--fixture", metavar="FILE", required=True,
+                       help="lattice fixture to analyse")
 
-    p_stab = sub.add_parser("stabilizer", help="arithmetic stabilizer search")
-    p_stab.add_argument("what", choices=("search",))
-    _common_flags(p_stab)
-
-    p_cat = sub.add_parser("catalog", help="classical integral sets")
-    p_cat.add_argument("what", choices=("verify",))
-    p_cat.add_argument("name", nargs="?", default="all")
-    _common_flags(p_cat)
-
+    for p in (p_verify, p_lat):
+        p.add_argument("--format", choices=("json", "text"), default="text",
+                       help="report format (default: %(default)s)")
     return parser
 
 
@@ -119,73 +101,43 @@ def _fixture_reports(path: str):
 
 
 def _verify_reports(args) -> list:
-    run = checks.run_all if args.suite == "all" else checks.REGISTRY[args.suite]
-    kwargs = {"seed": args.seed}
-    if args.constants is not None:
-        if args.suite not in CONSTANTS_SUITES:
-            raise ValueError("--constants applies only to the "
-                             f"{' and '.join(CONSTANTS_SUITES)} suites")
-        with open(args.constants, "r", encoding="utf-8") as fh:
+    """The suite run with the parameters its flags set; a flag its suite
+    does not take is refused before any file is read."""
+    kwargs = {}
+    for flag, (param, *_) in FLAGS.items():
+        value = getattr(args, param)
+        if value is None:
+            continue
+        if args.suite not in SUITES_OF[flag]:
+            suites = SUITES_OF[flag]
+            raise ValueError(f"{flag} applies only to the {_listed(suites)} "
+                             f"suite{'s' * (len(suites) > 1)}")
+        kwargs[param] = value
+    if "constants" in kwargs:
+        with open(kwargs["constants"], "r", encoding="utf-8") as fh:
             kwargs["constants"] = orders.parse_structure_constants(fh.read())
-    reports = run(**kwargs)
-    if args.suite == "okubo-obstruction" and args.constants is None:
-        reports += checks.REGISTRY["denominators"]()
-    return reports
-
-
-def _lattice_reports(args) -> list:
-    if args.fixture is not None and args.what != "invariants":
-        raise ValueError("--fixture applies only to `lattice invariants`")
-    if args.max_n is not None and args.what != "shells":
-        raise ValueError("--max applies only to `lattice shells`")
-    if args.what == "invariants":
-        if args.fixture is not None:
-            return _fixture_reports(args.fixture)
-        return checks.check_conductor() + checks.check_discriminant()
-    if args.what == "shells":
-        if args.max_n is None:
-            return checks.check_shells()
-        return checks.check_shells(args.max_n)
-    if args.what in ("glue", "saturate"):
-        reports = checks.check_saturation_gluing()
-        if args.what == "saturate":
-            keep = ("saturation-recovers-e8", "saturated-okubo-closure-fails")
-            return [r for r in reports if r.check in keep]
-        return [r for r in reports if r.check.startswith("glue-")]
-    return checks.check_trace16()
+    run = checks.run_all if args.suite == "all" else checks.REGISTRY[args.suite]
+    return run(**kwargs)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format or os.environ.get(ENV_FORMAT) or "text"
     try:
-        if args.fano not in KNOWN_CONVENTIONS:
-            raise ValueError(f"unknown convention {args.fano!r}; "
-                             f"known: {', '.join(KNOWN_CONVENTIONS)}")
-        if fmt not in ("json", "text"):
-            raise ValueError(f"bad {ENV_FORMAT} value {fmt!r}")
         if args.command == "verify":
             reports = _verify_reports(args)
-        elif args.command == "lattice":
-            reports = _lattice_reports(args)
-        elif args.command == "stabilizer":
-            reports = checks.check_stabilizer()
         else:
-            if args.name != "all" and args.name not in claims.CLASSICAL_TABLE:
-                raise ValueError(f"unknown catalog name {args.name!r}; known: "
-                                 f"{', '.join(claims.CLASSICAL_TABLE)} (or 'all')")
-            reports = checks.check_catalog(args.name)
+            reports = _fixture_reports(args.fixture)
         # inside the try: an int longer than the interpreter's int-to-str
         # digit limit raises ValueError while it is rendered
-        text = serialize(reports, fmt)
+        text = serialize(reports, args.format)
     except (OSError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"okubo-e8: {exc}", file=sys.stderr)
         return 2
 
     sys.stdout.write(text)
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write("\n")
     return exit_code(reports)
 

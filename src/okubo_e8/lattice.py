@@ -242,11 +242,30 @@ def _square_rows(m, what, n=None):
     return rows
 
 
+def _is_symmetric(rows) -> bool:
+    return all(row[j] == rows[j][i] for i, row in enumerate(rows) for j in range(i))
+
+
+def _gram_rows(m, what):
+    """``m`` as square int rows (see :func:`_square_rows`); one that is not
+    symmetric raises LatticeError naming it."""
+    rows = _square_rows(m, what)
+    if not _is_symmetric(rows):
+        raise LatticeError(f"{what} is not symmetric")
+    return rows
+
+
 def _integer_gram(bi, ai):
-    """Bi Ai Bi^T for integer matrices, as a tuple of rows."""
-    cols = list(zip(*ai))
-    ba = [[sum(map(mul, row, col)) for col in cols] for row in bi]
-    return tuple(tuple(sum(map(mul, u, v)) for v in bi) for u in ba)
+    """Bi Ai Bi^T for integer matrices, Ai symmetric, as a tuple of rows.
+    As Ai = Ai^T, row i of Bi Ai is row i of Bi against each row of Ai, and
+    the result is symmetric: its upper triangle is computed and mirrored."""
+    ba = [[sum(map(mul, row, col)) for col in ai] for row in bi]
+    n = len(bi)
+    g = [[0] * n for _ in range(n)]
+    for i, u in enumerate(ba):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = sum(map(mul, u, bi[j]))
+    return tuple(map(tuple, g))
 
 
 @record
@@ -254,8 +273,8 @@ class LatticeZ:
     """A full-rank integral lattice: integer basis rows B in an ambient
     space with an integer Gram matrix A.  Build it with :meth:`from_rows`
     or :meth:`from_gram`, which reject an entry that is not an int (with
-    TypeError) and a matrix that is not n x n for the n of A (with
-    LatticeError)."""
+    TypeError), a matrix that is not n x n for the n of A and an A that is
+    not symmetric (with LatticeError)."""
 
     basis: tuple[tuple[int, ...], ...]
     ambient_gram: tuple[tuple[int, ...], ...]
@@ -263,12 +282,12 @@ class LatticeZ:
 
     @classmethod
     def from_rows(cls, rows, ambient_gram, label=""):
-        ambient = _square_rows(ambient_gram, "ambient gram")
+        ambient = _gram_rows(ambient_gram, "ambient gram")
         return cls(_square_rows(rows, "basis", len(ambient)), ambient, label)
 
     @classmethod
     def from_gram(cls, gram, label=""):
-        gram = _square_rows(gram, "gram")
+        gram = _gram_rows(gram, "gram")
         n = len(gram)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return cls(identity, gram, label)
@@ -675,7 +694,7 @@ def lattice_from_fixture(text: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
     (gram, dg), (basis, db), (ambient, da) = (_fixture_matrix(payload, key) for key in keys)
     if not len(gram) == len(basis) == len(ambient):
         raise LatticeError("fixture matrices differ in size")
-    if any(row[j] != ambient[j][i] for i, row in enumerate(ambient) for j in range(i)):
+    if not _is_symmetric(ambient):
         raise LatticeError("fixture ambient_gram is not symmetric")
     if any(v % dg for row in gram for v in row):
         raise LatticeError("fixture gram is not integral")

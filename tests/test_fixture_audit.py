@@ -29,9 +29,8 @@ def _run_step(argv):
     return code, buf.getvalue().encode("utf-8")
 
 
-def test_one_seeded_pass(tmp_path, monkeypatch):
+def test_one_seeded_pass(tmp_path):
     fixtures, run = _load("fixtures"), _load("run")
-    monkeypatch.delenv(cli.ENV_FORMAT, raising=False)
     steps = fixtures.Inputs(711).steps(str(tmp_path))
     assert len(steps) == fixtures.FIXTURES + 2 * fixtures.DUMPS  # para and Okubo dumps
     outputs = [_run_step(argv) for argv, _ in steps]

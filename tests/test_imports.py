@@ -241,24 +241,18 @@ DEFAULT_EXEMPT = {
 }
 
 #: the module whose check groups, and ``run_all``, get the keyword
-#: arguments that ``cli._verify_reports`` collects for a ``verify`` suite
+#: arguments that the ``verify`` flags of ``cli.FLAGS`` set
 CHECKS_MODULE = "checks.py"
 
 
 def _cli_kwargs(cli_source: str) -> set[str]:
-    """The keys ``cli._verify_reports`` puts into its ``kwargs`` dict: by
-    the dict display it starts from, and by ``kwargs["key"] = ...``."""
-    keys = set()
+    """The group parameters the ``verify`` flags set: the first item of each
+    value of the dict display assigned to ``FLAGS``."""
     for node in ast.walk(ast.parse(cli_source)):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if getattr(target, "id", None) == "kwargs" and isinstance(node.value, ast.Dict):
-                keys.update(k.value for k in node.value.keys)
-            elif (isinstance(target, ast.Subscript)
-                    and getattr(target.value, "id", None) == "kwargs"):
-                keys.add(target.slice.value)
-    return keys
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(getattr(t, "id", None) == "FLAGS" for t in node.targets)):
+            return {value.elts[0].value for value in node.value.values}
+    return set()
 
 
 def _defaults(tree: ast.Module):
@@ -366,8 +360,7 @@ def test_checker_sees_an_unturned_default():
                 "    @classmethod\n    def make(cls, w=''):\n        return cls(w)\n"
                 "    @staticmethod\n    def s(u=None):\n        return u\n"
                 "X = C(1), C.make(), C.s(3), g(*[5])\n",
-        "cli.py": "def main(args):\n    kwargs = {'seed': args.seed}\n"
-                  "    kwargs['constants'] = None\n    return run(**kwargs)\n",
+        "cli.py": "FLAGS = {'--seed': ('seed', {}), '--constants': ('constants', {})}\n",
         CHECKS_MODULE: "@check('anchor', 'claim', [])\ndef check_x(seed=0, samples=9):\n"
                        "    return []\ndef run_all(seed=0):\n    return []\n"
                        "def helper(seed=0):\n    return []\n",

@@ -473,6 +473,31 @@ class TestSublattice:
         with pytest.raises(LatticeError, match="ambient gram is 2x2/3, not 2x2"):
             LatticeZ.from_rows(i3[:2], [[1, 0, 0], [0, 1]])
 
+    def test_constructors_refuse_an_asymmetric_gram(self):
+        """The Gram of a lattice is computed as a mirrored upper triangle,
+        so a Gram that is not symmetric is refused where it enters."""
+        with pytest.raises(LatticeError, match="^gram is not symmetric$"):
+            LatticeZ.from_gram([[2, 1], [0, 2]])
+        with pytest.raises(LatticeError, match="^ambient gram is not symmetric$"):
+            LatticeZ.from_rows([[1, 0], [1, 1]], [[2, 1], [-1, 2]])
+
+    def test_integer_gram_is_the_full_product(self):
+        """B A B^T from the mirrored upper triangle equals the full product
+        on seeded symmetric A, for square B and for fewer rows than A."""
+        rng = random.Random(28)
+        for _ in range(40):
+            n, k = rng.randint(1, 9), rng.randint(1, 9)
+            k, span = min(k, n), 10 ** rng.randint(1, 30)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(-span, span)
+            b = [[rng.randint(-span, span) for _ in range(n)] for _ in range(k)]
+            full = tuple(tuple(sum(b[i][p] * a[p][q] * b[j][q]
+                                   for p in range(n) for q in range(n))
+                               for j in range(k)) for i in range(k))
+            assert lattice._integer_gram(b, a) == full
+
     def test_scaled_takes_an_int(self):
         with pytest.raises(TypeError):
             cd_lattice().scaled(Fraction(1, 2))

@@ -2,7 +2,9 @@
 claim-to-check coverage of the full suite."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -107,7 +109,7 @@ class TestExitCodes:
 
 class TestCli:
     def test_shells_line(self, capsys):
-        rc = main(["lattice", "shells", "--max", "1"])
+        rc = main(["verify", "shells", "--max", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert re.search(r"shell-n1 pass .*n=1 count=240 formula=240", out)
@@ -170,10 +172,11 @@ class TestCli:
         assert [d["check"] for d in data] == sorted(checks.REGISTRY["trace16"].ids)
 
     def test_okubo_obstruction_suite(self, tmp_path, capsys):
+        """The suite runs its own group, with or without a dump; the
+        denominators are the `denominators` suite's."""
         assert main(["verify", "okubo-obstruction", "--format", "json"]) == 0
         plain = {d["check"] for d in json.loads(capsys.readouterr().out)}
-        assert plain == {*checks.REGISTRY["okubo-obstruction"].ids,
-                         "okubo-denominators"}
+        assert plain == set(checks.REGISTRY["okubo-obstruction"].ids)
         f = tmp_path / "c.txt"
         f.write_text(dump_structure_constants(structure_constants("okubo")))
         rc = main(["verify", "okubo-obstruction", "--constants", str(f),
@@ -183,14 +186,15 @@ class TestCli:
         assert dumped == set(checks.REGISTRY["okubo-obstruction"].ids)
 
     def test_lattice_flags_only_where_used(self, capsys):
-        for argv in (["lattice", "trace16", "--fixture", "/nonexistent"],
-                     ["lattice", "shells", "--fixture", "/nonexistent"],
-                     ["lattice", "glue", "--max", "3"],
-                     ["lattice", "invariants", "--max", "3"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "applies only to" in captured.err
+        """`lattice invariants` takes --fixture and --format; a flag of
+        `verify` is a usage error there, and --fixture one of `verify`."""
+        fixture = ["lattice", "invariants", "--fixture", "/nonexistent"]
+        for argv in ([*fixture, "--max", "3"], [*fixture, "--constants", "/nonexistent"],
+                     [*fixture, "--name", "hurwitz"],
+                     ["verify", "shells", "--fixture", "/nonexistent"]):
+            rc, out, err = run_cli(argv, capsys)
+            assert (rc, out) == (2, "")
+            assert "unrecognized arguments" in err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -198,31 +202,28 @@ class TestCli:
         assert err.value.code == 2
 
     def test_unknown_convention_exit_2(self, capsys):
-        assert main(["verify", "para-closure", "--fano", "mystery"]) == 2
+        """There is one convention, so there is no flag to name it."""
+        for name in ("mystery", claims.CONVENTION):
+            rc, out, _ = run_cli(["verify", "para-closure", "--fano", name], capsys)
+            assert (rc, out) == (2, "")
 
     def test_unknown_catalog_name_exit_2(self, capsys):
-        assert main(["catalog", "verify", "unobtainium"]) == 2
+        """An unknown row is refused with the list of known ones; `all` is
+        no row, as `verify catalog` alone runs every row."""
+        for name in ("unobtainium", "all"):
+            rc, out, err = run_cli(["verify", "catalog", "--name", name], capsys)
+            assert (rc, out) == (2, "")
+            assert all(known in err for known in claims.CLASSICAL_TABLE)
 
     def test_missing_constants_file_exit_2(self, capsys):
         assert main(["verify", "para-closure", "--constants", "/nonexistent"]) == 2
 
     def test_catalog_single(self, capsys):
-        rc = main(["catalog", "verify", "gaussian", "--format", "json"])
+        rc = main(["verify", "catalog", "--name", "gaussian", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert data[0]["check"] == "catalog-gaussian"
+        assert [d["check"] for d in data] == ["catalog-gaussian"]
         assert data[0]["status"] == "pass"
-
-    def test_env_format_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("OKUBO_E8_FORMAT", "json")
-        rc = main(["verify", "scaling-search"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        json.loads(out)  # valid JSON
-
-    def test_bad_env_format_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("OKUBO_E8_FORMAT", "xml")
-        assert main(["verify", "scaling-search"]) == 2
 
     def test_fixture_invariants(self, tmp_path, capsys):
         from okubo_e8.lattice import lattice_to_fixture
@@ -345,36 +346,35 @@ class TestCli:
         assert "not an integer or a fraction string" in captured.err
 
     def test_empty_shell_range_exit_2(self, capsys):
-        assert main(["lattice", "shells", "--max", "0"]) == 2
+        assert main(["verify", "shells", "--max", "0"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_six_shells(self, capsys):
-        assert main(["lattice", "shells", "--max", "6"]) == 0
+        assert main(["verify", "shells", "--max", "6"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 6
+        assert [line.split()[0] for line in out.splitlines()] == [
+            f"shell-n{n}" for n in range(1, 7)]
         assert re.search(r"shell-n5 pass .*n=5 count=30240 formula=30240", out)
         assert re.search(r"shell-n6 pass .*n=6 count=60480 formula=60480", out)
 
     def test_shell_range_above_guard_exit_2(self, capsys):
-        assert main(["lattice", "shells", "--max", "7"]) == 2
+        assert main(["verify", "shells", "--max", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "maxn <= 6" in captured.err
 
     def test_blocks_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["stabilizer", "search", "--blocks", "bogus"])
+            main(["verify", "stabilizer", "--blocks", "bogus"])
         assert err.value.code == 2
 
     def test_seed_only_on_verify(self, capsys):
-        for argv in (["lattice", "trace16"], ["stabilizer", "search"],
-                     ["catalog", "verify", "gaussian"]):
-            with pytest.raises(SystemExit) as err:
-                main(argv + ["--seed", "1"])
-            assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["lattice", "invariants", "--fixture", "/nonexistent", "--seed", "1"])
+        assert err.value.code == 2
 
     def test_stabilizer_search(self, capsys):
-        rc = main(["stabilizer", "search", "--format", "json"])
+        rc = main(["verify", "stabilizer", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
         by_id = {d["check"]: d for d in data}
@@ -415,14 +415,14 @@ class TestOneParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        calls = (["lattice", "shells", "--max", "1"],
-                 ["catalog", "verify", "gaussian"],
+        calls = (["verify", "shells", "--max", "1"],
+                 ["verify", "catalog", "--name", "gaussian"],
                  ["verify", "para-closure", "--fano", "mystery"],
                  ["verify", "no-such-suite"],
-                 ["lattice", "shells", "--max", "1"])
+                 ["verify", "shells", "--max", "1"])
         assert [run_cli(argv, capsys)[0] for argv in calls] == [0, 0, 2, 2, 0]
-        # the top-level parser and its four subcommand parsers, once
-        assert len(built) == 5
+        # the top-level parser and its two subcommand parsers, once
+        assert len(built) == 3
         assert build_parser() is build_parser()
         assert build_parser.cache_info().misses == 1
 
@@ -433,26 +433,19 @@ class TestOneParser:
         f = tmp_path / "para.txt"
         f.write_text(dump_structure_constants(structure_constants("para")))
         steps = (
-            (["verify", "para-closure", "--constants", str(f)], None),
-            (["verify", "para-closure"], None),
-            (["lattice", "shells", "--max", "6"], None),
-            (["lattice", "shells"], None),
-            (["lattice", "glue", "--max", "3"], None),
-            (["verify", "no-such-suite"], None),
-            (["catalog", "verify", "gaussian"], None),
-            (["verify", "scaling-search"], "json"),
-            (["verify", "scaling-search"], None),
+            ["verify", "para-closure", "--constants", str(f)],
+            ["verify", "para-closure"],
+            ["verify", "shells", "--max", "6"],
+            ["verify", "shells"],
+            ["verify", "all", "--max", "3"],
+            ["verify", "no-such-suite"],
+            ["verify", "catalog", "--name", "gaussian"],
+            ["verify", "scaling-search", "--format", "json"],
+            ["verify", "scaling-search"],
         )
 
         def run_steps():
-            results = []
-            for argv, env in steps:
-                if env is None:
-                    monkeypatch.delenv(cli.ENV_FORMAT, raising=False)
-                else:
-                    monkeypatch.setenv(cli.ENV_FORMAT, env)
-                results.append(run_cli(argv, capsys))
-            return results
+            return [run_cli(argv, capsys) for argv in steps]
 
         shared = run_steps()
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
@@ -531,12 +524,11 @@ def test_seeded_groups_match_golden(seed):
         assert json.loads(json.dumps(r.to_dict())) == golden[r.check]
 
 
-#: every command that reports checks of `verify all`, with its default options
+#: every command that reports checks of `verify all`: each suite with its
+#: default options, and each catalog row
 GOLDEN_COMMANDS = (
     [["verify", suite] for suite in checks.REGISTRY]
-    + [["lattice", what] for what in ("invariants", "glue", "saturate", "trace16", "shells")]
-    + [["stabilizer", "search"], ["catalog", "verify", "all"]]
-    + [["catalog", "verify", name] for name in claims.CLASSICAL_TABLE]
+    + [["verify", "catalog", "--name", name] for name in claims.CLASSICAL_TABLE]
 )
 
 
@@ -603,15 +595,115 @@ def test_bumped_shell_value_fails(monkeypatch):
     assert after == {**before, "shell-n3": FAIL}
 
 
-def test_glue_and_saturate_split_the_group_ids():
-    """`lattice glue` and `lattice saturate` emit disjoint ids, which
-    together are every id of the saturation-gluing group: no id drops out
-    of both commands."""
+def test_sigma3_formula_is_checked(monkeypatch, capsys):
+    """Each shell count is compared with 240 sigma_3(n) as well: a formula
+    that disagrees with the count fails every shell id, and reports both
+    values as the actual."""
+    monkeypatch.setattr(lat, "sigma3", lambda n: 7)
+    reports = checks.check_shells()
+    assert {r.check: r.status for r in reports} == dict.fromkeys(
+        ("shell-n1", "shell-n2", "shell-n3", "shell-n4"), FAIL)
+    assert reports[0].actual == {"count": 240, "formula": 1680}
+    assert main(["verify", "shells"]) == 1
+
+
+class TestOneRoute:
+    """`verify SUITE` is the one route to each check group, and its flags
+    are the group parameters, derived from the registry."""
+
+    #: a value for each flag that its suites accept
+    VALUES = {"--seed": "1", "--max": "5", "--name": "hurwitz"}
+
+    def test_every_group_parameter_has_a_flag(self):
+        params = {param for param, *_ in cli.FLAGS.values()}
+        assert set().union(*(g.params for g in checks.REGISTRY.values())) == params
+        assert set(cli.SUITE_PARAMS) == {"all", *checks.REGISTRY}
+
+    @pytest.mark.parametrize("flag", sorted(cli.FLAGS))
+    def test_flag_accepted_exactly_where_its_group_takes_it(self, flag, tmp_path, capsys):
+        param = cli.FLAGS[flag][0]
+        dumps = {}
+        for suite, product in (("para-closure", "para"), ("okubo-obstruction", "okubo")):
+            dumps[suite] = tmp_path / f"{product}.txt"
+            dumps[suite].write_text(dump_structure_constants(structure_constants(product)))
+        accepted = []
+        takers = [suite for suite, group in checks.REGISTRY.items() if param in group.params]
+        for suite in ("all", *checks.REGISTRY):
+            value = str(dumps.get(suite, "/nonexistent")) if flag == "--constants" \
+                else self.VALUES[flag]
+            rc, out, err = run_cli(["verify", suite, flag, value, "--format", "json"], capsys)
+            takes = param in (checks.REGISTRY[suite].params if suite != "all" else {"seed"})
+            if takes:
+                accepted.append(suite)
+                assert rc == 0 and err == ""
+                group = checks.REGISTRY.get(suite)
+                emitted = [d["check"] for d in json.loads(out)]
+                if flag == "--max":
+                    assert emitted == [f"shell-n{n}" for n in range(1, 6)]
+                elif flag == "--name":
+                    assert emitted == ["catalog-hurwitz"]
+                elif group is not None:
+                    assert sorted(emitted) == sorted(group.ids)
+            else:
+                assert (rc, out) == (2, "")
+                assert f"{flag} applies only to the " in err
+                assert all(taker in err for taker in takers)
+        assert tuple(accepted) == cli.SUITES_OF[flag]
+
+    @pytest.mark.parametrize("argv", [
+        ["stabilizer", "search"], ["catalog", "verify"], ["catalog", "verify", "all"],
+        ["catalog", "verify", "hurwitz"], ["lattice", "shells"], ["lattice", "glue"],
+        ["lattice", "saturate"], ["lattice", "trace16"], ["lattice", "invariants"],
+        ["verify", "para-closure", "--fano", "cd1946"],
+    ], ids=" ".join)
+    def test_deleted_spelling_exit_2(self, argv, capsys):
+        rc, out, _ = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+
+    def test_format_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("OKUBO_E8_FORMAT", "json")
+        rc, out, _ = run_cli(["verify", "denominators"], capsys)
+        assert rc == 0 and out.startswith("okubo-denominators pass")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def _readme_command_line():
+    """The text of README's "Command line" section."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_commands_parse(tmp_path):
+    """Each `okubo-e8 ...` line of the section's command block parses, with
+    FILE standing for a written file; nothing runs.  In its table of removed
+    spellings, each spelling of the first column is refused and each
+    replacement in the second parses."""
+    section = _readme_command_line()
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("okubo-e8 ")]
+    cells = [line.strip("|").split("|")[:2] for line in section.splitlines()
+             if line.startswith("| `okubo-e8 ")]
+    removed, replacements = (
+        [argv.split() for cell in column for argv in re.findall(r"`okubo-e8 ([^`]*)`", cell)]
+        for column in zip(*cells))
+    assert len(commands) >= 5 and len(removed) >= 9 and len(replacements) >= len(removed)
+    path = tmp_path / "input"
+    path.write_text("")
     parser = build_parser()
-    glue, saturate = ({r.check for r in cli._lattice_reports(parser.parse_args(["lattice", w]))}
-                      for w in ("glue", "saturate"))
-    assert glue and saturate and not glue & saturate
-    assert glue | saturate == set(checks.REGISTRY["saturation-gluing"].ids)
+
+    def parse(argv):
+        return parser.parse_args([str(path) if arg == "FILE" else arg for arg in argv])
+
+    for argv in commands + replacements:
+        parse(argv)
+    for argv in removed:
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+            parse(argv)
 
 
 class TestCoverage:
