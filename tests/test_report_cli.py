@@ -524,18 +524,41 @@ def test_seeded_groups_match_golden(seed):
         assert json.loads(json.dumps(r.to_dict())) == golden[r.check]
 
 
+#: each removed spelling whose output a `verify` suite now gives: the
+#: replacement, and the ids the removed spelling printed
+REMOVED_SPELLINGS = {
+    "catalog verify all": (["verify", "catalog"], checks.REGISTRY["catalog"].ids),
+    "lattice glue": (["verify", "saturation-gluing"],
+                     [i for i in checks.REGISTRY["saturation-gluing"].ids
+                      if i.startswith("glue-")]),
+    "lattice saturate": (["verify", "saturation-gluing"],
+                         ["saturation-recovers-e8", "saturated-okubo-closure-fails"]),
+    "lattice shells": (["verify", "shells"], checks.REGISTRY["shells"].ids),
+    "lattice trace16": (["verify", "trace16"], checks.REGISTRY["trace16"].ids),
+    "stabilizer search": (["verify", "stabilizer"], checks.REGISTRY["stabilizer"].ids),
+}
+
 #: every command that reports checks of `verify all`: each suite with its
-#: default options, and each catalog row
+#: default options, each catalog row, and the replacement of each removed
+#: spelling, under that spelling's name
 GOLDEN_COMMANDS = (
-    [["verify", suite] for suite in checks.REGISTRY]
-    + [["verify", "catalog", "--name", name] for name in claims.CLASSICAL_TABLE]
+    [pytest.param(["verify", suite], None, id=f"verify {suite}") for suite in checks.REGISTRY]
+    + [pytest.param(["verify", "catalog", "--name", name], None,
+                    id=f"verify catalog --name {name}") for name in claims.CLASSICAL_TABLE]
+    + [pytest.param(argv, spelling, id=spelling)
+       for spelling, (argv, _) in REMOVED_SPELLINGS.items()]
 )
 
 
-@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
-def test_every_command_matches_golden(argv, capsys):
+@pytest.mark.parametrize("argv, removed", GOLDEN_COMMANDS)
+def test_every_command_matches_golden(argv, removed, capsys):
     """Each command exits 0, and each entry it emits equals the entry with
-    the same check id in the golden `verify all` report."""
+    the same check id in the golden `verify all` report.  A removed spelling
+    exits 2 with empty stdout, and its replacement emits every id it
+    printed."""
+    if removed is not None:
+        rc, out, _ = run_cli(removed.split() + ["--format", "json"], capsys)
+        assert (rc, out) == (2, "")
     rc = main(argv + ["--format", "json"])
     emitted = json.loads(capsys.readouterr().out)
     assert rc == 0 and emitted
@@ -543,6 +566,8 @@ def test_every_command_matches_golden(argv, capsys):
         golden = {d["check"]: d for d in json.load(fh)}
     for entry in emitted:
         assert entry == golden[entry["check"]]
+    if removed is not None:
+        assert set(REMOVED_SPELLINGS[removed][1]) <= {e["check"] for e in emitted}
 
 
 def test_discriminant_routes_must_agree(monkeypatch):
