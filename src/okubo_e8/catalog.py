@@ -3,9 +3,10 @@ scale: unit counts, closure, trace/norm integrality, lattice invariants.
 
 Each order is realized inside the octonion coordinate space (the complex
 and quaternion cases live on subalgebras) as an :class:`OrderBasis`
-labelled with its catalog name, which owns the exact Gram and the map
-between order vectors and algebra elements; the Coxeter-Dickson row is
-the order basis itself.  Every row takes its octonion structure constants
+labelled with its catalog name (a key of ``claims.CLASSICAL_TABLE``),
+which owns the map between order vectors and algebra elements and its
+lattice, :attr:`OrderBasis.lattice`; the Coxeter-Dickson row is the
+order basis itself.  Every row takes its octonion structure constants
 from :func:`orders.structure_constants` and their integrality, with that
 of the traces and norms, from :func:`orders.closure_test`, and its
 minimum and kissing number from :func:`lattice.minimum_and_kissing`.  The
@@ -73,10 +74,6 @@ def build_classical(name: str) -> OrderBasis:
     return OrderBasis(elements, name)
 
 
-def order_lattice(basis: OrderBasis) -> lat.LatticeZ:
-    return lat.LatticeZ.from_gram(basis.gram(), label=basis.label)
-
-
 @record
 class CatalogReport:
     unit_count: int
@@ -91,7 +88,6 @@ class CatalogReport:
 
 def verify_classical(basis: OrderBasis) -> CatalogReport:
     """Enumerate the unit loop and compute the data of one catalog row."""
-    lattice = order_lattice(basis)
     if basis is cd_basis():  # the enumeration and the unit loop units240 reads
         found = cd_short_vectors()
         _, rep = units240()
@@ -99,7 +95,7 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
         closed = rep.closure_failures == 0 and rep.norm_failures == 0
         inverses = rep.inverses_present
     else:  # the units, and the minimal vectors
-        found = lat.short_vectors(lattice, 2)
+        found = lat.short_vectors(basis.lattice, 2)
         elements = [basis.element(coords) for coords, _ in found]
         unit_count = len(elements)
         unit_set = set(elements)
@@ -116,11 +112,7 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
         inverses_present=inverses,
         constants_integral=not closure.violations,
         trace_norm_integral=closure.trace_norm_ok,
-        det=lattice.det(),
+        det=basis.lattice.det(),
         minimum=mn,
         kissing=kiss,
     )
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(CLASSICAL_TABLE)

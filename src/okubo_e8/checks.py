@@ -14,7 +14,6 @@ a declaration, regenerate that file with
 
 from __future__ import annotations
 
-import random
 from math import prod
 
 from . import catalog as cat
@@ -498,12 +497,11 @@ def check_bridges(seed: int = 0) -> list[CheckReport]:
         "kaplansky-composition", "matrix-jordan-commutative",
         "matrix-cross-realization"])
 def check_matrix_laws(seed: int = 0) -> list[CheckReport]:
-    rep = om.verify_laws(seed=seed)
-    krep = om.kaplansky_report(seed=seed)
+    pool = om.sample_pool(seed)
+    rep = om.verify_laws(pool)
+    krep = om.kaplansky_report(pool)
     xrep = om.cross_realization_report()
-
-    rng = random.Random(seed)
-    x, y = om.random_matrix(rng), om.random_matrix(rng)
+    x, y = pool[0], pool[1]
     jordan_comm = om.jordan_product(x, y) == om.jordan_product(y, x)
 
     return [
@@ -543,8 +541,8 @@ def check_matrix_laws(seed: int = 0) -> list[CheckReport]:
 @check("classical-catalog-table",
        "Unit counts and lattice invariants of the classical integral sets",
        [f"catalog-{n}" for n in claims.CLASSICAL_TABLE])
-def check_catalog(name: str = "all") -> list[CheckReport]:
-    names = cat.catalog_names() if name == "all" else (name,)
+def check_catalog(name: str | None = None) -> list[CheckReport]:
+    names = claims.CLASSICAL_TABLE if name is None else (name,)
     out = []
     for n in names:
         rep = cat.verify_classical(cat.build_classical(n))

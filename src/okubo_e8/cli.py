@@ -55,16 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="okubo-e8",
         description="exact certification of the para-octonion and Okubo "
         "integral structures and their E8-related lattices",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a certification suite")
+    p_verify = sub.add_parser("verify", help="run a certification suite", allow_abbrev=False)
     p_verify.add_argument("suite", choices=tuple(SUITE_PARAMS))
     for flag, (param, help_text, options) in FLAGS.items():
         p_verify.add_argument(flag, dest=param, **options,
                               help=f"{help_text} ({_listed(SUITES_OF[flag])} only)")
 
-    p_lat = sub.add_parser("lattice", help="audit a lattice fixture")
+    p_lat = sub.add_parser("lattice", help="audit a lattice fixture", allow_abbrev=False)
     p_lat.add_argument("what", choices=("invariants",))
     p_lat.add_argument("--fixture", metavar="FILE", required=True,
                        help="lattice fixture to analyse")

@@ -147,11 +147,7 @@ class QuadExt:
     def __rtruediv__(self, other):
         return QuadExt.coerce(other) * self.inverse()
 
-    # -- Galois structure ----------------------------------------------
-
-    def field_trace(self) -> Fraction:
-        """Tr_{K/Q}((a + b*sqrt(3))/d) = 2a/d."""
-        return Fraction(2 * self._a, self._d)
+    # -- the real embedding -------------------------------------------
 
     def sign_real(self) -> int:
         """Exact sign of the image under the real embedding of K that sends

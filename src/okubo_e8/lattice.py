@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import product
 from math import lcm, prod
 from operator import index, mul
 
@@ -34,7 +35,7 @@ from ._kernels import (
     shell_histogram,
 )
 from ._record import record
-from .exact import QuadExt, rational_pairs, solve
+from .exact import rational_pairs, solve
 
 
 class LatticeError(ValueError):
@@ -592,30 +593,30 @@ def trace_lattice_16(k_gram) -> Trace16Report:
     """Rank-16 Gram Tr_{K/Q}<v_a, v_b> for the Z-basis u_i, sqrt(3) u_i.
 
     ``k_gram`` is the 8x8 K-valued Gram <u_i, u_j> of the scaled order
-    basis.  The enumeration at bound 16 runs the one exact LDL: its plan
-    certifies positive definiteness (every pivot positive) and its vectors
-    give the minimum.  A form with a non-positive pivot is reported as not
-    positive definite, with no minimum and no minimal vectors.
+    basis.  With (a, b, d) the integers of g = <u_i, u_j>, the entries are
+    Tr(g) = 2a/d, Tr(sqrt(3) g) = 6b/d and Tr(3g) = 6a/d; one that is not an
+    integer raises LatticeError.  The enumeration at bound 16 runs the one
+    exact LDL: its plan certifies positive definiteness (every pivot
+    positive) and its vectors give the minimum.  A form with a non-positive
+    pivot is reported as not positive definite, with no minimum and no
+    minimal vectors.
     """
-    sqrt3 = QuadExt(0, 1)
-    scalars = [QuadExt(1)] * 8 + [sqrt3] * 8
-    g = []
-    for a in range(16):
-        row = []
-        for b in range(16):
-            val = scalars[a] * scalars[b] * k_gram[a % 8][b % 8]
-            tr = val.field_trace()
-            if tr.denominator != 1:
-                raise LatticeError("trace Gram entry is not an integer")
-            row.append(int(tr))
-        g.append(tuple(row))
+    n = len(k_gram)
+    g = [[0] * (2 * n) for _ in range(2 * n)]
+    for i, j in product(range(n), repeat=2):
+        a, b, d = k_gram[i][j].triple
+        if 2 * a % d or 6 * b % d:  # 6a/d is an integer with 2a/d
+            raise LatticeError("trace Gram entry is not an integer")
+        g[i][j], g[i][j + n] = 2 * a // d, 6 * b // d
+        g[i + n][j], g[i + n][j + n] = 6 * b // d, 6 * a // d
+    g = tuple(map(tuple, g))
     lat = LatticeZ.from_gram(g, label="trace16")
     even = lat.is_even()
     try:
         mn, count = minimum_and_kissing(short_vectors(lat, 16), 16)
     except NotPositiveDefinite:
-        return Trace16Report(tuple(g), even, False, None, 0)
-    return Trace16Report(tuple(g), even, True, mn, count)
+        return Trace16Report(g, even, False, None, 0)
+    return Trace16Report(g, even, True, mn, count)
 
 
 # ---------------------------------------------------------------------------

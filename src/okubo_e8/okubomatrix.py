@@ -29,6 +29,9 @@ integers, with the errors the HermTraceless3 constructor raises, and not
 assumed.  ``norm`` and ``inner`` compute only the three diagonal entries
 their trace needs, and still reject a trace that is not real.
 
+The sampled laws of both products are checked on one pool of seeded
+random matrices, :func:`sample_pool`, drawn once per check run.
+
 Coordinates over the basis (e, e1..e7) come from :class:`exact.SpanSolve`
 on the 18 K-parts of the nine entries, and the matrix-side table of the
 cross-realization diff from :func:`orders.product_table`, as for the
@@ -277,19 +280,25 @@ class MatrixLawsReport:
     gram_pivots_positive: bool
 
 
-def verify_laws(seed: int = 0) -> MatrixLawsReport:
-    """Exact checks of the defining laws on the basis and on
-    :data:`SAMPLES` seeded random matrices."""
+def sample_pool(seed: int) -> tuple[HermTraceless3, ...]:
+    """The :data:`SAMPLES` seeded random matrices the sampled laws are
+    checked on: the first draws of :func:`random_matrix` from
+    ``random.Random(seed)``."""
     rng = random.Random(seed)
+    return tuple(random_matrix(rng) for _ in range(SAMPLES))
+
+
+def verify_laws(pool) -> MatrixLawsReport:
+    """Exact checks of the defining laws on the basis and on each matrix of
+    ``pool`` (see :func:`sample_pool`) with the next two, cyclically."""
     basis = build_basis()
     e = basis[0]
     idempotent_ok = matrix_mul(e, e) == e and norm(e) == QuadExt(1)
 
     flex = comp = assoc = closure = 0
-    pool = [random_matrix(rng) for _ in range(SAMPLES)]
     for idx, x in enumerate(pool):
-        y = pool[(idx + 1) % SAMPLES]
-        z = pool[(idx + 2) % SAMPLES]
+        y = pool[(idx + 1) % len(pool)]
+        z = pool[(idx + 2) % len(pool)]
         try:
             xy = matrix_mul(x, y)
         except ValueError:
@@ -352,17 +361,15 @@ class KaplanskyReport:
     composition_failures: int
 
 
-def kaplansky_report(seed: int = 0) -> KaplanskyReport:
+def kaplansky_report(pool) -> KaplanskyReport:
     """The unit laws of Kaplansky's product on the basis, and its
-    alternativity and composition on :data:`SAMPLES` seeded random
-    matrices."""
-    rng = random.Random(seed)
+    alternativity and composition on each matrix of ``pool`` (see
+    :func:`sample_pool`) with the next, cyclically."""
     basis = build_basis()
     e = basis[0]
     left = all(kaplansky(e, b) == b for b in basis)
     right = all(kaplansky(b, e) == b for b in basis)
     alt = comp = 0
-    pool = [random_matrix(rng) for _ in range(SAMPLES)]
 
     def halves(m):
         return matrix_mul(e, m), matrix_mul(m, e)
@@ -371,7 +378,7 @@ def kaplansky_report(seed: int = 0) -> KaplanskyReport:
     # computed once, and kept only while a sample uses them
     first = x_halves = halves(pool[0])
     for idx, x in enumerate(pool):
-        nxt = (idx + 1) % SAMPLES
+        nxt = (idx + 1) % len(pool)
         y = pool[nxt]
         (ex, xe), (ey, ye) = x_halves, first if nxt == 0 else halves(y)
         xx, xy = matrix_mul(ex, xe), matrix_mul(ex, ye)

@@ -21,7 +21,7 @@ Every order is an :class:`OrderBasis`: this basis, the scaled basis
 u_i = 2^{a_i} b_i built from the certified exponents, the saturated basis
 and the catalog orders; the e-basis is one too, for the rotation side of
 the cross-realization diff.  ``element`` maps coordinates to an algebra
-element, ``gram`` gives the integral Gram, and
+element, ``lattice`` is its lattice, of the integral Gram, built once, and
 :func:`coords_in_order_basis` solves for coordinates with the basis's
 :class:`exact.SpanSolve`, the coordinate solve that the Hermitian-matrix
 basis uses as well.  :func:`product_table` is the one table builder of
@@ -120,14 +120,16 @@ class OrderBasis:
         """The K-valued Gram <b_i, b_j>."""
         return tuple(tuple(bi.inner(bj) for bj in self.elements) for bi in self.elements)
 
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The integral Gram <b_i, b_j>; ArithmeticError if it is not."""
+    @cached_property
+    def lattice(self) -> lat.LatticeZ:
+        """The lattice of the integral Gram <b_i, b_j>, labelled as the basis;
+        ArithmeticError if the Gram is not integral."""
         rows = []
         for row in self.inner_products():
             if not all(RingTag.Z.contains(v) for v in row):
                 raise ArithmeticError("order Gram must be integral")
             rows.append(tuple(v.triple[0] for v in row))
-        return tuple(rows)
+        return lat.LatticeZ.from_gram(rows, label=self.label)
 
     @cached_property
     def span(self) -> SpanSolve:
@@ -164,14 +166,14 @@ def e_basis() -> OrderBasis:
     return OrderBasis(tuple(basis_element(k) for k in range(DIM)), "e-basis")
 
 
-@lru_cache(maxsize=None)
 def cd_gram() -> tuple[tuple[int, ...], ...]:
     """The integral Gram <b_i, b_j> (an even unimodular E8 Gram)."""
-    return cd_basis().gram()
+    return cd_lattice().gram
 
 
 def cd_lattice() -> lat.LatticeZ:
-    return lat.LatticeZ.from_gram(cd_gram(), label="cd-order")
+    """The order lattice of :func:`cd_basis`."""
+    return cd_basis().lattice
 
 
 # -- the 240 units ------------------------------------------------------------
@@ -540,10 +542,11 @@ def scaled_order_verify() -> ScaledOrderReport:
     )
 
 
+@lru_cache(maxsize=None)
 def conductor_lattice() -> lat.LatticeZ:
     """The direct metric shadow: the Z-span of the scaled basis, i.e. the
     conductor sublattice D * (order lattice) in order coordinates, with
-    D = diag(2^{a_i})."""
+    D = diag(2^{a_i}); its Gram is D G D for G that of :func:`cd_lattice`."""
     rows = [
         [2 ** SCALING_EXPONENTS[i] if i == j else 0 for j in range(DIM)]
         for i in range(DIM)

@@ -17,7 +17,7 @@ from ._kernels import metric_stabilizers
 from ._record import record
 from .algebras import DIM, TAU, okubo_mul, tau_apply
 from .exact import QuadExt, RingTag
-from .orders import coords_in_order_basis, scaled_basis, structure_constants
+from .orders import conductor_lattice, coords_in_order_basis, scaled_basis, structure_constants
 
 CANDIDATE_COUNT = (24 * 16) ** 2
 
@@ -41,8 +41,8 @@ def inverse(g):
 
 
 def conductor_gram() -> tuple[tuple[int, ...], ...]:
-    """The Gram <u_i, u_j> of the scaled basis."""
-    return scaled_basis().gram()
+    """The Gram <u_i, u_j> = D G D of :func:`orders.conductor_lattice`."""
+    return conductor_lattice().gram
 
 
 def preserves_product(cand, m_constants) -> bool:

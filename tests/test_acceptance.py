@@ -11,7 +11,7 @@ from okubo_e8 import checks
 from okubo_e8 import lattice as lat
 from okubo_e8.algebras import DIM, basis_element, okubo_mul, tau_apply
 from okubo_e8.exact import QuadExt, RingTag
-from okubo_e8.okubomatrix import kaplansky_report, verify_laws
+from okubo_e8.okubomatrix import kaplansky_report, sample_pool, verify_laws
 from okubo_e8.orders import (
     cd_gram,
     cd_lattice,
@@ -214,8 +214,9 @@ def test_12_tau():
 
 
 def test_13_matrix_realization():
-    rep = verify_laws(seed=0)
-    krep = kaplansky_report(seed=0)
+    pool = sample_pool(0)
+    rep = verify_laws(pool)
+    krep = kaplansky_report(pool)
     ok = (
         rep.idempotent_ok
         and rep.flexibility_failures == 0
@@ -235,7 +236,7 @@ def test_14_bridges():
 
 
 def test_15_catalog():
-    reports = checks.check_catalog("all")
+    reports = checks.check_catalog()
     ok = all(r.status == PASS for r in reports) and len(reports) == 6
     announce(15, "classical catalog rows with closure and lattice triples", ok)
 

@@ -9,8 +9,6 @@ from okubo_e8.algebras import basis_element, oct_mul
 from okubo_e8.catalog import (
     UnspecifiedConstructionError,
     build_classical,
-    catalog_names,
-    order_lattice,
     verify_classical,
 )
 from okubo_e8.exact import QuadExt
@@ -46,7 +44,9 @@ def test_check_catalog_expects_the_table_rows():
 
 
 def test_all_names_covered():
-    assert set(catalog_names()) == set(EXPECTED_UNITS)
+    assert set(claims.CLASSICAL_TABLE) == set(EXPECTED_UNITS)
+    assert [r.check for r in checks.check_catalog()] == [
+        f"catalog-{n}" for n in claims.CLASSICAL_TABLE]
 
 
 def test_hamilton_units_exactly_quaternion_group():
@@ -55,7 +55,7 @@ def test_hamilton_units_exactly_quaternion_group():
     from okubo_e8.lattice import short_vectors
     from okubo_e8.algebras import AlgebraElem
 
-    found = short_vectors(order_lattice(basis), 2)
+    found = short_vectors(basis.lattice, 2)
     units = set()
     for coords, _ in found:
         acc = AlgebraElem.zero()
@@ -121,8 +121,8 @@ def test_no_minimal_vectors_raises():
 def test_catalog_basis_is_an_order_basis():
     from okubo_e8.orders import OrderBasis, cd_basis
 
-    assert all(isinstance(build_classical(n), OrderBasis) for n in catalog_names())
-    assert all(build_classical(n).label == n for n in catalog_names())
+    assert all(isinstance(build_classical(n), OrderBasis) for n in claims.CLASSICAL_TABLE)
+    assert all(build_classical(n).label == n for n in claims.CLASSICAL_TABLE)
     assert build_classical("coxeter-dickson") is cd_basis()
 
 

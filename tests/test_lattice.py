@@ -14,7 +14,7 @@ from matrix_oracle import inverse
 
 from okubo_e8 import claims, cli, lattice
 from okubo_e8._kernels import NotPositiveDefinite, prepare_enumeration
-from okubo_e8.catalog import build_classical, order_lattice
+from okubo_e8.catalog import build_classical
 from okubo_e8.exact import QuadExt
 from okubo_e8.lattice import (
     _inclusion_matrix,
@@ -604,7 +604,7 @@ class TestNormCounts:
     @pytest.mark.parametrize("name", sorted(
         n for n in claims.CLASSICAL_TABLE if n not in claims.UNSPECIFIED_CLASSICAL))
     def test_catalog_lattices(self, name):
-        lat = order_lattice(build_classical(name))
+        lat = build_classical(name).lattice
         for bound in (2, 4):
             assert norm_counts(lat, bound) == _counts_of(short_vectors(lat, bound))
 
@@ -891,6 +891,55 @@ class TestTrace16:
         assert by_id["trace16-positive-definite"].status == "fail"
         assert by_id["trace16-minimum"].status == "fail"
         assert by_id["trace16-even"].status == "pass"
+
+    @staticmethod
+    def _scalar_trace_gram(k_gram):
+        """The rank-16 trace Gram by K arithmetic: Tr_{K/Q} of
+        s_a s_b <u_{a mod 8}, u_{b mod 8}> for s = 1, 1, ..., sqrt(3), ...,
+        with Tr((a + b sqrt(3))/d) = 2a/d; None if an entry is not an
+        integer."""
+        n = len(k_gram)
+        scalars = [QuadExt(1)] * n + [QuadExt(0, 1)] * n
+        g = []
+        for a in range(2 * n):
+            row = []
+            for b in range(2 * n):
+                tr = 2 * (scalars[a] * scalars[b] * k_gram[a % n][b % n]).rat
+                if tr.denominator != 1:
+                    return None
+                row.append(int(tr))
+            g.append(tuple(row))
+        return tuple(g)
+
+    def test_gram_matches_scalar_traces(self):
+        """The Gram read from the canonical integers of each K-entry equals
+        the one from K products and field traces: on the scaled K-Gram, and
+        on seeded symmetric K-Grams, integral and not."""
+        k_grams = [scaled_basis().inner_products()]
+        rng = random.Random(16)
+        for d in (1, 1, 2, 3, 6, 1, 2, 6):
+            k = [[None] * 8 for _ in range(8)]
+            for i in range(8):
+                k[i][i] = QuadExt(Fraction(rng.randint(3, 9), d),
+                                  Fraction(rng.randint(-1, 1), d))
+                for j in range(i + 1, 8):
+                    k[i][j] = k[j][i] = QuadExt(Fraction(rng.randint(-3, 3), d),
+                                                Fraction(rng.randint(-3, 3), d))
+            k_grams.append(k)
+        # one entry 1/3 off the diagonal: Tr(g) = 2/3 is no integer
+        k = [[QuadExt(2 * (i == j)) for j in range(8)] for i in range(8)]
+        k[2][5] = k[5][2] = QuadExt(Fraction(1, 3))
+        k_grams.append(k)
+        outcomes = set()
+        for k in k_grams:
+            want = self._scalar_trace_gram(k)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(LatticeError, match="not an integer"):
+                    trace_lattice_16(k)
+            else:
+                assert trace_lattice_16(k).gram == want
+        assert outcomes == {True, False}  # both kinds were compared
 
     def test_no_vectors_below_sixteen(self):
         rep = trace_lattice_16(scaled_basis().inner_products())

@@ -27,6 +27,7 @@ from okubo_e8.okubomatrix import (
     matrix_mul,
     norm,
     random_matrix,
+    sample_pool,
     verify_laws,
 )
 
@@ -341,7 +342,7 @@ class TestProduct:
                    for i in range(3) for j in range(3))
 
     def test_laws(self):
-        rep = verify_laws(seed=0)
+        rep = verify_laws(sample_pool(0))
         assert rep.idempotent_ok
         assert rep.flexibility_failures == 0
         assert rep.composition_failures == 0
@@ -365,10 +366,20 @@ class TestKaplansky:
             assert kaplansky(e, m) == m
 
     def test_report(self):
-        rep = kaplansky_report(seed=1)
+        rep = kaplansky_report(sample_pool(1))
         assert rep.unit_left_ok and rep.unit_right_ok
         assert rep.alternativity_failures == 0
         assert rep.composition_failures == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sample_pool_is_the_seeded_draws(seed):
+    """The pool is the first SAMPLES draws of random_matrix from
+    random.Random(seed), the matrices each sampled law was drawn from."""
+    rng = random.Random(seed)
+    pool = sample_pool(seed)
+    assert len(pool) == okubomatrix.SAMPLES
+    assert pool == tuple(random_matrix(rng) for _ in range(okubomatrix.SAMPLES))
 
 
 class TestJordanFixture:

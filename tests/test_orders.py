@@ -16,9 +16,10 @@ from matrix_oracle import inverse
 
 from okubo_e8 import checks, claims
 from okubo_e8.algebras import DIM, PRODUCTS, AlgebraElem, basis_element, oct_mul, okubo_mul
-from okubo_e8.catalog import build_classical, catalog_names
+from okubo_e8.catalog import build_classical
 from okubo_e8.exact import QuadExt, RingTag
 from okubo_e8.lattice import mat_det
+from okubo_e8.okubomatrix import SAMPLES
 from okubo_e8.orders import (
     HALF_UNIT_ROWS,
     OrderBasis,
@@ -137,7 +138,7 @@ class TestStructureConstants:
             for j in range(DIM):
                 assert basis.element(constants.c[i][j]) == mul(basis[i], basis[j])
 
-    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("name", tuple(claims.CLASSICAL_TABLE))
     def test_reconstruction_on_catalog_rows(self, name):
         """Every catalog row, of rank 2, 4 or 8, the Eisenstein row with its
         sqrt(3) coordinates included, rebuilds each product of two basis
@@ -627,10 +628,7 @@ class TestCoordinateMap:
             assert getattr(report, name) == want, name
 
     def test_solve_matches_gram_formula_on_catalog_rows(self):
-        from okubo_e8.algebras import oct_mul
-        from okubo_e8.catalog import build_classical, catalog_names
-
-        for name in catalog_names():
+        for name in claims.CLASSICAL_TABLE:
             basis = build_classical(name)
             for bi in basis:
                 for bj in basis:
@@ -695,10 +693,10 @@ class TestCoordinateMap:
     def test_gram(self):
         from okubo_e8.orders import OrderBasis
 
-        assert cd_basis().gram() == cd_gram()
+        assert cd_basis().lattice.gram == cd_gram()
         half = OrderBasis((AlgebraElem.one().scale(HALF),), "half")
         with pytest.raises(ArithmeticError):
-            half.gram()
+            half.lattice
 
 
 #: runs in a fresh interpreter, so that no cached table hides a solve;
@@ -760,3 +758,83 @@ def test_one_run_solves_each_order_table_once():
         "cayley-graves": square,
     }
     assert counts["other"] == {"scaled": 2}
+
+
+#: runs in a fresh interpreter, so that no cached value hides a build;
+#: wraps the lattice builders and the matrix draw wherever the package
+#: binds them, and the K-inner product on its class, for one ``run_all``
+ROUTE_COUNTER = r"""
+import json
+import sys
+from okubo_e8 import algebras, checks, lattice, okubomatrix, orders, stabilizer
+
+counts = {"integer_gram": 0, "random_matrix": 0, "conductor_gram": 0,
+          "inner_in_conductor_gram": 0}
+results = {"cd_lattice": set(), "conductor_lattice": set()}
+inside = []
+
+def counted(key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+def remembered(key, fn):
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        results[key].add(id(out))
+        return out
+    return wrapper
+
+def in_conductor_gram(fn):
+    def wrapper(*args, **kwargs):
+        counts["conductor_gram"] += 1
+        inside.append(True)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            inside.pop()
+    return wrapper
+
+inner = algebras.AlgebraElem.inner
+
+def counting_inner(self, other):
+    if inside:
+        counts["inner_in_conductor_gram"] += 1
+    return inner(self, other)
+
+algebras.AlgebraElem.inner = counting_inner
+wrapped = {
+    lattice._integer_gram: counted("integer_gram", lattice._integer_gram),
+    okubomatrix.random_matrix: counted("random_matrix", okubomatrix.random_matrix),
+    orders.cd_lattice: remembered("cd_lattice", orders.cd_lattice),
+    orders.conductor_lattice: remembered("conductor_lattice", orders.conductor_lattice),
+    stabilizer.conductor_gram: in_conductor_gram(stabilizer.conductor_gram),
+}
+for name, mod in list(sys.modules.items()):
+    if name.startswith("okubo_e8"):
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and value in wrapped:
+                setattr(mod, attr, wrapped[value])
+checks.run_all(0)
+print(json.dumps({**counts, **{k: len(v) for k, v in results.items()}}))
+"""
+
+
+def test_one_run_builds_each_value_once():
+    """One run_all builds the order lattice and the conductor lattice once
+    each, makes at most ten B A B^T products (16 before each lattice had one
+    builder), draws the SAMPLES matrices of the sampled laws once (202 draws
+    before the one pool), and reads the conductor Gram the stabilizer search
+    needs without a K-inner product."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUTE_COUNTER], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    counts = json.loads(proc.stdout)
+    assert counts["cd_lattice"] == counts["conductor_lattice"] == 1
+    assert counts["integer_gram"] <= 10
+    assert counts["random_matrix"] == SAMPLES
+    assert counts["conductor_gram"] >= 1
+    assert counts["inner_in_conductor_gram"] == 0

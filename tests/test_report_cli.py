@@ -680,10 +680,30 @@ class TestOneRoute:
         ["catalog", "verify", "hurwitz"], ["lattice", "shells"], ["lattice", "glue"],
         ["lattice", "saturate"], ["lattice", "trace16"], ["lattice", "invariants"],
         ["verify", "para-closure", "--fano", "cd1946"],
+        # a prefix of a flag is not the flag
+        ["verify", "shells", "--ma", "6"], ["verify", "all", "--s", "3"],
+        ["lattice", "invariants", "--fix", "/nonexistent", "--form", "json"],
     ], ids=" ".join)
     def test_deleted_spelling_exit_2(self, argv, capsys):
         rc, out, _ = run_cli(argv, capsys)
         assert (rc, out) == (2, "")
+
+    def test_every_flag_prefix_is_refused(self, capsys):
+        """Every proper prefix of every flag, after its `--`, is refused on
+        each command that takes the flag; the full spelling parses."""
+        verify = {flag: ["verify", suites[0], flag, self.VALUES.get(flag, "F")]
+                  for flag, suites in cli.SUITES_OF.items()}
+        cases = [*verify.items(),
+                 ("--format", ["verify", "all", "--format", "json"]),
+                 ("--format", ["lattice", "invariants", "--fixture", "F", "--format", "json"]),
+                 ("--fixture", ["lattice", "invariants", "--fixture", "F"])]
+        parser = build_parser()
+        for flag, argv in cases:
+            parser.parse_args(argv)
+            for end in range(3, len(flag)):
+                rc, out, _ = run_cli([flag[:end] if arg == flag else arg for arg in argv],
+                                     capsys)
+                assert (rc, out) == (2, ""), flag[:end]
 
     def test_format_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("OKUBO_E8_FORMAT", "json")

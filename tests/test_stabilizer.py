@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from okubo_e8 import claims
 from okubo_e8.exact import QuadExt
+from okubo_e8.orders import cd_gram, scaled_basis
 from okubo_e8.stabilizer import (
     CANDIDATE_COUNT,
     compose,
@@ -113,3 +114,17 @@ class TestTauMembership:
             if c:
                 acc = acc + b.scale(c)
         assert acc == x
+
+
+def test_conductor_gram_is_the_scaled_inner_products():
+    """A reference route to the conductor Gram: the integers of the
+    K-inner products <u_i, u_j> of the scaled basis, which are rational
+    integers, and D G D for D = diag(2^{a_i}) and the order Gram G."""
+    ref = []
+    for row in scaled_basis().inner_products():
+        assert all(v.triple[1:] == (0, 1) for v in row)
+        ref.append(tuple(v.triple[0] for v in row))
+    a = claims.SCALING_EXPONENTS
+    dgd = tuple(tuple(2 ** (a[i] + a[j]) * v for j, v in enumerate(row))
+                for i, row in enumerate(cd_gram()))
+    assert conductor_gram() == tuple(ref) == dgd
