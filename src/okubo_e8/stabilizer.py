@@ -5,9 +5,9 @@ Candidates act on the scaled-basis coordinates u0..u7 as signed
 permutations preserving the blocks {0,1,2,3} and {4,5,6,7}; there are
 (4! * 2^4)^2 = 147456 of them.  A candidate is a (perm, signs) pair,
 u_i -> signs[i] * u_{perm[i]}.  Filter one keeps the isometries of the
-conductor Gram, filter two keeps those that also commute with the Okubo
-product on all 64 basis pairs, read from the structure constants of the
-scaled :class:`orders.OrderBasis`.
+Gram of :func:`orders.conductor_lattice`, filter two keeps those that also
+commute with the Okubo product on all 64 basis pairs, read from the
+structure constants of the scaled :class:`orders.OrderBasis`.
 """
 
 from __future__ import annotations
