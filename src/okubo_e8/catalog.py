@@ -112,7 +112,7 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
         inverses_present=inverses,
         constants_integral=not closure.violations,
         trace_norm_integral=closure.trace_norm_ok,
-        det=basis.lattice.det(),
+        det=basis.lattice.det,
         minimum=mn,
         kissing=kiss,
     )

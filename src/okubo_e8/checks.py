@@ -104,7 +104,7 @@ def check_basis_forms() -> list[CheckReport]:
         if gram[i][j] != claimed.get((i, j), 0)
     ]
     return [
-        _cmp("basis-gram-det", 1, "claimed", lat.mat_det(gram)),
+        _cmp("basis-gram-det", 1, "claimed", orders.cd_lattice().det),
         _cmp("basis-gram-even-diagonal", True, "trivial",
              all(gram[i][i] % 2 == 0 for i in range(DIM))),
         _cmp("basis-trace-formula",
@@ -379,7 +379,7 @@ def check_saturation_gluing() -> list[CheckReport]:
        ["trace16-even", "trace16-positive-definite", "trace16-minimum",
         "trace16-u0-diagonal"])
 def check_trace16() -> list[CheckReport]:
-    rep = lat.trace_lattice_16(orders.scaled_basis().inner_products())
+    rep = lat.trace_lattice_16(orders.scaled_basis().inner_products)
     return [
         _cmp("trace16-even", True, "claimed", rep.even),
         _cmp("trace16-positive-definite", True, "claimed",

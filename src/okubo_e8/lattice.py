@@ -10,10 +10,10 @@ layer), discriminant groups with their quadratic form, isotropic gluing,
 Gram.
 
 Every lattice is integral: a :class:`LatticeZ` holds integer basis rows
-in a space with an integer Gram, so its own Gram is an integer matrix,
-computed once; every reader takes that one matrix.  The one step over Q,
-the inclusion matrix of a sublattice, is one ``exact.solve``; the rest is
-integer arithmetic.
+in a space with an integer Gram.  A lattice built from its Gram keeps the
+Gram it was given; any other computes its Gram once, and each computes its
+determinant once.  The one step over Q, the inclusion matrix of a
+sublattice, is one ``exact.solve``; the rest is integer arithmetic.
 
 Norm bookkeeping: a lattice Gram always stores the bilinear form <x,y>
 with <x,x> = 2 n(x) for algebra elements, so the minimum of E8 is 2 and
@@ -290,8 +290,9 @@ class LatticeZ:
     def from_gram(cls, gram, label=""):
         gram = _gram_rows(gram, "gram")
         n = len(gram)
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(identity, gram, label)
+        lat = cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), gram, label)
+        object.__setattr__(lat, "gram", gram)  # I A I^T = A: kept as given
+        return lat
 
     @property
     def rank(self) -> int:
@@ -302,7 +303,9 @@ class LatticeZ:
         """B A B^T as a tuple of int rows, computed once per lattice."""
         return _integer_gram(self.basis, self.ambient_gram)
 
+    @cached_property
     def det(self) -> int:
+        """det of the Gram, computed once per lattice."""
         return mat_det(self.gram)
 
     def is_even(self) -> bool:
@@ -378,8 +381,8 @@ def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
     index = abs(mat_det(xi))
     if not index:
         raise LatticeError("sublattice is not of full rank")
-    det_sub = sub.det()
-    if det_sub != index * index * sup.det():
+    det_sub = sub.det
+    if det_sub != index * index * sup.det:
         raise LatticeError("index-squared determinant law failed")
     inclusions = {
         "4sup_in_sub": contains(sub, sup.scaled(4)),
@@ -534,9 +537,9 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
     The saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub for some k}
     is spanned by the (odd part of d_i) * r_i.  The factors d_i > 1 are the
     invariants of H = sup/sub, with the r_i as its generators.  H is viewed
-    inside A_sub, where isotropy is decided on the generators alone (see
-    the comment below).  The lattice is glued along H either way; the
-    report says whether the result is even and unimodular.
+    inside A_sub: isotropy is decided on the generators alone (see the
+    comment below), maximality as |H|^2 = |A_sub| = |det sub|.  The lattice
+    is glued along H either way; the report says if it is even and unimodular.
     """
     rows = _smith_rows(_inclusion_matrix(sub, sup))
     sat_rows = []
@@ -558,7 +561,7 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
     # > 1, so each h_i is a class of its own, with q(h_i) = M_ii mod 2.
     m = _integer_gram(gens, sup.gram)
     all_zero = all(m[i][i] % 2 == 0 for i in range(len(m)))
-    maximal = order * order == discriminant_group(sub).order
+    maximal = order * order == abs(sub.det)  # |A_sub| = |det sub|
 
     glued = glue_overlattice(sub, [sup.vector(r) for r in gens])
 
@@ -570,7 +573,7 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
         q_values_all_zero=all_zero,
         maximal_isotropic=maximal,
         glued_even=glued.is_even(),
-        glued_unimodular=glued.det() == 1,
+        glued_unimodular=glued.det == 1,
         glued_equals_sup=lattices_equal(glued, sup),
     )
 

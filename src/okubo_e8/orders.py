@@ -96,8 +96,8 @@ class SingularBasisError(ValueError):
 
 @record
 class OrderBasis:
-    """An order basis b_0..b_{n-1} in the e-coordinates, and the one map
-    between order vectors and algebra elements."""
+    """An order basis b_0..b_{n-1} in e-coordinates, the one map between
+    order vectors and algebra elements; its K-Gram is computed once."""
 
     elements: tuple[AlgebraElem, ...]
     label: str
@@ -116,6 +116,7 @@ class OrderBasis:
         return sum((b.scale(c) for c, b in zip(coords, self.elements) if c),
                    AlgebraElem.zero())
 
+    @cached_property
     def inner_products(self) -> tuple[tuple[QuadExt, ...], ...]:
         """The K-valued Gram <b_i, b_j>."""
         return tuple(tuple(bi.inner(bj) for bj in self.elements) for bi in self.elements)
@@ -125,7 +126,7 @@ class OrderBasis:
         """The lattice of the integral Gram <b_i, b_j>, labelled as the basis;
         ArithmeticError if the Gram is not integral."""
         rows = []
-        for row in self.inner_products():
+        for row in self.inner_products:
             if not all(RingTag.Z.contains(v) for v in row):
                 raise ArithmeticError("order Gram must be integral")
             rows.append(tuple(v.triple[0] for v in row))
@@ -533,7 +534,7 @@ def scaled_order_verify() -> ScaledOrderReport:
     ring = RingTag.ZSQRT3
     constants = structure_constants("okubo", u)
     closure = closure_test(constants, ring, u)
-    inners = tuple(v for row in u.inner_products() for v in row)
+    inners = tuple(v for row in u.inner_products for v in row)
     prod_traces = product_traces(constants, u)
     return ScaledOrderReport(
         violations=closure.violations,

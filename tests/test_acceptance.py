@@ -92,7 +92,7 @@ def test_04_minimal_scaling():
 
 def test_05_scaled_order():
     rep = scaled_order_verify()
-    inners = [v for row in scaled_basis().inner_products() for v in row]
+    inners = [v for row in scaled_basis().inner_products for v in row]
     ok = (rep.violations == () and len(inners) == 64
           and all(RingTag.ZSQRT3.contains(v) for v in inners) and rep.all_integral)
     announce(5, "scaled order closes over Z[sqrt3] with integral values", ok)
@@ -164,7 +164,7 @@ def test_09_saturation_gluing():
 
 def test_10_trace16():
     budget = Budget(300.0)
-    rep = lat.trace_lattice_16(scaled_basis().inner_products())
+    rep = lat.trace_lattice_16(scaled_basis().inner_products)
     budget.check()
     ok = rep.even and rep.positive_definite and rep.minimum == 16
     announce(10, "rank-16 trace lattice even, positive definite, minimum 16", ok)

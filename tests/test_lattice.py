@@ -426,7 +426,7 @@ class TestSublattice:
         inv = sublattice_invariants(conductor_lattice(), cd_lattice())
         assert inv.index == claims.CONDUCTOR_INDEX
         assert inv.det_sub == claims.CONDUCTOR_DET
-        assert cd_lattice().det() == 1
+        assert cd_lattice().det == 1
         assert inv.smith == claims.CONDUCTOR_SMITH
         assert inv.inclusions == {
             "4sup_in_sub": True, "sub_in_2sup": True, "sub_in_sup": True,
@@ -512,7 +512,68 @@ class TestSublattice:
             if mat_det(sub.basis) == 0:
                 continue
             inv = sublattice_invariants(sub, cd)
-            assert inv.det_sub == inv.index ** 2 * cd.det()
+            assert inv.det_sub == inv.index ** 2 * cd.det
+
+
+class TestRemovedRoutes:
+    """The routes a lattice value no longer takes, kept as references: the
+    Gram of a lattice built from its Gram against the identity product
+    I G I^T, and |det L| against the order of L*/L from the Smith form of
+    the Gram."""
+
+    @staticmethod
+    def symmetric_grams(seed, count, even=False):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n, span = rng.randint(1, 8), 10 ** rng.randint(0, 12)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-span, span)
+                if even:
+                    g[i][i] = 2 * g[i][i]
+            yield g
+
+    def test_from_gram_keeps_the_identity_product(self):
+        grams = [cd_lattice().gram, conductor_lattice().gram]
+        for g in grams + list(self.symmetric_grams(31, 40)):
+            ident = [[int(i == j) for j in range(len(g))] for i in range(len(g))]
+            kept = LatticeZ.from_gram([list(row) for row in g]).gram
+            assert kept == lattice._integer_gram(ident, g) == LatticeZ.from_rows(ident, g).gram
+            assert type(kept) is tuple
+            assert all(type(row) is tuple and all(type(v) is int for v in row) for row in kept)
+
+    def test_det_is_the_discriminant_order(self):
+        """Seeded even Grams, and sublattices of E8, which are even."""
+        cd = cd_lattice()
+        lats = [cd, conductor_lattice(), cd.scaled(2)]
+        lats += [LatticeZ.from_gram(g) for g in self.symmetric_grams(32, 40, even=True)]
+        rng = random.Random(33)
+        lats += [LatticeZ.from_rows([[rng.randint(-2, 2) + 3 * (i == j) for j in range(8)]
+                                     for i in range(8)], cd.ambient_gram) for _ in range(6)]
+        lats = [x for x in lats if x.det]
+        assert len(lats) > 40
+        for x in lats:
+            assert x.is_even()
+            assert abs(x.det) == discriminant_group(x).order == abs(mat_det(x.gram))
+
+    @pytest.mark.parametrize("sub_rows, sup_gram", [
+        (None, None),  # the conductor in E8
+        ([[2]], [[1]]),
+        ([[2, 0], [0, 2]], [[2, 1], [1, 4]]),
+        ([[2, 0], [0, 2]], [[1, 0], [0, 2]]),
+        ([[4, 0], [0, 2]], [[2, 1], [1, 2]]),
+        ([[2, 0], [0, 2]], [[0, 1], [1, 0]]),  # indefinite: det sub = -16
+        ([[2, 0, 0], [0, 4, 0], [1, 1, 2]], [[2, 1, 0], [1, 3, 1], [0, 1, 6]]),
+    ])
+    def test_gluing_maximality_against_the_smith_route(self, sub_rows, sup_gram):
+        if sub_rows is None:
+            sub, sup = conductor_lattice(), cd_lattice()
+        else:
+            sub, sup = LatticeZ.from_rows(sub_rows, sup_gram), LatticeZ.from_gram(sup_gram)
+        rep = glue_and_saturate(sub, sup)
+        assert rep.maximal_isotropic is (
+            rep.quotient_order ** 2 == discriminant_group(sub).order)
 
 
 class TestShortVectors:
@@ -861,7 +922,7 @@ class TestGlueSaturate:
 
 class TestTrace16:
     def test_report(self):
-        rep = trace_lattice_16(scaled_basis().inner_products())
+        rep = trace_lattice_16(scaled_basis().inner_products)
         assert rep.even
         assert rep.positive_definite
         assert rep.minimum == 16
@@ -883,8 +944,7 @@ class TestTrace16:
         assert (rep.minimum, rep.minimum_count) == (None, 0)
 
         class Indefinite:
-            def inner_products(self):
-                return k_gram
+            inner_products = k_gram
 
         monkeypatch.setattr(orders, "scaled_basis", Indefinite)
         by_id = {r.check: r for r in checks.check_trace16()}
@@ -915,7 +975,7 @@ class TestTrace16:
         """The Gram read from the canonical integers of each K-entry equals
         the one from K products and field traces: on the scaled K-Gram, and
         on seeded symmetric K-Grams, integral and not."""
-        k_grams = [scaled_basis().inner_products()]
+        k_grams = [scaled_basis().inner_products]
         rng = random.Random(16)
         for d in (1, 1, 2, 3, 6, 1, 2, 6):
             k = [[None] * 8 for _ in range(8)]
@@ -942,7 +1002,7 @@ class TestTrace16:
         assert outcomes == {True, False}  # both kinds were compared
 
     def test_no_vectors_below_sixteen(self):
-        rep = trace_lattice_16(scaled_basis().inner_products())
+        rep = trace_lattice_16(scaled_basis().inner_products)
         lat = LatticeZ.from_gram([list(r) for r in rep.gram])
         assert short_vectors(lat, 15) == []
 

@@ -427,7 +427,7 @@ class TestScaling:
         assert rep.violations == () and rep.all_integral
         u = scaled_basis()
         assert u[0].norm() == QuadExt(4)  # n(2 b0) = 4
-        gram = u.inner_products()
+        gram = u.inner_products
         # <u4, u4> = 16 * <b4, b4> = 32
         assert gram[4][4] == QuadExt(32)
         assert gram == tuple(tuple(x.inner(y) for y in u) for x in u)
@@ -670,7 +670,7 @@ class TestCoordinateMap:
         from okubo_e8.catalog import build_classical
 
         basis = build_classical("gaussian")
-        ginv = inverse(basis.inner_products())
+        ginv = inverse(basis.inner_products)
         assert len(basis) == 2 and len(basis.span.solve[0]) == DIM
         assert solve_entries(basis) == [
             [2 * sum((b.coords[m] * ginv[j][k] for j, b in enumerate(basis)), QuadExt(0))
@@ -823,10 +823,11 @@ print(json.dumps({**counts, **{k: len(v) for k, v in results.items()}}))
 
 def test_one_run_builds_each_value_once():
     """One run_all builds the order lattice and the conductor lattice once
-    each, makes at most ten B A B^T products (16 before each lattice had one
-    builder), draws the SAMPLES matrices of the sampled laws once (202 draws
-    before the one pool), and reads the conductor Gram the stabilizer search
-    needs without a K-inner product."""
+    each, makes at most three B A B^T products (16 before each lattice had
+    one builder, 10 before a lattice built from its Gram kept it), draws
+    the SAMPLES matrices of the sampled laws once (202 draws before the one
+    pool), and reads the conductor Gram the stabilizer search needs without
+    a K-inner product."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", ROUTE_COUNTER], capture_output=True, text=True,
@@ -834,7 +835,81 @@ def test_one_run_builds_each_value_once():
     )
     counts = json.loads(proc.stdout)
     assert counts["cd_lattice"] == counts["conductor_lattice"] == 1
-    assert counts["integer_gram"] <= 10
+    assert counts["integer_gram"] <= 3
     assert counts["random_matrix"] == SAMPLES
     assert counts["conductor_gram"] >= 1
     assert counts["inner_in_conductor_gram"] == 0
+
+
+#: runs in a fresh interpreter, so that no cached value hides a
+#: computation; counts the determinant and Smith-form routes wherever the
+#: package binds them, and each lattice's determinant and each order
+#: basis's K-Gram per object, for one ``run_all``
+VALUE_COUNTER = r"""
+import json
+import sys
+from collections import Counter
+from functools import cached_property
+from okubo_e8 import checks, lattice, orders
+
+calls = Counter()
+computed = {"det": {}, "k_gram": {}}
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+def count_per_object(cls, name, key):
+    func = vars(cls)[name].func
+    def counting(self):
+        # the object is kept, so that no id is reused within the run
+        computed[key].setdefault(id(self), [self, 0])[1] += 1
+        return func(self)
+    prop = cached_property(counting)
+    prop.__set_name__(cls, name)
+    setattr(cls, name, prop)
+
+wrapped = {getattr(lattice, name): counted(name, getattr(lattice, name))
+           for name in ("mat_det", "smith_invariants", "discriminant_group")}
+for name, mod in list(sys.modules.items()):
+    if name.startswith("okubo_e8"):
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and value in wrapped:
+                setattr(mod, attr, wrapped[value])
+count_per_object(lattice.LatticeZ, "det", "det")
+count_per_object(orders.OrderBasis, "inner_products", "k_gram")
+checks.run_all(0)
+print(json.dumps({
+    **calls,
+    **{f"{key}_most": max(n for _, n in objs.values()) for key, objs in computed.items()},
+    "lattices_with_det": len(computed["det"]),
+    "scaled_k_grams": sum(n for basis, n in computed["k_gram"].values()
+                          if basis.label == "scaled"),
+}))
+"""
+
+
+def test_one_run_computes_each_lattice_value_once():
+    """One run_all computes each lattice's determinant and each order
+    basis's K-Gram once: E8's determinant is shared by the basis-forms
+    check, the conductor invariants and the catalog row (three Bareiss
+    eliminations before), and the scaled K-Gram by the scaled-order check,
+    its lattice and the trace lattice (two before).  The gluing reads the
+    conductor's discriminant order from its determinant, so one Smith form
+    of a Gram is left, the discriminant check's, with the Smith invariants
+    of the inclusion matrix (3 and 2 before).  Eight lattices take a
+    determinant: E8, the conductor, the five other catalog rows and the
+    glued lattice; the ninth elimination is the conductor's index."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", VALUE_COUNTER], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    counts = json.loads(proc.stdout)
+    assert counts["det_most"] == counts["k_gram_most"] == 1
+    assert counts["scaled_k_grams"] == 1
+    assert counts["smith_invariants"] == 2
+    assert counts["discriminant_group"] == 1
+    assert counts["mat_det"] == counts["lattices_with_det"] + 1 == 9

@@ -121,7 +121,7 @@ def test_conductor_gram_is_the_scaled_inner_products():
     K-inner products <u_i, u_j> of the scaled basis, which are rational
     integers, and D G D for D = diag(2^{a_i}) and the order Gram G."""
     ref = []
-    for row in scaled_basis().inner_products():
+    for row in scaled_basis().inner_products:
         assert all(v.triple[1:] == (0, 1) for v in row)
         ref.append(tuple(v.triple[0] for v in row))
     a = claims.SCALING_EXPONENTS
