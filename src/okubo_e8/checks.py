@@ -269,7 +269,7 @@ def check_scaled_order() -> list[CheckReport]:
 def check_conductor() -> list[CheckReport]:
     cd = orders.cd_lattice()
     cond = orders.conductor_lattice()
-    inv = lat.sublattice_invariants(cond, cd)
+    inv = lat.sublattice_invariants(cond, cd, orders.conductor_inclusion())
     at8 = lat.short_vectors(cond, 8)
     mins = [nrm for _, nrm in at8]
     no_roots = [nrm for nrm in mins if nrm <= 7]
@@ -343,7 +343,7 @@ def check_shells(maxn: int = 4) -> list[CheckReport]:
 def check_saturation_gluing() -> list[CheckReport]:
     cd = orders.cd_lattice()
     cond = orders.conductor_lattice()
-    rep = lat.glue_and_saturate(cond, cd)
+    rep = lat.glue_and_saturate(cond, cd, orders.conductor_inclusion())
 
     # re-run the closure test over the saturated (recovered) basis
     basis = orders.cd_basis()

@@ -374,10 +374,13 @@ class SublatticeInvariants:
     inclusions: dict
 
 
-def sublattice_invariants(sub: LatticeZ, sup: LatticeZ) -> SublatticeInvariants:
+def sublattice_invariants(sub: LatticeZ, sup: LatticeZ, xi=None) -> SublatticeInvariants:
     """Index, determinants and Smith invariants of an inclusion of
-    full-rank lattices; raises InclusionError with a witness otherwise."""
-    xi = _inclusion_matrix(sub, sup)
+    full-rank lattices; raises InclusionError with a witness otherwise.
+    ``xi`` is the inclusion matrix of sub in sup (:func:`_inclusion_matrix`)
+    when the caller holds it, and is solved here otherwise."""
+    if xi is None:
+        xi = _inclusion_matrix(sub, sup)
     index = abs(mat_det(xi))
     if not index:
         raise LatticeError("sublattice is not of full rank")
@@ -529,7 +532,7 @@ class GlueSaturateReport:
     glued_equals_sup: bool
 
 
-def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
+def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, xi=None) -> GlueSaturateReport:
     """Run the 2-adic saturation and the gluing recovery for sub inside sup,
     both from the one Smith decomposition (d_i, r_i) of the inclusion
     matrix (:func:`_smith_rows`).
@@ -540,8 +543,9 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
     inside A_sub: isotropy is decided on the generators alone (see the
     comment below), maximality as |H|^2 = |A_sub| = |det sub|.  The lattice
     is glued along H either way; the report says if it is even and unimodular.
+    ``xi`` is the inclusion matrix, as for :func:`sublattice_invariants`.
     """
-    rows = _smith_rows(_inclusion_matrix(sub, sup))
+    rows = _smith_rows(_inclusion_matrix(sub, sup) if xi is None else xi)
     sat_rows = []
     for d, r in rows:
         while d % 2 == 0:

@@ -10,7 +10,7 @@ with mu = 1/2 + (sqrt(3)/6) i, juxtaposition being the ordinary matrix
 product; the norm is n(x) = Tr(x^2)/6.  All scalars are exact elements of
 K(i), so every law below is certified with zero tolerance.  Every matrix
 the module hands out is Hermitian and traceless: the constructor checks
-its entries, and the product checks its result.
+its entries, and the product checks its operands and its result.
 
 A matrix holds canonical integers, not scalar objects: its nine entries
 ((a + b sqrt3) + (c + e sqrt3) i)/D as integer quadruples (a, b, c, e)
@@ -18,16 +18,22 @@ over one denominator D > 0, laid out in row-major order as one tuple of
 36 integers, with no prime dividing D and all 36 of them.  That form is
 unique, so equality and hashing compare integers, and ``rows`` builds
 the ComplexQuad entries only when asked.
-Every product runs through one integer kernel: an entry of the
-associative product xy is a sum of integer products over Dx*Dy, and six
-times the Okubo product, with the integers of 6 mu = 3 + sqrt(3) i, is
+
+The Okubo product runs on those integers and computes one associative
+product.  It first checks both operands Hermitian, and raises the
+constructor's error if one is not.  An entry of xy is a sum of three
+integer products over Dx*Dy, written out once; for Hermitian operands
+yx = (xy)^H, so yx is read off xy and not computed.  Six times the Okubo
+product, with the integers of 6 mu = 3 + sqrt(3) i, is
 3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I,
-so each of its entries is one integer quadruple over 6*Dx*Dy, and the
-result is made canonical with one gcd per matrix.  ``xy`` and ``yx`` are
-both computed: the result is checked Hermitian and traceless on those
-integers, with the errors the HermTraceless3 constructor raises, and not
-assumed.  ``norm`` and ``inner`` compute only the three diagonal entries
-their trace needs, and still reject a trace that is not real.
+so each of its entries is one integer quadruple over 6*Dx*Dy, built in
+one expression.  The result is still checked Hermitian and traceless on
+those integers, with the errors the HermTraceless3 constructor raises,
+and made canonical with one gcd per matrix.  ``norm`` and ``inner`` sum
+the nine terms x_im y_mi of Tr(xy), written out, for any 36 integers, and
+reject a trace that is not real.  The symmetrized product
+:func:`jordan_product` computes xy and yx with the general associative
+product.
 
 The sampled laws of both products are checked on one pool of seeded
 random matrices, :func:`sample_pool`, drawn once per check run.
@@ -105,7 +111,6 @@ _set_d = HermTraceless3._d.__set__
 _new = object.__new__
 
 _CELLS = tuple((i, j) for i in range(3) for j in range(3))
-_DIAGONAL = ((0, 0), (1, 1), (2, 2))
 
 
 def _matrix(ints, den: int) -> HermTraceless3:
@@ -121,12 +126,6 @@ def _matrix(ints, den: int) -> HermTraceless3:
     return m
 
 
-def _quadruples(ints):
-    """The entries of ``ints`` as consecutive quadruples, in order."""
-    it = iter(ints)
-    return zip(it, it, it, it)
-
-
 def _trace(ints):
     """The integers (a, b, c, e) of the trace: the sum of entries 0, 4, 8."""
     return (ints[0] + ints[16] + ints[32], ints[1] + ints[17] + ints[33],
@@ -134,13 +133,17 @@ def _trace(ints):
 
 
 def _hermitian(ints) -> bool:
-    """Whether entry (i, j) is the conjugate of entry (j, i) throughout."""
-    for i, j in _CELLS:
-        k, t = 4 * (3 * i + j), 4 * (3 * j + i)
-        if (ints[k] != ints[t] or ints[k + 1] != ints[t + 1]
-                or ints[k + 2] != -ints[t + 2] or ints[k + 3] != -ints[t + 3]):
-            return False
-    return True
+    """Whether entry (i, j) is the conjugate of entry (j, i) throughout:
+    the diagonal entries, at integers 0, 16 and 32, are real, and entries
+    (0, 1), (0, 2) and (1, 2), at 4, 8 and 20, are the conjugates of
+    entries (1, 0), (2, 0) and (2, 1), at 12, 24 and 28."""
+    return (not (ints[2] or ints[3] or ints[18] or ints[19] or ints[34] or ints[35])
+            and ints[4] == ints[12] and ints[5] == ints[13]
+            and ints[6] == -ints[14] and ints[7] == -ints[15]
+            and ints[8] == ints[24] and ints[9] == ints[25]
+            and ints[10] == -ints[26] and ints[11] == -ints[27]
+            and ints[20] == ints[28] and ints[21] == ints[29]
+            and ints[22] == -ints[30] and ints[23] == -ints[31])
 
 
 def _check_type(ints) -> None:
@@ -152,10 +155,10 @@ def _check_type(ints) -> None:
         raise ValueError("matrix is not traceless")
 
 
-def _product(xs, ys, cells=_CELLS):
-    """The entries ``cells`` of the associative product of two matrices
-    given by their integers, as integer quadruples over the product of
-    their denominators, one after another in one list.  With
+def _product(xs, ys):
+    """The associative product of two matrices given by their integers, as
+    its nine entries' integer quadruples over the product of their
+    denominators, one after another in one list, in row-major order.  With
     s3 = sqrt(3), one term ((a + b s3) + (c + e s3) i)((p + q s3) +
     (r + s s3) i) has the quadruple (ap - cr + 3(bq - es), aq + bp - cs - er,
     ar + cp + 3(bs + eq), as + br + cq + ep); entry (i, j) is the sum of
@@ -163,7 +166,7 @@ def _product(xs, ys, cells=_CELLS):
     rows = xs[:12], xs[12:24], xs[24:]
     cols = [ys[j:j + 4] + ys[j + 12:j + 16] + ys[j + 24:j + 28] for j in (0, 4, 8)]
     out = []
-    for i, j in cells:
+    for i, j in _CELLS:
         a, b, c, e, f, g, h, k, l, m, n, o = rows[i]
         p, q, r, s, t, u, v, w, P, Q, R, S = cols[j]
         out += (
@@ -180,29 +183,158 @@ def _product(xs, ys, cells=_CELLS):
 
 
 def _real_trace(xs, ys, message):
-    """The integers (a, b) of Tr(xy) = (a + b s3)/(Dx*Dy); ArithmeticError
+    """The integers (a, b) of Tr(xy) = (a + b s3)/(Dx*Dy), for any two
+    matrices given by their 36 integers: the sum of the nine terms
+    x_im y_mi, each as in :func:`_product`, written out; ArithmeticError
     with ``message`` if the trace is not real."""
-    d = _product(xs, ys, _DIAGONAL)
-    a, b, c, e = (d[t] + d[4 + t] + d[8 + t] for t in range(4))
-    if c or e:
+    (a00, b00, c00, e00, a01, b01, c01, e01, a02, b02, c02, e02,
+     a10, b10, c10, e10, a11, b11, c11, e11, a12, b12, c12, e12,
+     a20, b20, c20, e20, a21, b21, c21, e21, a22, b22, c22, e22) = xs
+    (p00, q00, r00, s00, p01, q01, r01, s01, p02, q02, r02, s02,
+     p10, q10, r10, s10, p11, q11, r11, s11, p12, q12, r12, s12,
+     p20, q20, r20, s20, p21, q21, r21, s21, p22, q22, r22, s22) = ys
+    ta = (a00 * p00 - c00 * r00 + a01 * p10 - c01 * r10 + a02 * p20 - c02 * r20 + a10 * p01
+        - c10 * r01 + a11 * p11 - c11 * r11 + a12 * p21 - c12 * r21 + a20 * p02 - c20 * r02
+        + a21 * p12 - c21 * r12 + a22 * p22 - c22 * r22 + 3 * (b00 * q00 - e00 * s00
+        + b01 * q10 - e01 * s10 + b02 * q20 - e02 * s20 + b10 * q01 - e10 * s01 + b11 * q11
+        - e11 * s11 + b12 * q21 - e12 * s21 + b20 * q02 - e20 * s02 + b21 * q12 - e21 * s12
+        + b22 * q22 - e22 * s22))
+    tb = (a00 * q00 + b00 * p00 - c00 * s00 - e00 * r00 + a01 * q10 + b01 * p10 - c01 * s10
+        - e01 * r10 + a02 * q20 + b02 * p20 - c02 * s20 - e02 * r20 + a10 * q01 + b10 * p01
+        - c10 * s01 - e10 * r01 + a11 * q11 + b11 * p11 - c11 * s11 - e11 * r11 + a12 * q21
+        + b12 * p21 - c12 * s21 - e12 * r21 + a20 * q02 + b20 * p02 - c20 * s02 - e20 * r02
+        + a21 * q12 + b21 * p12 - c21 * s12 - e21 * r12 + a22 * q22 + b22 * p22 - c22 * s22
+        - e22 * r22)
+    tc = (a00 * r00 + c00 * p00 + a01 * r10 + c01 * p10 + a02 * r20 + c02 * p20 + a10 * r01
+        + c10 * p01 + a11 * r11 + c11 * p11 + a12 * r21 + c12 * p21 + a20 * r02 + c20 * p02
+        + a21 * r12 + c21 * p12 + a22 * r22 + c22 * p22 + 3 * (b00 * s00 + e00 * q00
+        + b01 * s10 + e01 * q10 + b02 * s20 + e02 * q20 + b10 * s01 + e10 * q01 + b11 * s11
+        + e11 * q11 + b12 * s21 + e12 * q21 + b20 * s02 + e20 * q02 + b21 * s12 + e21 * q12
+        + b22 * s22 + e22 * q22))
+    te = (a00 * s00 + b00 * r00 + c00 * q00 + e00 * p00 + a01 * s10 + b01 * r10 + c01 * q10
+        + e01 * p10 + a02 * s20 + b02 * r20 + c02 * q20 + e02 * p20 + a10 * s01 + b10 * r01
+        + c10 * q01 + e10 * p01 + a11 * s11 + b11 * r11 + c11 * q11 + e11 * p11 + a12 * s21
+        + b12 * r21 + c12 * q21 + e12 * p21 + a20 * s02 + b20 * r02 + c20 * q02 + e20 * p02
+        + a21 * s12 + b21 * r12 + c21 * q12 + e21 * p12 + a22 * s22 + b22 * r22 + c22 * q22
+        + e22 * p22)
+    if tc or te:
         raise ArithmeticError(message)
-    return a, b
+    return ta, tb
 
 
 def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
-    """The Okubo product; the result is validated Hermitian traceless."""
-    xs, ys = x._q, y._q
-    xy = _product(xs, ys)
-    yx = _product(ys, xs)
-    tr = [2 * v for v in _trace(xy)]
-    out = []
-    for k, (a, b, c, e), (p, q, r, s) in zip(range(9), _quadruples(xy), _quadruples(yx)):
-        # 3(u + w) + s3 i (u - w) for u = (a, b, c, e) and w = (p, q, r, s)
-        n = [3 * (a + p - e + s), 3 * (b + q) - c + r,
-             3 * (c + r + b - q), 3 * (e + s) + a - p]
-        if k % 4 == 0:  # a diagonal entry: subtract 2 Tr(xy)
-            n = [v - t for v, t in zip(n, tr)]
-        out += n
+    """The Okubo product, from the one associative product xy.  Both
+    operands are checked Hermitian first (ValueError "matrix is not
+    Hermitian" otherwise), so yx = (xy)^H is read off xy; the result is
+    still validated Hermitian traceless on its integers."""
+    if not (_hermitian(x._q) and _hermitian(y._q)):
+        raise ValueError("matrix is not Hermitian")
+    # entry (i, j) of xy is (Aij, Bij, Cij, Eij) over Dx*Dy, the three terms
+    # x_im y_mj as in _product, written out; the diagonal entries of the
+    # Hermitian operands are real, so their imaginary parts are left out
+    (a00, b00, _, _, a01, b01, c01, e01, a02, b02, c02, e02,
+     a10, b10, c10, e10, a11, b11, _, _, a12, b12, c12, e12,
+     a20, b20, c20, e20, a21, b21, c21, e21, a22, b22, _, _) = x._q
+    (p00, q00, _, _, p01, q01, r01, s01, p02, q02, r02, s02,
+     p10, q10, r10, s10, p11, q11, _, _, p12, q12, r12, s12,
+     p20, q20, r20, s20, p21, q21, r21, s21, p22, q22, _, _) = y._q
+    A00 = (a00 * p00 + a01 * p10 - c01 * r10 + a02 * p20 - c02 * r20 + 3 * (b00 * q00
+        + b01 * q10 - e01 * s10 + b02 * q20 - e02 * s20))
+    B00 = (a00 * q00 + b00 * p00 + a01 * q10 + b01 * p10 - c01 * s10 - e01 * r10 + a02 * q20
+        + b02 * p20 - c02 * s20 - e02 * r20)
+    C00 = (a01 * r10 + c01 * p10 + a02 * r20 + c02 * p20 + 3 * (b01 * s10 + e01 * q10
+        + b02 * s20 + e02 * q20))
+    E00 = (a01 * s10 + b01 * r10 + c01 * q10 + e01 * p10 + a02 * s20 + b02 * r20 + c02 * q20
+        + e02 * p20)
+    A01 = (a00 * p01 + a01 * p11 + a02 * p21 - c02 * r21 + 3 * (b00 * q01 + b01 * q11
+        + b02 * q21 - e02 * s21))
+    B01 = (a00 * q01 + b00 * p01 + a01 * q11 + b01 * p11 + a02 * q21 + b02 * p21 - c02 * s21
+        - e02 * r21)
+    C01 = (a00 * r01 + c01 * p11 + a02 * r21 + c02 * p21 + 3 * (b00 * s01 + e01 * q11
+        + b02 * s21 + e02 * q21))
+    E01 = (a00 * s01 + b00 * r01 + c01 * q11 + e01 * p11 + a02 * s21 + b02 * r21 + c02 * q21
+        + e02 * p21)
+    A02 = (a00 * p02 + a01 * p12 - c01 * r12 + a02 * p22 + 3 * (b00 * q02 + b01 * q12
+        - e01 * s12 + b02 * q22))
+    B02 = (a00 * q02 + b00 * p02 + a01 * q12 + b01 * p12 - c01 * s12 - e01 * r12 + a02 * q22
+        + b02 * p22)
+    C02 = (a00 * r02 + a01 * r12 + c01 * p12 + c02 * p22 + 3 * (b00 * s02 + b01 * s12
+        + e01 * q12 + e02 * q22))
+    E02 = (a00 * s02 + b00 * r02 + a01 * s12 + b01 * r12 + c01 * q12 + e01 * p12 + c02 * q22
+        + e02 * p22)
+    A10 = (a10 * p00 + a11 * p10 + a12 * p20 - c12 * r20 + 3 * (b10 * q00 + b11 * q10
+        + b12 * q20 - e12 * s20))
+    B10 = (a10 * q00 + b10 * p00 + a11 * q10 + b11 * p10 + a12 * q20 + b12 * p20 - c12 * s20
+        - e12 * r20)
+    C10 = (c10 * p00 + a11 * r10 + a12 * r20 + c12 * p20 + 3 * (e10 * q00 + b11 * s10
+        + b12 * s20 + e12 * q20))
+    E10 = (c10 * q00 + e10 * p00 + a11 * s10 + b11 * r10 + a12 * s20 + b12 * r20 + c12 * q20
+        + e12 * p20)
+    A11 = (a10 * p01 - c10 * r01 + a11 * p11 + a12 * p21 - c12 * r21 + 3 * (b10 * q01
+        - e10 * s01 + b11 * q11 + b12 * q21 - e12 * s21))
+    B11 = (a10 * q01 + b10 * p01 - c10 * s01 - e10 * r01 + a11 * q11 + b11 * p11 + a12 * q21
+        + b12 * p21 - c12 * s21 - e12 * r21)
+    C11 = (a10 * r01 + c10 * p01 + a12 * r21 + c12 * p21 + 3 * (b10 * s01 + e10 * q01
+        + b12 * s21 + e12 * q21))
+    E11 = (a10 * s01 + b10 * r01 + c10 * q01 + e10 * p01 + a12 * s21 + b12 * r21 + c12 * q21
+        + e12 * p21)
+    A12 = (a10 * p02 - c10 * r02 + a11 * p12 + a12 * p22 + 3 * (b10 * q02 - e10 * s02
+        + b11 * q12 + b12 * q22))
+    B12 = (a10 * q02 + b10 * p02 - c10 * s02 - e10 * r02 + a11 * q12 + b11 * p12 + a12 * q22
+        + b12 * p22)
+    C12 = (a10 * r02 + c10 * p02 + a11 * r12 + c12 * p22 + 3 * (b10 * s02 + e10 * q02
+        + b11 * s12 + e12 * q22))
+    E12 = (a10 * s02 + b10 * r02 + c10 * q02 + e10 * p02 + a11 * s12 + b11 * r12 + c12 * q22
+        + e12 * p22)
+    A20 = (a20 * p00 + a21 * p10 - c21 * r10 + a22 * p20 + 3 * (b20 * q00 + b21 * q10
+        - e21 * s10 + b22 * q20))
+    B20 = (a20 * q00 + b20 * p00 + a21 * q10 + b21 * p10 - c21 * s10 - e21 * r10 + a22 * q20
+        + b22 * p20)
+    C20 = (c20 * p00 + a21 * r10 + c21 * p10 + a22 * r20 + 3 * (e20 * q00 + b21 * s10
+        + e21 * q10 + b22 * s20))
+    E20 = (c20 * q00 + e20 * p00 + a21 * s10 + b21 * r10 + c21 * q10 + e21 * p10 + a22 * s20
+        + b22 * r20)
+    A21 = (a20 * p01 - c20 * r01 + a21 * p11 + a22 * p21 + 3 * (b20 * q01 - e20 * s01
+        + b21 * q11 + b22 * q21))
+    B21 = (a20 * q01 + b20 * p01 - c20 * s01 - e20 * r01 + a21 * q11 + b21 * p11 + a22 * q21
+        + b22 * p21)
+    C21 = (a20 * r01 + c20 * p01 + c21 * p11 + a22 * r21 + 3 * (b20 * s01 + e20 * q01
+        + e21 * q11 + b22 * s21))
+    E21 = (a20 * s01 + b20 * r01 + c20 * q01 + e20 * p01 + c21 * q11 + e21 * p11 + a22 * s21
+        + b22 * r21)
+    A22 = (a20 * p02 - c20 * r02 + a21 * p12 - c21 * r12 + a22 * p22 + 3 * (b20 * q02
+        - e20 * s02 + b21 * q12 - e21 * s12 + b22 * q22))
+    B22 = (a20 * q02 + b20 * p02 - c20 * s02 - e20 * r02 + a21 * q12 + b21 * p12 - c21 * s12
+        - e21 * r12 + a22 * q22 + b22 * p22)
+    C22 = (a20 * r02 + c20 * p02 + a21 * r12 + c21 * p12 + 3 * (b20 * s02 + e20 * q02
+        + b21 * s12 + e21 * q12))
+    E22 = (a20 * s02 + b20 * r02 + c20 * q02 + e20 * p02 + a21 * s12 + b21 * r12 + c21 * q12
+        + e21 * p12)
+    # cell (i, j) of 6 (x * y) is 3(u + w) + s3 i (u - w) with u = xy_ij and
+    # w = yx_ij = conj(xy_ji), as yx = (xy)^H for Hermitian x and y; with
+    # s3 i (a, b, c, e) = (-3e, -c, 3b, a) it is, for u = (A, B, C, E) and
+    # xy_ji = (A', B', C', E'), (3(A + A' - E - E'), 3(B + B') - C - C',
+    # 3(C - C' + B - B'), 3(E - E') + A - A'); on the diagonal, where
+    # A' = A and so on, that is (6(A - E), 6B - 2C, 0, 0), less 2 Tr(xy)
+    ta, tb = 2 * (A00 + A11 + A22), 2 * (B00 + B11 + B22)
+    tc, te = 2 * (C00 + C11 + C22), 2 * (E00 + E11 + E22)
+    out = [
+        6 * (A00 - E00) - ta, 6 * B00 - 2 * C00 - tb, -tc, -te,
+        3 * (A01 + A10 - E01 - E10), 3 * (B01 + B10) - C01 - C10,
+        3 * (C01 - C10 + B01 - B10), 3 * (E01 - E10) + A01 - A10,
+        3 * (A02 + A20 - E02 - E20), 3 * (B02 + B20) - C02 - C20,
+        3 * (C02 - C20 + B02 - B20), 3 * (E02 - E20) + A02 - A20,
+        3 * (A10 + A01 - E10 - E01), 3 * (B10 + B01) - C10 - C01,
+        3 * (C10 - C01 + B10 - B01), 3 * (E10 - E01) + A10 - A01,
+        6 * (A11 - E11) - ta, 6 * B11 - 2 * C11 - tb, -tc, -te,
+        3 * (A12 + A21 - E12 - E21), 3 * (B12 + B21) - C12 - C21,
+        3 * (C12 - C21 + B12 - B21), 3 * (E12 - E21) + A12 - A21,
+        3 * (A20 + A02 - E20 - E02), 3 * (B20 + B02) - C20 - C02,
+        3 * (C20 - C02 + B20 - B02), 3 * (E20 - E02) + A20 - A02,
+        3 * (A21 + A12 - E21 - E12), 3 * (B21 + B12) - C21 - C12,
+        3 * (C21 - C12 + B21 - B12), 3 * (E21 - E12) + A21 - A12,
+        6 * (A22 - E22) - ta, 6 * B22 - 2 * C22 - tb, -tc, -te,
+    ]
     # validation certifies type closure: all entries share one denominator,
     # so the conditions on the values are conditions on these integers
     _check_type(out)

@@ -555,6 +555,14 @@ def conductor_lattice() -> lat.LatticeZ:
     return lat.LatticeZ.from_rows(rows, cd_gram(), label="okubo-conductor")
 
 
+@lru_cache(maxsize=None)
+def conductor_inclusion() -> tuple[tuple[int, ...], ...]:
+    """The integer matrix X with (conductor basis) = X * (order basis): the
+    inclusion of :func:`conductor_lattice` in :func:`cd_lattice`, solved
+    once per run for the conductor invariants and the gluing."""
+    return tuple(map(tuple, lat._inclusion_matrix(conductor_lattice(), cd_lattice())))
+
+
 def denominator_profile(constants: StructureConstants) -> dict[int, int]:
     """Histogram of structure-constant denominators (lcm of the rational
     and irrational coordinate denominators)."""
