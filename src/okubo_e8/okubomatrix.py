@@ -315,7 +315,9 @@ def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     # s3 i (a, b, c, e) = (-3e, -c, 3b, a) it is, for u = (A, B, C, E) and
     # xy_ji = (A', B', C', E'), (3(A + A' - E - E'), 3(B + B') - C - C',
     # 3(C - C' + B - B'), 3(E - E') + A - A'); on the diagonal, where
-    # A' = A and so on, that is (6(A - E), 6B - 2C, 0, 0), less 2 Tr(xy)
+    # A' = A and so on, that is (6(A - E), 6B - 2C, 0, 0), less 2 Tr(xy);
+    # the imaginary parts tc and te of 2 Tr(xy) vanish for Hermitian x and
+    # y, and the check below confirms it
     ta, tb = 2 * (A00 + A11 + A22), 2 * (B00 + B11 + B22)
     tc, te = 2 * (C00 + C11 + C22), 2 * (E00 + E11 + E22)
     out = [

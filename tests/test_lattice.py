@@ -41,7 +41,7 @@ from okubo_e8.lattice import (
     sublattice_invariants,
     trace_lattice_16,
 )
-from okubo_e8.orders import cd_lattice, conductor_lattice, scaled_basis
+from okubo_e8.orders import cd_lattice, conductor_inclusion, conductor_lattice, scaled_basis
 
 A2 = [[2, -1], [-1, 2]]
 D4 = [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]  # det 4
@@ -871,6 +871,26 @@ class TestGlueSaturate:
         glue_and_saturate(sub, sup)
         assert pairs.count((sub, sup)) == 1
         assert transformed.count(True) == 1
+
+    def test_given_inclusion_matrix_is_read_not_solved(self, monkeypatch):
+        """The conductor invariants and the gluing read the inclusion matrix
+        they are given, the one orders.conductor_inclusion solves once per
+        run, and report what they report when they solve it themselves."""
+        import okubo_e8.lattice as lattice_module
+
+        sub, sup = conductor_lattice(), cd_lattice()
+        want = sublattice_invariants(sub, sup), glue_and_saturate(sub, sup)
+        xi = conductor_inclusion()
+        assert xi == tuple(map(tuple, _inclusion_matrix(sub, sup)))
+        pairs = []
+
+        def inclusion(inner, outer, _original=lattice_module._inclusion_matrix):
+            pairs.append((inner, outer))
+            return _original(inner, outer)
+
+        monkeypatch.setattr(lattice_module, "_inclusion_matrix", inclusion)
+        assert (sublattice_invariants(sub, sup, xi), glue_and_saturate(sub, sup, xi)) == want
+        assert (sub, sup) not in pairs
 
     @pytest.mark.parametrize("run, solves", [
         pytest.param(lambda sub, sup: lattice._smith_rows(lattice._inclusion_matrix(sub, sup)),

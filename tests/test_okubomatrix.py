@@ -1,12 +1,17 @@
 """The Hermitian-matrix realization: products, laws, Kaplansky recovery,
 and the cross-realization diff."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from matrix_oracle import inverse, mat_product
 
 from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
@@ -176,6 +181,127 @@ class TestKernelOracle:
                     assert outcome(inner, a, b) == outcome(ref_inner, a, b)
             assert outcome(norm, x) == outcome(ref_norm, x)
         assert raised > 20
+
+
+#: a K = Q(sqrt 3) value with parts of up to 40 digits over denominators
+#: up to 10^6
+big_quads = st.builds(
+    lambda a, d, b, e: QuadExt(Fraction(a, d), Fraction(b, e)),
+    st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 6),
+    st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def big_hermitian(draw):
+    """A Hermitian traceless matrix with big_quads parts: three free
+    entries above the diagonal, two free real diagonal entries."""
+    above = {cell: ComplexQuad(draw(big_quads), draw(big_quads))
+             for cell in ((0, 1), (0, 2), (1, 2))}
+    d0, d1 = draw(big_quads), draw(big_quads)
+    diag = [ComplexQuad(d0, 0), ComplexQuad(d1, 0), ComplexQuad(-(d0 + d1), 0)]
+    return HermTraceless3([[diag[i] if i == j else above[i, j] if i < j
+                            else above[j, i].conjugate() for j in range(3)] for i in range(3)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(big_hermitian(), big_hermitian())
+def test_kernel_matches_reference_on_large_entries(x, y):
+    """The written-out kernels against the ComplexQuad reference, on
+    Hermitian matrices with 40-digit parts and mixed denominators."""
+    assert matrix_mul(x, y) == ref_matrix_mul(x, y)
+    assert norm(x) == ref_norm(x)
+    assert inner(x, y) == ref_inner(x, y)
+
+
+def bumped_matrices(m):
+    """``m`` with one of its 36 integers raised by 1, for each of them, as
+    (position, matrix) pairs, through the integer layout unchecked."""
+    for k in range(36):
+        ints = list(m._q)
+        ints[k] += 1
+        yield k, okubomatrix._matrix(ints, m._d)
+
+
+class TestOperandContract:
+    """``matrix_mul`` reads yx off xy as (xy)^H, which holds only for
+    Hermitian operands, so it checks both operands before it multiplies."""
+
+    #: the integers of the diagonal real parts: raising one leaves a
+    #: matrix Hermitian, raising any other integer does not
+    DIAGONAL_REAL = {0, 1, 16, 17, 32, 33}
+
+    def test_either_position_raises(self):
+        zero = HermTraceless3([[0] * 3] * 3)
+        basis = build_basis()
+        pool = sample_pool(0)
+        bad = [m for k, m in bumped_matrices(pool[0]) if k not in self.DIAGONAL_REAL]
+        assert len(bad) == 30
+        for x in bad:
+            for good in (zero, basis[0], basis[5], pool[1]):
+                for a, b in ((x, good), (good, x)):
+                    with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                        matrix_mul(a, b)
+            with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                matrix_mul(x, x)
+
+    def test_zero_matrix_does_not_hide_a_bad_operand(self):
+        # the Okubo product with 0 is 0 whatever the other operand is; the
+        # check on the operand still comes first
+        zero = HermTraceless3([[0] * 3] * 3)
+        assert matrix_mul(zero, zero) == zero
+        bad = unchecked([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        assert ref_matrix_mul(bad, zero) == ref_matrix_mul(zero, bad) == zero
+        for a, b in ((bad, zero), (zero, bad)):
+            with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                matrix_mul(a, b)
+
+
+#: runs in a fresh interpreter: counts the Okubo products, and the callers
+#: of the general associative product, of one ``run_all``
+PRODUCT_CENSUS = r"""
+import json
+import sys
+from collections import Counter
+from okubo_e8 import checks, okubomatrix
+
+products = [0]
+callers = Counter()
+matrix_mul, general = okubomatrix.matrix_mul, okubomatrix._product
+
+def counted_mul(*args):
+    products[0] += 1
+    return matrix_mul(*args)
+
+def counted_general(*args):
+    callers[sys._getframe(1).f_code.co_name] += 1
+    return general(*args)
+
+wrapped = {matrix_mul: counted_mul, general: counted_general}
+for name, mod in list(sys.modules.items()):
+    if name.startswith("okubo_e8"):
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and value in wrapped:
+                setattr(mod, attr, wrapped[value])
+checks.run_all(0)
+print(json.dumps({"matrix_mul": products[0], "general": callers}))
+"""
+
+
+def test_one_run_computes_one_associative_product_per_okubo_product():
+    """One run_all makes the same 2,031 Okubo products, so every sampled law
+    still runs every product, and none of them calls the general
+    associative product: only the two Jordan products of the matrix
+    group's commutativity check do, for xy and yx.  Before, it had 4,931
+    calls: two per Okubo product, one per norm or inner product, and
+    those four."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", PRODUCT_CENSUS], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    counts = json.loads(proc.stdout)
+    assert counts["matrix_mul"] == 2031
+    assert counts["general"] == {"jordan_product": 4}
 
 
 # -- the stored integers against the ComplexQuad entries ----------------------

@@ -871,8 +871,16 @@ def count_per_object(cls, name, key):
     prop.__set_name__(cls, name)
     setattr(cls, name, prop)
 
+inclusions = Counter()
+solve_inclusion = lattice._inclusion_matrix
+
+def counted_inclusion(sub, sup):
+    inclusions[sub.label, sup.label] += 1
+    return solve_inclusion(sub, sup)
+
 wrapped = {getattr(lattice, name): counted(name, getattr(lattice, name))
            for name in ("mat_det", "smith_invariants", "discriminant_group")}
+wrapped[solve_inclusion] = counted_inclusion
 for name, mod in list(sys.modules.items()):
     if name.startswith("okubo_e8"):
         for attr, value in list(vars(mod).items()):
@@ -887,6 +895,8 @@ print(json.dumps({
     "lattices_with_det": len(computed["det"]),
     "scaled_k_grams": sum(n for basis, n in computed["k_gram"].values()
                           if basis.label == "scaled"),
+    "inclusions_most": max(inclusions.values()),
+    "conductor_inclusions": inclusions["okubo-conductor", "coxeter-dickson"],
 }))
 """
 
@@ -901,7 +911,9 @@ def test_one_run_computes_each_lattice_value_once():
     of a Gram is left, the discriminant check's, with the Smith invariants
     of the inclusion matrix (3 and 2 before).  Eight lattices take a
     determinant: E8, the conductor, the five other catalog rows and the
-    glued lattice; the ninth elimination is the conductor's index."""
+    glued lattice; the ninth elimination is the conductor's index.  Each
+    inclusion matrix is solved once: the conductor invariants and the
+    gluing share that of the conductor in E8 (two solves before)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", VALUE_COUNTER], capture_output=True, text=True,
@@ -913,3 +925,4 @@ def test_one_run_computes_each_lattice_value_once():
     assert counts["smith_invariants"] == 2
     assert counts["discriminant_group"] == 1
     assert counts["mat_det"] == counts["lattices_with_det"] + 1 == 9
+    assert counts["inclusions_most"] == counts["conductor_inclusions"] == 1
