@@ -11,7 +11,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from matrix_oracle import inverse, mat_product
 
 from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
@@ -203,7 +203,11 @@ def big_hermitian(draw):
                             else above[j, i].conjugate() for j in range(3)] for i in range(3)])
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+# no shrink phase: shrinking some 50 integers of 40 digits, at about 17 ms
+# of reference arithmetic per example, outlasts the per-test time limit,
+# so a failure is reported as first found
+@settings(derandomize=True, max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(big_hermitian(), big_hermitian())
 def test_kernel_matches_reference_on_large_entries(x, y):
     """The written-out kernels against the ComplexQuad reference, on
