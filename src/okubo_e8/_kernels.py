@@ -7,16 +7,18 @@ The four hot loops of the package:
   or only the number of vectors of each norm (:func:`shell_histogram`,
   which builds no vector).  The walk visits one vector of each pair +-v,
   the one whose nonzero coordinate of highest index is positive; the
-  vector mode adds its negation, the counting mode counts it twice;
+  vector mode adds its negation, the counting mode counts it twice.  Its
+  last level takes no call per row: each level-one node hands all its
+  rows of x[0] to the mode at once;
 * the signed block-permutation metric filter, which compares the
   magnitudes of the Gram entries before it looks at any sign, and then
   solves e_i e_j = G[i][j] / G'[i][j] for the sign vectors by two-colouring
   each component of the nonzero entries, in place of trying all 256;
 * the pairwise closure check for unit loops, which packs the coordinates
-  of a product into biased digit fields of one integer, one byte-aligned
-  block per product, so that the products of one unit with every unit are
-  eight multiply-adds of whole rows and each membership test one bytes
-  slice and one dict lookup;
+  of a product into biased digit fields of one integer, one block of whole
+  64-bit words per product, so that the products of one unit with every
+  unit are eight multiply-adds of whole rows, and their membership tests
+  one ``map`` of a dict lookup over the native words of the result;
 * the walk over diagonal 2-adic scaling exponents, which decides each
   valuation constraint once per prefix of the exponent vector.
 
@@ -28,9 +30,10 @@ reject a non-integral input entry with ValueError.
 
 from __future__ import annotations
 
+import sys
 from itertools import permutations, product
 from math import isqrt, lcm
-from operator import index, le, mul
+from operator import index, le, lshift, mul
 
 from ._record import record
 from .exact import ldl
@@ -105,7 +108,7 @@ def _int_rows(rows) -> list[tuple[int, ...]]:
     return out
 
 
-def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
+def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_rows) -> None:
     """The walk shared by both enumeration modes.
 
     Branch and bound over the integer completed squares: the last
@@ -114,12 +117,19 @@ def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
     one whose nonzero coordinate of highest index is positive.  So it
     starts once at each level c as that coordinate, with x[c] >= 1 and
     every coordinate above it zero; the zero vector is never reached.
-    With x[n-1], ..., x[1] fixed, every admissible range of x[0] goes to
-    ``leaf_row(lo, hi, off, rem)``: x[0] runs over lo..hi,
-    t_0 = B_0 x[0] + off, and ``rem`` is what is left of the bound before
-    W_0 t_0^2 is charged.  ``x[0]`` itself is never written.
+
+    The last two levels take no call per row: with x[n-1], ..., x[2]
+    fixed, the level-one loop computes, for each admissible x[1], the
+    admissible range of x[0] itself (t_0 is linear in x[1]), and hands all
+    of them to ``leaf_rows(rows)`` in one call.  A row is
+    (x1, lo, hi, off, rem): x[0] runs over lo..hi, t_0 = B_0 x[0] + off,
+    and ``rem`` is what is left of the bound before W_0 t_0^2 is charged.
+    A walk that starts at level 0 makes one row with x1 = 0.  ``x[0]``
+    and ``x[1]`` are never written.
     """
     n, weights, pivots, offsets = plan.n, plan.weights, plan.pivots, plan.offsets
+    w0, b0 = weights[0], pivots[0]
+    a0, offsets0 = (offsets[0][0], offsets[0][1:]) if n > 1 else (0, ())
 
     def descend(c, rem, lo=None):
         off = sum(map(mul, offsets[c], x[c + 1:]))
@@ -130,7 +140,18 @@ def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
         if lo is None:
             lo = -((m + off) // b)  # ceil((-m - off) / b)
         if not c:
-            leaf_row(lo, hi, off, rem)
+            leaf_rows([(0, lo, hi, off, rem)])
+            return
+        if c == 1:
+            base = sum(map(mul, offsets0, x[2:]))
+            rows = []
+            for x1 in range(lo, hi + 1):
+                t = b * x1 + off
+                r = rem - w * t * t
+                m = isqrt(r // w0)
+                off0 = a0 * x1 + base
+                rows.append((x1, -((m + off0) // b0), (m - off0) // b0, off0, r))
+            leaf_rows(rows)
             return
         for xc in range(lo, hi + 1):
             t = b * xc + off
@@ -146,18 +167,21 @@ def _branch_and_bound(plan: EnumPlan, x: list[int], leaf_row) -> None:
 def enumerate_short_vectors(plan: EnumPlan) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with scaled norm <= plan.bound_scaled,
     both signs included, sorted lexicographically."""
-    x = [0] * plan.n
+    n = plan.n
+    x = [0] * n
     out = []
     append = out.append
 
-    def leaf_row(lo, hi, off, rem):
-        tail = tuple(x[1:])
-        neg = tuple(-v for v in tail)
-        for v in range(lo, hi + 1):
-            append((v,) + tail)
-            append((-v,) + neg)
+    def leaf_rows(rows):
+        rest = tuple(x[2:])
+        for x1, lo, hi, _, _ in rows:
+            tail = (x1,) + rest if n > 1 else ()
+            neg = tuple(-v for v in tail)
+            for v in range(lo, hi + 1):
+                append((v,) + tail)
+                append((-v,) + neg)
 
-    _branch_and_bound(plan, x, leaf_row)
+    _branch_and_bound(plan, x, leaf_rows)
     out.sort()
     return out
 
@@ -176,14 +200,15 @@ def shell_histogram(plan: EnumPlan) -> dict[int, int]:
     hist = {}
     get = hist.get
 
-    def leaf_row(lo, hi, off, rem):
-        base = top - rem
-        for v in range(lo, hi + 1):
-            t = b * v + off
-            k = base + w * t * t
-            hist[k] = get(k, 0) + 2
+    def leaf_rows(rows):
+        for _, lo, hi, off, rem in rows:
+            base = top - rem
+            for v in range(lo, hi + 1):
+                t = b * v + off
+                k = base + w * t * t
+                hist[k] = get(k, 0) + 2
 
-    _branch_and_bound(plan, [0] * plan.n, leaf_row)
+    _branch_and_bound(plan, [0] * plan.n, leaf_rows)
     return dict(sorted(hist.items()))
 
 
@@ -259,13 +284,17 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
     largest |coordinate| of the data.  Each acc_k gets a digit field of one
     integer, wide enough for that bound and biased by half its range, so
     every biased digit is positive and packing is injective, and linear
-    up to the bias.  A block of whole bytes holds the fields of one vector.
-    Y_j holds coordinate j of every y, one block each, and the columns of
-    the left multiplication by x are packed once per x, so the sum of
-    col_j * Y_j holds the products of x with every y, one block each: eight
-    multiply-adds per x.  A product is a doubled member exactly when its
-    block, as bytes, is a key of the packed doubled members, which also
-    hold their norms; only a non-member is unpacked to get its norm.
+    up to the bias.  A block of whole 64-bit words holds the fields of one
+    vector.  Y_j holds coordinate j of every y, one block each, and the
+    packed table T_j, entry i the shifted sign sgn[i][j] of the field
+    idx[i][j], is built once, so the left multiplication by x has the
+    columns col_j = sum_i x_i T_j[i], and the sum of col_j * Y_j holds the
+    products of x with every y, one block each: eight multiply-adds per x,
+    written in native byte order.  A product is a doubled member exactly
+    when its block, read as native 64-bit words (one word, or a tuple of
+    them), is a key of the packed doubled members, which also hold their
+    norms; the 240 lookups of one x are one ``map`` over a memoryview, and
+    only a non-member is unpacked to get its norm.
     """
     vecs2 = _int_rows(vecs2)
     n = len(idx)
@@ -277,38 +306,41 @@ def unit_closure_failures(vecs2, idx, sgn) -> tuple[int, int]:
     width = max(max(reach) * m * m, 2 * m).bit_length() + 1
     half, mask = 1 << (width - 1), (1 << width) - 1
     shifts = [width * k for k in range(n)]
-    size = -(-n * width // 8)  # bytes per block
+    words = -(-n * width // 64)  # 64-bit words per block
+    size = 8 * words
     bias = sum(half << s for s in shifts)
+    order = sys.byteorder
 
-    def block(acc):
-        return (sum(v << s for v, s in zip(acc, shifts)) + bias).to_bytes(size, "little")
+    def keys(buf):
+        """The blocks of ``buf`` as dict keys: a word, or a tuple of words."""
+        view = memoryview(buf).cast("Q")
+        return view if words == 1 else zip(*[iter(view)] * words)
 
-    members = {}
-    for vec in vecs2:
-        acc = [2 * v for v in vec]
-        members[block(acc)] = sum(v * v for v in acc)
+    def packed(accs):
+        return b"".join((sum(map(lshift, acc, shifts)) + bias).to_bytes(size, order)
+                        for acc in accs)
+
+    doubled = [[2 * v for v in vec] for vec in vecs2]
+    members = dict(zip(keys(packed(doubled)), (sum(map(mul, a, a)) for a in doubled)))
     count = len(vecs2)
     total = size * count
     ys = [sum(vec[j] << (8 * size * b) for b, vec in enumerate(vecs2)) for j in range(n)]
-    biases = int.from_bytes(bias.to_bytes(size, "little") * count, "little")
-    blocks = [slice(o, o + size) for o in range(0, total, size)]
+    biases = int.from_bytes(bias.to_bytes(size, order) * count, order)
+    table = [tuple(row_s[j] << shifts[row_i[j]] for row_i, row_s in zip(idx, sgn))
+             for j in range(n)]
     get = members.get
     bad_member = 0
     bad_norm = 0
     for xa in vecs2:
-        cols = [
-            sum(row_s[j] * xi << shifts[row_i[j]]
-                for xi, row_i, row_s in zip(xa, idx, sgn) if xi)
-            for j in range(n)
-        ]
-        buf = (sum(map(mul, cols, ys)) + biases).to_bytes(total, "little")
-        norms = list(map(get, map(buf.__getitem__, blocks)))
+        cols = [sum(map(mul, xa, tj)) for tj in table]
+        buf = (sum(map(mul, cols, ys)) + biases).to_bytes(total, order)
+        norms = list(map(get, keys(buf)))
         misses = norms.count(None)
         if misses:
             bad_member += misses
             for b, norm in enumerate(norms):
                 if norm is None:
-                    v = int.from_bytes(buf[blocks[b]], "little")
+                    v = int.from_bytes(buf[b * size:(b + 1) * size], order)
                     norms[b] = sum((((v >> s) & mask) - half) ** 2 for s in shifts)
         bad_norm += count - norms.count(16)
     return bad_member, bad_norm

@@ -189,8 +189,12 @@ def _elem(pairs, den: int) -> AlgebraElem:
     pairs ``pairs`` and den > 0, made canonical by one gcd."""
     g = gcd(den, *chain.from_iterable(pairs))
     x = object.__new__(AlgebraElem)
-    _set_p(x, tuple((a // g, b // g) for a, b in pairs))
-    _set_d(x, den // g)
+    if g == 1:
+        _set_p(x, tuple(map(tuple, pairs)))
+    else:
+        _set_p(x, tuple((a // g, b // g) for a, b in pairs))
+        den //= g
+    _set_d(x, den)
     return x
 
 
@@ -352,22 +356,49 @@ def random_element(
 ONE = AlgebraElem.one
 
 
-def _bridge_okubo_from_para(x, y):
-    return okubo_mul(x, y), para_mul(tau_apply(x, 1), tau_apply(y, 2))
+@record
+class BridgeImages:
+    """The unary images of one element x that the bridge identities read,
+    each computed once: tau x, tau^2 x, e * x and x * e (Okubo, e = 1),
+    and 1 . x and x . 1 (para)."""
+
+    tau: AlgebraElem
+    tau2: AlgebraElem
+    e_star: AlgebraElem
+    star_e: AlgebraElem
+    one_dot: AlgebraElem
+    dot_one: AlgebraElem
 
 
-def _bridge_para_from_okubo(x, y):
-    return para_mul(x, y), okubo_mul(tau_apply(x, 2), tau_apply(y, 1))
-
-
-def _bridge_oct_from_para(x, y):
-    one = ONE()
-    return oct_mul(x, y), para_mul(para_mul(one, x), para_mul(y, one))
-
-
-def _bridge_oct_from_okubo(x, y):
+def bridge_images(x: AlgebraElem) -> BridgeImages:
     e = ONE()
-    return oct_mul(x, y), okubo_mul(okubo_mul(e, x), okubo_mul(y, e))
+    return BridgeImages(tau_apply(x, 1), tau_apply(x, 2), okubo_mul(e, x),
+                        okubo_mul(x, e), para_mul(e, x), para_mul(x, e))
+
+
+# A pair identity takes x, y, their images ix, iy and the octonion
+# product xy = oct_mul(x, y), computed once per pair; it returns both
+# sides, each by its own formula.
+
+
+def _bridge_okubo_from_para(x, y, ix, iy, xy):
+    # x * y = tau(x) . tau^2(y)
+    return okubo_mul(x, y), para_mul(ix.tau, iy.tau2)
+
+
+def _bridge_para_from_okubo(x, y, ix, iy, xy):
+    # x . y = tau^2(x) * tau(y)
+    return para_mul(x, y), okubo_mul(ix.tau2, iy.tau)
+
+
+def _bridge_oct_from_para(x, y, ix, iy, xy):
+    # xy = (1 . x) . (y . 1)
+    return xy, para_mul(ix.one_dot, iy.dot_one)
+
+
+def _bridge_oct_from_okubo(x, y, ix, iy, xy):
+    # xy = (e * x) * (y * e)
+    return xy, okubo_mul(ix.e_star, iy.star_e)
 
 
 BRIDGE_PAIR_IDENTITIES = {
@@ -378,26 +409,29 @@ BRIDGE_PAIR_IDENTITIES = {
 }
 
 
-def _bridge_tau_via_okubo(x):
+# A unary identity takes x and its images ix.
+
+
+def _bridge_tau_via_okubo(x, ix):
+    # tau(x) = conj(x) * e
+    return ix.tau, okubo_mul(x.conjugate(), ONE())
+
+
+def _bridge_conj_via_okubo(x, ix):
+    # conj(x) = tau(e * x)
+    return x.conjugate(), tau_apply(ix.e_star, 1)
+
+
+def _bridge_conj_via_stars(x, ix):
+    # conj(x) = ((x * e) * e) * e
     e = ONE()
-    return tau_apply(x, 1), okubo_mul(x.conjugate(), e)
+    return x.conjugate(), okubo_mul(okubo_mul(ix.star_e, e), e)
 
 
-def _bridge_conj_via_okubo(x):
+def _bridge_tau_via_stars(x, ix):
+    # tau(x) = (((x * e) * e) * e) * e
     e = ONE()
-    return x.conjugate(), tau_apply(okubo_mul(e, x), 1)
-
-
-def _bridge_conj_via_stars(x):
-    e = ONE()
-    return x.conjugate(), okubo_mul(okubo_mul(okubo_mul(x, e), e), e)
-
-
-def _bridge_tau_via_stars(x):
-    e = ONE()
-    return tau_apply(x, 1), okubo_mul(
-        okubo_mul(okubo_mul(okubo_mul(x, e), e), e), e
-    )
+    return ix.tau, okubo_mul(okubo_mul(okubo_mul(ix.star_e, e), e), e)
 
 
 BRIDGE_UNARY_IDENTITIES = {
@@ -416,25 +450,32 @@ def bridge_identities(seed: int = 0) -> dict:
     """Verify the product-conversion identities on all basis pairs and on
     :data:`BRIDGE_SAMPLES` seeded random exact elements.
 
-    Returns per-identity dictionaries with the number of comparisons and
-    the list of failing witnesses (basis indices or coordinate dumps).
+    The images of :class:`BridgeImages` are computed once per distinct
+    element, and the octonion product once per pair.  Returns
+    per-identity dictionaries with the number of comparisons and the list
+    of failing witnesses (basis indices or coordinate dumps).
     """
     rng = random.Random(seed)
     randoms = [random_element(rng) for _ in range(BRIDGE_SAMPLES)]
     basis = [basis_element(k) for k in range(DIM)]
+    images = {x: bridge_images(x) for x in basis + randoms}
+    # basis tuples with their indices as witness, then seeded tuples, whose
+    # witness (their elements' reprs) is built on failure only; each input
+    # carries what its identities share
+    pairs = [(("basis", i, j), (basis[i], basis[j])) for i, j in product(range(DIM), repeat=2)]
+    pairs += [(None, args) for args in product(randoms, randoms[:4])]
+    pair_inputs = [(witness, (x, y, images[x], images[y], oct_mul(x, y)))
+                   for witness, (x, y) in pairs]
+    unary_inputs = [(("basis", k), (x, images[x])) for k, x in enumerate(basis)]
+    unary_inputs += [(None, (x, images[x])) for x in randoms]
     out = {}
-    for identities, seeded in ((BRIDGE_PAIR_IDENTITIES, list(product(randoms, randoms[:4]))),
-                               (BRIDGE_UNARY_IDENTITIES, list(product(randoms)))):
-        # basis tuples with their indices as witness, then seeded tuples,
-        # whose witness (their elements' reprs) is built on failure only
-        indices = product(range(DIM), repeat=len(seeded[0]))
-        inputs = [(("basis", *idx), [basis[i] for i in idx]) for idx in indices]
-        inputs += [(None, args) for args in seeded]
+    for identities, inputs, arity in ((BRIDGE_PAIR_IDENTITIES, pair_inputs, 2),
+                                      (BRIDGE_UNARY_IDENTITIES, unary_inputs, 1)):
         for name, fn in identities.items():
             failures = []
             for witness, args in inputs:
                 lhs, rhs = fn(*args)
                 if lhs != rhs:
-                    failures.append(witness or ("random", *map(repr, args)))
+                    failures.append(witness or ("random", *map(repr, args[:arity])))
             out[name] = {"checked": len(inputs), "failures": failures}
     return out

@@ -6,7 +6,13 @@ and quaternion cases live on subalgebras) as an :class:`OrderBasis`
 labelled with its catalog name (a key of ``claims.CLASSICAL_TABLE``),
 which owns the map between order vectors and algebra elements and its
 lattice, :attr:`OrderBasis.lattice`; the Coxeter-Dickson row is the
-order basis itself.  Every row takes its octonion structure constants
+order basis itself.  Every order has half-integral e-coordinates (Conway
+and Smith, On Quaternions and Octonions, 2003, ch. 9-10), Eisenstein's
+included, whose omega is (-1 + e1 + e2 + e3)/2.  So every row's unit
+loop is one call of the packed closure kernel on the doubled
+e-coordinates of its units (:func:`orders.unit_loop`); the
+Coxeter-Dickson row reads the loop :func:`orders.units240` certified.
+Every row takes its octonion structure constants
 from :func:`orders.structure_constants` and their integrality, with that
 of the traces and norms, from :func:`orders.closure_test`, and its
 minimum and kissing number from :func:`lattice.minimum_and_kissing`.  The
@@ -21,16 +27,18 @@ from fractions import Fraction
 
 from . import lattice as lat
 from ._record import record
-from .algebras import AlgebraElem, basis_element, oct_mul
+from .algebras import AlgebraElem, basis_element
 from .claims import CLASSICAL_TABLE, UNSPECIFIED_CLASSICAL
-from .exact import QUAD_ZERO, QuadExt, RingTag
+from .exact import RingTag
 from .orders import (
     OrderBasis,
     cd_basis,
     cd_short_vectors,
     closure_test,
+    doubled_vectors,
     letters,
     structure_constants,
+    unit_loop,
     units240,
 )
 
@@ -40,10 +48,10 @@ class UnspecifiedConstructionError(ValueError):
 
 
 def _eisenstein_omega() -> AlgebraElem:
-    # a primitive cube root of unity: -1/2 + (sqrt(3)/2) e1
-    coords = [QuadExt(Fraction(-1, 2))] + [QUAD_ZERO] * 7
-    coords[1] = QuadExt(0, Fraction(1, 2))
-    return AlgebraElem(coords)
+    # a primitive cube root of unity, in half-integral coordinates:
+    # (-1 + e1 + e2 + e3)/2, of trace -1 and norm 1, so omega^2 = -1 - omega
+    half = Fraction(1, 2)
+    return AlgebraElem([-half, half, half, half] + [0] * 4)
 
 
 def build_classical(name: str) -> OrderBasis:
@@ -90,26 +98,20 @@ def verify_classical(basis: OrderBasis) -> CatalogReport:
     """Enumerate the unit loop and compute the data of one catalog row."""
     if basis is cd_basis():  # the enumeration and the unit loop units240 reads
         found = cd_short_vectors()
-        _, rep = units240()
-        unit_count = rep.count
-        closed = rep.closure_failures == 0 and rep.norm_failures == 0
-        inverses = rep.inverses_present
+        _, loop = units240()
+        unit_count = loop.count
     else:  # the units, and the minimal vectors
         found = lat.short_vectors(basis.lattice, 2)
-        elements = [basis.element(coords) for coords, _ in found]
-        unit_count = len(elements)
-        unit_set = set(elements)
-        closed = all(
-            oct_mul(a, b) in unit_set for a in elements for b in elements
-        )
-        inverses = all(x.conjugate() in unit_set for x in elements)
+        vecs2 = doubled_vectors(basis, found)
+        unit_count = len(vecs2)
+        loop = unit_loop(vecs2)
     mn, kiss = lat.minimum_and_kissing(found, 2)
     closure = closure_test(structure_constants("octonion", basis), RingTag.Z, basis)
 
     return CatalogReport(
         unit_count=unit_count,
-        units_closed=closed,
-        inverses_present=inverses,
+        units_closed=loop.closure_failures == 0 and loop.norm_failures == 0,
+        inverses_present=loop.inverses_present,
         constants_integral=not closure.violations,
         trace_norm_integral=closure.trace_norm_ok,
         det=basis.lattice.det,

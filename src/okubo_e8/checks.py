@@ -501,7 +501,7 @@ def check_matrix_laws(seed: int = 0) -> list[CheckReport]:
     rep = om.verify_laws(pool)
     krep = om.kaplansky_report(pool)
     xrep = om.cross_realization_report()
-    x, y = pool[0], pool[1]
+    x, y = pool.matrices[0], pool.matrices[1]
     jordan_comm = om.jordan_product(x, y) == om.jordan_product(y, x)
 
     return [

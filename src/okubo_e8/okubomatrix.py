@@ -29,14 +29,19 @@ product, with the integers of 6 mu = 3 + sqrt(3) i, is
 so each of its entries is one integer quadruple over 6*Dx*Dy, built in
 one expression.  The result is still checked Hermitian and traceless on
 those integers, with the errors the HermTraceless3 constructor raises,
-and made canonical with one gcd per matrix.  ``norm`` and ``inner`` sum
+and made canonical with one gcd per matrix.  Where a law needs both
+orders, :func:`matrix_mul_pair` returns x * y and y * x from the one xy:
+they are (S + D)/6 and (S - D)/6 with S = 3(xy + yx) - 2 Tr(xy) I and
+D = sqrt(3) i (xy - yx), and each is validated and made canonical.  ``norm`` and ``inner`` sum
 the nine terms x_im y_mi of Tr(xy), written out, for any 36 integers, and
 reject a trace that is not real.  The symmetrized product
 :func:`jordan_product` computes xy and yx with the general associative
 product.
 
 The sampled laws of both products are checked on one pool of seeded
-random matrices, :func:`sample_pool`, drawn once per check run.
+random matrices, :func:`sample_pool`, drawn once per check run; the pool
+holds the norm of each of its matrices, computed once for both laws that
+read it.
 
 Coordinates over the basis (e, e1..e7) come from :class:`exact.SpanSolve`
 on the 18 K-parts of the nine entries, and the matrix-side table of the
@@ -50,6 +55,7 @@ import random
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import add, sub
 
 from ._record import record
 from .algebras import DIM
@@ -222,11 +228,10 @@ def _real_trace(xs, ys, message):
     return ta, tb
 
 
-def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
-    """The Okubo product, from the one associative product xy.  Both
-    operands are checked Hermitian first (ValueError "matrix is not
-    Hermitian" otherwise), so yx = (xy)^H is read off xy; the result is
-    still validated Hermitian traceless on its integers."""
+def _hermitian_product(x: HermTraceless3, y: HermTraceless3) -> tuple[int, ...]:
+    """The 36 integers of the associative product xy over Dx*Dy, in the
+    layout of ``_q``, for Hermitian x and y: both operands are checked
+    first (ValueError "matrix is not Hermitian" otherwise)."""
     if not (_hermitian(x._q) and _hermitian(y._q)):
         raise ValueError("matrix is not Hermitian")
     # entry (i, j) of xy is (Aij, Bij, Cij, Eij) over Dx*Dy, the three terms
@@ -310,6 +315,21 @@ def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
         + b21 * s12 + e21 * q12))
     E22 = (a20 * s02 + b20 * r02 + c20 * q02 + e20 * p02 + a21 * s12 + b21 * r12 + c21 * q12
         + e21 * p12)
+    return (
+        A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
+        A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
+        A22, B22, C22, E22,
+    )
+
+
+def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
+    """The Okubo product, from the one associative product xy.  Both
+    operands are checked Hermitian first (ValueError "matrix is not
+    Hermitian" otherwise), so yx = (xy)^H is read off xy; the result is
+    still validated Hermitian traceless on its integers."""
+    (A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
+     A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
+     A22, B22, C22, E22) = _hermitian_product(x, y)
     # cell (i, j) of 6 (x * y) is 3(u + w) + s3 i (u - w) with u = xy_ij and
     # w = yx_ij = conj(xy_ji), as yx = (xy)^H for Hermitian x and y; with
     # s3 i (a, b, c, e) = (-3e, -c, 3b, a) it is, for u = (A, B, C, E) and
@@ -341,6 +361,49 @@ def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
     # so the conditions on the values are conditions on these integers
     _check_type(out)
     return _matrix(out, 6 * x._d * y._d)
+
+
+def matrix_mul_pair(x: HermTraceless3, y: HermTraceless3) -> tuple[HermTraceless3, HermTraceless3]:
+    """(x * y, y * x) from the one associative product xy: 6 (x * y) is
+    S + D and 6 (y * x) is S - D, with S = 3(xy + yx) - 2 Tr(xy) I and
+    D = sqrt(3) i (xy - yx), as 6 mu = 3 + sqrt(3) i and 6 conj(mu) =
+    3 - sqrt(3) i.  The operands are checked as in :func:`matrix_mul`, and
+    each result is validated Hermitian traceless and made canonical."""
+    (A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
+     A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
+     A22, B22, C22, E22) = _hermitian_product(x, y)
+    # with yx_ij = conj(xy_ji), cell (i, j) of S is 3(xy_ij + conj(xy_ji))
+    # and of D is s3 i (xy_ij - conj(xy_ji)), s3 i (a, b, c, e) =
+    # (-3e, -c, 3b, a); on the diagonal, less 2 Tr(xy) in S
+    ta, tb = 2 * (A00 + A11 + A22), 2 * (B00 + B11 + B22)
+    tc, te = 2 * (C00 + C11 + C22), 2 * (E00 + E11 + E22)
+    s = [
+        6 * A00 - ta, 6 * B00 - tb, -tc, -te,
+        3 * (A01 + A10), 3 * (B01 + B10), 3 * (C01 - C10), 3 * (E01 - E10),
+        3 * (A02 + A20), 3 * (B02 + B20), 3 * (C02 - C20), 3 * (E02 - E20),
+        3 * (A10 + A01), 3 * (B10 + B01), 3 * (C10 - C01), 3 * (E10 - E01),
+        6 * A11 - ta, 6 * B11 - tb, -tc, -te,
+        3 * (A12 + A21), 3 * (B12 + B21), 3 * (C12 - C21), 3 * (E12 - E21),
+        3 * (A20 + A02), 3 * (B20 + B02), 3 * (C20 - C02), 3 * (E20 - E02),
+        3 * (A21 + A12), 3 * (B21 + B12), 3 * (C21 - C12), 3 * (E21 - E12),
+        6 * A22 - ta, 6 * B22 - tb, -tc, -te,
+    ]
+    d = [
+        -6 * E00, -2 * C00, 0, 0,
+        -3 * (E01 + E10), -C01 - C10, 3 * (B01 - B10), A01 - A10,
+        -3 * (E02 + E20), -C02 - C20, 3 * (B02 - B20), A02 - A20,
+        -3 * (E10 + E01), -C10 - C01, 3 * (B10 - B01), A10 - A01,
+        -6 * E11, -2 * C11, 0, 0,
+        -3 * (E12 + E21), -C12 - C21, 3 * (B12 - B21), A12 - A21,
+        -3 * (E20 + E02), -C20 - C02, 3 * (B20 - B02), A20 - A02,
+        -3 * (E21 + E12), -C21 - C12, 3 * (B21 - B12), A21 - A12,
+        -6 * E22, -2 * C22, 0, 0,
+    ]
+    xy, yx = list(map(add, s, d)), list(map(sub, s, d))
+    _check_type(xy)
+    _check_type(yx)
+    den = 6 * x._d * y._d
+    return _matrix(xy, den), _matrix(yx, den)
 
 
 def norm(x: HermTraceless3) -> QuadExt:
@@ -414,15 +477,24 @@ class MatrixLawsReport:
     gram_pivots_positive: bool
 
 
-def sample_pool(seed: int) -> tuple[HermTraceless3, ...]:
-    """The :data:`SAMPLES` seeded random matrices the sampled laws are
-    checked on: the first draws of :func:`random_matrix` from
-    ``random.Random(seed)``."""
+@record
+class SamplePool:
+    """The seeded random matrices the sampled laws are checked on, with
+    the norm of each, computed once for every law that reads it."""
+
+    matrices: tuple[HermTraceless3, ...]
+    norms: tuple[QuadExt, ...]
+
+
+def sample_pool(seed: int) -> SamplePool:
+    """The :data:`SAMPLES` first draws of :func:`random_matrix` from
+    ``random.Random(seed)``, and their norms."""
     rng = random.Random(seed)
-    return tuple(random_matrix(rng) for _ in range(SAMPLES))
+    matrices = tuple(random_matrix(rng) for _ in range(SAMPLES))
+    return SamplePool(matrices, tuple(map(norm, matrices)))
 
 
-def verify_laws(pool) -> MatrixLawsReport:
+def verify_laws(pool: SamplePool) -> MatrixLawsReport:
     """Exact checks of the defining laws on the basis and on each matrix of
     ``pool`` (see :func:`sample_pool`) with the next two, cyclically."""
     basis = build_basis()
@@ -430,17 +502,20 @@ def verify_laws(pool) -> MatrixLawsReport:
     idempotent_ok = matrix_mul(e, e) == e and norm(e) == QuadExt(1)
 
     flex = comp = assoc = closure = 0
-    for idx, x in enumerate(pool):
-        y = pool[(idx + 1) % len(pool)]
-        z = pool[(idx + 2) % len(pool)]
+    matrices, norms = pool.matrices, pool.norms
+    count = len(matrices)
+    for idx, x in enumerate(matrices):
+        nxt = (idx + 1) % count
+        y = matrices[nxt]
+        z = matrices[(idx + 2) % count]
         try:
-            xy = matrix_mul(x, y)
+            xy, yx = matrix_mul_pair(x, y)
         except ValueError:
             closure += 1
             continue
-        if matrix_mul(x, matrix_mul(y, x)) != matrix_mul(xy, x):
+        if matrix_mul(x, yx) != matrix_mul(xy, x):
             flex += 1
-        if norm(xy) != norm(x) * norm(y):
+        if norm(xy) != norms[idx] * norms[nxt]:
             comp += 1
         if inner(matrix_mul(x, z), y) != inner(x, matrix_mul(z, y)):
             assoc += 1
@@ -449,9 +524,7 @@ def verify_laws(pool) -> MatrixLawsReport:
     no_unit = True
     for cand in basis:
         for u in (cand, -cand):
-            if all(
-                matrix_mul(u, b) == b and matrix_mul(b, u) == b for b in basis
-            ):
+            if all(matrix_mul_pair(u, b) == (b, b) for b in basis):
                 no_unit = False
 
     gram_ok = all(p.sign_real() > 0 for p in gram_pivots())
@@ -495,7 +568,7 @@ class KaplanskyReport:
     composition_failures: int
 
 
-def kaplansky_report(pool) -> KaplanskyReport:
+def kaplansky_report(pool: SamplePool) -> KaplanskyReport:
     """The unit laws of Kaplansky's product on the basis, and its
     alternativity and composition on each matrix of ``pool`` (see
     :func:`sample_pool`) with the next, cyclically."""
@@ -504,27 +577,25 @@ def kaplansky_report(pool) -> KaplanskyReport:
     left = all(kaplansky(e, b) == b for b in basis)
     right = all(kaplansky(b, e) == b for b in basis)
     alt = comp = 0
+    matrices, norms = pool.matrices, pool.norms
 
-    def halves(m):
-        return matrix_mul(e, m), matrix_mul(m, e)
-
-    # kaplansky(u, v) = (e*u)*(v*e): the two halves of each pool matrix are
-    # computed once, and kept only while a sample uses them
-    first = x_halves = halves(pool[0])
-    for idx, x in enumerate(pool):
-        nxt = (idx + 1) % len(pool)
-        y = pool[nxt]
-        (ex, xe), (ey, ye) = x_halves, first if nxt == 0 else halves(y)
+    # kaplansky(u, v) = (e*u)*(v*e): the two halves (e*m, m*e) of each pool
+    # matrix are one paired product, kept only while a sample uses them
+    first = x_halves = matrix_mul_pair(e, matrices[0])
+    for idx in range(len(matrices)):
+        nxt = (idx + 1) % len(matrices)
+        (ex, xe), (ey, ye) = x_halves, first if nxt == 0 else matrix_mul_pair(e, matrices[nxt])
         xx, xy = matrix_mul(ex, xe), matrix_mul(ex, ye)
+        exx, xxe = matrix_mul_pair(e, xx)
         # x.(x.y) against (x.x).y
-        if matrix_mul(ex, matrix_mul(xy, e)) != matrix_mul(matrix_mul(e, xx), ye):
+        if matrix_mul(ex, matrix_mul(xy, e)) != matrix_mul(exx, ye):
             alt += 1
         # (y.x).x against y.(x.x)
         yx = matrix_mul(ey, xe)
-        if matrix_mul(matrix_mul(e, yx), xe) != matrix_mul(ey, matrix_mul(xx, e)):
+        if matrix_mul(matrix_mul(e, yx), xe) != matrix_mul(ey, xxe):
             alt += 1
         x_halves = ey, ye
-        if norm(xy) != norm(x) * norm(y):
+        if norm(xy) != norms[idx] * norms[nxt]:
             comp += 1
     return KaplanskyReport(
         unit_left_ok=left,
@@ -581,10 +652,16 @@ class CrossRealizationReport:
 
 def cross_realization_report() -> CrossRealizationReport:
     """The sign search between the two Okubo tables: the matrix side built
-    by :func:`orders.product_table` with ``matrix_mul`` over
-    :func:`build_basis`, and the rotation side the cached
+    by :func:`orders.product_table` over :func:`build_basis`, from the
+    products of each pair of basis matrices, both orders from one
+    :func:`matrix_mul_pair`, and the rotation side the cached
     ``structure_constants("okubo", e_basis())``."""
-    mat_c = product_table(matrix_mul, build_basis(), _coordinates)
+    basis = build_basis()
+    products = {}
+    for a, x in enumerate(basis):
+        for y in basis[a:]:
+            products[x, y], products[y, x] = matrix_mul_pair(x, y)
+    mat_c = product_table(lambda x, y: products[x, y], basis, _coordinates)
     return _sign_search(mat_c, structure_constants("okubo", e_basis()).c)
 
 

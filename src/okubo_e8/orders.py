@@ -27,6 +27,11 @@ element, ``lattice`` is its lattice, of the integral Gram, built once, and
 basis uses as well.  :func:`product_table` is the one table builder of
 both realizations: the structure constants of every order basis come
 from it, and :func:`closure_test` decides their integrality.
+
+Unit loops run on doubled e-coordinates 2x, integers for a half-integral
+order: :func:`doubled_vectors` maps enumerated order vectors to them, and
+:func:`unit_loop` decides closure with the packed kernel, for the 240
+units here and for every catalog row.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import lcm
+from operator import mul
 
 from . import lattice as lat
 from ._kernels import scaling_walk, unit_closure_failures
@@ -198,21 +204,20 @@ HALF_UNIT_ROWS = (
 )
 
 
-def unit_shapes() -> list[AlgebraElem]:
-    """The 240 catalogued unit shapes: the 16 signed letters and the
-    fourteen half-sum families of 16 sign patterns each."""
-    lt = letters()
+def unit_shapes() -> list[tuple[int, ...]]:
+    """The 240 catalogued unit shapes as doubled e-coordinates 2x: the 16
+    signed letters and the fourteen half-sum families of 16 sign patterns
+    each (every letter is a signed basis vector, so a doubled half sum is
+    the signed sum of its letters' coordinates)."""
+    lt = {name: _doubled(x) for name, x in letters().items()}
     out = []
     for name in ("1", "i", "j", "k", "l", "il", "jl", "kl"):
         out.append(lt[name])
-        out.append(-lt[name])
-    # every letter is a signed basis vector: integer pairs over 1
+        out.append(tuple(-v for v in lt[name]))
     for row in HALF_UNIT_ROWS:
-        base = [lt[n]._p for n in row]
+        cols = list(zip(*(lt[n] for n in row)))
         for signs in iter_product((1, -1), repeat=4):
-            out.append(_elem([(sum(s * p[k][0] for s, p in zip(signs, base)),
-                               sum(s * p[k][1] for s, p in zip(signs, base)))
-                              for k in range(DIM)], 2))
+            out.append(tuple(sum(map(mul, signs, col)) // 2 for col in cols))
     return out
 
 
@@ -234,6 +239,37 @@ def _doubled(x: AlgebraElem) -> tuple[int, ...]:
     return tuple(a * (2 // x._d) for a, _ in x._p)
 
 
+def doubled_vectors(basis: OrderBasis, found) -> list[tuple[int, ...]]:
+    """The doubled e-coordinates 2x = v (2B) of the order vectors v of
+    ``found`` (pairs (v, norm), as ``lat.short_vectors`` gives them),
+    sorted; ArithmeticError for a basis that is not half-integral."""
+    cols = list(zip(*(_doubled(b) for b in basis)))
+    return sorted(tuple(sum(map(mul, coords, col)) for col in cols) for coords, _ in found)
+
+
+@record
+class UnitLoop:
+    """The pairwise closure of one unit set, from the packed kernel."""
+
+    closure_failures: int
+    norm_failures: int
+    inverses_present: bool
+
+
+def unit_loop(vecs2) -> UnitLoop:
+    """Closure of the doubled units ``vecs2`` under the octonion product,
+    all len(vecs2)^2 products through :func:`_kernels.unit_closure_failures`
+    with ``OCT_TABLE``, and the presence of each conjugate."""
+    bad_member, bad_norm = unit_closure_failures(vecs2, OCT_TABLE.idx, OCT_TABLE.sgn)
+    vec_set = set(vecs2)
+    return UnitLoop(
+        closure_failures=bad_member,
+        norm_failures=bad_norm,
+        inverses_present=all((v[0],) + tuple(-c for c in v[1:]) in vec_set
+                             for v in vecs2),
+    )
+
+
 @lru_cache(maxsize=None)
 def cd_short_vectors() -> tuple:
     """The nonzero vectors of the order with <x,x> <= 2, as
@@ -253,26 +289,18 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
     on the doubled e-coordinates 2x = v (2B), integers for an order vector
     v; the algebra elements are built once, at the end.
     """
-    twice_b = [_doubled(b) for b in cd_basis()]
-    found = cd_short_vectors()  # <x,x> = 2 <=> n(x) = 1
-    vecs2 = sorted(
-        tuple(sum(c * row[m] for c, row in zip(coords, twice_b) if c)
-              for m in range(DIM))
-        for coords, _ in found
-    )
+    vecs2 = doubled_vectors(cd_basis(), cd_short_vectors())  # <x,x> = 2 <=> n(x) = 1
     vec_set = set(vecs2)
     shapes = unit_shapes()
-    shapes_present = all(_doubled(s) in vec_set for s in shapes)
-    bad_member, bad_norm = unit_closure_failures(vecs2, OCT_TABLE.idx, OCT_TABLE.sgn)
-    inverses = all((v[0],) + tuple(-c for c in v[1:]) in vec_set for v in vecs2)
+    loop = unit_loop(vecs2)
 
     report = Units240Report(
         count=len(vecs2),
         shape_count=len(shapes),
-        shapes_all_present=shapes_present,
-        closure_failures=bad_member,
-        norm_failures=bad_norm,
-        inverses_present=inverses,
+        shapes_all_present=vec_set.issuperset(shapes),
+        closure_failures=loop.closure_failures,
+        norm_failures=loop.norm_failures,
+        inverses_present=loop.inverses_present,
     )
     elements = tuple(_elem([(c, 0) for c in v], 2) for v in vecs2)
     return elements, report

@@ -22,22 +22,14 @@ from .orders import conductor_lattice, coords_in_order_basis, scaled_basis, stru
 CANDIDATE_COUNT = (24 * 16) ** 2
 
 
-def compose(g, h):
-    """g after h, (g o h)(u_i), for (perm, signs) pairs."""
-    (gp, gs), (hp, hs) = g, h
-    return (tuple(gp[hp[i]] for i in range(DIM)),
-            tuple(hs[i] * gs[hp[i]] for i in range(DIM)))
-
-
-def inverse(g):
-    """The inverse of a (perm, signs) pair."""
-    perm, signs = g
-    inv = [0] * DIM
-    sgn = [1] * DIM
-    for i in range(DIM):
-        inv[perm[i]] = i
-        sgn[perm[i]] = signs[i]
-    return tuple(inv), tuple(sgn)
+def signed_permutation(cand) -> tuple[int, ...]:
+    """The (perm, signs) pair as a permutation of the 16 signed basis
+    vectors, +u_i at 2i and -u_i at 2i + 1: u_i goes to signs[i] u_perm[i],
+    so 2i + b goes to 2 perm[i] + b, flipped when signs[i] is -1.  The map
+    is a faithful homomorphism, so g o h is the permutation
+    tuple(map(g.__getitem__, h))."""
+    perm, signs = cand
+    return tuple(2 * perm[i] + (b ^ (signs[i] < 0)) for i in range(DIM) for b in (0, 1))
 
 
 def conductor_gram() -> tuple[tuple[int, ...], ...]:
@@ -80,9 +72,13 @@ def search() -> StabilizerReport:
     product = tuple(c for c in metric if preserves_product(c, m_constants))
 
     pairs = set(metric)
+    # group closure on the permutations of the 16 signed basis vectors;
+    # sorting positions by image inverts a permutation
+    perms = [signed_permutation(c) for c in metric]
+    perm_set = set(perms)
     closed = all(
-        compose(a, b) in pairs for a in metric for b in metric
-    ) and all(inverse(a) in pairs for a in metric)
+        tuple(map(a.__getitem__, b)) in perm_set for a in perms for b in perms
+    ) and all(tuple(sorted(range(2 * DIM), key=a.__getitem__)) in perm_set for a in perms)
 
     return StabilizerReport(
         candidates=CANDIDATE_COUNT,

@@ -150,3 +150,28 @@ def test_coxeter_dickson_enumerated_once(monkeypatch):
         for cached in caches:
             cached.cache_clear()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_UNITS))
+def test_a_non_unit_in_the_loop_is_not_closed(name, monkeypatch):
+    """Each row's loop goes through the packed kernel: with one unit
+    replaced by its double, a vector of the order of norm 4, the row's
+    units are not closed.  The Coxeter-Dickson row reads units240, which
+    takes its doubled vectors from the same builder."""
+    from okubo_e8 import catalog, orders
+
+    real = orders.doubled_vectors
+
+    def one_replaced(basis, found):
+        vecs = real(basis, found)
+        return [tuple(2 * v for v in vecs[0])] + vecs[1:]
+
+    monkeypatch.setattr(orders, "doubled_vectors", one_replaced)
+    monkeypatch.setattr(catalog, "doubled_vectors", one_replaced)
+    orders.units240.cache_clear()
+    try:
+        rep = verify_classical(build_classical(name))
+    finally:
+        orders.units240.cache_clear()
+    assert not rep.units_closed
+    assert rep.unit_count == EXPECTED_UNITS[name]

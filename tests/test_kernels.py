@@ -20,7 +20,7 @@ from okubo_e8._kernels import (
     shell_histogram,
     unit_closure_failures,
 )
-from okubo_e8.algebras import DIM, OCT_TABLE
+from okubo_e8.algebras import DIM, OCT_TABLE, AlgebraElem, oct_mul
 from okubo_e8.exact import QuadExt
 from okubo_e8.orders import (
     SCALING_MAX_EXP,
@@ -98,6 +98,26 @@ def naive_unit_closure(vecs2, idx, sgn):
                 bad_norm += 1
             if any(v & 1 for v in acc) or tuple(v >> 1 for v in acc) not in vset:
                 bad_member += 1
+    return bad_member, bad_norm
+
+
+def oct_mul_closure(vecs2):
+    """Reference by the algebra itself: x = v/2 for each doubled vector v;
+    the product oct_mul(x, y) of a pair is a member when 2 oct_mul(x, y)
+    has integer coordinates in the set, and has norm one when its norm is
+    1."""
+    elements = [AlgebraElem([Fraction(v, 2) for v in vec]) for vec in vecs2]
+    vset = set(map(tuple, vecs2))
+    bad_member = bad_norm = 0
+    for x in elements:
+        for y in elements:
+            z = oct_mul(x, y)
+            twice = [2 * c for c in z.coords]
+            if any(c.irr or c.rat.denominator != 1 for c in twice) or tuple(
+                    int(c.rat) for c in twice) not in vset:
+                bad_member += 1
+            if z.norm() != QuadExt(1):
+                bad_norm += 1
     return bad_member, bad_norm
 
 
@@ -298,6 +318,17 @@ class TestUnitClosure:
     def test_against_nested_loop(self, case):
         vecs, idx, sgn = case
         assert unit_closure_failures(vecs, idx, sgn) == naive_unit_closure(vecs, idx, sgn)
+
+    def test_blocks_wider_than_one_word_against_oct_mul(self, units2):
+        # coordinates of 3^20 need digit fields of 70 bits, so one block
+        # spans nine 64-bit words; the counts agree with the octonion
+        # product itself, pair by pair
+        idx, sgn = _table()
+        big = 3 ** 20
+        vecs = units2[::12] + [tuple(big * v for v in vec) for vec in units2[5::40]]
+        assert _field_width(vecs, idx, sgn) * 8 > 64
+        assert unit_closure_failures(vecs, idx, sgn) == oct_mul_closure(vecs)
+        assert oct_mul_closure(vecs)[0] > 0
 
     def test_rejects_non_integral(self, units2):
         idx, sgn = _table()

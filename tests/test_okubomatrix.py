@@ -30,6 +30,7 @@ from okubo_e8.okubomatrix import (
     kaplansky,
     kaplansky_report,
     matrix_mul,
+    matrix_mul_pair,
     norm,
     random_matrix,
     sample_pool,
@@ -142,6 +143,12 @@ class TestKernelOracle:
         for x, y in KERNEL_INPUTS:
             assert matrix_mul(x, y) == ref_matrix_mul(x, y)
 
+    def test_matrix_mul_pair(self):
+        """Both orders from one associative product, against the reference
+        computed from xy and yx separately."""
+        for x, y in KERNEL_INPUTS:
+            assert matrix_mul_pair(x, y) == (ref_matrix_mul(x, y), ref_matrix_mul(y, x))
+
     def test_norm_and_inner(self):
         for x, y in KERNEL_INPUTS:
             assert norm(x) == ref_norm(x)
@@ -213,6 +220,7 @@ def test_kernel_matches_reference_on_large_entries(x, y):
     """The written-out kernels against the ComplexQuad reference, on
     Hermitian matrices with 40-digit parts and mixed denominators."""
     assert matrix_mul(x, y) == ref_matrix_mul(x, y)
+    assert matrix_mul_pair(x, y) == (matrix_mul(x, y), ref_matrix_mul(y, x))
     assert norm(x) == ref_norm(x)
     assert inner(x, y) == ref_inner(x, y)
 
@@ -237,16 +245,18 @@ class TestOperandContract:
     def test_either_position_raises(self):
         zero = HermTraceless3([[0] * 3] * 3)
         basis = build_basis()
-        pool = sample_pool(0)
+        pool = sample_pool(0).matrices
         bad = [m for k, m in bumped_matrices(pool[0]) if k not in self.DIAGONAL_REAL]
         assert len(bad) == 30
         for x in bad:
             for good in (zero, basis[0], basis[5], pool[1]):
                 for a, b in ((x, good), (good, x)):
-                    with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
-                        matrix_mul(a, b)
-            with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
-                matrix_mul(x, x)
+                    for mul in (matrix_mul, matrix_mul_pair):
+                        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                            mul(a, b)
+            for mul in (matrix_mul, matrix_mul_pair):
+                with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                    mul(x, x)
 
     def test_zero_matrix_does_not_hide_a_bad_operand(self):
         # the Okubo product with 0 is 0 whatever the other operand is; the
@@ -260,51 +270,58 @@ class TestOperandContract:
                 matrix_mul(a, b)
 
 
-#: runs in a fresh interpreter: counts the Okubo products, and the callers
-#: of the general associative product, of one ``run_all``
+#: runs in a fresh interpreter: counts the Okubo products, single and
+#: paired, the associative products of Hermitian operands behind them, and
+#: the callers of the general associative product, of one ``run_all``
 PRODUCT_CENSUS = r"""
 import json
 import sys
 from collections import Counter
 from okubo_e8 import checks, okubomatrix
 
-products = [0]
+calls = Counter()
 callers = Counter()
-matrix_mul, general = okubomatrix.matrix_mul, okubomatrix._product
+general = okubomatrix._product
 
-def counted_mul(*args):
-    products[0] += 1
-    return matrix_mul(*args)
+def counting(name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
 
 def counted_general(*args):
     callers[sys._getframe(1).f_code.co_name] += 1
     return general(*args)
 
-wrapped = {matrix_mul: counted_mul, general: counted_general}
+wrapped = {general: counted_general}
+for name in ("matrix_mul", "matrix_mul_pair", "_hermitian_product"):
+    fn = getattr(okubomatrix, name)
+    wrapped[fn] = counting(name, fn)
 for name, mod in list(sys.modules.items()):
     if name.startswith("okubo_e8"):
         for attr, value in list(vars(mod).items()):
             if callable(value) and value in wrapped:
                 setattr(mod, attr, wrapped[value])
 checks.run_all(0)
-print(json.dumps({"matrix_mul": products[0], "general": callers}))
+print(json.dumps({"calls": calls, "general": callers}))
 """
 
 
 def test_one_run_computes_one_associative_product_per_okubo_product():
-    """One run_all makes the same 2,031 Okubo products, so every sampled law
-    still runs every product, and none of them calls the general
-    associative product: only the two Jordan products of the matrix
-    group's commutativity check do, for xy and yx.  Before, it had 4,931
-    calls: two per Okubo product, one per norm or inner product, and
-    those four."""
+    """One run_all computes one associative product of Hermitian operands
+    per Okubo product, and one per pair x * y, y * x that
+    ``matrix_mul_pair`` returns together: 1,349 single and 353 paired
+    products, where the parent made 2,031 single ones.  None of them calls
+    the general associative product: only the two Jordan products of the
+    matrix group's commutativity check do, for xy and yx."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", PRODUCT_CENSUS], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
     )
     counts = json.loads(proc.stdout)
-    assert counts["matrix_mul"] == 2031
+    assert counts["calls"] == {"matrix_mul": 1349, "matrix_mul_pair": 353,
+                               "_hermitian_product": 1702}
     assert counts["general"] == {"jordan_product": 4}
 
 
@@ -508,8 +525,9 @@ def test_sample_pool_is_the_seeded_draws(seed):
     random.Random(seed), the matrices each sampled law was drawn from."""
     rng = random.Random(seed)
     pool = sample_pool(seed)
-    assert len(pool) == okubomatrix.SAMPLES
-    assert pool == tuple(random_matrix(rng) for _ in range(okubomatrix.SAMPLES))
+    assert len(pool.matrices) == okubomatrix.SAMPLES
+    assert pool.matrices == tuple(random_matrix(rng) for _ in range(okubomatrix.SAMPLES))
+    assert pool.norms == tuple(norm(m) for m in pool.matrices)
 
 
 class TestJordanFixture:

@@ -114,7 +114,8 @@ class TestUnits240:
 
     def test_shapes_are_the_letter_sums(self):
         # reference: the signed letters, then each half family summed as
-        # algebra elements and halved, in the same order
+        # algebra elements and halved, in the same order, as the integer
+        # e-coordinates of twice each element
         lt = letters()
         want = []
         for name in ("1", "i", "j", "k", "l", "il", "jl", "kl"):
@@ -125,7 +126,9 @@ class TestUnits240:
                 for s, name in zip(signs, row):
                     acc = acc + lt[name].scale(s)
                 want.append(acc.scale(HALF))
-        assert unit_shapes() == want
+        doubled = [tuple(int(2 * c.rat) for c in x.coords) for x in want]
+        assert all(2 * c.rat == int(2 * c.rat) and not c.irr for x in want for c in x.coords)
+        assert unit_shapes() == doubled
 
 
 class TestStructureConstants:
@@ -140,13 +143,22 @@ class TestStructureConstants:
 
     @pytest.mark.parametrize("name", tuple(claims.CLASSICAL_TABLE))
     def test_reconstruction_on_catalog_rows(self, name):
-        """Every catalog row, of rank 2, 4 or 8, the Eisenstein row with its
-        sqrt(3) coordinates included, rebuilds each product of two basis
-        elements from its octonion constants."""
+        """Every catalog row, of rank 2, 4 or 8, rebuilds each product of
+        two basis elements from its octonion constants.  The catalog's
+        Eisenstein row is half-integral; a rank-2 basis with sqrt(3)
+        coordinates, (1, -1/2 + (sqrt(3)/2) e1), is rebuilt beside it."""
         basis = build_classical(name)
         assert len(basis) in (2, 4, 8)
         if name == "eisenstein":
-            assert any(c.irr for b in basis for c in b.coords)
+            assert not any(c.irr for b in basis for c in b.coords)
+            omega = AlgebraElem([QuadExt(-HALF), QuadExt(0, HALF)] + [0] * 6)
+            sqrt3 = OrderBasis((AlgebraElem.one(), omega), "eisenstein-sqrt3")
+            assert omega.coords[1].irr
+            c = structure_constants("octonion", sqrt3).c
+            assert c[1][1] == (QuadExt(-1), QuadExt(-1))  # omega^2 = -1 - omega
+            for i, bi in enumerate(sqrt3):
+                for j, bj in enumerate(sqrt3):
+                    assert sqrt3.element(c[i][j]) == oct_mul(bi, bj)
         c = structure_constants("octonion", basis).c
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
@@ -586,7 +598,7 @@ def _units240_reference():
     report = dict(
         count=len(elements),
         shape_count=len(shapes),
-        shapes_all_present=all(s in elem_set for s in shapes),
+        shapes_all_present=all(s in set(vecs2) for s in shapes),
         closure_failures=bad_member,
         norm_failures=bad_norm,
         inverses_present=all(el.conjugate() in elem_set for el in elements),

@@ -8,14 +8,31 @@ from okubo_e8.exact import QuadExt
 from okubo_e8.orders import cd_gram, scaled_basis
 from okubo_e8.stabilizer import (
     CANDIDATE_COUNT,
-    compose,
     conductor_gram,
-    inverse,
     search,
+    signed_permutation,
     tau_membership,
 )
 
 IDENTITY = (tuple(range(8)), (1,) * 8)
+
+
+def compose(g, h):
+    """Reference: g after h, (g o h)(u_i), for (perm, signs) pairs."""
+    (gp, gs), (hp, hs) = g, h
+    return (tuple(gp[hp[i]] for i in range(8)),
+            tuple(hs[i] * gs[hp[i]] for i in range(8)))
+
+
+def inverse(g):
+    """Reference: the inverse of a (perm, signs) pair."""
+    perm, signs = g
+    inv = [0] * 8
+    sgn = [1] * 8
+    for i in range(8):
+        inv[perm[i]] = i
+        sgn[perm[i]] = signs[i]
+    return tuple(inv), tuple(sgn)
 
 
 def perm_matrix(g):
@@ -42,6 +59,40 @@ class TestSignedBlockPerm:
         # composition is the matrix product
         assert perm_matrix(compose(g, h)) == [
             [sum(m[r][k] * n[k][c] for k in range(8)) for c in range(8)] for r in range(8)]
+
+
+class TestSignedPermutation:
+    """search decides group closure on the permutations of the 16 signed
+    basis vectors; the map from (perm, signs) pairs is a faithful
+    homomorphism, checked against the pair arithmetic above."""
+
+    def test_homomorphism_on_the_metric_survivors(self):
+        metric = search().metric
+        for g in metric[::5]:
+            for h in metric[::7]:
+                assert signed_permutation(compose(g, h)) == tuple(
+                    map(signed_permutation(g).__getitem__, signed_permutation(h)))
+            perm = signed_permutation(g)
+            assert signed_permutation(inverse(g)) == tuple(
+                sorted(range(16), key=perm.__getitem__))
+
+    def test_faithful(self):
+        metric = search().metric
+        assert len({signed_permutation(g) for g in metric}) == len(metric) == 48
+        assert signed_permutation(IDENTITY) == tuple(range(16))
+        # -u_0 at 1: the sign flip of u_0 swaps 0 and 1
+        flip = (tuple(range(8)), (-1,) + (1,) * 7)
+        assert signed_permutation(flip)[:4] == (1, 0, 2, 3)
+
+    def test_closure_fails_without_a_survivor(self, monkeypatch):
+        # drop one survivor that is not its own inverse: the rest is no group
+        from okubo_e8 import stabilizer
+
+        full = stabilizer.metric_stabilizers(conductor_gram())
+        gone = next(g for g in full if inverse(g) != g)
+        monkeypatch.setattr(stabilizer, "metric_stabilizers",
+                            lambda gram: [g for g in full if g != gone])
+        assert not search().metric_closed_under_group_ops
 
 
 class TestSearch:
