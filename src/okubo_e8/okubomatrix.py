@@ -23,16 +23,15 @@ The Okubo product runs on those integers and computes one associative
 product.  It first checks both operands Hermitian, and raises the
 constructor's error if one is not.  An entry of xy is a sum of three
 integer products over Dx*Dy, written out once; for Hermitian operands
-yx = (xy)^H, so yx is read off xy and not computed.  Six times the Okubo
-product, with the integers of 6 mu = 3 + sqrt(3) i, is
-3(xy + yx) + sqrt(3) i (xy - yx) - 2 Tr(xy) I,
-so each of its entries is one integer quadruple over 6*Dx*Dy, built in
-one expression.  The result is still checked Hermitian and traceless on
-those integers, with the errors the HermTraceless3 constructor raises,
-and made canonical with one gcd per matrix.  Where a law needs both
-orders, :func:`matrix_mul_pair` returns x * y and y * x from the one xy:
-they are (S + D)/6 and (S - D)/6 with S = 3(xy + yx) - 2 Tr(xy) I and
-D = sqrt(3) i (xy - yx), and each is validated and made canonical.  ``norm`` and ``inner`` sum
+yx = (xy)^H, so yx is read off xy and not computed.  With the integers
+of 6 mu = 3 + sqrt(3) i, six times x * y is S + D and six times y * x is
+S - D, for S = 3(xy + yx) - 2 Tr(xy) I and D = sqrt(3) i (xy - yx);
+:func:`_okubo_parts` builds each entry of S and D as one integer
+quadruple over Dx*Dy, in one expression.  :func:`matrix_mul` returns
+x * y, and :func:`matrix_mul_pair` both orders, for the laws that need
+both.  Each result is still checked Hermitian and traceless on its
+integers, with the errors the HermTraceless3 constructor raises, and made
+canonical with one gcd per matrix.  ``norm`` and ``inner`` sum
 the nine terms x_im y_mi of Tr(xy), written out, for any 36 integers, and
 reject a trace that is not real.  The symmetrized product
 :func:`jordan_product` computes xy and yx with the general associative
@@ -228,10 +227,12 @@ def _real_trace(xs, ys, message):
     return ta, tb
 
 
-def _hermitian_product(x: HermTraceless3, y: HermTraceless3) -> tuple[int, ...]:
-    """The 36 integers of the associative product xy over Dx*Dy, in the
-    layout of ``_q``, for Hermitian x and y: both operands are checked
-    first (ValueError "matrix is not Hermitian" otherwise)."""
+def _okubo_parts(x: HermTraceless3, y: HermTraceless3) -> tuple[list[int], list[int]]:
+    """The integers of S = 3(xy + yx) - 2 Tr(xy) I and D = sqrt(3) i (xy - yx)
+    over Dx*Dy, in the layout of ``_q``, from the one associative product
+    xy: as 6 mu = 3 + sqrt(3) i, 6 (x * y) is S + D and 6 (y * x) is S - D.
+    Both operands are checked Hermitian first (ValueError "matrix is not
+    Hermitian" otherwise), as yx = (xy)^H holds only for them."""
     if not (_hermitian(x._q) and _hermitian(y._q)):
         raise ValueError("matrix is not Hermitian")
     # entry (i, j) of xy is (Aij, Bij, Cij, Eij) over Dx*Dy, the three terms
@@ -315,66 +316,12 @@ def _hermitian_product(x: HermTraceless3, y: HermTraceless3) -> tuple[int, ...]:
         + b21 * s12 + e21 * q12))
     E22 = (a20 * s02 + b20 * r02 + c20 * q02 + e20 * p02 + a21 * s12 + b21 * r12 + c21 * q12
         + e21 * p12)
-    return (
-        A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
-        A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
-        A22, B22, C22, E22,
-    )
-
-
-def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
-    """The Okubo product, from the one associative product xy.  Both
-    operands are checked Hermitian first (ValueError "matrix is not
-    Hermitian" otherwise), so yx = (xy)^H is read off xy; the result is
-    still validated Hermitian traceless on its integers."""
-    (A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
-     A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
-     A22, B22, C22, E22) = _hermitian_product(x, y)
-    # cell (i, j) of 6 (x * y) is 3(u + w) + s3 i (u - w) with u = xy_ij and
-    # w = yx_ij = conj(xy_ji), as yx = (xy)^H for Hermitian x and y; with
-    # s3 i (a, b, c, e) = (-3e, -c, 3b, a) it is, for u = (A, B, C, E) and
-    # xy_ji = (A', B', C', E'), (3(A + A' - E - E'), 3(B + B') - C - C',
-    # 3(C - C' + B - B'), 3(E - E') + A - A'); on the diagonal, where
-    # A' = A and so on, that is (6(A - E), 6B - 2C, 0, 0), less 2 Tr(xy);
-    # the imaginary parts tc and te of 2 Tr(xy) vanish for Hermitian x and
-    # y, and the check below confirms it
-    ta, tb = 2 * (A00 + A11 + A22), 2 * (B00 + B11 + B22)
-    tc, te = 2 * (C00 + C11 + C22), 2 * (E00 + E11 + E22)
-    out = [
-        6 * (A00 - E00) - ta, 6 * B00 - 2 * C00 - tb, -tc, -te,
-        3 * (A01 + A10 - E01 - E10), 3 * (B01 + B10) - C01 - C10,
-        3 * (C01 - C10 + B01 - B10), 3 * (E01 - E10) + A01 - A10,
-        3 * (A02 + A20 - E02 - E20), 3 * (B02 + B20) - C02 - C20,
-        3 * (C02 - C20 + B02 - B20), 3 * (E02 - E20) + A02 - A20,
-        3 * (A10 + A01 - E10 - E01), 3 * (B10 + B01) - C10 - C01,
-        3 * (C10 - C01 + B10 - B01), 3 * (E10 - E01) + A10 - A01,
-        6 * (A11 - E11) - ta, 6 * B11 - 2 * C11 - tb, -tc, -te,
-        3 * (A12 + A21 - E12 - E21), 3 * (B12 + B21) - C12 - C21,
-        3 * (C12 - C21 + B12 - B21), 3 * (E12 - E21) + A12 - A21,
-        3 * (A20 + A02 - E20 - E02), 3 * (B20 + B02) - C20 - C02,
-        3 * (C20 - C02 + B20 - B02), 3 * (E20 - E02) + A20 - A02,
-        3 * (A21 + A12 - E21 - E12), 3 * (B21 + B12) - C21 - C12,
-        3 * (C21 - C12 + B21 - B12), 3 * (E21 - E12) + A21 - A12,
-        6 * (A22 - E22) - ta, 6 * B22 - 2 * C22 - tb, -tc, -te,
-    ]
-    # validation certifies type closure: all entries share one denominator,
-    # so the conditions on the values are conditions on these integers
-    _check_type(out)
-    return _matrix(out, 6 * x._d * y._d)
-
-
-def matrix_mul_pair(x: HermTraceless3, y: HermTraceless3) -> tuple[HermTraceless3, HermTraceless3]:
-    """(x * y, y * x) from the one associative product xy: 6 (x * y) is
-    S + D and 6 (y * x) is S - D, with S = 3(xy + yx) - 2 Tr(xy) I and
-    D = sqrt(3) i (xy - yx), as 6 mu = 3 + sqrt(3) i and 6 conj(mu) =
-    3 - sqrt(3) i.  The operands are checked as in :func:`matrix_mul`, and
-    each result is validated Hermitian traceless and made canonical."""
-    (A00, B00, C00, E00, A01, B01, C01, E01, A02, B02, C02, E02, A10, B10, C10, E10,
-     A11, B11, C11, E11, A12, B12, C12, E12, A20, B20, C20, E20, A21, B21, C21, E21,
-     A22, B22, C22, E22) = _hermitian_product(x, y)
-    # with yx_ij = conj(xy_ji), cell (i, j) of S is 3(xy_ij + conj(xy_ji))
-    # and of D is s3 i (xy_ij - conj(xy_ji)), s3 i (a, b, c, e) =
-    # (-3e, -c, 3b, a); on the diagonal, less 2 Tr(xy) in S
+    # with yx_ij = conj(xy_ji), as yx = (xy)^H for Hermitian x and y, cell
+    # (i, j) of S is 3(xy_ij + conj(xy_ji)) and of D is s3 i (xy_ij -
+    # conj(xy_ji)), with s3 i (a, b, c, e) = (-3e, -c, 3b, a); on the
+    # diagonal S has 2 Tr(xy) less; the imaginary parts tc and te of
+    # 2 Tr(xy) vanish for Hermitian x and y, and the check of each product
+    # confirms it
     ta, tb = 2 * (A00 + A11 + A22), 2 * (B00 + B11 + B22)
     tc, te = 2 * (C00 + C11 + C22), 2 * (E00 + E11 + E22)
     s = [
@@ -399,6 +346,27 @@ def matrix_mul_pair(x: HermTraceless3, y: HermTraceless3) -> tuple[HermTraceless
         -3 * (E21 + E12), -C21 - C12, 3 * (B21 - B12), A21 - A12,
         -6 * E22, -2 * C22, 0, 0,
     ]
+    return s, d
+
+
+def matrix_mul(x: HermTraceless3, y: HermTraceless3) -> HermTraceless3:
+    """The Okubo product, (S + D)/6 from :func:`_okubo_parts`, so from the
+    one associative product xy; the result is still validated Hermitian
+    traceless on its integers."""
+    s, d = _okubo_parts(x, y)
+    out = list(map(add, s, d))
+    # validation certifies type closure: all entries share one denominator,
+    # so the conditions on the values are conditions on these integers
+    _check_type(out)
+    return _matrix(out, 6 * x._d * y._d)
+
+
+def matrix_mul_pair(x: HermTraceless3, y: HermTraceless3) -> tuple[HermTraceless3, HermTraceless3]:
+    """(x * y, y * x) = ((S + D)/6, (S - D)/6) from :func:`_okubo_parts`, so
+    from the one associative product xy.  The operands are checked as in
+    :func:`matrix_mul`, and each result is validated Hermitian traceless
+    and made canonical."""
+    s, d = _okubo_parts(x, y)
     xy, yx = list(map(add, s, d)), list(map(sub, s, d))
     _check_type(xy)
     _check_type(yx)

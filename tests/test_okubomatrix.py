@@ -294,7 +294,7 @@ def counted_general(*args):
     return general(*args)
 
 wrapped = {general: counted_general}
-for name in ("matrix_mul", "matrix_mul_pair", "_hermitian_product"):
+for name in ("matrix_mul", "matrix_mul_pair", "_okubo_parts"):
     fn = getattr(okubomatrix, name)
     wrapped[fn] = counting(name, fn)
 for name, mod in list(sys.modules.items()):
@@ -321,7 +321,7 @@ def test_one_run_computes_one_associative_product_per_okubo_product():
     )
     counts = json.loads(proc.stdout)
     assert counts["calls"] == {"matrix_mul": 1349, "matrix_mul_pair": 353,
-                               "_hermitian_product": 1702}
+                               "_okubo_parts": 1702}
     assert counts["general"] == {"jordan_product": 4}
 
 

@@ -47,7 +47,7 @@ def bridges(fn):
 
 wrapped = {}
 for mod, name in ((algebras, "oct_mul"), (okubomatrix, "matrix_mul"),
-                  (okubomatrix, "matrix_mul_pair"), (okubomatrix, "_hermitian_product"),
+                  (okubomatrix, "matrix_mul_pair"), (okubomatrix, "_okubo_parts"),
                   (okubomatrix, "_product"), (okubomatrix, "norm"),
                   (_kernels, "unit_closure_failures")):
     fn = getattr(mod, name)
@@ -115,7 +115,7 @@ def test_one_run_does_each_piece_of_work_once():
     # the two Jordan products
     assert counts["matrix_mul"] == 1349
     assert counts["matrix_mul_pair"] == 353
-    assert counts["_hermitian_product"] == counts["matrix_mul"] + counts["matrix_mul_pair"]
+    assert counts["_okubo_parts"] == counts["matrix_mul"] + counts["matrix_mul_pair"]
     assert counts["_product"] == 4
     # one norm per pool matrix (100), per sampled product of each law
     # (100 + 100), and the idempotent's
