@@ -359,21 +359,24 @@ ONE = AlgebraElem.one
 @record
 class BridgeImages:
     """The unary images of one element x that the bridge identities read,
-    each computed once: tau x, tau^2 x, e * x and x * e (Okubo, e = 1),
-    and 1 . x and x . 1 (para)."""
+    each computed once: tau x, tau^2 x, e * x, x * e and ((x * e) * e) * e
+    (Okubo, e = 1), and 1 . x and x . 1 (para)."""
 
     tau: AlgebraElem
     tau2: AlgebraElem
     e_star: AlgebraElem
     star_e: AlgebraElem
+    star_e3: AlgebraElem
     one_dot: AlgebraElem
     dot_one: AlgebraElem
 
 
 def bridge_images(x: AlgebraElem) -> BridgeImages:
     e = ONE()
-    return BridgeImages(tau_apply(x, 1), tau_apply(x, 2), okubo_mul(e, x),
-                        okubo_mul(x, e), para_mul(e, x), para_mul(x, e))
+    star_e = okubo_mul(x, e)
+    return BridgeImages(tau_apply(x, 1), tau_apply(x, 2), okubo_mul(e, x), star_e,
+                        okubo_mul(okubo_mul(star_e, e), e),
+                        para_mul(e, x), para_mul(x, e))
 
 
 # A pair identity takes x, y, their images ix, iy and the octonion
@@ -424,14 +427,12 @@ def _bridge_conj_via_okubo(x, ix):
 
 def _bridge_conj_via_stars(x, ix):
     # conj(x) = ((x * e) * e) * e
-    e = ONE()
-    return x.conjugate(), okubo_mul(okubo_mul(ix.star_e, e), e)
+    return x.conjugate(), ix.star_e3
 
 
 def _bridge_tau_via_stars(x, ix):
     # tau(x) = (((x * e) * e) * e) * e
-    e = ONE()
-    return ix.tau, okubo_mul(okubo_mul(okubo_mul(ix.star_e, e), e), e)
+    return ix.tau, okubo_mul(ix.star_e3, ONE())
 
 
 BRIDGE_UNARY_IDENTITIES = {

@@ -8,14 +8,15 @@ which owns the map between order vectors and algebra elements and its
 lattice, :attr:`OrderBasis.lattice`; the Coxeter-Dickson row is the
 order basis itself.  Every order has half-integral e-coordinates (Conway
 and Smith, On Quaternions and Octonions, 2003, ch. 9-10), Eisenstein's
-included, whose omega is (-1 + e1 + e2 + e3)/2.  So every row's unit
-loop is one call of the packed closure kernel on the doubled
-e-coordinates of its units (:func:`orders.unit_loop`); the
-Coxeter-Dickson row reads the loop :func:`orders.units240` certified.
-Every row takes its octonion structure constants
-from :func:`orders.structure_constants` and their integrality, with that
-of the traces and norms, from :func:`orders.closure_test`, and its
-minimum and kissing number from :func:`lattice.minimum_and_kissing`.  The
+included, whose omega is (-1 + e1 + e2 + e3)/2.  So every row reads its
+unit loop from :func:`orders.unit_loop`, one enumeration of its lattice
+and one call of the packed closure kernel on the doubled e-coordinates of
+its units, cached per basis: the Coxeter-Dickson row reads the loop
+:func:`orders.units240` certified.  Every row takes its octonion
+structure constants from :func:`orders.structure_constants` and their
+integrality, with that of the traces and norms, from
+:func:`orders.closure_test`, and its minimum and kissing number from the
+loop's enumerated vectors with :func:`lattice.minimum_and_kissing`.  The
 reports hold what was computed, the invariant triple (det, min, kissing)
 in the doubled-form normalization <x,x> = 2 n(x) included;
 ``checks.check_catalog`` compares them with the claimed table.
@@ -33,13 +34,10 @@ from .exact import RingTag
 from .orders import (
     OrderBasis,
     cd_basis,
-    cd_short_vectors,
     closure_test,
-    doubled_vectors,
     letters,
     structure_constants,
     unit_loop,
-    units240,
 )
 
 
@@ -96,20 +94,12 @@ class CatalogReport:
 
 def verify_classical(basis: OrderBasis) -> CatalogReport:
     """Enumerate the unit loop and compute the data of one catalog row."""
-    if basis is cd_basis():  # the enumeration and the unit loop units240 reads
-        found = cd_short_vectors()
-        _, loop = units240()
-        unit_count = loop.count
-    else:  # the units, and the minimal vectors
-        found = lat.short_vectors(basis.lattice, 2)
-        vecs2 = doubled_vectors(basis, found)
-        unit_count = len(vecs2)
-        loop = unit_loop(vecs2)
-    mn, kiss = lat.minimum_and_kissing(found, 2)
+    loop = unit_loop(basis)  # the units, and the minimal vectors
+    mn, kiss = lat.minimum_and_kissing(loop.found, 2)
     closure = closure_test(structure_constants("octonion", basis), RingTag.Z, basis)
 
     return CatalogReport(
-        unit_count=unit_count,
+        unit_count=len(loop.vecs2),
         units_closed=loop.closure_failures == 0 and loop.norm_failures == 0,
         inverses_present=loop.inverses_present,
         constants_integral=not closure.violations,

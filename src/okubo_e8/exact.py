@@ -125,7 +125,7 @@ class QuadExt:
         return QuadExt.coerce(other) - self
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        return _quad(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if type(other) is not QuadExt:
@@ -203,15 +203,6 @@ _set_b = QuadExt._b.__set__
 _set_d = QuadExt._d.__set__
 
 
-def _make(a: int, b: int, d: int) -> QuadExt:
-    """The QuadExt (a + b*sqrt(3))/d from integers already in canonical form."""
-    x = _new(QuadExt)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_d(x, d)
-    return x
-
-
 def _quad(a: int, b: int, d: int) -> QuadExt:
     """The QuadExt (a + b*sqrt(3))/d for integers with d > 0."""
     g = gcd(a, b, d)
@@ -219,7 +210,6 @@ def _quad(a: int, b: int, d: int) -> QuadExt:
         a //= g
         b //= g
         d //= g
-    # the body of _make, inlined: every arithmetic result passes here
     x = _new(QuadExt)
     _set_a(x, a)
     _set_b(x, b)

@@ -34,8 +34,8 @@ integers, with the errors the HermTraceless3 constructor raises, and made
 canonical with one gcd per matrix.  ``norm`` and ``inner`` sum
 the nine terms x_im y_mi of Tr(xy), written out, for any 36 integers, and
 reject a trace that is not real.  The symmetrized product
-:func:`jordan_product` computes xy and yx with the general associative
-product.
+:func:`jordan_product` is (S + 2 Tr(xy) I)/6, from the same S and that
+trace, so the module has one associative product.
 
 The sampled laws of both products are checked on one pool of seeded
 random matrices, :func:`sample_pool`, drawn once per check run; the pool
@@ -115,9 +115,6 @@ _set_q = HermTraceless3._q.__set__
 _set_d = HermTraceless3._d.__set__
 _new = object.__new__
 
-_CELLS = tuple((i, j) for i in range(3) for j in range(3))
-
-
 def _matrix(ints, den: int) -> HermTraceless3:
     """The matrix with the 36 integers ``ints`` (in the layout of ``_q``)
     over ``den`` > 0, made canonical by one gcd; not validated."""
@@ -160,38 +157,13 @@ def _check_type(ints) -> None:
         raise ValueError("matrix is not traceless")
 
 
-def _product(xs, ys):
-    """The associative product of two matrices given by their integers, as
-    its nine entries' integer quadruples over the product of their
-    denominators, one after another in one list, in row-major order.  With
-    s3 = sqrt(3), one term ((a + b s3) + (c + e s3) i)((p + q s3) +
-    (r + s s3) i) has the quadruple (ap - cr + 3(bq - es), aq + bp - cs - er,
-    ar + cp + 3(bs + eq), as + br + cq + ep); entry (i, j) is the sum of
-    the three terms x_im y_mj, written out."""
-    rows = xs[:12], xs[12:24], xs[24:]
-    cols = [ys[j:j + 4] + ys[j + 12:j + 16] + ys[j + 24:j + 28] for j in (0, 4, 8)]
-    out = []
-    for i, j in _CELLS:
-        a, b, c, e, f, g, h, k, l, m, n, o = rows[i]
-        p, q, r, s, t, u, v, w, P, Q, R, S = cols[j]
-        out += (
-            a * p - c * r + f * t - h * v + l * P - n * R
-            + 3 * (b * q - e * s + g * u - k * w + m * Q - o * S),
-            a * q + b * p - c * s - e * r + f * u + g * t - h * w - k * v
-            + l * Q + m * P - n * S - o * R,
-            a * r + c * p + f * v + h * t + l * R + n * P
-            + 3 * (b * s + e * q + g * w + k * u + m * S + o * Q),
-            a * s + b * r + c * q + e * p + f * w + g * v + h * u + k * t
-            + l * S + m * R + n * Q + o * P,
-        )
-    return out
-
-
 def _real_trace(xs, ys, message):
     """The integers (a, b) of Tr(xy) = (a + b s3)/(Dx*Dy), for any two
     matrices given by their 36 integers: the sum of the nine terms
-    x_im y_mi, each as in :func:`_product`, written out; ArithmeticError
-    with ``message`` if the trace is not real."""
+    x_im y_mi, written out; ArithmeticError with ``message`` if the trace
+    is not real.  With s3 = sqrt(3), one term ((a + b s3) + (c + e s3) i)
+    ((p + q s3) + (r + s s3) i) has the quadruple (ap - cr + 3(bq - es),
+    aq + bp - cs - er, ar + cp + 3(bs + eq), as + br + cq + ep)."""
     (a00, b00, c00, e00, a01, b01, c01, e01, a02, b02, c02, e02,
      a10, b10, c10, e10, a11, b11, c11, e11, a12, b12, c12, e12,
      a20, b20, c20, e20, a21, b21, c21, e21, a22, b22, c22, e22) = xs
@@ -236,8 +208,9 @@ def _okubo_parts(x: HermTraceless3, y: HermTraceless3) -> tuple[list[int], list[
     if not (_hermitian(x._q) and _hermitian(y._q)):
         raise ValueError("matrix is not Hermitian")
     # entry (i, j) of xy is (Aij, Bij, Cij, Eij) over Dx*Dy, the three terms
-    # x_im y_mj as in _product, written out; the diagonal entries of the
-    # Hermitian operands are real, so their imaginary parts are left out
+    # x_im y_mj, each as in _real_trace, written out; the diagonal entries
+    # of the Hermitian operands are real, so their imaginary parts are left
+    # out
     (a00, b00, _, _, a01, b01, c01, e01, a02, b02, c02, e02,
      a10, b10, c10, e10, a11, b11, _, _, a12, b12, c12, e12,
      a20, b20, c20, e20, a21, b21, c21, e21, a22, b22, _, _) = x._q
@@ -472,20 +445,29 @@ def verify_laws(pool: SamplePool) -> MatrixLawsReport:
     flex = comp = assoc = closure = 0
     matrices, norms = pool.matrices, pool.norms
     count = len(matrices)
+    # (x * y, y * x) for each matrix x and the next, y, or None if the pair
+    # raised; with z the matrix after y, the next pair holds z * y
+    pairs = []
     for idx, x in enumerate(matrices):
+        try:
+            pairs.append(matrix_mul_pair(x, matrices[(idx + 1) % count]))
+        except ValueError:
+            pairs.append(None)
+    for idx, x in enumerate(matrices):
+        if pairs[idx] is None:
+            closure += 1
+            continue
         nxt = (idx + 1) % count
         y = matrices[nxt]
         z = matrices[(idx + 2) % count]
-        try:
-            xy, yx = matrix_mul_pair(x, y)
-        except ValueError:
-            closure += 1
-            continue
+        xy, yx = pairs[idx]
         if matrix_mul(x, yx) != matrix_mul(xy, x):
             flex += 1
         if norm(xy) != norms[idx] * norms[nxt]:
             comp += 1
-        if inner(matrix_mul(x, z), y) != inner(x, matrix_mul(z, y)):
+        lhs = inner(matrix_mul(x, z), y)
+        zy = matrix_mul(z, y) if pairs[nxt] is None else pairs[nxt][1]
+        if lhs != inner(x, zy):
             assoc += 1
 
     # no two-sided unit in the searched class: +-e, +-e1..e7
@@ -547,12 +529,12 @@ def kaplansky_report(pool: SamplePool) -> KaplanskyReport:
     alt = comp = 0
     matrices, norms = pool.matrices, pool.norms
 
-    # kaplansky(u, v) = (e*u)*(v*e): the two halves (e*m, m*e) of each pool
-    # matrix are one paired product, kept only while a sample uses them
-    first = x_halves = matrix_mul_pair(e, matrices[0])
+    # kaplansky(u, v) = (e*u)*(v*e): the halves (e*m, m*e) of each pool
+    # matrix, one paired product each
+    halves = [matrix_mul_pair(e, m) for m in matrices]
     for idx in range(len(matrices)):
         nxt = (idx + 1) % len(matrices)
-        (ex, xe), (ey, ye) = x_halves, first if nxt == 0 else matrix_mul_pair(e, matrices[nxt])
+        (ex, xe), (ey, ye) = halves[idx], halves[nxt]
         xx, xy = matrix_mul(ex, xe), matrix_mul(ex, ye)
         exx, xxe = matrix_mul_pair(e, xx)
         # x.(x.y) against (x.x).y
@@ -562,7 +544,6 @@ def kaplansky_report(pool: SamplePool) -> KaplanskyReport:
         yx = matrix_mul(ey, xe)
         if matrix_mul(matrix_mul(e, yx), xe) != matrix_mul(ey, xxe):
             alt += 1
-        x_halves = ey, ye
         if norm(xy) != norms[idx] * norms[nxt]:
             comp += 1
     return KaplanskyReport(
@@ -577,9 +558,15 @@ def jordan_product(x: HermTraceless3, y: HermTraceless3) -> tuple[tuple[int, ...
     """The commutative symmetrized product (1/2)(xy + yx) as its 36
     integers, in the layout of ``_q``, and their denominator, made
     canonical by one gcd; not a HermTraceless3, since Hermitian traceless
-    matrices are not closed under it."""
-    sym = [u + v for u, v in zip(_product(x._q, y._q), _product(y._q, x._q))]
-    den = 2 * x._d * y._d
+    matrices are not closed under it.  As 3(xy + yx) = S + 2 Tr(xy) I, it
+    is (S + 2 Tr(xy) I)/6, with S from :func:`_okubo_parts` (so the
+    operands are checked Hermitian) and Tr(xy) from :func:`_real_trace`."""
+    sym, _ = _okubo_parts(x, y)
+    ta, tb = _real_trace(x._q, y._q, "polarized trace must be real")
+    for k in (0, 16, 32):
+        sym[k] += 2 * ta
+        sym[k + 1] += 2 * tb
+    den = 6 * x._d * y._d
     g = gcd(den, *sym)
     return tuple(v // g for v in sym), den // g
 

@@ -29,9 +29,10 @@ both realizations: the structure constants of every order basis come
 from it, and :func:`closure_test` decides their integrality.
 
 Unit loops run on doubled e-coordinates 2x, integers for a half-integral
-order: :func:`doubled_vectors` maps enumerated order vectors to them, and
-:func:`unit_loop` decides closure with the packed kernel, for the 240
-units here and for every catalog row.
+order.  :func:`unit_loop` is the one route, cached per basis, for the 240
+units here and for every catalog row: it enumerates the order's lattice
+once at <x,x> <= 2, maps the vectors to doubled coordinates with
+:func:`doubled_vectors`, and decides closure with the packed kernel.
 """
 
 from __future__ import annotations
@@ -249,34 +250,36 @@ def doubled_vectors(basis: OrderBasis, found) -> list[tuple[int, ...]]:
 
 @record
 class UnitLoop:
-    """The pairwise closure of one unit set, from the packed kernel."""
+    """The unit loop of one order: its enumerated vectors with <x,x> <= 2,
+    their doubled e-coordinates, and their pairwise closure from the
+    packed kernel."""
 
+    found: tuple
+    vecs2: tuple[tuple[int, ...], ...]
     closure_failures: int
     norm_failures: int
     inverses_present: bool
 
 
-def unit_loop(vecs2) -> UnitLoop:
-    """Closure of the doubled units ``vecs2`` under the octonion product,
-    all len(vecs2)^2 products through :func:`_kernels.unit_closure_failures`
-    with ``OCT_TABLE``, and the presence of each conjugate."""
+@lru_cache(maxsize=None)
+def unit_loop(basis: OrderBasis) -> UnitLoop:
+    """Enumerate the nonzero vectors of ``basis.lattice`` with <x,x> <= 2
+    once, map them to doubled e-coordinates with :func:`doubled_vectors`,
+    and decide closure under the octonion product: all len(vecs2)^2
+    products through :func:`_kernels.unit_closure_failures` with
+    ``OCT_TABLE``, and the presence of each conjugate."""
+    found = tuple(lat.short_vectors(basis.lattice, 2))
+    vecs2 = tuple(doubled_vectors(basis, found))
     bad_member, bad_norm = unit_closure_failures(vecs2, OCT_TABLE.idx, OCT_TABLE.sgn)
     vec_set = set(vecs2)
     return UnitLoop(
+        found=found,
+        vecs2=vecs2,
         closure_failures=bad_member,
         norm_failures=bad_norm,
         inverses_present=all((v[0],) + tuple(-c for c in v[1:]) in vec_set
                              for v in vecs2),
     )
-
-
-@lru_cache(maxsize=None)
-def cd_short_vectors() -> tuple:
-    """The nonzero vectors of the order with <x,x> <= 2, as
-    ``lat.short_vectors`` gives them, enumerated once: units240 takes the
-    units from them, and the catalog's Coxeter-Dickson row its minimum and
-    kissing number."""
-    return tuple(lat.short_vectors(cd_lattice(), 2))
 
 
 @lru_cache(maxsize=None)
@@ -287,17 +290,17 @@ def units240() -> tuple[tuple[AlgebraElem, ...], Units240Report]:
     presence of every catalogued shape, closure of all 240^2 products, and
     the presence of the inverse conj(x)/n(x) of every unit.  All of it runs
     on the doubled e-coordinates 2x = v (2B), integers for an order vector
-    v; the algebra elements are built once, at the end.
+    v, that :func:`unit_loop` gives; the algebra elements are built once,
+    at the end.
     """
-    vecs2 = doubled_vectors(cd_basis(), cd_short_vectors())  # <x,x> = 2 <=> n(x) = 1
-    vec_set = set(vecs2)
+    loop = unit_loop(cd_basis())  # <x,x> = 2 <=> n(x) = 1
+    vecs2 = loop.vecs2
     shapes = unit_shapes()
-    loop = unit_loop(vecs2)
 
     report = Units240Report(
         count=len(vecs2),
         shape_count=len(shapes),
-        shapes_all_present=vec_set.issuperset(shapes),
+        shapes_all_present=set(vecs2).issuperset(shapes),
         closure_failures=loop.closure_failures,
         norm_failures=loop.norm_failures,
         inverses_present=loop.inverses_present,

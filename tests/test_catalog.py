@@ -141,7 +141,7 @@ def test_coxeter_dickson_enumerated_once(monkeypatch):
         return real(lat, bound)
 
     monkeypatch.setattr(lattice, "short_vectors", counting)
-    caches = (orders.cd_short_vectors, orders.units240)
+    caches = (orders.unit_loop, orders.units240)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -156,9 +156,10 @@ def test_coxeter_dickson_enumerated_once(monkeypatch):
 def test_a_non_unit_in_the_loop_is_not_closed(name, monkeypatch):
     """Each row's loop goes through the packed kernel: with one unit
     replaced by its double, a vector of the order of norm 4, the row's
-    units are not closed.  The Coxeter-Dickson row reads units240, which
-    takes its doubled vectors from the same builder."""
-    from okubo_e8 import catalog, orders
+    units are not closed.  Every row, the Coxeter-Dickson row included,
+    reads its loop from orders.unit_loop, which takes its doubled vectors
+    from this builder."""
+    from okubo_e8 import orders
 
     real = orders.doubled_vectors
 
@@ -167,11 +168,10 @@ def test_a_non_unit_in_the_loop_is_not_closed(name, monkeypatch):
         return [tuple(2 * v for v in vecs[0])] + vecs[1:]
 
     monkeypatch.setattr(orders, "doubled_vectors", one_replaced)
-    monkeypatch.setattr(catalog, "doubled_vectors", one_replaced)
-    orders.units240.cache_clear()
+    orders.unit_loop.cache_clear()
     try:
         rep = verify_classical(build_classical(name))
     finally:
-        orders.units240.cache_clear()
+        orders.unit_loop.cache_clear()
     assert not rep.units_closed
     assert rep.unit_count == EXPECTED_UNITS[name]

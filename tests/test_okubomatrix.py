@@ -155,9 +155,9 @@ class TestKernelOracle:
             assert inner(x, y) == ref_inner(x, y)
 
     def test_associative_and_jordan_products(self):
+        """The Jordan product, (S + 2 Tr(xy) I)/6 from the one associative
+        product xy, against (xy + yx)/2 on the reference entries."""
         for x, y in KERNEL_INPUTS:
-            rows = entry_rows(okubomatrix._product(x._q, y._q), x._d * y._d)
-            assert rows == ref_mat_product(x, y)
             assert entry_rows(*jordan_product(x, y)) == ref_jordan(x, y)
 
     def test_invalid_inputs_rejected_like_reference(self):
@@ -236,7 +236,11 @@ def bumped_matrices(m):
 
 class TestOperandContract:
     """``matrix_mul`` reads yx off xy as (xy)^H, which holds only for
-    Hermitian operands, so it checks both operands before it multiplies."""
+    Hermitian operands, so it checks both operands before it multiplies;
+    so do ``matrix_mul_pair`` and ``jordan_product``, which share its
+    associative product."""
+
+    PRODUCTS = (matrix_mul, matrix_mul_pair, jordan_product)
 
     #: the integers of the diagonal real parts: raising one leaves a
     #: matrix Hermitian, raising any other integer does not
@@ -251,10 +255,10 @@ class TestOperandContract:
         for x in bad:
             for good in (zero, basis[0], basis[5], pool[1]):
                 for a, b in ((x, good), (good, x)):
-                    for mul in (matrix_mul, matrix_mul_pair):
+                    for mul in self.PRODUCTS:
                         with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
                             mul(a, b)
-            for mul in (matrix_mul, matrix_mul_pair):
+            for mul in self.PRODUCTS:
                 with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
                     mul(x, x)
 
@@ -271,8 +275,8 @@ class TestOperandContract:
 
 
 #: runs in a fresh interpreter: counts the Okubo products, single and
-#: paired, the associative products of Hermitian operands behind them, and
-#: the callers of the general associative product, of one ``run_all``
+#: paired, and the associative products of Hermitian operands behind them
+#: with their callers, of one ``run_all``
 PRODUCT_CENSUS = r"""
 import json
 import sys
@@ -281,19 +285,16 @@ from okubo_e8 import checks, okubomatrix
 
 calls = Counter()
 callers = Counter()
-general = okubomatrix._product
 
 def counting(name, fn):
     def counted(*args):
         calls[name] += 1
+        if name == "_okubo_parts":
+            callers[sys._getframe(1).f_code.co_name] += 1
         return fn(*args)
     return counted
 
-def counted_general(*args):
-    callers[sys._getframe(1).f_code.co_name] += 1
-    return general(*args)
-
-wrapped = {general: counted_general}
+wrapped = {}
 for name in ("matrix_mul", "matrix_mul_pair", "_okubo_parts"):
     fn = getattr(okubomatrix, name)
     wrapped[fn] = counting(name, fn)
@@ -303,26 +304,29 @@ for name, mod in list(sys.modules.items()):
             if callable(value) and value in wrapped:
                 setattr(mod, attr, wrapped[value])
 checks.run_all(0)
-print(json.dumps({"calls": calls, "general": callers}))
+print(json.dumps({"calls": calls, "callers": callers}))
 """
 
 
 def test_one_run_computes_one_associative_product_per_okubo_product():
     """One run_all computes one associative product of Hermitian operands
-    per Okubo product, and one per pair x * y, y * x that
-    ``matrix_mul_pair`` returns together: 1,349 single and 353 paired
-    products, where the parent made 2,031 single ones.  None of them calls
-    the general associative product: only the two Jordan products of the
-    matrix group's commutativity check do, for xy and yx."""
+    per Okubo product, one per pair x * y, y * x that ``matrix_mul_pair``
+    returns together, and one per Jordan product: 1,249 single and 353
+    paired products and the two Jordan products of the matrix group's
+    commutativity check.  The parent of the paired product made 2,031
+    single ones; before each sample of the laws read z * y from the next
+    sample's pair, 1,349; and the Jordan products had a general associative
+    product of their own."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", PRODUCT_CENSUS], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
     )
     counts = json.loads(proc.stdout)
-    assert counts["calls"] == {"matrix_mul": 1349, "matrix_mul_pair": 353,
-                               "_okubo_parts": 1702}
-    assert counts["general"] == {"jordan_product": 4}
+    assert counts["calls"] == {"matrix_mul": 1249, "matrix_mul_pair": 353,
+                               "_okubo_parts": 1604}
+    assert counts["callers"] == {"matrix_mul": 1249, "matrix_mul_pair": 353,
+                                 "jordan_product": 2}
 
 
 # -- the stored integers against the ComplexQuad entries ----------------------

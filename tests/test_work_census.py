@@ -46,9 +46,9 @@ def bridges(fn):
     return run
 
 wrapped = {}
-for mod, name in ((algebras, "oct_mul"), (okubomatrix, "matrix_mul"),
-                  (okubomatrix, "matrix_mul_pair"), (okubomatrix, "_okubo_parts"),
-                  (okubomatrix, "_product"), (okubomatrix, "norm"),
+for mod, name in ((algebras, "oct_mul"), (algebras, "okubo_mul"),
+                  (okubomatrix, "matrix_mul"), (okubomatrix, "matrix_mul_pair"),
+                  (okubomatrix, "_okubo_parts"), (okubomatrix, "norm"),
                   (_kernels, "unit_closure_failures")):
     fn = getattr(mod, name)
     wrapped[fn] = counter(name, fn)
@@ -92,7 +92,10 @@ def test_one_run_does_each_piece_of_work_once():
     catalog made 948 octonion products pair by pair (1,474 in all), the
     bridges applied tau 508 times to 39 distinct elements, the matrix
     laws made 2,031 associative products and 601 norms, and the kernel saw
-    only the 57,600 pairs of the 240 units."""
+    only the 57,600 pairs of the 240 units.  Before the star chain and z * y
+    were shared, the run made 880 Okubo products and 1,349 single matrix
+    products, and the Jordan products went through a second, general
+    associative product."""
     got = census()
     counts = got["counts"]
     # every catalog row's loop through the kernel: the 240 units once, and
@@ -111,12 +114,15 @@ def test_one_run_does_each_piece_of_work_once():
     assert counts["tau_distinct_elements"] == 39
     assert counts["tau_in_bridges"] == 2 * 20 + 20
     assert counts["tau_in_bridges"] <= 2 * counts["tau_distinct_elements"]
-    # one associative product per Okubo product or pair of products, and
-    # the two Jordan products
-    assert counts["matrix_mul"] == 1349
+    # the Okubo star chain ((x * e) * e) * e once per distinct element of
+    # the 20 unary inputs, read by both star identities
+    assert counts["okubo_mul"] == 840
+    # one associative product per Okubo product or pair of products, each
+    # sample's z * y read from the next sample's pair, and one per Jordan
+    # product
+    assert counts["matrix_mul"] == 1249
     assert counts["matrix_mul_pair"] == 353
-    assert counts["_okubo_parts"] == counts["matrix_mul"] + counts["matrix_mul_pair"]
-    assert counts["_product"] == 4
+    assert counts["_okubo_parts"] == 1604 == 1249 + 353 + 2
     # one norm per pool matrix (100), per sampled product of each law
     # (100 + 100), and the idempotent's
     assert counts["norm"] == 301
