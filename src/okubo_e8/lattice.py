@@ -3,17 +3,19 @@
 Everything here is exact: determinants of integer matrices by
 fraction-free elimination, the Hermite normal form, the Smith normal form
 with only its right unimodular transform, the one its callers read (or,
-for the Smith invariants alone, without it), sublattice invariants,
-short-vector enumeration by exact rational Cholesky (through the kernel
-layer), discriminant groups with their quadratic form, isotropic gluing,
-2-adic saturation, shell counts, and the rank-16 restriction-of-scalars
-Gram.
+for the Smith invariants alone, without it), one report per lattice
+inclusion, short-vector enumeration by exact rational Cholesky (through
+the kernel layer), discriminant groups with their quadratic form, shell
+counts, and the rank-16 restriction-of-scalars Gram.
 
 Every lattice is integral: a :class:`LatticeZ` holds integer basis rows
 in a space with an integer Gram.  A lattice built from its Gram keeps the
 Gram it was given; any other computes its Gram once, and each computes its
 determinant once.  The one step over Q, the inclusion matrix of a
-sublattice, is one ``exact.solve``; the rest is integer arithmetic.
+sublattice, is one ``exact.solve``; the rest is integer arithmetic.  The
+report of an inclusion, :func:`glue_and_saturate`, reads its index, its
+Smith invariants, the 2-adic saturation and the isotropic gluing from one
+Smith decomposition of that matrix.
 
 Norm bookkeeping: a lattice Gram always stores the bilinear form <x,y>
 with <x,x> = 2 n(x) for algebra elements, so the minimum of E8 is 2 and
@@ -366,40 +368,6 @@ def lattices_equal(a: LatticeZ, b: LatticeZ) -> bool:
     return contains(a, b) and contains(b, a)
 
 
-@record
-class SublatticeInvariants:
-    index: int
-    det_sub: int
-    smith: tuple[int, ...]
-    inclusions: dict
-
-
-def sublattice_invariants(sub: LatticeZ, sup: LatticeZ, xi=None) -> SublatticeInvariants:
-    """Index, determinants and Smith invariants of an inclusion of
-    full-rank lattices; raises InclusionError with a witness otherwise.
-    ``xi`` is the inclusion matrix of sub in sup (:func:`_inclusion_matrix`)
-    when the caller holds it, and is solved here otherwise."""
-    if xi is None:
-        xi = _inclusion_matrix(sub, sup)
-    index = abs(mat_det(xi))
-    if not index:
-        raise LatticeError("sublattice is not of full rank")
-    det_sub = sub.det
-    if det_sub != index * index * sup.det:
-        raise LatticeError("index-squared determinant law failed")
-    inclusions = {
-        "4sup_in_sub": contains(sub, sup.scaled(4)),
-        "sub_in_2sup": contains(sup.scaled(2), sub),
-        "sub_in_sup": True,
-    }
-    return SublatticeInvariants(
-        index=index,
-        det_sub=det_sub,
-        smith=smith_invariants(xi),
-        inclusions=inclusions,
-    )
-
-
 # ---------------------------------------------------------------------------
 # short vectors and shells
 # ---------------------------------------------------------------------------
@@ -521,10 +489,16 @@ def glue_overlattice(base: LatticeZ, lift_rows) -> LatticeZ:
 
 @record
 class GlueSaturateReport:
+    """The report of one inclusion of full-rank lattices sub in sup: its
+    index, det sub, Smith invariants and chain containments, the 2-adic
+    saturation and the gluing along H = sup/sub."""
+
+    index: int
+    det_sub: int
+    smith: tuple[int, ...]
+    inclusions: dict
     saturation: LatticeZ
     saturation_equals_sup: bool
-    quotient_invariants: tuple[int, ...]
-    quotient_order: int
     q_values_all_zero: bool
     maximal_isotropic: bool
     glued_even: bool
@@ -532,20 +506,35 @@ class GlueSaturateReport:
     glued_equals_sup: bool
 
 
-def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, xi=None) -> GlueSaturateReport:
-    """Run the 2-adic saturation and the gluing recovery for sub inside sup,
-    both from the one Smith decomposition (d_i, r_i) of the inclusion
-    matrix (:func:`_smith_rows`).
+def glue_and_saturate(sub: LatticeZ, sup: LatticeZ) -> GlueSaturateReport:
+    """Report the inclusion of sub in sup, every value read from the one
+    Smith decomposition (d_i, r_i) of its inclusion matrix
+    (:func:`_smith_rows`); raises InclusionError with a witness if sub is
+    not in sup, and LatticeError if it is not of full rank.
 
-    The saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub for some k}
-    is spanned by the (odd part of d_i) * r_i.  The factors d_i > 1 are the
-    invariants of H = sup/sub, with the r_i as its generators.  H is viewed
-    inside A_sub: isotropy is decided on the generators alone (see the
-    comment below), maximality as |H|^2 = |A_sub| = |det sub|.  The lattice
-    is glued along H either way; the report says if it is even and unimodular.
-    ``xi`` is the inclusion matrix, as for :func:`sublattice_invariants`.
+    The d_i are the Smith invariants and their product is the index, which
+    must satisfy det sub = index^2 det sup.  The chain containments
+    4 sup in sub and sub in 2 sup are decided by :func:`contains`.  The
+    saturation Sat_2(sub in sup) = {x in sup : 2^k x in sub for some k} is
+    spanned by the (odd part of d_i) * r_i.  The factors d_i > 1 are the
+    invariants of H = sup/sub, with the r_i as its generators, and |H| is
+    the index.  H is viewed inside A_sub: isotropy is decided on the
+    generators alone (see the comment below), maximality as
+    |H|^2 = |A_sub| = |det sub|.  The lattice is glued along H either way;
+    the report says if it is even and unimodular.
     """
-    rows = _smith_rows(_inclusion_matrix(sub, sup) if xi is None else xi)
+    rows = _smith_rows(_inclusion_matrix(sub, sup))
+    smith = tuple(d for d, _ in rows)
+    index = prod(smith)
+    det_sub = sub.det
+    if det_sub != index * index * sup.det:
+        raise LatticeError("index-squared determinant law failed")
+    inclusions = {
+        "4sup_in_sub": contains(sub, sup.scaled(4)),
+        "sub_in_2sup": contains(sup.scaled(2), sub),
+        "sub_in_sup": True,
+    }
+
     sat_rows = []
     for d, r in rows:
         while d % 2 == 0:
@@ -553,10 +542,7 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, xi=None) -> GlueSaturateRepo
         sat_rows.append(sup.vector([d * v for v in r]))
     sat = LatticeZ.from_rows(sat_rows, sup.ambient_gram, f"sat_2({sub.label or 'L'})")
 
-    factors = [(d, r) for d, r in rows if d > 1]
-    invariants = tuple(d for d, _ in factors)
-    order = prod(invariants)
-    gens = [r for _, r in factors]
+    gens = [r for d, r in rows if d > 1]
     # q(h) = <v, v> mod 2 for any lift v in sup of h.  For h = sum c_i h_i,
     # <v, v> = c M c^T with M the integer Gram of the generators' lifts,
     # and c M c^T = sum_i c_i^2 M_ii + 2 sum_{i<j} c_i c_j M_ij, so
@@ -565,15 +551,17 @@ def glue_and_saturate(sub: LatticeZ, sup: LatticeZ, xi=None) -> GlueSaturateRepo
     # > 1, so each h_i is a class of its own, with q(h_i) = M_ii mod 2.
     m = _integer_gram(gens, sup.gram)
     all_zero = all(m[i][i] % 2 == 0 for i in range(len(m)))
-    maximal = order * order == abs(sub.det)  # |A_sub| = |det sub|
+    maximal = index * index == abs(det_sub)  # |A_sub| = |det sub|
 
     glued = glue_overlattice(sub, [sup.vector(r) for r in gens])
 
     return GlueSaturateReport(
+        index=index,
+        det_sub=det_sub,
+        smith=smith,
+        inclusions=inclusions,
         saturation=sat,
         saturation_equals_sup=lattices_equal(sat, sup),
-        quotient_invariants=invariants,
-        quotient_order=order,
         q_values_all_zero=all_zero,
         maximal_isotropic=maximal,
         glued_even=glued.is_even(),

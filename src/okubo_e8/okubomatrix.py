@@ -57,9 +57,9 @@ from math import gcd, lcm
 from operator import add, sub
 
 from ._record import record
-from .algebras import DIM
+from .algebras import DIM, basis_element, okubo_mul
 from .exact import ComplexQuad, QuadExt, SpanSolve, _complex, _quad, apply_map, ldl
-from .orders import e_basis, product_table, structure_constants
+from .orders import product_table
 
 
 class HermTraceless3:
@@ -606,18 +606,19 @@ class CrossRealizationReport:
 
 
 def cross_realization_report() -> CrossRealizationReport:
-    """The sign search between the two Okubo tables: the matrix side built
-    by :func:`orders.product_table` over :func:`build_basis`, from the
-    products of each pair of basis matrices, both orders from one
-    :func:`matrix_mul_pair`, and the rotation side the cached
-    ``structure_constants("okubo", e_basis())``."""
+    """The sign search between the two Okubo tables, both built by
+    :func:`orders.product_table`: the matrix side over :func:`build_basis`,
+    from the products of each pair of basis matrices, both orders from one
+    :func:`matrix_mul_pair`, and the rotation side over e_0..e_7, where the
+    coordinates of an element are its own ``coords``."""
     basis = build_basis()
     products = {}
     for a, x in enumerate(basis):
         for y in basis[a:]:
             products[x, y], products[y, x] = matrix_mul_pair(x, y)
     mat_c = product_table(lambda x, y: products[x, y], basis, _coordinates)
-    return _sign_search(mat_c, structure_constants("okubo", e_basis()).c)
+    e = [basis_element(k) for k in range(DIM)]
+    return _sign_search(mat_c, product_table(okubo_mul, e, lambda x: x.coords))
 
 
 def _sign_search(mat_c, alg_c) -> CrossRealizationReport:

@@ -19,8 +19,7 @@ with h = (i + j + k + l)/2.
 
 Every order is an :class:`OrderBasis`: this basis, the scaled basis
 u_i = 2^{a_i} b_i built from the certified exponents, the saturated basis
-and the catalog orders; the e-basis is one too, for the rotation side of
-the cross-realization diff.  ``element`` maps coordinates to an algebra
+and the catalog orders.  ``element`` maps coordinates to an algebra
 element, ``lattice`` is its lattice, of the integral Gram, built once, and
 :func:`coords_in_order_basis` solves for coordinates with the basis's
 :class:`exact.SpanSolve`, the coordinate solve that the Hermitian-matrix
@@ -166,12 +165,6 @@ def cd_basis() -> OrderBasis:
         oct_mul(lt["k"], h),
     )
     return OrderBasis(els, "coxeter-dickson")
-
-
-@lru_cache(maxsize=None)
-def e_basis() -> OrderBasis:
-    """The basis e_0..e_7 itself, whose solve map is the identity."""
-    return OrderBasis(tuple(basis_element(k) for k in range(DIM)), "e-basis")
 
 
 def cd_gram() -> tuple[tuple[int, ...], ...]:
@@ -587,11 +580,11 @@ def conductor_lattice() -> lat.LatticeZ:
 
 
 @lru_cache(maxsize=None)
-def conductor_inclusion() -> tuple[tuple[int, ...], ...]:
-    """The integer matrix X with (conductor basis) = X * (order basis): the
-    inclusion of :func:`conductor_lattice` in :func:`cd_lattice`, solved
-    once per run for the conductor invariants and the gluing."""
-    return tuple(map(tuple, lat._inclusion_matrix(conductor_lattice(), cd_lattice())))
+def conductor_in_e8() -> lat.GlueSaturateReport:
+    """The report of the inclusion of :func:`conductor_lattice` in
+    :func:`cd_lattice` (:func:`lattice.glue_and_saturate`), made once per
+    run for the conductor invariants and the gluing."""
+    return lat.glue_and_saturate(conductor_lattice(), cd_lattice())
 
 
 def denominator_profile(constants: StructureConstants) -> dict[int, int]:

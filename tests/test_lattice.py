@@ -38,10 +38,9 @@ from okubo_e8.lattice import (
     short_vectors,
     sigma3,
     smith_invariants,
-    sublattice_invariants,
     trace_lattice_16,
 )
-from okubo_e8.orders import cd_lattice, conductor_inclusion, conductor_lattice, scaled_basis
+from okubo_e8.orders import cd_lattice, conductor_in_e8, conductor_lattice, scaled_basis
 
 A2 = [[2, -1], [-1, 2]]
 D4 = [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]  # det 4
@@ -423,35 +422,49 @@ class TestSmithWithoutLeftTransform:
 
 class TestSublattice:
     def test_conductor_in_e8(self):
-        inv = sublattice_invariants(conductor_lattice(), cd_lattice())
-        assert inv.index == claims.CONDUCTOR_INDEX
-        assert inv.det_sub == claims.CONDUCTOR_DET
+        rep = glue_and_saturate(conductor_lattice(), cd_lattice())
+        assert rep.index == claims.CONDUCTOR_INDEX
+        assert rep.det_sub == claims.CONDUCTOR_DET
         assert cd_lattice().det == 1
-        assert inv.smith == claims.CONDUCTOR_SMITH
-        assert inv.inclusions == {
+        assert rep.smith == claims.CONDUCTOR_SMITH
+        assert rep.inclusions == {
             "4sup_in_sub": True, "sub_in_2sup": True, "sub_in_sup": True,
         }
+        assert conductor_in_e8() == rep
 
     def test_identity_inclusion(self):
         cd = cd_lattice()
-        inv = sublattice_invariants(cd, cd)
-        assert inv.index == 1
-        assert inv.smith == (1,) * 8
+        rep = glue_and_saturate(cd, cd)
+        assert rep.index == 1
+        assert rep.smith == (1,) * 8
+        assert rep.inclusions == {
+            "4sup_in_sub": True, "sub_in_2sup": False, "sub_in_sup": True,
+        }
 
     def test_doubling(self):
         cd = cd_lattice()
-        inv = sublattice_invariants(cd.scaled(2), cd)
-        assert inv.index == 256  # |det 2I| = 2^8
-        assert inv.det_sub == 65536  # index^2 * det
-        assert inv.smith == (2,) * 8
+        rep = glue_and_saturate(cd.scaled(2), cd)
+        assert rep.index == 256  # |det 2I| = 2^8
+        assert rep.det_sub == 65536  # index^2 * det
+        assert rep.smith == (2,) * 8
+        assert rep.inclusions == {
+            "4sup_in_sub": True, "sub_in_2sup": True, "sub_in_sup": True,
+        }
 
     def test_non_inclusion_witness(self):
         cd = cd_lattice()
-        double = cd.scaled(2)
-        for run in (sublattice_invariants, glue_and_saturate):
-            with pytest.raises(InclusionError) as err:
-                run(cd, double)
-            assert err.value.witness == cd.basis[0]
+        with pytest.raises(InclusionError) as err:
+            glue_and_saturate(cd, cd.scaled(2))
+        assert err.value.witness == cd.basis[0]
+
+    def test_broken_index_squared_law_raises(self):
+        """The index is read as the product of the Smith invariants; a det
+        sub that breaks det sub = index^2 det sup is refused, not reported."""
+        cd = cd_lattice()
+        sub = cd.scaled(2)
+        sub.__dict__["det"] = 2 * 65536  # the cached determinant, made wrong
+        with pytest.raises(LatticeError, match="index-squared determinant law failed"):
+            glue_and_saturate(sub, cd)
 
     def test_singular_outer_basis(self):
         # the solve's ArithmeticError reaches callers as a LatticeError
@@ -511,8 +524,13 @@ class TestSublattice:
             sub = LatticeZ.from_rows(rows, cd.ambient_gram, "random-sub")
             if mat_det(sub.basis) == 0:
                 continue
-            inv = sublattice_invariants(sub, cd)
-            assert inv.det_sub == inv.index ** 2 * cd.det
+            rep = glue_and_saturate(sub, cd)
+            assert rep.det_sub == rep.index ** 2 * cd.det
+            # the index and the Smith invariants the removed routes read:
+            # the Bareiss determinant and the transform-free Smith form
+            xi = _inclusion_matrix(sub, cd)
+            assert rep.index == abs(mat_det(xi))
+            assert rep.smith == smith_invariants(xi)
 
 
 class TestRemovedRoutes:
@@ -573,7 +591,7 @@ class TestRemovedRoutes:
             sub, sup = LatticeZ.from_rows(sub_rows, sup_gram), LatticeZ.from_gram(sup_gram)
         rep = glue_and_saturate(sub, sup)
         assert rep.maximal_isotropic is (
-            rep.quotient_order ** 2 == discriminant_group(sub).order)
+            rep.index ** 2 == discriminant_group(sub).order)
 
 
 class TestShortVectors:
@@ -748,7 +766,7 @@ class TestDiscriminantGroup:
             sup = LatticeZ.from_gram(sup_gram)
             values, _ = dual_form_values(sub, sup)
             ginv = inverse(sub.gram)
-            orders = glue_and_saturate(sub, sup).quotient_invariants
+            orders = tuple(d for d in glue_and_saturate(sub, sup).smith if d > 1)
             for a, (qa, ya) in values.items():
                 for b, (qb, yb) in values.items():
                     ab = tuple((x + y) % t for x, y, t in zip(a, b, orders))
@@ -810,8 +828,8 @@ class TestGlueSaturate:
     def test_full_report(self):
         rep = glue_and_saturate(conductor_lattice(), cd_lattice())
         assert rep.saturation_equals_sup
-        assert rep.quotient_invariants == claims.QUOTIENT_INVARIANTS
-        assert rep.quotient_order == claims.CONDUCTOR_INDEX
+        assert tuple(d for d in rep.smith if d > 1) == claims.QUOTIENT_INVARIANTS
+        assert rep.index == claims.CONDUCTOR_INDEX
         assert rep.q_values_all_zero
         assert rep.maximal_isotropic
         assert rep.glued_even and rep.glued_unimodular
@@ -845,9 +863,12 @@ class TestGlueSaturate:
         assert (witness is None) is isotropic
 
     def test_quotient_group(self):
+        """H = sup/sub from the report: its invariants are the Smith
+        invariants > 1, and its order is the index."""
         rep = glue_and_saturate(conductor_lattice(), cd_lattice())
-        assert rep.quotient_invariants == claims.QUOTIENT_INVARIANTS
-        assert rep.quotient_order == 4096
+        invariants, _ = quotient_generators(conductor_lattice(), cd_lattice())
+        assert invariants == tuple(d for d in rep.smith if d > 1) == claims.QUOTIENT_INVARIANTS
+        assert prod(invariants) == rep.index == 4096
 
     def test_one_smith_decomposition(self, monkeypatch):
         """Both recoveries read one Smith decomposition of the inclusion
@@ -872,38 +893,18 @@ class TestGlueSaturate:
         assert pairs.count((sub, sup)) == 1
         assert transformed.count(True) == 1
 
-    def test_given_inclusion_matrix_is_read_not_solved(self, monkeypatch):
-        """The conductor invariants and the gluing read the inclusion matrix
-        they are given, the one orders.conductor_inclusion solves once per
-        run, and report what they report when they solve it themselves."""
-        import okubo_e8.lattice as lattice_module
-
-        sub, sup = conductor_lattice(), cd_lattice()
-        want = sublattice_invariants(sub, sup), glue_and_saturate(sub, sup)
-        xi = conductor_inclusion()
-        assert xi == tuple(map(tuple, _inclusion_matrix(sub, sup)))
-        pairs = []
-
-        def inclusion(inner, outer, _original=lattice_module._inclusion_matrix):
-            pairs.append((inner, outer))
-            return _original(inner, outer)
-
-        monkeypatch.setattr(lattice_module, "_inclusion_matrix", inclusion)
-        assert (sublattice_invariants(sub, sup, xi), glue_and_saturate(sub, sup, xi)) == want
-        assert (sub, sup) not in pairs
-
     @pytest.mark.parametrize("run, solves", [
         pytest.param(lambda sub, sup: lattice._smith_rows(lattice._inclusion_matrix(sub, sup)),
                      1, id="quotient_group"),
-        pytest.param(glue_and_saturate, 5, id="saturation"),
+        pytest.param(glue_and_saturate, 7, id="saturation"),
     ])
     def test_smith_rows_need_no_rational_inverse(self, run, solves, monkeypatch):
         # the Smith form hands over Q^-1 itself; nothing inverts Q over Q,
         # and every rational solve is an inclusion matrix.  The quotient
         # group is read from the Smith rows of the one inclusion matrix of
-        # sub in sup; the saturation and the gluing add only those of the
-        # mutual containments that compare Sat_2(sub) and the glued lattice
-        # with sup
+        # sub in sup; the report adds only the two chain containments
+        # (4 sup in sub, sub in 2 sup) and the mutual containments that
+        # compare Sat_2(sub) and the glued lattice with sup
         import okubo_e8.lattice as lattice_module
 
         calls = {"solve": 0, "_inclusion_matrix": 0}
@@ -926,8 +927,7 @@ class TestGlueSaturate:
         assert lattices_equal(sat, sat2)
 
     @pytest.mark.parametrize("run", [
-        sublattice_invariants,
-        pytest.param(lambda sub, sup: glue_and_saturate(sub, sup).quotient_invariants,
+        pytest.param(lambda sub, sup: glue_and_saturate(sub, sup).smith,
                      id="quotient_group"),
         pytest.param(lambda sub, sup: glue_and_saturate(sub, sup).saturation,
                      id="saturation"),

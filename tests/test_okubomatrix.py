@@ -18,7 +18,7 @@ from okubo_e8.algebras import DIM, basis_element, oct_mul, okubo_mul
 from okubo_e8 import checks, exact, okubomatrix
 from okubo_e8.catalog import build_classical
 from okubo_e8.exact import ComplexQuad, QuadExt, _complex, apply_map
-from okubo_e8.orders import coords_in_order_basis, e_basis, product_table, structure_constants
+from okubo_e8.orders import OrderBasis, coords_in_order_basis, product_table, structure_constants
 from okubo_e8.okubomatrix import (
     HermTraceless3,
     _sign_search,
@@ -657,16 +657,20 @@ class TestCoordinates:
 
 
 class TestCrossRealization:
-    def test_tables_against_direct_products(self):
+    def test_tables_against_direct_products(self, monkeypatch):
         """The two tables the diff reads, against products solved
-        independently: the e-basis table is the e-coordinates of the
-        Okubo products, and the matrix table the eliminated coordinates of
-        the matrix products."""
-        table = structure_constants("okubo", e_basis()).c
-        assert table == tuple(tuple(okubo_mul(basis_element(a), basis_element(b)).coords
-                                    for b in range(DIM)) for a in range(DIM))
+        independently: the rotation-side table is the e-coordinates of the
+        Okubo products, as the coordinate solve of the basis e_0..e_7 finds
+        them too, and the matrix table the eliminated coordinates of the
+        matrix products."""
+        tables = []
+        monkeypatch.setattr(okubomatrix, "_sign_search", lambda *args: tables.append(args))
+        cross_realization_report()
+        [(mat_c, alg_c)] = tables
+        e = [basis_element(k) for k in range(DIM)]
+        assert alg_c == tuple(tuple(okubo_mul(x, y).coords for y in e) for x in e)
+        assert alg_c == structure_constants("okubo", OrderBasis(tuple(e), "e-basis")).c
         basis = build_basis()
-        mat_c = product_table(matrix_mul, basis, coordinates)
         assert mat_c == tuple(tuple(naive_matrix_coordinates(matrix_mul(x, y)) for y in basis)
                               for x in basis)
 
@@ -708,7 +712,8 @@ class TestCrossRealization:
 
         # the rotation-side table under a sign pattern that is not the
         # identity, with a few entries perturbed
-        alg_c = structure_constants("okubo", e_basis()).c
+        e = [basis_element(k) for k in range(DIM)]
+        alg_c = product_table(okubo_mul, e, lambda x: x.coords)
         target = (1, -1, 1, 1, -1, 1, -1, 1)
         mat_c = signed(alg_c, target)
         for a, b, k in ((0, 1, 2), (3, 3, 0), (5, 2, 7), (7, 7, 7)):

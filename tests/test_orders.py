@@ -753,9 +753,10 @@ def test_one_run_solves_each_order_table_once():
     and basis: three over the Coxeter-Dickson basis (the catalog's row
     reads the octonion table that the closure check cached), the Okubo
     tables over the scaled and saturated orders, the octonion table of each
-    other catalog row, and the two tables the cross-realization diff
-    compares, over the e-basis and the matrix basis.  The only solves
-    outside a table are tau(u_2) and tau^2(u_2) over the scaled basis."""
+    other catalog row, and the matrix-side table of the cross-realization
+    diff (its rotation side, over e_0..e_7, reads each product's own
+    coordinates and solves nothing).  The only solves outside a table are
+    tau(u_2) and tau^2(u_2) over the scaled basis."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", SOLVE_COUNTER], capture_output=True, text=True,
@@ -765,7 +766,7 @@ def test_one_run_solves_each_order_table_once():
     square = DIM * DIM
     assert counts["tables"] == {
         "coxeter-dickson": 3 * square, "scaled": square, "saturated": square,
-        "e-basis": square, "matrix-basis": square,
+        "matrix-basis": square,
         "gaussian": 4, "eisenstein": 4, "hamilton": 16, "hurwitz": 16,
         "cayley-graves": square,
     }
@@ -862,10 +863,17 @@ import json
 import sys
 from collections import Counter
 from functools import cached_property
-from okubo_e8 import checks, lattice, orders
+from okubo_e8 import checks, exact, lattice, orders
 
 calls = Counter()
 computed = {"det": {}, "k_gram": {}}
+span_init = exact.SpanSolve.__init__
+
+def counting_span_init(self, *args):
+    calls["SpanSolve"] += 1
+    span_init(self, *args)
+
+exact.SpanSolve.__init__ = counting_span_init
 
 def counted(name, fn):
     def wrapper(*args, **kwargs):
@@ -891,7 +899,7 @@ def counted_inclusion(sub, sup):
     return solve_inclusion(sub, sup)
 
 wrapped = {getattr(lattice, name): counted(name, getattr(lattice, name))
-           for name in ("mat_det", "smith_invariants", "discriminant_group")}
+           for name in ("mat_det", "smith_invariants", "_snf_reduce", "discriminant_group")}
 wrapped[solve_inclusion] = counted_inclusion
 for name, mod in list(sys.modules.items()):
     if name.startswith("okubo_e8"):
@@ -908,6 +916,7 @@ print(json.dumps({
     "scaled_k_grams": sum(n for basis, n in computed["k_gram"].values()
                           if basis.label == "scaled"),
     "inclusions_most": max(inclusions.values()),
+    "inclusions": sum(inclusions.values()),
     "conductor_inclusions": inclusions["okubo-conductor", "coxeter-dickson"],
 }))
 """
@@ -919,13 +928,23 @@ def test_one_run_computes_each_lattice_value_once():
     check, the conductor invariants and the catalog row (three Bareiss
     eliminations before), and the scaled K-Gram by the scaled-order check,
     its lattice and the trace lattice (two before).  The gluing reads the
-    conductor's discriminant order from its determinant, so one Smith form
-    of a Gram is left, the discriminant check's, with the Smith invariants
-    of the inclusion matrix (3 and 2 before).  Eight lattices take a
-    determinant: E8, the conductor, the five other catalog rows and the
-    glued lattice; the ninth elimination is the conductor's index.  Each
-    inclusion matrix is solved once: the conductor invariants and the
-    gluing share that of the conductor in E8 (two solves before)."""
+    conductor's discriminant order from its determinant, and the conductor
+    invariants and the gluing read one report of the conductor in E8,
+    whose index is the product of its Smith invariants: the Smith forms
+    left are the discriminant check's, without transforms, and the
+    inclusion's, with them (before the one report, the inclusion matrix
+    had a second Smith form without transforms, 3 Smith forms in all, 2 of
+    them through smith_invariants).  The determinants are those of the
+    eight lattices that take one: E8, the conductor, the five other
+    catalog rows and the glued lattice (a ninth Bareiss elimination took
+    the index before).  Each inclusion matrix is solved once, seven in
+    all: the conductor in E8, the two chain containments and the two
+    mutual containments each of the saturation and the glued lattice with
+    E8.  A coordinate solve is built for each of the nine bases whose
+    coordinates are solved: the order, the scaled and the saturated
+    bases, the five other catalog rows and the matrix basis (the rotation
+    side's table reads the coordinates of e_0..e_7 directly, where a tenth
+    solve inverted the identity before)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", VALUE_COUNTER], capture_output=True, text=True,
@@ -934,7 +953,10 @@ def test_one_run_computes_each_lattice_value_once():
     counts = json.loads(proc.stdout)
     assert counts["det_most"] == counts["k_gram_most"] == 1
     assert counts["scaled_k_grams"] == 1
-    assert counts["smith_invariants"] == 2
+    assert counts["smith_invariants"] == 1
+    assert counts["_snf_reduce"] == 2
     assert counts["discriminant_group"] == 1
-    assert counts["mat_det"] == counts["lattices_with_det"] + 1 == 9
+    assert counts["mat_det"] == counts["lattices_with_det"] == 8
     assert counts["inclusions_most"] == counts["conductor_inclusions"] == 1
+    assert counts["inclusions"] == 7
+    assert counts["SpanSolve"] == 9
